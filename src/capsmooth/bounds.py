@@ -29,6 +29,7 @@ stated domain rather than clamping.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from scipy import integrate, optimize
 
@@ -49,8 +50,11 @@ __all__ = [
     "adversarial_expectation_bound",
     "adversarial_expectation_bound_proof_chain",
     "expectation_bound_gap",
+    "tail_theorem",
+    "CheckRow",
     "boosting_check",
     "small_calc_check",
+    "smoothness_check",
     "ball_maximizer_check",
     "BoostParams",
     "DeltaSandwichRow",
@@ -290,12 +294,49 @@ def expectation_bound_gap(n, d, sigma):
             - uniform_expectation_bound(n, d, sigma))
 
 
+def tail_theorem(n, d, sigma, beta, H, scale):
+    """Which tail theorem covers a law, and where its range starts.
+
+    Returns (t_min, bound): bound(t) bounds P(C >= t) on the "linear"
+    scale or P(ln C > t) on the "log" scale, for t >= t_min.  The log
+    scale uses the boosted theorem when beta > 0, with the threshold
+    t_eps of the law's own sup H.  On the linear scale only the uniform
+    theorem exists, so a pole law gets bound None; t_min is still t0.
+    """
+    if scale == "linear":
+        if beta > 0.0:
+            return t0(n, d, sigma), None
+        return t0(n, d, sigma), partial(uniform_tail_bound, n, d, sigma)
+    if beta == 0.0:
+        return (t0_log(n, d, sigma),
+                partial(uniform_log_tail_bound, n, d, sigma))
+    alpha = 1.0 - beta / n
+    thr = t_eps(n, d, sigma, delta_eps(n, beta, sigma, H, 0.5 * alpha))
+    return thr, partial(boosted_tail_bound, n, d, sigma, beta)
+
+
+@dataclass(frozen=True)
+class CheckRow:
+    """Both sides of one checked inequality and its verdict.
+
+    Truth-testing raises TypeError, so a caller must read .passed: an
+    `assert check(...)` on a row could otherwise never fail.
+    """
+    lhs: float
+    rhs: float
+    passed: bool
+
+    def __bool__(self):
+        raise TypeError("a CheckRow has no truth value; read .passed")
+
+
 def boosting_check(n, beta, sigma, H, eps, rho, slack=1e-12):
     """Core smoothness inequality behind the tail boosting, in log space.
 
     Checks  H * I_m(rho) / I_m(sigma) <= (I_n(rho) / I_n(sigma))^(1-beta/n-eps)
-    with m = n - beta, for 0 < rho <= rho_eps.  Returns True when the
-    inequality holds within an additive log-space slack.
+    with m = n - beta, for 0 < rho <= rho_eps.  Returns a CheckRow of
+    the two logs; it passes when the inequality holds within an
+    additive log-space slack.
     """
     n = _check_n(n)
     beta = _check_beta(n, beta)
@@ -311,19 +352,33 @@ def boosting_check(n, beta, sigma, H, eps, rho, slack=1e-12):
            - log_cap_integral(m, sigma))
     rhs = (1.0 - beta / n - eps) * (log_cap_integral(n, rho)
                                     - log_cap_integral(n, sigma))
-    return lhs <= rhs + slack * max(1.0, abs(rhs))
+    return CheckRow(lhs, rhs, lhs <= rhs + slack * max(1.0, abs(rhs)))
 
 
 def small_calc_check(n):
     """Check (1 - q^(1/n))^(-1/2) <= sqrt(2n / ln(pi n / 2)), q = 2/(pi n).
 
-    Equivalent to 1 - q^(1/n) >= ln(pi n / 2) / (2 n); evaluated in the
-    stable expm1 form.
+    Returns a CheckRow of the two sides.  The verdict uses the
+    equivalent 1 - q^(1/n) >= ln(pi n / 2) / (2 n), in the stable expm1
+    form.
     """
     n = _check_n(n)
     q = _q(n)
     one_minus = -math.expm1(math.log(q) / n)
-    return one_minus >= math.log(math.pi * n / 2.0) / (2.0 * n)
+    return CheckRow(one_minus ** -0.5,
+                    math.sqrt(2.0 * n / math.log(math.pi * n / 2.0)),
+                    one_minus >= math.log(math.pi * n / 2.0) / (2.0 * n))
+
+
+def smoothness_check(law, rho, tol):
+    """smoothness_ratio(law, rho) against its limit alpha = 1 - beta/n.
+
+    Returns a CheckRow(ratio, alpha) that passes when
+    |ratio - alpha| <= tol.
+    """
+    ratio = smoothness_ratio(law, rho)
+    alpha = smoothness_alpha(law.cap.n, law.beta)
+    return CheckRow(ratio, alpha, abs(ratio - alpha) <= tol)
 
 
 @dataclass

@@ -23,15 +23,14 @@ repeated runs with the same arguments produce identical output bytes.
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import bounds, condnum, montecarlo, volumes
+from . import bounds, checks, condnum, montecarlo, volumes
 from .distributions import (AdversarialLaw, Cap, constant_profile,
-                            normalize_profile, uniform_law)
+                            normalize_profile)
 from .geometry import normalize, proj_distance
 
 # batch index reserved for drawing a random center; experiment batches
@@ -79,6 +78,9 @@ def _parse_problem(spec, n):
         return condnum.union_hyperplanes_problem(np.eye(n + 1)[:k])
     if spec.startswith("matrix:"):
         m = int(spec.split(":", 1)[1])
+        if n is not None and n != m * m - 1:
+            raise ValueError("--n %d does not match matrix:%d, whose "
+                             "dimension is m^2 - 1 = %d" % (n, m, m * m - 1))
         return condnum.matrix_problem(m)
     raise ValueError("unknown problem %r (expected hyperplane, union:k, "
                      "or matrix:m)" % (spec,))
@@ -155,26 +157,16 @@ def _cmd_sample(args):
     return 0
 
 
-def _boosted_threshold(n, d, sigma, beta, H):
-    alpha = 1.0 - beta / n
-    delta = bounds.delta_eps(n, beta, sigma, H, 0.5 * alpha)
-    return bounds.t_eps(n, d, sigma, delta)
-
-
 def _default_t_grid(args, problem, law):
-    scale = args.scale
-    n, d, sigma = problem.n, problem.degree, law.cap.sigma
-    if scale == "linear":
-        lo = args.t_min if args.t_min is not None else bounds.t0(n, d, sigma)
+    lo, _ = bounds.tail_theorem(problem.n, problem.degree, law.cap.sigma,
+                                law.beta, law.H, args.scale)
+    if args.t_min is not None:
+        lo = args.t_min
+    if args.scale == "linear":
         hi = args.t_max if args.t_max is not None else max(1e4, 100.0 * lo)
         if lo <= 0 or hi <= lo:
             raise ValueError("need 0 < t-min < t-max")
         return list(np.geomspace(lo, hi, args.t_steps))
-    if law.beta > 0.0:
-        thr = _boosted_threshold(n, d, sigma, law.beta, law.H)
-    else:
-        thr = bounds.t0_log(n, d, sigma)
-    lo = args.t_min if args.t_min is not None else thr
     hi = args.t_max if args.t_max is not None else lo + 8.0
     if hi <= lo:
         raise ValueError("need t-min < t-max")
@@ -216,363 +208,80 @@ def _cmd_expect(args):
     return 1 if report.has_violation else 0
 
 
-def _grid_axes(args):
-    """Parameter grid for the checker subcommands: any axis pinned by a
-    flag collapses to that single value, the rest use the defaults."""
-    ns = [args.n] if args.n is not None else list(bounds.DEFAULT_N)
-    sigmas = ([args.sigma] if args.sigma is not None
-              else list(bounds.DEFAULT_SIGMA))
-    for n in ns:
-        betas = ([args.beta] if args.beta is not None
-                 else [f * n for f in bounds.DEFAULT_BETA_FRACTIONS])
-        for beta in betas:
-            for sigma in sigmas:
-                yield n, beta, sigma
+def _emit_checked(rows, header, out_path, summary):
+    """Write (cells, CheckRow) pairs as CSV with a trailing pass column;
+    the exit code is 1 when any row fails."""
+    lines = [header]
+    failures = 0
+    for cells, row in rows:
+        failures += 0 if row.passed else 1
+        lines.append(",".join(cells + ["true" if row.passed else "false"]))
+    _emit("\n".join(lines) + "\n", out_path)
+    sys.stderr.write(summary % failures)
+    return 1 if failures else 0
 
 
 def _cmd_boost_check(args):
-    lines = ["n,beta,sigma,H,eps,rho,lhs,rhs,pass"]
-    failures = 0
-    for n, beta, sigma in _grid_axes(args):
-        alpha = 1.0 - beta / n
-        hs = [args.H] if args.H is not None else list(bounds.DEFAULT_H)
-        for H in hs:
-            eps_list = ([args.eps] if args.eps is not None
-                        else [f * alpha for f in
-                              bounds.DEFAULT_EPS_FRACTIONS])
-            for eps in eps_list:
-                rmax = bounds.rho_eps(n, beta, sigma, H, eps)
-                m = n - beta
-                for rho in np.geomspace(rmax * 1e-8, rmax, args.rho_steps):
-                    rho = float(rho)
-                    ok = bounds.boosting_check(n, beta, sigma, H, eps, rho)
-                    lhs = (math.log(H)
-                           + volumes.log_cap_integral(m, rho)
-                           - volumes.log_cap_integral(m, sigma))
-                    rhs = (alpha - eps) * (
-                        volumes.log_cap_integral(n, rho)
-                        - volumes.log_cap_integral(n, sigma))
-                    failures += 0 if ok else 1
-                    lines.append(",".join([
-                        str(n), _fmt(beta), _fmt(sigma), _fmt(H), _fmt(eps),
-                        _fmt(rho), _fmt(lhs), _fmt(rhs),
-                        "true" if ok else "false"]))
-    _emit("\n".join(lines) + "\n", args.out)
-    sys.stderr.write("boost-check: %d failures\n" % failures)
-    return 1 if failures else 0
+    grid = checks.boost_grid(args.n, args.beta, args.sigma, args.H, args.eps)
+    rows = (([str(p.n)] + [_fmt(x) for x in (p.beta, p.sigma, p.H, p.eps,
+                                              rho, row.lhs, row.rhs)], row)
+            for p, rho, row in checks.boosting_rows(grid, args.rho_steps))
+    return _emit_checked(rows, "n,beta,sigma,H,eps,rho,lhs,rhs,pass",
+                         args.out, "boost-check: %d failures\n")
 
 
 def _cmd_smoothness(args):
-    lines = ["n,beta,sigma,rho,ratio,alpha,pass"]
-    failures = 0
-    for n, beta, sigma in _grid_axes(args):
-        rho = args.rho
-        if not (0.0 < rho < sigma):
-            raise ValueError("--rho must lie in (0, sigma)")
-        cap = Cap(np.eye(n + 1)[0], sigma)
-        law = AdversarialLaw(cap, beta)
-        ratio = bounds.smoothness_ratio(law, rho)
-        alpha = bounds.smoothness_alpha(n, beta)
-        ok = abs(ratio - alpha) <= args.tol
-        failures += 0 if ok else 1
-        lines.append(",".join([
-            str(n), _fmt(beta), _fmt(sigma), _fmt(rho), _fmt(ratio),
-            _fmt(alpha), "true" if ok else "false"]))
-    _emit("\n".join(lines) + "\n", args.out)
-    sys.stderr.write("smoothness: %d rows outside tolerance\n" % failures)
-    return 1 if failures else 0
+    points = checks.grid_axes(args.n, args.beta, args.sigma)
+    rows = (([str(n)] + [_fmt(x) for x in (beta, sigma, args.rho, row.lhs,
+                                            row.rhs)], row)
+            for n, beta, sigma, row in checks.smoothness_rows(
+                points, args.rho, args.tol))
+    return _emit_checked(rows, "n,beta,sigma,rho,ratio,alpha,pass", args.out,
+                         "smoothness: %d rows outside tolerance\n")
 
 
 def _cmd_small_calc(args):
-    ns = [int(v) for v in np.unique(
-        np.geomspace(1, args.n_max, args.points).astype(int))]
-    lines = ["n,lhs,rhs,pass"]
-    failures = 0
-    for n in ns:
-        q = 2.0 / (math.pi * n)
-        lhs = (-math.expm1(math.log(q) / n)) ** -0.5
-        rhs = math.sqrt(2.0 * n / math.log(math.pi * n / 2.0))
-        ok = bounds.small_calc_check(n)
-        failures += 0 if ok else 1
-        lines.append(",".join([str(n), _fmt(lhs), _fmt(rhs),
-                               "true" if ok else "false"]))
-    _emit("\n".join(lines) + "\n", args.out)
-    sys.stderr.write("small-calc: %d failures\n" % failures)
-    return 1 if failures else 0
-
-
-class _VerifyRow:
-    def __init__(self, check, params, lhs, rhs, passed, hard=True):
-        self.check = check
-        self.params = params
-        self.lhs = lhs
-        self.rhs = rhs
-        self.passed = passed
-        self.hard = hard
-
-    def csv(self):
-        return ",".join([self.check, '"%s"' % self.params,
-                         _fmt(self.lhs), _fmt(self.rhs),
-                         "true" if self.passed else "false",
-                         "true" if self.hard else "false"])
-
-
-def _verify_deterministic(quick):
-    rows = []
-
-    # closed-form route against the continued fraction, integer m
-    sig_grid = np.linspace(0.05, 1.0, 20)
-    worst = 0.0
-    for m in range(1, 21):
-        for s in sig_grid:
-            a = volumes.cap_integral(m, s)
-            b = volumes.cap_integral_series(m, s)
-            worst = max(worst, abs(a - b) / b)
-    rows.append(_VerifyRow("cap_integral_closed_form", "m=1..20", worst,
-                           1e-10, worst <= 1e-10))
-
-    # quadrature route, real m
-    worst = 0.0
-    for m in (0.5, 1.0, 2.5, 3.0, 7.5, 16.0, 33.5):
-        for s in (0.1, 0.5, 0.9, 1.0):
-            a = volumes.cap_integral(m, s)
-            b = volumes.cap_integral(m, s, backend="quad")
-            worst = max(worst, abs(a - b) / b)
-    rows.append(_VerifyRow("cap_integral_quadrature", "m real grid", worst,
-                           1e-9, worst <= 1e-9))
-
-    # half sphere: O_{n-1} I_n(1) = O_n / 2
-    worst = 0.0
-    for n in range(1, 101):
-        lhs = volumes.sphere_volume(n - 1) * volumes.cap_integral(n, 1.0)
-        rhs = 0.5 * volumes.sphere_volume(n)
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    rows.append(_VerifyRow("half_sphere_identity", "n=1..100", worst,
-                           1e-12, worst <= 1e-12))
-
-    # sandwich: lower bound everywhere, upper bound region reported
-    report = volumes.sandwich_report(range(1, 51), sig_grid)
-    lower_bad = [r for r in report if not r.lower_ok]
-    upper_bad = [r for r in report if not r.upper_ok]
-    rows.append(_VerifyRow("cap_integral_sandwich_lower", "m=1..50",
-                           float(len(lower_bad)), 0.0, not lower_bad))
-    upper_note = "none"
-    if upper_bad:
-        upper_note = "m=%g..%g sigma>=%.3g" % (
-            min(r.m for r in upper_bad), max(r.m for r in upper_bad),
-            min(r.sigma for r in upper_bad))
-    rows.append(_VerifyRow("cap_integral_sandwich_upper",
-                           "violations: " + upper_note,
-                           float(len(upper_bad)), 0.0, not upper_bad,
-                           hard=False))
-
-    # monotone in m at fixed sigma
-    ok = True
-    for s in sig_grid:
-        vals = [volumes.cap_integral(m, s) for m in range(1, 51)]
-        ok = ok and all(b <= a * (1 + 1e-12) for a, b in
-                        zip(vals, vals[1:]))
-    rows.append(_VerifyRow("cap_integral_monotone_m", "m=1..50",
-                           0.0 if ok else 1.0, 0.0, ok))
-
-    # elementary n-dependent inequality used by the expectation proof
-    ns = [int(v) for v in np.unique(np.geomspace(
-        1, 10 ** 6, 30 if quick else 200).astype(int))]
-    ok = all(bounds.small_calc_check(n) for n in ns)
-    rows.append(_VerifyRow("small_calc", "n=1..1e6 log grid",
-                           0.0 if ok else 1.0, 0.0, ok))
-
-    grid = bounds.default_grid()
-
-    # boosting inequality over the grid, radii log-spaced below rho_eps
-    n_rho = 25 if quick else 200
-    bad = 0
-    for p in grid:
-        rmax = p.rho()
-        for rho in np.geomspace(rmax * 1e-8, rmax, n_rho):
-            if not bounds.boosting_check(p.n, p.beta, p.sigma, p.H, p.eps,
-                                         rho):
-                bad += 1
-    rows.append(_VerifyRow("boosting_inequality",
-                           "grid x %d radii" % n_rho, float(bad), 0.0,
-                           bad == 0))
-
-    # delta_eps sandwich, one row per (n, beta, sigma, H)
-    seen = set()
-    for p in grid:
-        key = (p.n, p.beta, p.sigma, p.H)
-        if key in seen:
-            continue
-        seen.add(key)
-        row = bounds.delta_eps_sandwich(p.n, p.beta, p.sigma, p.H)
-        params = "n=%d beta=%g sigma=%g H=%g" % key
-        rows.append(_VerifyRow("delta_eps_sandwich_lower", params,
-                               row.value, row.lower, row.lower_ok))
-        rows.append(_VerifyRow("delta_eps_sandwich_upper", params,
-                               row.value, row.upper, row.upper_ok))
-
-    # boosted threshold exceeds the exponential-form uniform threshold
-    ok = True
-    for p in grid:
-        for d in (1, 2, 5):
-            ok = ok and bounds.t_eps_exceeds_t0(p.n, d, p.sigma, p.beta,
-                                                p.H)
-    rows.append(_VerifyRow("t_eps_exceeds_t0", "grid x d in {1,2,5}",
-                           0.0 if ok else 1.0, 0.0, ok))
-
-    # mass ratio approaches alpha at small radius
-    worst = 0.0
-    for p in grid:
-        if p.sigma != 0.5 or p.H != 1.0 or p.eps != 0.25 * p.alpha:
-            continue
-        cap = Cap(np.eye(p.n + 1)[0], p.sigma)
-        law = AdversarialLaw(cap, p.beta)
-        ratio = bounds.smoothness_ratio(law, 1e-6 * p.sigma)
-        worst = max(worst, abs(ratio - p.alpha))
-    rows.append(_VerifyRow("smoothness_ratio_limit", "rho=1e-6 sigma",
-                           worst, 0.02, worst <= 0.02))
-
-    # the stated expectation bound against its proof-chain form
-    worst = math.inf
-    for p in grid:
-        a = bounds.adversarial_expectation_bound(p.n, 1, p.sigma, p.beta,
-                                                 p.H)
-        b = bounds.adversarial_expectation_bound_proof_chain(
-            p.n, 1, p.sigma, p.beta, p.H)
-        worst = min(worst, a - b)
-    rows.append(_VerifyRow("stated_minus_proof_chain", "grid, min gap",
-                           worst, 0.0, worst >= -1e-12, hard=False))
-
-    # overlap of the two expectation theorems at beta=0, H=1
-    gaps = [bounds.expectation_bound_gap(n, d, s)
-            for n in (2, 3, 8, 32) for d in (1, 2, 5)
-            for s in (0.1, 0.5, 1.0)]
-    rows.append(_VerifyRow("expectation_bound_gap", "min..max over grid",
-                           min(gaps), max(gaps), True, hard=False))
-
-    # centered balls maximize law mass among equal-uniform-mass shells
-    n_shells = 10 if quick else 100
-    for n, beta in ((3, 0.0), (3, 1.5), (10, 5.0)):
-        cap = Cap(np.eye(n + 1)[0], 0.8)
-        law = AdversarialLaw(cap, beta)
-        edges = np.linspace(0.0, 0.8, 2 * n_shells + 1)
-        shells = [(edges[2 * i + 1], edges[2 * i + 2])
-                  for i in range(n_shells)]
-        ok = bounds.ball_maximizer_check(law, shells)
-        rows.append(_VerifyRow("ball_maximizer", "n=%d beta=%g" % (n, beta),
-                               0.0 if ok else 1.0, 0.0, ok))
-    return rows
-
-
-def _verify_montecarlo(quick, seed, workers):
-    rows = []
-    n_ks = 20000 if quick else 100000
-    n_mc = 50000 if quick else 200000
-
-    # radial goodness of fit
-    for n, beta in ((3, 0.0), (3, 1.5), (4, 2.0), (10, 5.0)):
-        for sigma in (0.5, 1.0):
-            cap = Cap(np.eye(n + 1)[0], sigma)
-            law = AdversarialLaw(cap, beta)
-            res = montecarlo.ks_radial_test(law, n_ks, seed)
-            rows.append(_VerifyRow(
-                "ks_radial", "n=%d beta=%g sigma=%g" % (n, beta, sigma),
-                res.statistic, res.threshold, res.passed))
-
-    # a mismatched reference must be detected
-    cap = Cap(np.eye(4)[0], 0.5)
-    law = AdversarialLaw(cap, 1.5)
-    ref = uniform_law(cap)
-    res = montecarlo.ks_radial_test(law, n_ks, seed, reference=ref)
-    rows.append(_VerifyRow("ks_negative_control", "beta=1.5 vs uniform",
-                           res.statistic, res.threshold, not res.passed))
-
-    # sigma_min SVD route against the eigenvalue route
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed, 7], dtype=np.uint64)))
-    worst = 0.0
-    for _ in range(1000):
-        m = int(rng.integers(2, 9))
-        a = rng.standard_normal((m, m))
-        s1 = condnum.smallest_singular_value(a)
-        s2 = math.sqrt(max(0.0, float(np.linalg.eigvalsh(a.T @ a)[0])))
-        worst = max(worst, abs(s1 - s2))
-    rows.append(_VerifyRow("sigma_min_eigen_oracle", "1000 random",
-                           worst, 1e-8, worst <= 1e-8))
-
-    def tail_rows(label, problem, law, scale):
-        cfg = montecarlo.ExperimentConfig(
-            problem=problem, law=law, samples=n_mc, seed=seed, scale=scale,
-            workers=workers)
-        n_, d, s = problem.n, problem.degree, law.cap.sigma
-        if scale == "linear":
-            lo = bounds.t0(n_, d, s)
-            cfg.t_grid = list(np.geomspace(lo, 1e4 * lo, 12))
-        else:
-            if law.beta > 0.0:
-                lo = _boosted_threshold(n_, d, s, law.beta, law.H)
-            else:
-                lo = bounds.t0_log(n_, d, s)
-            cfg.t_grid = list(np.linspace(lo, lo + 8.0, 12))
-        rep = montecarlo.estimate_tail(cfg)
-        n_viol = sum(1 for r in rep.rows if r.violation)
-        rows.append(_VerifyRow("tail_" + label, "N=%d" % n_mc,
-                               float(n_viol), 0.0, n_viol == 0))
-
-    def expect_row(label, problem, law):
-        cfg = montecarlo.ExperimentConfig(
-            problem=problem, law=law, samples=n_mc, seed=seed,
-            workers=workers)
-        rep = montecarlo.estimate_expectation(cfg)
-        rows.append(_VerifyRow("expect_" + label, "N=%d" % n_mc,
-                               rep.mean_ln_c + 3 * rep.stderr, rep.bound,
-                               rep.margin >= 0.0))
-
-    hp = condnum.hyperplane_problem(3)
-    cap_mid = Cap(normalize(np.ones(4)), 0.5)
-    cap_pole = Cap(hp.ill_posed, 0.5)
-
-    tail_rows("uniform_center", hp, uniform_law(cap_mid), "linear")
-    tail_rows("uniform_pole", hp, uniform_law(cap_pole), "linear")
-    tail_rows("boosted_pole", hp, AdversarialLaw(cap_pole, 1.5), "log")
-    expect_row("uniform", hp, uniform_law(cap_pole))
-    expect_row("adversarial", hp, AdversarialLaw(cap_pole, 1.5))
-
-    mp = condnum.matrix_problem(3)
-    cap_m = Cap(mp.ill_posed, 0.5)
-    tail_rows("matrix_uniform", mp, uniform_law(cap_m), "linear")
-    tail_rows("matrix_boosted", mp, AdversarialLaw(cap_m, 4.0), "log")
-    return rows
+    ns = checks.small_calc_grid(args.n_max, args.points)
+    rows = (([str(n), _fmt(row.lhs), _fmt(row.rhs)], row)
+            for n, row in zip(ns, map(bounds.small_calc_check, ns)))
+    return _emit_checked(rows, "n,lhs,rhs,pass", args.out,
+                         "small-calc: %d failures\n")
 
 
 def _cmd_verify(args):
     _check_choice("format", args.format, ("csv", "json"))
-    rows = _verify_deterministic(args.quick)
-    rows += _verify_montecarlo(args.quick, args.seed, args.workers)
-    hard_fail = [r for r in rows if r.hard and not r.passed]
+    rows = [(check, params, row, check not in checks.SOFT)
+            for entry in checks.BATTERY
+            for check, params, row in entry(args.quick, args.seed,
+                                            args.workers)]
+    hard_fail = [(check, params, row) for check, params, row, hard in rows
+                 if hard and not row.passed]
 
     if args.format == "json":
         payload = {
             "schema": "capsmooth-verify-v1",
             "quick": bool(args.quick),
             "checks": [{
-                "check": r.check, "params": r.params, "lhs": r.lhs,
-                "rhs": r.rhs, "passed": r.passed, "hard": r.hard,
-            } for r in rows],
+                "check": check, "params": params, "lhs": row.lhs,
+                "rhs": row.rhs, "passed": row.passed, "hard": hard,
+            } for check, params, row, hard in rows],
             "hard_failures": len(hard_fail),
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         lines = ["check,params,lhs,rhs,passed,hard"]
-        lines += [r.csv() for r in rows]
+        lines += [",".join([check, '"%s"' % params, _fmt(row.lhs),
+                            _fmt(row.rhs), "true" if row.passed else "false",
+                            "true" if hard else "false"])
+                  for check, params, row, hard in rows]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
 
     sys.stderr.write("%d checks, %d hard failures\n"
                      % (len(rows), len(hard_fail)))
-    for r in hard_fail:
+    for check, params, row in hard_fail:
         sys.stderr.write("FAIL %s [%s] lhs=%.6g rhs=%.6g\n"
-                         % (r.check, r.params, r.lhs, r.rhs))
+                         % (check, params, row.lhs, row.rhs))
     return 1 if hard_fail else 0
 
 

@@ -36,11 +36,9 @@ __all__ = [
     "normalize_profile",
     "AdversarialLaw",
     "uniform_law",
-    "sample_uniform",
 ]
 
 _BISECT_ITERS = 60
-_MONOTONE_GRID = 4096
 
 
 class Cap:
@@ -119,24 +117,6 @@ class RadialProfile:
         if r.ndim == 0:
             return float(out)
         return out
-
-    def sup_on(self, rho):
-        """sup of h over [0, rho]."""
-        if self.kind == "constant":
-            return 1.0
-        inside = self.r_grid <= rho
-        vals = self.h_grid[inside]
-        return float(max(np.max(vals) if vals.size else -math.inf,
-                         self(rho)))
-
-    def inf_on(self, rho):
-        """inf of h over [0, rho]."""
-        if self.kind == "constant":
-            return 1.0
-        inside = self.r_grid <= rho
-        vals = self.h_grid[inside]
-        return float(min(np.min(vals) if vals.size else math.inf,
-                         self(rho)))
 
 
 def constant_profile():
@@ -222,8 +202,9 @@ class AdversarialLaw:
 
     Construction validates the pole exponent (0 <= beta < n), profile
     compatibility, and that the full radial weight g(r) = r^(-beta) h(r)
-    is nonincreasing on a fine grid.  The normalization constant
-    c = I_n(sigma) / I_{n-beta}(sigma) is computed in log space.
+    is nonincreasing, exactly on each linear segment of the profile.  The
+    normalization constant c = I_n(sigma) / I_{n-beta}(sigma) is
+    computed in log space.
     """
 
     def __init__(self, cap, beta, profile=None):
@@ -268,11 +249,18 @@ class AdversarialLaw:
         return self.profile.H
 
     def _check_weight_monotone(self):
-        sigma = self.cap.sigma
-        r = np.linspace(0.0, sigma, _MONOTONE_GRID + 1)[1:]
-        g = np.power(r, -self.beta) * self.profile(r)
-        tol = 1e-12 * float(np.max(g))
-        if np.any(np.diff(g) > tol):
+        """Exact for piecewise-linear h = alpha_i + gamma_i r: the
+        derivative of g = r^(-beta) h has the sign of
+        -beta alpha_i + (1 - beta) gamma_i r, which is linear in r, so
+        its sign at both ends of every segment decides the segment."""
+        if self.profile.kind == "constant":
+            return
+        r = self.profile.r_grid
+        ends = np.stack([r[:-1], r[1:]])
+        beta, alpha, gamma = self.beta, self._alpha, self._gamma
+        slope = -beta * alpha + (1.0 - beta) * gamma * ends
+        size = beta * np.abs(alpha) + abs(1.0 - beta) * np.abs(gamma) * ends
+        if np.any(slope > 1e-12 * size):
             raise ValueError("radial weight r^(-beta) h(r) is not "
                              "nonincreasing on [0, sigma]")
 
@@ -388,8 +376,3 @@ class AdversarialLaw:
 def uniform_law(cap):
     """Uniform probability law on the cap (beta = 0, constant profile)."""
     return AdversarialLaw(cap, 0.0, constant_profile())
-
-
-def sample_uniform(cap, rng, size=None):
-    """Draw from the uniform law on the cap."""
-    return uniform_law(cap).sample(rng, size=size)

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "normalize",
     "proj_distance",
-    "tangent_basis",
     "tangent_direction",
     "geodesic_point",
 ]
@@ -67,23 +66,6 @@ def proj_distance(x, y):
     if x.ndim == 1:
         return float(d)
     return d
-
-
-def tangent_basis(a):
-    """Orthonormal basis of the orthogonal complement of a, as columns.
-
-    a must be a unit vector in R^k; the result is a (k, k-1) matrix Q with
-    Q^T a = 0 and Q^T Q = I.
-    """
-    a = np.asarray(a, dtype=float)
-    _check_unit(a, "a")
-    k = a.shape[0]
-    m = np.eye(k)
-    m[:, 0] = a
-    q, _ = np.linalg.qr(m)
-    # QR may flip the first column's sign; the remaining columns are an
-    # orthonormal basis of span(a)^perp either way.
-    return q[:, 1:]
 
 
 def tangent_direction(a, rng, size=None):

@@ -82,23 +82,12 @@ class ExperimentConfig:
     t_grid: Optional[Sequence[float]] = None
     workers: int = 1
     scale: Optional[str] = None
-    center: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.problem.n != self.law.cap.n:
             raise ValueError("problem dimension %d does not match law "
                              "dimension %d" % (self.problem.n,
                                                self.law.cap.n))
-        # center is carried by the law's cap; an explicit value is only
-        # an echo and must agree with it
-        if self.center is None:
-            self.center = law_center = self.law.cap.center
-        else:
-            self.center = np.asarray(self.center, dtype=float)
-            law_center = self.law.cap.center
-            if self.center.shape != law_center.shape or \
-                    proj_distance(self.center, law_center) > 1e-9:
-                raise ValueError("center does not match the law's cap center")
         if int(self.samples) != self.samples or self.samples < 1:
             raise ValueError("samples must be a positive integer")
         self.samples = int(self.samples)
@@ -278,37 +267,10 @@ def _tail_bound_column(config, t_grid):
     threshold is below the theorem's range (or no theorem applies)."""
     law = config.law
     prob = config.problem
-    n, d, sigma = prob.n, prob.degree, law.cap.sigma
-    out = []
-    if config.scale == "linear":
-        if law.beta == 0.0:
-            thr = bounds.t0(n, d, sigma)
-            for t in t_grid:
-                if t >= thr:
-                    out.append(bounds.uniform_tail_bound(n, d, sigma, t))
-                else:
-                    out.append(math.nan)
-        else:
-            out = [math.nan] * len(t_grid)
-        return out
-    if law.beta == 0.0:
-        thr = bounds.t0_log(n, d, sigma)
-        for t in t_grid:
-            if t >= thr:
-                out.append(bounds.uniform_log_tail_bound(n, d, sigma, t))
-            else:
-                out.append(math.nan)
-    else:
-        alpha = 1.0 - law.beta / n
-        delta = bounds.delta_eps(n, law.beta, sigma, law.H, 0.5 * alpha)
-        thr = bounds.t_eps(n, d, sigma, delta)
-        for t in t_grid:
-            if t >= thr:
-                out.append(bounds.boosted_tail_bound(n, d, sigma, law.beta,
-                                                     t))
-            else:
-                out.append(math.nan)
-    return out
+    t_min, bound = bounds.tail_theorem(prob.n, prob.degree, law.cap.sigma,
+                                       law.beta, law.H, config.scale)
+    return [bound(t) if bound is not None and t >= t_min else math.nan
+            for t in t_grid]
 
 
 def estimate_tail(config):

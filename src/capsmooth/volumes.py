@@ -30,7 +30,6 @@ __all__ = [
     "cap_integral_series",
     "cap_integral_bounds",
     "cap_measure",
-    "cap_fraction",
     "SandwichRow",
     "sandwich_report",
 ]
@@ -260,27 +259,6 @@ def cap_measure(n, sigma):
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
     return sphere_volume(int(n) - 1) * cap_integral(n, sigma)
-
-
-def cap_fraction(n, rho, sigma):
-    """I_n(rho) / I_n(sigma): mass fraction of the sub-cap of radius rho.
-
-    Accepts scalar or array rho with 0 <= rho <= sigma.  Evaluated with
-    the vectorized regularized beta; the normalization constant cancels
-    in the ratio.
-    """
-    sigma = float(sigma)
-    if not (0.0 < sigma <= 1.0):
-        raise ValueError("sigma must lie in (0, 1]")
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0.0) or np.any(rho_arr > sigma * (1.0 + 1e-12)):
-        raise ValueError("rho must lie in [0, sigma]")
-    num = special.betainc(0.5 * n, 0.5, np.square(np.minimum(rho_arr, sigma)))
-    den = special.betainc(0.5 * n, 0.5, sigma * sigma)
-    out = num / den
-    if np.isscalar(rho) or rho_arr.ndim == 0:
-        return float(out)
-    return out
 
 
 @dataclass

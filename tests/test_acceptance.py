@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from capsmooth import bounds, volumes
+from capsmooth import bounds, checks, volumes
 from capsmooth.cli import main as cli_main
 from capsmooth.condnum import (hyperplane_problem, matrix_problem,
                                smallest_singular_value)
@@ -67,13 +67,13 @@ def recurrence_oracle(m, sigma):
 
 def test_criterion_01():
     start = time.monotonic()
-    mpmath.mp.dps = 50
     worst = 0.0
-    for m in range(1, 21):
-        for sigma in np.arange(1, 11) / 10.0:
-            got = volumes.cap_integral(m, sigma)
-            want = float(recurrence_oracle(m, float(sigma)))
-            worst = max(worst, abs(got - want) / want)
+    with mpmath.workdps(50):
+        for m in range(1, 21):
+            for sigma in np.arange(1, 11) / 10.0:
+                got = volumes.cap_integral(m, sigma)
+                want = float(recurrence_oracle(m, float(sigma)))
+                worst = max(worst, abs(got - want) / want)
     elapsed = time.monotonic() - start
     print("[criterion 01] closed-form/recurrence oracles: worst rel err "
           "%.3g over m 1..20, sigma 0.1..1.0 (%.2fs)" % (worst, elapsed))
@@ -208,13 +208,8 @@ def test_criterion_07():
 def test_criterion_08():
     start = time.monotonic()
     grid = bounds.default_grid()
-    violations = 0
-    for p in grid:
-        rmax = p.rho()
-        for rho in np.geomspace(rmax * 1e-8, rmax, 200):
-            if not bounds.boosting_check(p.n, p.beta, p.sigma, p.H,
-                                         p.eps, float(rho)):
-                violations += 1
+    violations = sum(not row.passed
+                     for _, _, row in checks.boosting_rows(grid, 200))
     elapsed = time.monotonic() - start
     print("[criterion 08] boosting sweep: %d violations in %d checks "
           "(%.2fs)" % (violations, len(grid) * 200, elapsed))
@@ -321,26 +316,19 @@ def test_criterion_09():
 
 
 def test_criterion_10():
-    worst = 0.0
-    for n, beta in ((4, 0.0), (4, 2.0), (10, 5.0)):
-        law = AdversarialLaw(Cap(e0(n), 0.5), beta)
-        ratio = bounds.smoothness_ratio(law, 1e-6)
-        alpha = 1.0 - beta / n
-        worst = max(worst, abs(ratio - alpha))
+    rows = [row for *_, row in checks.smoothness_rows(
+        ((4, 0.0, 0.5), (4, 2.0, 0.5), (10, 5.0, 0.5)), 1e-6, 0.02)]
+    worst = max(abs(row.lhs - row.rhs) for row in rows)
     print("[criterion 10] smoothness ratio at rho=1e-6: worst "
           "|ratio - alpha| = %.3g" % worst)
-    assert worst <= 0.02
+    assert all(row.passed for row in rows)
 
 
 def test_criterion_11():
     ns = sorted(set(int(v) for v in np.geomspace(1, 10 ** 6, 200)))
-    failures = [n for n in ns if not bounds.small_calc_check(n)]
-    margins = []
-    for n in ns:
-        q = 2.0 / (math.pi * n)
-        lhs = (-math.expm1(math.log(q) / n)) ** -0.5
-        rhs = math.sqrt(2.0 * n / math.log(math.pi * n / 2.0))
-        margins.append(rhs - lhs)
+    rows = [bounds.small_calc_check(n) for n in ns]
+    failures = [n for n, row in zip(ns, rows) if not row.passed]
+    margins = [row.rhs - row.lhs for row in rows]
     print("[criterion 11] closing inequality on %d grid points in "
           "[1, 1e6]: min margin %.4g at n=%d; failures (findings): %s"
           % (len(ns), min(margins), ns[int(np.argmin(margins))],

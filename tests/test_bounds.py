@@ -218,12 +218,12 @@ class TestBoostingCheck:
         # reduces to X <= X^{1-eps} for X <= 1
         rmax = bounds.rho_eps(5, 0.0, 0.7, 1.0, 0.3)
         for rho in np.geomspace(rmax * 1e-6, rmax, 25):
-            assert bounds.boosting_check(5, 0.0, 0.7, 1.0, 0.3, rho)
+            assert bounds.boosting_check(5, 0.0, 0.7, 1.0, 0.3, rho).passed
 
     def test_endpoint(self):
         eps = 0.25 * (1.0 - 1.0 / 4.0)
         rho = bounds.rho_eps(4, 1.0, 1.0, 1.0, eps)
-        assert bounds.boosting_check(4, 1.0, 1.0, 1.0, eps, rho)
+        assert bounds.boosting_check(4, 1.0, 1.0, 1.0, eps, rho).passed
 
     def test_rho_above_rho_eps_raises(self):
         rmax = bounds.rho_eps(4, 1.0, 1.0, 1.0, 0.25)
@@ -233,14 +233,23 @@ class TestBoostingCheck:
             bounds.boosting_check(4, 1.0, 1.0, 1.0, 0.25, 0.0)
 
 
+    def test_row_has_no_truth_value(self):
+        row = bounds.boosting_check(5, 0.0, 0.7, 1.0, 0.3, 1e-3)
+        assert row.passed and row.lhs <= row.rhs
+        with pytest.raises(TypeError):
+            bool(row)
+        with pytest.raises(TypeError):
+            bool(bounds.CheckRow(1.0, 0.0, False))
+
+
 class TestSmallCalc:
     def test_examples(self):
-        assert bounds.small_calc_check(1)
-        assert bounds.small_calc_check(100)
+        assert bounds.small_calc_check(1).passed
+        assert bounds.small_calc_check(100).passed
 
     def test_spot_grid(self):
         for n in (1, 2, 7, 50, 1000, 10 ** 6):
-            assert bounds.small_calc_check(n)
+            assert bounds.small_calc_check(n).passed
 
 
 class TestDeltaSandwich:

@@ -126,6 +126,13 @@ class TestTailAndExpect:
         assert code == 2
         assert "does not match" in err
 
+    def test_matrix_dimension_check(self, capsys):
+        for cmd, m, n in (("expect", "3", "5"), ("tail", "2", "7")):
+            code, _, err = run(capsys, cmd, "--problem", "matrix:" + m,
+                               "--n", n, "--samples", "100")
+            assert code == 2
+            assert "does not match" in err
+
     def test_expect_healthy(self, capsys):
         code, out, _ = run(capsys, "expect", "--problem", "matrix:2",
                            "--n", "3", "--samples", "3000", "--seed", "4",

@@ -6,7 +6,7 @@ from scipy import integrate
 
 from capsmooth.distributions import (AdversarialLaw, Cap, RadialProfile,
                                      constant_profile, normalize_profile,
-                                     sample_uniform, uniform_law)
+                                     uniform_law)
 from capsmooth.geometry import normalize, proj_distance
 from capsmooth.volumes import cap_integral
 
@@ -50,7 +50,6 @@ class TestRadialProfile:
         assert h.kind == "constant"
         assert h.H == 1.0
         assert h(0.3) == 1.0
-        assert h.sup_on(0.2) == 1.0 and h.inf_on(0.2) == 1.0
 
     def test_tabulated_interp(self):
         h = RadialProfile("tabulated", r_grid=[0.0, 0.25, 0.5],
@@ -59,8 +58,6 @@ class TestRadialProfile:
         assert h(0.0) == 2.0
         assert np.isclose(h(0.125), 1.5)
         np.testing.assert_allclose(h(np.array([0.25, 0.5])), [1.0, 1.0])
-        assert h.sup_on(0.125) == 2.0
-        assert np.isclose(h.inf_on(0.125), 1.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -138,6 +135,18 @@ class TestAdversarialLawConstruction:
         # with beta = 0 the full weight g equals h; an increasing h
         # violates the nonincreasing requirement
         prof = normalize_profile(lambda r: 1.0 + r, 3, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            AdversarialLaw(Cap(e0(3), 0.5), 0.0, prof)
+
+    def test_bump_between_grid_points_rejected(self):
+        # a rise confined to one cell of a 4096-point radius grid, which
+        # a check sampling g on that grid cannot see
+        s = 0.5 / 4096
+        a = 100 * s
+        prof = RadialProfile(
+            "tabulated", r_grid=[0.0, a + 0.2 * s, a + 0.5 * s, a + 0.8 * s,
+                                 0.5],
+            h_grid=[1.0, 1.0, 3.0, 1.0, 1.0], sigma=0.5)
         with pytest.raises(ValueError):
             AdversarialLaw(Cap(e0(3), 0.5), 0.0, prof)
 
@@ -281,12 +290,6 @@ class TestSampling:
         z = law.sample(rng(5), size=200)
         r = proj_distance(z, center)
         assert np.all(r <= 0.4 + 1e-12)
-
-    def test_sample_uniform_helper(self):
-        cap = Cap(e0(2), 0.5)
-        a = sample_uniform(cap, rng(6), size=8)
-        b = uniform_law(cap).sample(rng(6), size=8)
-        np.testing.assert_array_equal(a, b)
 
     def test_direction_isotropy(self):
         # tangent components should have mean ~ 0 in every coordinate

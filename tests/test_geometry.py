@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capsmooth.geometry import (geodesic_point, normalize, proj_distance,
-                                tangent_basis, tangent_direction)
+                                tangent_direction)
 
 
 def rng(seed=0):
@@ -88,16 +88,6 @@ class TestProjDistance:
             d = proj_distance(x, e0)
             expected = t / np.sqrt(1.0 + t * t)
             assert np.isclose(d, expected, rtol=1e-12, atol=0)
-
-
-class TestTangentBasis:
-    def test_orthonormal_and_orthogonal_to_anchor(self):
-        g = rng(6)
-        a = normalize(g.standard_normal(6))
-        basis = tangent_basis(a)
-        assert basis.shape == (6, 5)
-        np.testing.assert_allclose(basis.T @ basis, np.eye(5), atol=1e-14)
-        np.testing.assert_allclose(basis.T @ a, np.zeros(5), atol=1e-14)
 
 
 class TestTangentDirection:

@@ -87,20 +87,6 @@ class TestExperimentConfig:
             ExperimentConfig(hyperplane_problem(3), uniform_law(3),
                              samples=10, seed=0, scale="loglog")
 
-    def test_center_echo(self):
-        law = uniform_law(3)
-        cfg = ExperimentConfig(hyperplane_problem(3), law, samples=1,
-                               seed=0)
-        np.testing.assert_array_equal(cfg.center, law.cap.center)
-        # explicit echo must match the law's cap
-        ExperimentConfig(hyperplane_problem(3), law, samples=1, seed=0,
-                         center=e0(3))
-        with pytest.raises(ValueError):
-            other = np.zeros(4)
-            other[1] = 1.0
-            ExperimentConfig(hyperplane_problem(3), law, samples=1,
-                             seed=0, center=other)
-
     def test_t_grid_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(hyperplane_problem(3), uniform_law(3),
@@ -180,6 +166,21 @@ class TestEstimateTail:
         assert np.isclose(rep.rows[1].bound,
                           bounds.boosted_tail_bound(n, d, sigma, 1.5,
                                                     grid[1]), rtol=1e-14)
+
+    def test_violation_flag_fires(self):
+        # positive control: C far above every threshold makes the
+        # survival 1, above the bound wherever the theorem applies
+        def evaluate_batch(z):
+            return np.full(len(z), 1e12)
+
+        prob = ConicProblem("constant", 3, 1, None, evaluate_batch, e0(3))
+        cfg = ExperimentConfig(prob, uniform_law(3), samples=1000, seed=0,
+                               t_grid=[1.0, 100.0, 1e3, 1e4],
+                               scale="linear")
+        rep = estimate_tail(cfg)
+        assert [r.violation for r in rep.rows] == [False, True, True, True]
+        assert all(r.violation == r.bound_applicable for r in rep.rows)
+        assert rep.has_violation
 
     def test_linear_scale_with_pole_has_no_bound(self):
         law = AdversarialLaw(Cap(e0(3), 0.5), 1.0)

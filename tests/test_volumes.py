@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsmooth import volumes
-from capsmooth.volumes import (cap_fraction, cap_integral,
-                               cap_integral_bounds, cap_integral_series,
-                               cap_measure, log_cap_integral,
-                               sandwich_report, sphere_volume)
+from capsmooth.volumes import (cap_integral, cap_integral_bounds,
+                               cap_integral_series, cap_measure,
+                               log_cap_integral, sandwich_report,
+                               sphere_volume)
 
 SIGMAS = np.linspace(0.1, 1.0, 10)
 
@@ -147,18 +147,6 @@ class TestCapMeasure:
         for n in (1, 2, 5, 17):
             assert np.isclose(cap_measure(n, 1.0),
                               0.5 * sphere_volume(n), rtol=1e-13)
-
-    def test_fraction_endpoints_and_monotone(self):
-        rho = np.linspace(0.0, 0.7, 15)
-        f = cap_fraction(4, rho, 0.7)
-        assert f[0] == 0.0
-        assert np.isclose(f[-1], 1.0, atol=1e-14)
-        assert np.all(np.diff(f) > 0)
-
-    def test_fraction_scalar(self):
-        val = cap_fraction(3, 0.25, 0.5)
-        expected = cap_integral(3, 0.25) / cap_integral(3, 0.5)
-        assert np.isclose(val, expected, rtol=1e-13)
 
 
 class TestSandwich:
