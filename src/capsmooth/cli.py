@@ -158,19 +158,29 @@ def _cmd_sample(args):
 
 
 def _default_t_grid(args, problem, law):
-    lo, _ = bounds.tail_theorem(problem.n, problem.degree, law.cap.sigma,
-                                law.beta, law.H, args.scale)
-    if args.t_min is not None:
-        lo = args.t_min
+    """Threshold grid of a tail run; refuses a grid on which no row
+    would be checked against a theorem."""
+    t_min, bound = bounds.tail_theorem(problem.n, problem.degree,
+                                       law.cap.sigma, law.beta, law.H,
+                                       args.scale)
+    if bound is None:
+        raise ValueError("no tail theorem covers beta > 0 on the linear "
+                         "scale; use --scale log")
+    lo = t_min if args.t_min is None else args.t_min
     if args.scale == "linear":
         hi = args.t_max if args.t_max is not None else max(1e4, 100.0 * lo)
         if lo <= 0 or hi <= lo:
             raise ValueError("need 0 < t-min < t-max")
-        return list(np.geomspace(lo, hi, args.t_steps))
-    hi = args.t_max if args.t_max is not None else lo + 8.0
-    if hi <= lo:
-        raise ValueError("need t-min < t-max")
-    return list(np.linspace(lo, hi, args.t_steps))
+        grid = np.geomspace(lo, hi, args.t_steps)
+    else:
+        hi = args.t_max if args.t_max is not None else lo + 8.0
+        if hi <= lo:
+            raise ValueError("need t-min < t-max")
+        grid = np.linspace(lo, hi, args.t_steps)
+    if grid[-1] < t_min:
+        raise ValueError("every threshold lies below t = %.17g, where the "
+                         "tail theorem's range starts" % t_min)
+    return list(grid)
 
 
 def _experiment_config(args, need_t_grid):

@@ -15,10 +15,13 @@ and c = I_n(sigma) / I_{n-beta}(sigma).  The full radial weight
 g(r) = c r^(-beta) h(r) is required to be nonincreasing.  beta = 0 with
 h identically one is exactly the uniform law on the cap.
 
-Sampling is by inverse transform on the radial coordinate (bisection
-with a fixed iteration count) combined with a uniform tangent
-direction; for piecewise-linear h the radial CDF is evaluated in closed
-form segment by segment, so no quadrature enters the sampler.
+Sampling is by inverse transform on the radial coordinate combined
+with a uniform tangent direction.  Every profile, the constant one
+included, is a table of linear segments h = alpha_i + gamma_i r, on
+which the radial CDF is a closed-form sum of cap-integral increments,
+so no quadrature enters the sampler.  Its inverse is one betaincinv
+per point on segments where h is constant, and a safeguarded Newton
+iteration from that start elsewhere.
 """
 
 import math
@@ -38,7 +41,9 @@ __all__ = [
     "uniform_law",
 ]
 
-_BISECT_ITERS = 60
+# Newton iterations on a segment; points that stop moving leave early
+_NEWTON_ITERS = 60
+_EPS = np.finfo(float).eps
 
 
 class Cap:
@@ -227,21 +232,23 @@ class AdversarialLaw:
         self._log_i_m_sigma = log_cap_integral(self._m, cap.sigma)
         self.c = math.exp(self._log_i_n_sigma - self._log_i_m_sigma)
 
+        # one segment table for every profile: the constant profile is
+        # the single segment h = 1 on [0, sigma] (alpha = 1, gamma = 0)
         if profile.kind == "tabulated":
-            seg = _piecewise_weighted_integrals(profile.r_grid,
-                                                profile.h_grid, self._m)
-            cum = np.concatenate(([0.0], np.cumsum(seg)))
-            self._cdf_nodes = cum
-            self._cdf_total = float(cum[-1])
-            self._im_nodes = _vec_cap_integral(self._m, profile.r_grid)
-            self._im1_nodes = _vec_cap_integral(self._m + 1.0,
-                                                profile.r_grid)
-            self._alpha, self._gamma = _segment_coeffs(profile.r_grid,
-                                                       profile.h_grid)
+            r_nodes, h_nodes = profile.r_grid, profile.h_grid
         else:
-            # denominator of the regularized-beta ratio, precomputed
-            self._reg_den = float(special.betainc(0.5 * self._m, 0.5,
-                                                  cap.sigma ** 2))
+            r_nodes, h_nodes = np.array([0.0, cap.sigma]), np.ones(2)
+        self._r_nodes = r_nodes
+        self._h_nodes = h_nodes
+        seg = _piecewise_weighted_integrals(r_nodes, h_nodes, self._m)
+        cum = np.concatenate(([0.0], np.cumsum(seg)))
+        self._cdf_nodes = cum
+        self._cdf_total = float(cum[-1])
+        self._im_nodes = _vec_cap_integral(self._m, r_nodes)
+        self._im1_nodes = _vec_cap_integral(self._m + 1.0, r_nodes)
+        self._alpha, self._gamma = _segment_coeffs(r_nodes, h_nodes)
+        # I_m(r) = _beta_const * betainc(m/2, 1/2, r^2)
+        self._beta_const = 0.5 * math.exp(special.betaln(0.5 * self._m, 0.5))
         self._check_weight_monotone()
 
     @property
@@ -253,9 +260,7 @@ class AdversarialLaw:
         derivative of g = r^(-beta) h has the sign of
         -beta alpha_i + (1 - beta) gamma_i r, which is linear in r, so
         its sign at both ends of every segment decides the segment."""
-        if self.profile.kind == "constant":
-            return
-        r = self.profile.r_grid
+        r = self._r_nodes
         ends = np.stack([r[:-1], r[1:]])
         beta, alpha, gamma = self.beta, self._alpha, self._gamma
         slope = -beta * alpha + (1.0 - beta) * gamma * ends
@@ -296,19 +301,21 @@ class AdversarialLaw:
             return float(out[0])
         return out
 
+    def _segment_mass(self, idx, rho):
+        """Mass of segment idx below rho (closed form, alpha and gamma
+        terms in cap-integral increments)."""
+        im_rho = _vec_cap_integral(self._m, rho)
+        im1_rho = _vec_cap_integral(self._m + 1.0, rho)
+        return (self._alpha[idx] * (im_rho - self._im_nodes[idx])
+                + self._gamma[idx] * (im1_rho - self._im1_nodes[idx]))
+
     def _radial_cdf_clipped(self, rho_arr):
-        if self.profile.kind == "constant":
-            num = special.betainc(0.5 * self._m, 0.5, np.square(rho_arr))
-            return np.minimum(num / self._reg_den, 1.0)
-        # piecewise closed form: completed segments plus a partial term
-        r_grid = self.profile.r_grid
-        idx = np.clip(np.searchsorted(r_grid, rho_arr, side="right") - 1,
-                      0, len(r_grid) - 2)
-        im_rho = _vec_cap_integral(self._m, rho_arr)
-        im1_rho = _vec_cap_integral(self._m + 1.0, rho_arr)
-        partial = (self._alpha[idx] * (im_rho - self._im_nodes[idx])
-                   + self._gamma[idx] * (im1_rho - self._im1_nodes[idx]))
-        val = (self._cdf_nodes[idx] + partial) / self._cdf_total
+        # completed segments plus a partial term
+        r_nodes = self._r_nodes
+        idx = np.clip(np.searchsorted(r_nodes, rho_arr, side="right") - 1,
+                      0, len(r_nodes) - 2)
+        val = ((self._cdf_nodes[idx] + self._segment_mass(idx, rho_arr))
+               / self._cdf_total)
         return np.clip(val, 0.0, 1.0)
 
     def log_radial_cdf(self, rho):
@@ -329,28 +336,72 @@ class AdversarialLaw:
     def inverse_radial_cdf(self, p):
         """Radius at which the radial CDF reaches p; scalar or array.
 
-        Bisection with a fixed iteration count; endpoints are exact
-        (p = 0 gives 0, p = 1 gives sigma).
+        The target mass p * total falls in one segment of the profile
+        table.  Holding h at its value at the segment's left node makes
+        the segment mass a cap-integral increment, which betaincinv
+        inverts directly: exact when h is constant on the segment (the
+        constant profile takes one betaincinv per point).  Otherwise a
+        safeguarded Newton iteration on the segment mass follows,
+        falling back to bisection of its bracket whenever a step leaves
+        it.  Every point is solved on its own, so results do not depend
+        on the batch.  Endpoints are exact: p = 0 gives 0, and p = 1
+        gives the end of the support (sigma unless h falls to 0).
+
+        Deep tails keep their accuracy, with one limit: betaincinv
+        works in x = r^2, so radii below about 1.5e-154 underflow.  A
+        uniform p from rng.random (at least 2^-53 when positive) never
+        reaches that range when n - beta >= 0.5.
         """
         p_arr = np.asarray(p, dtype=float)
         scalar = p_arr.ndim == 0
-        p_arr = np.atleast_1d(p_arr).copy()
+        p_arr = np.atleast_1d(p_arr)
         if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
             raise ValueError("p must lie in [0, 1]")
-        sigma = self.cap.sigma
-        lo = np.zeros_like(p_arr)
-        hi = np.full_like(p_arr, sigma)
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            below = self._radial_cdf_clipped(mid) < p_arr
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
+        r_nodes = self._r_nodes
+        target = p_arr * self._cdf_total
+        # side="left" never selects a zero-mass segment (h fallen to 0)
+        idx = np.clip(np.searchsorted(self._cdf_nodes, target, side="left")
+                      - 1, 0, len(r_nodes) - 2)
+        rem = target - self._cdf_nodes[idx]
+        lo = r_nodes[idx]
+        hi = r_nodes[idx + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (self._im_nodes[idx] + rem / self._h_nodes[idx]) \
+                / self._beta_const
+        x = special.betaincinv(0.5 * self._m, 0.5, np.clip(x, 0.0, 1.0))
+        out = np.clip(np.sqrt(x), lo, hi)
+        active = np.flatnonzero(self._gamma[idx] != 0.0)
+        for _ in range(_NEWTON_ITERS):
+            if active.size == 0:
+                break
+            out[active], lo[active], hi[active], done = self._newton_step(
+                idx[active], rem[active], out[active], lo[active],
+                hi[active])
+            active = active[~done]
         out[p_arr == 0.0] = 0.0
-        out[p_arr == 1.0] = sigma
+        top = p_arr == 1.0
+        out[top] = r_nodes[idx[top] + 1]
         if scalar:
             return float(out[0])
         return out
+
+    def _newton_step(self, idx, rem, r, lo, hi):
+        """One safeguarded Newton step on the segment residual
+        mass(r) - rem, whose derivative is h(r) r^(m-1) / sqrt(1 - r^2).
+        Returns the new radius, the updated bracket, and which points
+        no longer move."""
+        f = self._segment_mass(idx, r) - rem
+        lo = np.where(f < 0.0, r, lo)
+        hi = np.where(f > 0.0, r, hi)
+        h = self._alpha[idx] + self._gamma[idx] * r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = r - f * np.sqrt(1.0 - r * r) / (h * r ** (self._m - 1.0))
+        # inclusive test: at a root the step is r itself and must stand
+        inside = (lo <= step) & (step <= hi)
+        new = np.where(inside, step, 0.5 * (lo + hi))
+        done = ((np.abs(new - r) <= 2.0 * _EPS * r)
+                | (hi - lo <= 2.0 * _EPS * hi))
+        return new, lo, hi, done
 
     def sample(self, rng, size=None):
         """Draw points from the law as unit vectors.

@@ -133,6 +133,25 @@ class TestTailAndExpect:
             assert code == 2
             assert "does not match" in err
 
+    def test_pole_law_on_linear_scale_rejected(self, capsys):
+        # no theorem bounds P(C >= t) for beta > 0, so every row would
+        # read bound_applicable=false
+        code, out, err = run(capsys, "tail", "--problem", "hyperplane",
+                             "--n", "3", "--beta", "1.5", "--scale",
+                             "linear", "--samples", "2000", "--t-steps", "3")
+        assert code == 2
+        assert out == ""
+        assert "no tail theorem" in err
+
+    def test_grid_below_theorem_range_rejected(self, capsys):
+        # the uniform theorem starts at t0 = 9 for n = 3, d = 1, sigma = 1
+        code, out, err = run(capsys, "tail", "--problem", "hyperplane",
+                             "--n", "3", "--samples", "2000", "--t-steps",
+                             "3", "--t-min", "1", "--t-max", "2")
+        assert code == 2
+        assert out == ""
+        assert "below" in err
+
     def test_expect_healthy(self, capsys):
         code, out, _ = run(capsys, "expect", "--problem", "matrix:2",
                            "--n", "3", "--samples", "3000", "--seed", "4",

@@ -227,6 +227,30 @@ class TestRadialCdf:
         assert math.isfinite(val)
 
 
+def _residual_points():
+    uniforms = np.random.default_rng(11).random(16384)
+    return np.concatenate(
+        ([0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.5], uniforms))
+
+
+def _tabulated_law(raw, n, beta, sigma, grid_points=1025):
+    prof = normalize_profile(raw, n, beta, sigma, grid_points)
+    return AdversarialLaw(Cap(e0(n), sigma), beta, prof)
+
+
+RESIDUAL_LAWS = {
+    "constant beta 0": lambda: AdversarialLaw(Cap(e0(3), 0.5), 0.0),
+    "constant beta 1.5": lambda: AdversarialLaw(Cap(e0(3), 0.5), 1.5),
+    "constant beta 2.5": lambda: AdversarialLaw(Cap(e0(3), 0.5), 2.5),
+    # the benchmark's tabulated law
+    "2 - r/sigma": lambda: _tabulated_law(lambda r: 2.0 - r / 0.5, 8, 4.0,
+                                          0.5),
+    "rising 1 + r": lambda: _tabulated_law(lambda r: 1.0 + r, 4, 2.0, 0.5),
+    "zero tail": lambda: _tabulated_law(
+        lambda r: max(0.0, 1.0 - 2.0 * r / 0.5), 4, 1.0, 0.5, 65),
+}
+
+
 class TestInverseCdf:
     @pytest.mark.parametrize("beta,profile", [
         (0.0, None),
@@ -244,6 +268,45 @@ class TestInverseCdf:
         assert r[0] == 0.0 and r[-1] == sigma
         back = law.radial_cdf(r)
         np.testing.assert_allclose(back, p, atol=5e-14)
+
+    @pytest.mark.parametrize("name", sorted(RESIDUAL_LAWS))
+    def test_cdf_residual(self, name):
+        # every sampled radius reproduces its uniform to 1e-12, and none
+        # lands where h = 0
+        law = RESIDUAL_LAWS[name]()
+        p = _residual_points()
+        r = law.inverse_radial_cdf(p)
+        assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
+        inner = (p > 0.0) & (p < 1.0)
+        assert np.all(law.profile(r[inner]) > 0.0)
+
+    def test_top_is_end_of_support(self):
+        # h vanishes on [sigma/2, sigma], so F reaches 1 at sigma/2
+        law = RESIDUAL_LAWS["zero tail"]()
+        assert law.inverse_radial_cdf(1.0) == 0.25
+
+    @pytest.mark.parametrize("n,beta", [(32, 0.0), (3, 1.5), (16, 4.0)])
+    def test_cdf_residual_full_cap(self, n, beta):
+        # at sigma = 1 the slope of F is unbounded at r = 1, so a 1e-12
+        # residual is out of reach there (3.6e-10 at n = 32); require
+        # instead that no radius is off by more than the CDF step that
+        # one ulp of r makes
+        law = AdversarialLaw(Cap(e0(n), 1.0), beta)
+        p = _residual_points()
+        r = law.inverse_radial_cdf(p)
+        f = law.radial_cdf(r)
+        up = law.radial_cdf(np.minimum(np.nextafter(r, 2.0), 1.0))
+        down = law.radial_cdf(np.maximum(np.nextafter(r, -1.0), 0.0))
+        step = np.maximum(up - f, f - down)
+        assert np.all(np.abs(f - p) <= np.maximum(1e-12, step))
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-30])
+    def test_deep_tail(self, p):
+        # the radii are 5.3e-25 and 5.3e-61, far below sigma * 2^-61,
+        # the floor of a 60-step bisection on [0, sigma]
+        law = AdversarialLaw(Cap(e0(3), 0.5), 2.5)
+        back = law.log_radial_cdf(law.inverse_radial_cdf(p))
+        assert np.isclose(back, math.log(p), rtol=1e-12, atol=0.0)
 
     def test_monotone(self):
         law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
