@@ -246,9 +246,11 @@ def _ks_radial(quick, seed, workers):
 
 
 def _sigma_min_eigen_oracle(quick, seed, workers):
-    # sigma_min SVD route against the eigenvalue route
+    # sigma_min by the scalar SVD and by the batched Jacobi of matrix
+    # batches, both against the eigenvalue route
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, 7], dtype=np.uint64)))
+    by_size = {}
     worst = 0.0
     for _ in range(1000):
         m = int(rng.integers(2, 9))
@@ -256,6 +258,12 @@ def _sigma_min_eigen_oracle(quick, seed, workers):
         s1 = condnum.smallest_singular_value(a)
         s2 = math.sqrt(max(0.0, float(np.linalg.eigvalsh(a.T @ a)[0])))
         worst = max(worst, abs(s1 - s2))
+        mats, eig = by_size.setdefault(m, ([], []))
+        mats.append(a)
+        eig.append(s2)
+    for mats, eig in by_size.values():
+        jac = condnum._jacobi_sigma_min(np.stack(mats))
+        worst = max(worst, float(np.max(np.abs(jac - eig))))
     yield ("sigma_min_eigen_oracle", "1000 random",
            CheckRow(worst, 1e-8, worst <= 1e-8))
 

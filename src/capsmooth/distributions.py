@@ -343,14 +343,22 @@ class AdversarialLaw:
         constant profile takes one betaincinv per point).  Otherwise a
         safeguarded Newton iteration on the segment mass follows,
         falling back to bisection of its bracket whenever a step leaves
-        it.  Every point is solved on its own, so results do not depend
-        on the batch.  Endpoints are exact: p = 0 gives 0, and p = 1
-        gives the end of the support (sigma unless h falls to 0).
+        it or lands on one of its ends.  Every point is solved on its
+        own, so results do not depend on the batch.  Endpoints are
+        exact: p = 0 gives 0, and p = 1 gives the end of the support
+        (sigma unless h falls to 0).
 
         Deep tails keep their accuracy, with one limit: betaincinv
         works in x = r^2, so radii below about 1.5e-154 underflow.  A
         uniform p from rng.random (at least 2^-53 when positive) never
         reaches that range when n - beta >= 0.5.
+
+        At sigma = 1 the residual |F(r) - p| near r = 1 can exceed
+        1e-12, and no inversion method removes it, inverting in the
+        complement 1 - r^2 included: the slope of F there grows like
+        1/sqrt(1 - r^2), so one ulp of r moves F by up to about 1e-11.
+        The radius returned is within one ulp of the representable
+        radius with the least residual.
         """
         p_arr = np.asarray(p, dtype=float)
         scalar = p_arr.ndim == 0
@@ -396,8 +404,10 @@ class AdversarialLaw:
         h = self._alpha[idx] + self._gamma[idx] * r
         with np.errstate(divide="ignore", invalid="ignore"):
             step = r - f * np.sqrt(1.0 - r * r) / (h * r ** (self._m - 1.0))
-        # inclusive test: at a root the step is r itself and must stand
-        inside = (lo <= step) & (step <= hi)
+        # a step onto a bracket end bisects instead: in a bracket of a
+        # few ulps the step can hop between its two ends for ever.  At
+        # a root the step is r itself and stands, even on an end.
+        inside = ((lo < step) & (step < hi)) | (step == r)
         new = np.where(inside, step, 0.5 * (lo + hi))
         done = ((np.abs(new - r) <= 2.0 * _EPS * r)
                 | (hi - lo <= 2.0 * _EPS * hi))

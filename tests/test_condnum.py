@@ -1,17 +1,29 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from capsmooth.condnum import (hyperplane_problem, matrix_problem,
-                               smallest_singular_value,
+from capsmooth.condnum import (_jacobi_sigma_min, hyperplane_problem,
+                               matrix_problem, smallest_singular_value,
                                union_hyperplanes_problem)
+from capsmooth.distributions import AdversarialLaw, Cap
 from capsmooth.geometry import normalize
+
+EPS = np.finfo(float).eps
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0],
                                                              dtype=np.uint64)))
+
+
+def pole_batch(seed, size):
+    # matrix:3 pole law at the ill-posed input: C reaches 1e4 to 1e6
+    p = matrix_problem(3)
+    law = AdversarialLaw(Cap(p.ill_posed, 0.5), 4.0)
+    return law.sample(rng(seed), size=size)
 
 
 class TestSmallestSingularValue:
@@ -137,6 +149,13 @@ class TestMatrixProblem:
         batch = p.evaluate_batch(z)
         for row, c in zip(z, batch):
             assert np.isclose(p.evaluate(row), c, rtol=1e-12)
+        # near-singular rows: both paths are accurate to O(eps C)
+        # relative, so they may differ by that much
+        z = pole_batch(6, 4096)
+        batch = p.evaluate_batch(z)
+        for i in np.argsort(batch)[-50:]:
+            c = p.evaluate(z[i])
+            assert abs(batch[i] - c) <= 8.0 * EPS * c * c
 
     def test_eckart_young_perturbation(self):
         # moving distance sigma_min along the right direction reaches a
@@ -153,3 +172,62 @@ class TestMatrixProblem:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             matrix_problem(1)
+
+
+class TestJacobiSigmaMin:
+    """The batch path's one-sided Jacobi against independent references."""
+
+    def test_against_mpmath(self):
+        # the 100 worst-conditioned rows of a pole-law batch against a
+        # 40-digit SVD; the error allowed is eps C relative
+        p = matrix_problem(3)
+        z = pole_batch(9, 16384)
+        batch = p.evaluate_batch(z)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for i in np.argsort(batch)[-100:]:
+                a = mpmath.matrix(z[i].reshape(3, 3).tolist())
+                s = min(mpmath.svd_r(a, compute_uv=False))
+                fro = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2
+                                              for x in z[i]))
+                c = fro / s
+                rel = float(abs(mpmath.mpf(batch[i]) - c) / c)
+                worst = max(worst, rel / (EPS * float(c)))
+        assert worst <= 1.0
+
+    def test_batch_independence(self):
+        # a row's C does not depend on the rows that share its batch
+        p = matrix_problem(3)
+        z = pole_batch(10, 4096)
+        whole = p.evaluate_batch(z)
+        assert np.array_equal(p.evaluate_batch(z[::7]), whole[::7])
+        g = rng(10).standard_normal((1000, 4, 4))
+        assert np.array_equal(_jacobi_sigma_min(g[3::5]),
+                              _jacobi_sigma_min(g)[3::5])
+
+    def test_singular_inputs(self):
+        p = matrix_problem(3)
+        g = rng(11)
+        zero_col = g.standard_normal((3, 3))
+        zero_col[:, 1] = 0.0
+        # small-integer outer products are exactly rank one; rounding
+        # in the rotations leaves a residue of at most eps ||A|| (as in
+        # LAPACK), which further sweeps usually cancel to 0
+        u = g.integers(-9, 10, size=(200, 3)).astype(float)
+        v = g.integers(1, 10, size=(200, 3)).astype(float)
+        u[:, 0] = 1.0
+        rank_one = np.einsum("ni,nj->nij", u, v).reshape(-1, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.evaluate_batch(p.ill_posed[None])[0] == math.inf
+            assert p.evaluate_batch(zero_col.reshape(1, 9))[0] == math.inf
+            c = p.evaluate_batch(rank_one)
+        assert np.all(c >= 1.0 / EPS)
+        assert np.any(c == math.inf)
+
+    @pytest.mark.parametrize("m", [2, 4, 5])
+    def test_agrees_with_lapack(self, m):
+        a = rng(12 + m).standard_normal((500, m, m))
+        got = _jacobi_sigma_min(a)
+        want = np.array([smallest_singular_value(x) for x in a])
+        assert np.max(np.abs(got - want)) <= 1e-14

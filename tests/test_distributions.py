@@ -8,6 +8,7 @@ from capsmooth.distributions import (AdversarialLaw, Cap, RadialProfile,
                                      constant_profile, normalize_profile,
                                      uniform_law)
 from capsmooth.geometry import normalize, proj_distance
+from capsmooth.montecarlo import BATCH_SIZE, _batch_rng
 from capsmooth.volumes import cap_integral
 
 
@@ -307,6 +308,25 @@ class TestInverseCdf:
         law = AdversarialLaw(Cap(e0(3), 0.5), 2.5)
         back = law.log_radial_cdf(law.inverse_radial_cdf(p))
         assert np.isclose(back, math.log(p), rtol=1e-12, atol=0.0)
+
+    def test_newton_stops(self, monkeypatch):
+        # on the benchmark's law at seed 1, a point whose Newton step
+        # hopped between the two ends of a few-ulp bracket kept 8 of
+        # these 16 batches iterating for all 60 steps
+        law = RESIDUAL_LAWS["2 - r/sigma"]()
+        step = law._newton_step
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(law, "_newton_step", counted)
+        for index in range(16):
+            calls.clear()
+            p = _batch_rng(1, index).random(BATCH_SIZE)
+            law.inverse_radial_cdf(p)
+            assert len(calls) <= 8, index
 
     def test_monotone(self):
         law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
