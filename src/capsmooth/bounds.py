@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from scipy import integrate, optimize
-
 from .volumes import log_cap_integral
 
 __all__ = [
@@ -486,6 +484,9 @@ def ball_maximizer_check(law, shells, slack=1e-12):
     matching ball radius solves nu(B(rho)) = nu(S) by root finding.
     Returns True when mu(S) <= mu(B(rho)) + slack.
     """
+    # imported here: they cost every CLI start about 0.2 s otherwise
+    from scipy import integrate, optimize
+
     sigma = law.cap.sigma
     n = law.cap.n
     m = n - law.beta

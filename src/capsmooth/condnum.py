@@ -74,10 +74,19 @@ def _jacobi_sigma_min(a):
     cap.  As in Demmel and Veselic's analysis of Jacobi, small singular
     values keep their relative accuracy.  Columns are squared, so a
     column whose norm is below about 1e-154 counts as zero.
+
+    A pair stops rotating once either column's norm is at most
+    eps ||A||_F, the rounding residue of a column that has cancelled:
+    rotating that residue only shrinks it by about eps per sweep, so an
+    exactly rank-one matrix kept its whole batch sweeping until the
+    rotation underflowed (13 sweeps instead of 5, sigma_min 4.6e-160).
+    Such a matrix returns sigma_min <= eps ||A||_F, C >= 1/eps.
     """
     m = a.shape[-1]
     cols = a.transpose(2, 1, 0).copy()   # cols[j] is column j, (m, N)
     tol = m * _EPS
+    # rotations keep ||A||_F, so the floor is fixed per matrix
+    floor = _EPS * _EPS * np.einsum("jik,jik->k", cols, cols)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_JACOBI_SWEEPS):
             moved = np.zeros(cols.shape[2], dtype=bool)
@@ -90,7 +99,9 @@ def _jacobi_sigma_min(a):
                     zeta = (beta - alpha) / (2.0 * gamma)
                     t = np.copysign(1.0, zeta) / (
                         np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                    rot = np.abs(gamma) > tol * np.sqrt(alpha) * np.sqrt(beta)
+                    rot = ((np.abs(gamma)
+                            > tol * np.sqrt(alpha) * np.sqrt(beta))
+                           & (alpha > floor) & (beta > floor))
                     t = np.where(rot, t, 0.0)
                     c = 1.0 / np.sqrt(1.0 + t * t)
                     s = c * t

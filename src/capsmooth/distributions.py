@@ -19,9 +19,11 @@ Sampling is by inverse transform on the radial coordinate combined
 with a uniform tangent direction.  Every profile, the constant one
 included, is a table of linear segments h = alpha_i + gamma_i r, on
 which the radial CDF is a closed-form sum of cap-integral increments,
-so no quadrature enters the sampler.  Its inverse is one betaincinv
-per point on segments where h is constant, and a safeguarded Newton
-iteration from that start elsewhere.
+so no quadrature enters the sampler.  Its inverse runs through a
+piecewise-Chebyshev inverse of the regularized incomplete beta
+function, fitted to betaincinv once per law on its first inversion and
+certified then: that inverse is the answer on segments where h is
+constant, and the start of a safeguarded Newton iteration elsewhere.
 """
 
 import math
@@ -44,6 +46,148 @@ __all__ = [
 # Newton iterations on a segment; points that stop moving leave early
 _NEWTON_ITERS = 60
 _EPS = np.finfo(float).eps
+
+# Chebyshev kernel for betaincinv: the degree and the piece count of the
+# first fit, the certificate's bound on the relative error in x, and how
+# often a branch that misses it doubles its pieces before the build fails
+_CHEB_DEGREE = 12
+_CHEB_PIECES = 32
+_CHEB_TOL = 64 * _EPS
+_CHEB_REFITS = 3
+
+
+def _betaincinv_polished(a, b, y):
+    """betaincinv(a, b, y) after one Newton step on betainc.
+
+    scipy's inverse alone was measured up to 60 eps off a 40-digit
+    reference (a = 16, small y); the step, whose residual comes from the
+    accurate forward function, brings it within a few eps.
+    """
+    x = special.betaincinv(a, b, y)
+    # x times the derivative of betainc(a, b, .) at x
+    slope = np.exp(a * np.log(x) + (b - 1.0) * np.log1p(-x)
+                   - special.betaln(a, b))
+    return x - x * (special.betainc(a, b, x) - y) / slope
+
+
+class _ChebyshevPieces:
+    """Interpolant of f on [lo, hi] cut into equal pieces, each of degree
+    _CHEB_DEGREE through the Chebyshev points of the first kind.  The
+    coefficients come from the discrete cosine sum; coef[j] holds the
+    degree-j coefficient of every piece."""
+
+    def __init__(self, f, lo, hi, pieces):
+        n = _CHEB_DEGREE + 1
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        self.lo = lo
+        self.pieces = pieces
+        self.scale = pieces / (hi - lo)
+        values = f(self.points(theta))
+        self.coef = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ values
+        self.coef[0] *= 0.5
+
+    def points(self, theta):
+        """The points at angles theta on every piece, (len(theta), pieces)."""
+        offset = np.arange(self.pieces) + 0.5 * (1.0 + np.cos(theta))[:, None]
+        return self.lo + offset / self.scale
+
+    def __call__(self, v):
+        """Clenshaw's recurrence, one gathered coefficient per step."""
+        u = (v - self.lo) * self.scale
+        k = np.minimum(u.astype(np.intp), self.pieces - 1)
+        t = 2.0 * (u - k) - 1.0
+        t2 = 2.0 * t
+        b1 = self.coef[-1].take(k)
+        b2 = np.zeros_like(t)
+        for c in self.coef[-2:0:-1]:
+            b1, b2 = t2 * b1 - b2 + c.take(k), b1
+        return t * b1 - b2 + self.coef[0].take(k)
+
+
+def _certified_fit(values, lo, hi, target, to_x, reference):
+    """Fit values on [lo, hi], doubling the pieces until x agrees with
+    reference(y) to a relative _CHEB_TOL at the points midway (in angle)
+    between the nodes and at the ends of the pieces.  target maps the
+    fitted variable to y; to_x(fit, y) is the kernel's x."""
+    n = _CHEB_DEGREE + 1
+    between = np.pi * np.arange(n) / n
+    pieces = _CHEB_PIECES
+    for _ in range(_CHEB_REFITS + 1):
+        fit = _ChebyshevPieces(values, lo, hi, pieces)
+        y = target(fit.points(between)).ravel()
+        ref = reference(y)
+        err = float(np.max(np.abs(to_x(fit, y) - ref) / ref))
+        if err <= _CHEB_TOL:
+            return fit
+        pieces *= 2
+    raise ArithmeticError("radial inversion kernel misses its %.0f eps bound "
+                          "(%.3g eps at %d pieces)"
+                          % (_CHEB_TOL / _EPS, err / _EPS, pieces // 2))
+
+
+class _BetaincInverse:
+    """x with betainc(a, 1/2, x) = y, for y in [0, top], by piecewise
+    Chebyshev interpolation (Trefethen, Approximation Theory and
+    Approximation Practice, SIAM 2013).
+
+    Near 0, y^(1/a) = x phi(x) with phi analytic and positive, so
+    x = q psi(q) in q = y^(1/a) with psi analytic and positive: the
+    pole is factored out and x keeps its relative accuracy in the deep
+    tail.  Near 1, 1 - y = sqrt(1 - x) times a series in 1 - x, so
+    x = 1 - w chi(w) in w = (1 - y)^2, which keeps 1 - x accurate where
+    the slope of the radial CDF blows up at sigma = 1.  The lower branch
+    runs up to y = 1/2, or further if x is still below 1/2 there; the
+    upper branch exists only when top lies beyond that split.  Node
+    values and the build-time certificate come from
+    _betaincinv_polished, so scipy stays the oracle.
+    """
+
+    def __init__(self, a, top):
+        root = 1.0 / a
+        self.top = top
+        self.split = min(top, max(0.5, float(special.betainc(a, 0.5, 0.5))))
+        self._root = root
+
+        def lower_values(q):
+            y = q ** a
+            return _betaincinv_polished(a, 0.5, y) / y ** root
+
+        def upper_values(w):
+            # the complement as the evaluation sees it: y = 1 - sqrt(w)
+            # rounds, and 1 - y is then exact for y >= 1/2
+            c = 1.0 - (1.0 - np.sqrt(w))
+            return _betaincinv_polished(0.5, a, c) / (c * c)
+
+        self._lower = _certified_fit(
+            lower_values, 0.0, self.split ** root, lambda q: q ** a,
+            self._lower_x, lambda y: _betaincinv_polished(a, 0.5, y))
+        self._upper = None
+        if top > self.split:
+            self._upper = _certified_fit(
+                upper_values, (1.0 - top) ** 2, (1.0 - self.split) ** 2,
+                lambda w: 1.0 - np.sqrt(w), self._upper_x,
+                lambda y: 1.0 - _betaincinv_polished(0.5, a, 1.0 - y))
+
+    def _lower_x(self, fit, y):
+        q = y ** self._root
+        return q * fit(q)
+
+    @staticmethod
+    def _upper_x(fit, y):
+        w = np.square(1.0 - y)
+        return 1.0 - w * fit(w)
+
+    def __call__(self, y):
+        # a start above top (a tabulated segment's h held at its left
+        # node, or rounding at p = 1) is clipped to its segment anyway
+        y = np.minimum(y, self.top)
+        if self._upper is None:
+            return self._lower_x(self._lower, y)
+        x = np.empty_like(y)
+        low = y <= self.split
+        x[low] = self._lower_x(self._lower, y[low])
+        x[~low] = self._upper_x(self._upper, y[~low])
+        return x
 
 
 class Cap:
@@ -250,6 +394,7 @@ class AdversarialLaw:
         # I_m(r) = _beta_const * betainc(m/2, 1/2, r^2)
         self._beta_const = 0.5 * math.exp(special.betaln(0.5 * self._m, 0.5))
         self._check_weight_monotone()
+        self._inverse = None
 
     @property
     def H(self):
@@ -338,20 +483,25 @@ class AdversarialLaw:
 
         The target mass p * total falls in one segment of the profile
         table.  Holding h at its value at the segment's left node makes
-        the segment mass a cap-integral increment, which betaincinv
-        inverts directly: exact when h is constant on the segment (the
-        constant profile takes one betaincinv per point).  Otherwise a
-        safeguarded Newton iteration on the segment mass follows,
-        falling back to bisection of its bracket whenever a step leaves
-        it or lands on one of its ends.  Every point is solved on its
-        own, so results do not depend on the batch.  Endpoints are
-        exact: p = 0 gives 0, and p = 1 gives the end of the support
-        (sigma unless h falls to 0).
+        the segment mass a cap-integral increment, which the law's
+        Chebyshev inverse of betainc(m/2, 1/2, .) inverts directly (see
+        _BetaincInverse; the first call builds it).  That is the answer
+        when h is constant on the segment.  Otherwise a safeguarded
+        Newton iteration on the segment mass follows, falling back to
+        bisection of its bracket whenever a step leaves it or lands on
+        one of its ends.  Every point is solved on its own, so results
+        do not depend on the batch.  Endpoints are exact: p = 0 gives
+        0, and p = 1 gives the end of the support (sigma unless h falls
+        to 0).
 
-        Deep tails keep their accuracy, with one limit: betaincinv
-        works in x = r^2, so radii below about 1.5e-154 underflow.  A
+        Deep tails keep their accuracy, with two limits.  The inverse
+        works in x = r^2, so radii below about 1.5e-154 underflow; a
         uniform p from rng.random (at least 2^-53 when positive) never
-        reaches that range when n - beta >= 0.5.
+        reaches that range when n - beta >= 0.5.  And its q = y^(2/m)
+        carries the rounding of 2/m in the exponent, so below
+        p = 2^-53 the relative error in x grows like |ln p| times that
+        rounding error (76 eps at p = 1e-100 when n - beta = 1.5; none
+        when 2/m is a power of two).
 
         At sigma = 1 the residual |F(r) - p| near r = 1 can exceed
         1e-12, and no inversion method removes it, inverting in the
@@ -376,7 +526,11 @@ class AdversarialLaw:
         with np.errstate(divide="ignore", invalid="ignore"):
             x = (self._im_nodes[idx] + rem / self._h_nodes[idx]) \
                 / self._beta_const
-        x = special.betaincinv(0.5 * self._m, 0.5, np.clip(x, 0.0, 1.0))
+        if self._inverse is None:
+            self._inverse = _BetaincInverse(
+                0.5 * self._m, float(special.betainc(0.5 * self._m, 0.5,
+                                                     self.cap.sigma ** 2)))
+        x = self._inverse(np.clip(x, 0.0, 1.0))
         out = np.clip(np.sqrt(x), lo, hi)
         active = np.flatnonzero(self._gamma[idx] != 0.0)
         for _ in range(_NEWTON_ITERS):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "sphere_volume",
@@ -126,7 +126,10 @@ def log_cap_integral(m, sigma):
 
 def _cap_integral_quad(m, sigma):
     # substitute r = sin(theta): integrand becomes sin(theta)^(m-1),
-    # smooth at the upper endpoint even for sigma = 1
+    # smooth at the upper endpoint even for sigma = 1.  Imported here:
+    # scipy.integrate costs every CLI start about 0.2 s otherwise.
+    from scipy import integrate
+
     if sigma == 0.0:
         return 0.0
     upper = math.asin(min(sigma, 1.0))

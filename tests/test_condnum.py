@@ -225,6 +225,29 @@ class TestJacobiSigmaMin:
         assert np.all(c >= 1.0 / EPS)
         assert np.any(c == math.inf)
 
+    def test_rank_one_stops(self, monkeypatch):
+        # rotating the rounding residue of a cancelled column shrank it
+        # by about eps per sweep, so one exactly rank-one matrix kept its
+        # whole batch sweeping until the rotation underflowed
+        a = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+        assert _jacobi_sigma_min(a[None])[0] <= EPS * np.linalg.norm(a)
+        # every sweep over a 3x3 stack makes the same 9 einsum calls
+        calls = []
+        einsum = np.einsum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        stack = rng(13).standard_normal((16384, 3, 3))
+        _jacobi_sigma_min(stack)
+        clean = len(calls)
+        calls.clear()
+        stack[100] = a
+        _jacobi_sigma_min(stack)
+        assert len(calls) == clean
+
     @pytest.mark.parametrize("m", [2, 4, 5])
     def test_agrees_with_lapack(self, m):
         a = rng(12 + m).standard_normal((500, m, m))

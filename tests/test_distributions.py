@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
+from capsmooth import distributions
 from capsmooth.distributions import (AdversarialLaw, Cap, RadialProfile,
                                      constant_profile, normalize_profile,
                                      uniform_law)
@@ -286,10 +288,11 @@ class TestInverseCdf:
         law = RESIDUAL_LAWS["zero tail"]()
         assert law.inverse_radial_cdf(1.0) == 0.25
 
-    @pytest.mark.parametrize("n,beta", [(32, 0.0), (3, 1.5), (16, 4.0)])
+    @pytest.mark.parametrize("n,beta", [(32, 0.0), (3, 1.5), (16, 4.0),
+                                        (3, 2.5), (3, 0.0), (4, 0.0)])
     def test_cdf_residual_full_cap(self, n, beta):
         # at sigma = 1 the slope of F is unbounded at r = 1, so a 1e-12
-        # residual is out of reach there (3.6e-10 at n = 32); require
+        # residual is out of reach there (5.7e-12 at n = 32); require
         # instead that no radius is off by more than the CDF step that
         # one ulp of r makes
         law = AdversarialLaw(Cap(e0(n), 1.0), beta)
@@ -339,6 +342,103 @@ class TestInverseCdf:
             law.inverse_radial_cdf(1.1)
         with pytest.raises(ValueError):
             law.inverse_radial_cdf(-0.01)
+
+
+def _kernel_law(m, sigma):
+    """A constant-profile law with n - beta = m."""
+    return AdversarialLaw(Cap(e0(33), sigma), 33.0 - m)
+
+
+KERNEL_M = [0.5, 1.5, 3, 4, 12, 32]
+
+
+class TestInverseKernel:
+    """The Chebyshev kernel that replaced one betaincinv per point."""
+
+    @pytest.mark.parametrize("a,y", [(0.25, 1e-30), (0.25, 0.4),
+                                     (0.75, 2.0 ** -53), (1.5, 0.3),
+                                     (6.0, 1e-20), (16.0, 1e-22),
+                                     (16.0, 0.2)])
+    def test_oracle_against_mpmath(self, a, y):
+        # the fit's node values and certificate rest on betaincinv plus
+        # one Newton step; check that against a 40-digit root.  The step
+        # is exact up to the rounding of betainc, which x ~ y^(1/a)
+        # magnifies by 1/a
+        x = float(distributions._betaincinv_polished(a, 0.5, y))
+        with mpmath.workdps(40):
+            xr, beta = mpmath.mpf(x), mpmath.beta(a, 0.5)
+            for _ in range(5):
+                res = mpmath.betainc(a, 0.5, 0, xr, regularized=True) - y
+                xr -= res * beta * xr ** (1 - a) * mpmath.sqrt(1 - xr)
+            rel = abs((x - xr) / xr)
+        assert rel <= 2.0 * np.finfo(float).eps * max(1.0, 1.0 / a)
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("m", KERNEL_M)
+    def test_against_betaincinv(self, m, sigma):
+        # relative error in x = r^2 within the build bound, deep tail
+        # included; the reference is betaincinv polished by one Newton
+        # step (raw betaincinv is itself up to 60 eps off at m = 32)
+        law = _kernel_law(m, sigma)
+        p = _residual_points()[2:]
+        p = np.concatenate((p, np.geomspace(2.0 ** -53, 1e-3, 200)))
+        law.inverse_radial_cdf(p)
+        kernel = law._inverse
+        y = p * kernel.top
+        want = distributions._betaincinv_polished(0.5 * m, 0.5, y)
+        rel = np.abs(kernel(y) - want) / want
+        assert np.max(rel) <= distributions._CHEB_TOL
+
+    @pytest.mark.parametrize("m", KERNEL_M)
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 0.99, 1.0])
+    def test_first_fit_holds(self, m, sigma):
+        # the first fit passes its certificate on every law here, so no
+        # law pays for refits; sigma = 1 needs the upper branch (the
+        # one-ulp criterion of test_cdf_residual_full_cap checks it)
+        law = _kernel_law(m, sigma)
+        law.inverse_radial_cdf(0.5)
+        fits = [f for f in (law._inverse._lower, law._inverse._upper)
+                if f is not None]
+        assert [f.pieces for f in fits] \
+            == [distributions._CHEB_PIECES] * len(fits)
+        assert (law._inverse._upper is not None) or sigma < 1.0
+
+    def test_certificate_raises(self, monkeypatch):
+        # a fit too coarse for its bound, even after its refits, fails
+        # the build instead of degrading the sampler
+        monkeypatch.setattr(distributions, "_CHEB_DEGREE", 2)
+        monkeypatch.setattr(distributions, "_CHEB_REFITS", 1)
+        law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
+        with pytest.raises(ArithmeticError):
+            law.inverse_radial_cdf(0.5)
+
+    @pytest.mark.parametrize("make", [
+        RESIDUAL_LAWS["constant beta 1.5"], RESIDUAL_LAWS["2 - r/sigma"],
+        lambda: AdversarialLaw(Cap(e0(16), 1.0), 4.0)],
+        ids=["pole", "tabulated", "full cap"])
+    def test_batch_independence(self, make):
+        law = make()
+        p = _residual_points()
+        assert np.array_equal(law.inverse_radial_cdf(p[::7]),
+                              law.inverse_radial_cdf(p)[::7])
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_built_once(self, monkeypatch, sigma):
+        # the first batch builds the kernel; later ones call no betaincinv
+        calls = []
+        inverse = special.betaincinv
+
+        def counted(*args):
+            calls.append(1)
+            return inverse(*args)
+
+        monkeypatch.setattr(special, "betaincinv", counted)
+        law = AdversarialLaw(Cap(e0(3), sigma), 1.5)
+        law.sample(rng(1), size=BATCH_SIZE)
+        assert calls
+        calls.clear()
+        law.sample(rng(2), size=BATCH_SIZE)
+        assert calls == []
 
 
 class TestSampling:
