@@ -31,6 +31,9 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
+from .distributions import uniform_law
 from .volumes import log_cap_integral
 
 __all__ = [
@@ -479,19 +482,14 @@ def ball_maximizer_check(law, shells, slack=1e-12):
     ball carries the most law mass.
 
     shells is an iterable of disjoint (lo, hi) intervals inside
-    [0, sigma].  All measures are computed by adaptive quadrature in the
-    angle variable (independent of the closed-form CDF machinery); the
-    matching ball radius solves nu(B(rho)) = nu(S) by root finding.
-    Returns True when mu(S) <= mu(B(rho)) + slack.
+    [0, sigma].  The uniform mass nu(S) and the law mass mu(S) of their
+    union are sums of radial CDF differences, from uniform_law(law.cap)
+    and from the law; the ball B(rho) of equal uniform mass has
+    rho = the uniform law's inverse_radial_cdf(nu(S)), and its law mass
+    is the law's radial CDF at rho.  Returns True when
+    mu(S) <= mu(B(rho)) + slack.
     """
-    # imported here: they cost every CLI start about 0.2 s otherwise
-    from scipy import integrate, optimize
-
     sigma = law.cap.sigma
-    n = law.cap.n
-    m = n - law.beta
-    h = law.profile
-
     pairs = [(float(lo), float(hi)) for lo, hi in shells]
     for lo, hi in pairs:
         if not (0.0 <= lo < hi <= sigma):
@@ -501,29 +499,9 @@ def ball_maximizer_check(law, shells, slack=1e-12):
         if lo_next < hi_prev:
             raise ValueError("shells overlap")
 
-    def nu_w(theta):
-        return math.sin(theta) ** (n - 1)
-
-    def mu_w(theta):
-        s = math.sin(theta)
-        return float(h(s)) * s ** (m - 1.0)
-
-    def integral(w, lo, hi):
-        val, _ = integrate.quad(w, math.asin(lo), math.asin(hi),
-                                epsabs=1e-14, epsrel=1e-12, limit=200)
-        return val
-
-    nu_total = integral(nu_w, 0.0, sigma)
-    mu_total = integral(mu_w, 0.0, sigma)
-    nu_s = sum(integral(nu_w, lo, hi) for lo, hi in pairs) / nu_total
-    mu_s = sum(integral(mu_w, lo, hi) for lo, hi in pairs) / mu_total
-
-    if nu_s >= 1.0:
-        return mu_s <= 1.0 + slack
-
-    def gap(rho):
-        return integral(nu_w, 0.0, rho) / nu_total - nu_s
-
-    rho_star = optimize.brentq(gap, 0.0, sigma, xtol=1e-15, rtol=8.9e-16)
-    mu_ball = integral(mu_w, 0.0, rho_star) / mu_total
-    return bool(mu_s <= mu_ball + slack)
+    lo, hi = np.array(pairs).T
+    uniform = uniform_law(law.cap)
+    nu_s = float(np.sum(uniform.radial_cdf(hi) - uniform.radial_cdf(lo)))
+    mu_s = float(np.sum(law.radial_cdf(hi) - law.radial_cdf(lo)))
+    rho = uniform.inverse_radial_cdf(min(nu_s, 1.0))
+    return bool(mu_s <= law.radial_cdf(rho) + slack)

@@ -29,8 +29,7 @@ import sys
 import numpy as np
 
 from . import bounds, checks, condnum, montecarlo, volumes
-from .distributions import (AdversarialLaw, Cap, constant_profile,
-                            normalize_profile)
+from .distributions import AdversarialLaw, Cap, normalize_profile
 from .geometry import normalize, proj_distance
 
 # batch index reserved for drawing a random center; experiment batches
@@ -87,13 +86,11 @@ def _parse_problem(spec, n):
 
 
 def _build_law(center, n, sigma, beta, profile_path):
-    cap = Cap(center, sigma)
-    if profile_path is None:
-        profile = constant_profile()
-    else:
+    profile = None
+    if profile_path is not None:
         table = np.loadtxt(profile_path, delimiter=",", ndmin=2)
         profile = normalize_profile(table, n, beta, sigma)
-    return AdversarialLaw(cap, beta, profile)
+    return AdversarialLaw(Cap(center, sigma), beta, profile)
 
 
 def _emit(text, out_path):

@@ -15,14 +15,16 @@ and c = I_n(sigma) / I_{n-beta}(sigma).  The full radial weight
 g(r) = c r^(-beta) h(r) is required to be nonincreasing.  beta = 0 with
 h identically one is exactly the uniform law on the cap.
 
-Sampling is by inverse transform on the radial coordinate combined
-with a uniform tangent direction.  Every profile, the constant one
-included, is a table of linear segments h = alpha_i + gamma_i r, on
-which the radial CDF is a closed-form sum of cap-integral increments,
-so no quadrature enters the sampler.  Its inverse runs through a
-piecewise-Chebyshev inverse of the regularized incomplete beta
-function, fitted to betaincinv once per law on its first inversion and
-certified then: that inverse is the answer on segments where h is
+Every profile is a table of linear segments h = alpha_i + gamma_i r;
+the constant one is the single segment h = 1 on [0, sigma].  That table
+is the only source of a law's radial mass: the radial CDF is a
+closed-form sum of cap-integral increments over it, so no quadrature
+enters, and its log carries the first segment in log space, so deep
+tails do not underflow.  Sampling is by inverse transform on the radial
+coordinate combined with a uniform tangent direction.  The inverse runs
+through a piecewise-Chebyshev inverse of the regularized incomplete
+beta function, fitted to betaincinv once per law on its first inversion
+and certified then: that inverse is the answer on segments where h is
 constant, and the start of a safeguarded Newton iteration elsewhere.
 """
 
@@ -217,34 +219,25 @@ class Cap:
 
 
 class RadialProfile:
-    """Radial factor h of a cap law.
+    """Radial factor h of a cap law: piecewise linear between nodes
+    r_grid that cover [0, sigma], with values h_grid.
 
-    Either the constant-one profile (kind "constant"), or a tabulated
-    profile (kind "tabulated") that is piecewise linear between nodes
-    r_grid covering [0, sigma].  H is the sup of h, attained at a node
-    in the tabulated case.
+    kind is a label for reports, "constant" for the one-segment table
+    h = 1 that constant_profile builds and "tabulated" for any other
+    table; no computation depends on it.  H is the sup of h, attained
+    at a node.
     """
 
-    def __init__(self, kind, r_grid=None, h_grid=None, sigma=None,
+    def __init__(self, kind, r_grid, h_grid, sigma,
                  normalization_residual=0.0):
         if kind not in ("constant", "tabulated"):
             raise ValueError("unknown profile kind %r" % (kind,))
-        self.kind = kind
-        self.sigma = sigma
-        self.normalization_residual = float(normalization_residual)
-        if kind == "constant":
-            self.r_grid = None
-            self.h_grid = None
-            self.H = 1.0
-            return
         r_grid = np.asarray(r_grid, dtype=float)
         h_grid = np.asarray(h_grid, dtype=float)
         if r_grid.ndim != 1 or r_grid.shape != h_grid.shape or len(r_grid) < 2:
-            raise ValueError("tabulated profile needs matching 1-d node arrays")
+            raise ValueError("profile needs matching 1-d node arrays")
         if np.any(np.diff(r_grid) <= 0.0):
             raise ValueError("profile nodes must be strictly increasing")
-        if sigma is None:
-            raise ValueError("tabulated profile needs its cap radius sigma")
         if abs(r_grid[0]) > 1e-12 or abs(r_grid[-1] - sigma) > 1e-12 * sigma:
             raise ValueError("profile nodes must cover [0, sigma] exactly")
         if not np.all(np.isfinite(h_grid)):
@@ -253,24 +246,26 @@ class RadialProfile:
             raise ValueError("profile values must be nonnegative")
         if h_grid[0] <= 0.0:
             raise ValueError("profile must be positive at r = 0")
+        self.kind = kind
+        self.sigma = sigma
+        self.normalization_residual = float(normalization_residual)
         self.r_grid = r_grid
         self.h_grid = h_grid
         self.H = float(np.max(h_grid))
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        if self.kind == "constant":
-            out = np.ones_like(r)
-        else:
-            out = np.interp(r, self.r_grid, self.h_grid)
+        out = np.interp(r, self.r_grid, self.h_grid)
         if r.ndim == 0:
             return float(out)
         return out
 
 
-def constant_profile():
-    """The profile h identically equal to one (already normalized)."""
-    return RadialProfile("constant")
+def constant_profile(sigma):
+    """The profile h identically equal to one on [0, sigma] (already
+    normalized): the single segment from (0, 1) to (sigma, 1)."""
+    sigma = float(sigma)
+    return RadialProfile("constant", [0.0, sigma], [1.0, 1.0], sigma)
 
 
 def _segment_coeffs(r_grid, h_grid):
@@ -281,16 +276,15 @@ def _segment_coeffs(r_grid, h_grid):
     return alpha, gamma
 
 
-def _piecewise_weighted_integrals(r_grid, h_grid, m):
-    """Exact integrals of h(r) r^(m-1) (1-r^2)^(-1/2) over each segment.
+def _piecewise_weighted_integrals(r_grid, h_grid, im, im1):
+    """Exact integrals of h(r) r^(m-1) (1-r^2)^(-1/2) over each segment,
+    given im = I_m and im1 = I_{m+1} at the nodes.
 
     For piecewise-linear h = alpha + gamma r the segment integral is
     alpha * dI_m + gamma * dI_{m+1} in terms of cap-integral increments,
     so the result is exact up to roundoff.
     """
     alpha, gamma = _segment_coeffs(r_grid, h_grid)
-    im = _vec_cap_integral(m, r_grid)
-    im1 = _vec_cap_integral(m + 1.0, r_grid)
     return alpha * np.diff(im) + gamma * np.diff(im1)
 
 
@@ -299,10 +293,11 @@ def normalize_profile(raw, n, beta, sigma, grid_points=1025):
 
     raw is either a callable r -> h(r) on [0, sigma], sampled on an
     equispaced grid of grid_points nodes, or a (K, 2) array of
-    (r, h) rows whose nodes must already cover [0, sigma].  The values
-    are scaled by a single constant so the weighted integral of the
-    piecewise-linear interpolant equals I_{n-beta}(sigma) exactly
-    (piecewise closed form, no quadrature).
+    (r, h) rows whose nodes must already cover [0, sigma].  The raw
+    table must pass RadialProfile's checks.  The values are scaled by a
+    single constant so the weighted integral of the piecewise-linear
+    interpolant equals I_{n-beta}(sigma) exactly (piecewise closed
+    form, no quadrature).
     """
     n = int(n)
     beta = float(beta)
@@ -316,34 +311,29 @@ def normalize_profile(raw, n, beta, sigma, grid_points=1025):
         h_raw = np.asarray([float(raw(r)) for r in r_grid])
     else:
         table = np.asarray(raw, dtype=float)
-        if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
+        if table.ndim != 2 or table.shape[1] != 2:
             raise ValueError("expected a (K, 2) array of (r, h) rows")
         r_grid = table[:, 0].copy()
         h_raw = table[:, 1].copy()
-    if not np.all(np.isfinite(h_raw)):
-        raise ValueError("raw profile has non-finite values")
-    if np.any(h_raw < 0.0):
-        raise ValueError("raw profile has negative values")
-    if h_raw[0] <= 0.0:
-        raise ValueError("raw profile must be positive at r = 0")
-    if np.any(np.diff(r_grid) <= 0.0):
-        raise ValueError("profile nodes must be strictly increasing")
-    if abs(r_grid[0]) > 1e-12 or abs(r_grid[-1] - sigma) > 1e-12 * sigma:
-        raise ValueError("profile nodes must cover [0, sigma]")
+    RadialProfile("tabulated", r_grid, h_raw, sigma)  # validates raw
     r_grid[0] = 0.0
     r_grid[-1] = sigma
 
     m = n - beta
-    total = float(np.sum(_piecewise_weighted_integrals(r_grid, h_raw, m)))
+    im = _vec_cap_integral(m, r_grid)
+    im1 = _vec_cap_integral(m + 1.0, r_grid)
+    total = float(np.sum(_piecewise_weighted_integrals(r_grid, h_raw, im,
+                                                       im1)))
     if not (total > 0.0):
         raise ValueError("raw profile integrates to zero")
     target = math.exp(log_cap_integral(m, sigma))
     scale = target / total
     h_grid = h_raw * scale
-    back = float(np.sum(_piecewise_weighted_integrals(r_grid, h_grid, m)))
+    back = float(np.sum(_piecewise_weighted_integrals(r_grid, h_grid, im,
+                                                      im1)))
     residual = abs(back - target) / target
-    return RadialProfile("tabulated", r_grid=r_grid, h_grid=h_grid,
-                         sigma=sigma, normalization_residual=residual)
+    return RadialProfile("tabulated", r_grid, h_grid, sigma,
+                         normalization_residual=residual)
 
 
 class AdversarialLaw:
@@ -358,16 +348,15 @@ class AdversarialLaw:
 
     def __init__(self, cap, beta, profile=None):
         if profile is None:
-            profile = constant_profile()
+            profile = constant_profile(cap.sigma)
         beta = float(beta)
         n = cap.n
         if not (0.0 <= beta < n):
             raise ValueError("beta must lie in [0, n), got %r with n=%d"
                              % (beta, n))
-        if profile.kind == "tabulated" and profile.sigma is not None:
-            if abs(profile.sigma - cap.sigma) > 1e-12 * cap.sigma:
-                raise ValueError("profile radius %r does not match cap "
-                                 "radius %r" % (profile.sigma, cap.sigma))
+        if abs(profile.sigma - cap.sigma) > 1e-12 * cap.sigma:
+            raise ValueError("profile radius %r does not match cap "
+                             "radius %r" % (profile.sigma, cap.sigma))
         self.cap = cap
         self.beta = beta
         self.profile = profile
@@ -376,20 +365,16 @@ class AdversarialLaw:
         self._log_i_m_sigma = log_cap_integral(self._m, cap.sigma)
         self.c = math.exp(self._log_i_n_sigma - self._log_i_m_sigma)
 
-        # one segment table for every profile: the constant profile is
-        # the single segment h = 1 on [0, sigma] (alpha = 1, gamma = 0)
-        if profile.kind == "tabulated":
-            r_nodes, h_nodes = profile.r_grid, profile.h_grid
-        else:
-            r_nodes, h_nodes = np.array([0.0, cap.sigma]), np.ones(2)
+        r_nodes, h_nodes = profile.r_grid, profile.h_grid
         self._r_nodes = r_nodes
         self._h_nodes = h_nodes
-        seg = _piecewise_weighted_integrals(r_nodes, h_nodes, self._m)
+        self._im_nodes = _vec_cap_integral(self._m, r_nodes)
+        self._im1_nodes = _vec_cap_integral(self._m + 1.0, r_nodes)
+        seg = _piecewise_weighted_integrals(r_nodes, h_nodes, self._im_nodes,
+                                            self._im1_nodes)
         cum = np.concatenate(([0.0], np.cumsum(seg)))
         self._cdf_nodes = cum
         self._cdf_total = float(cum[-1])
-        self._im_nodes = _vec_cap_integral(self._m, r_nodes)
-        self._im1_nodes = _vec_cap_integral(self._m + 1.0, r_nodes)
         self._alpha, self._gamma = _segment_coeffs(r_nodes, h_nodes)
         # I_m(r) = _beta_const * betainc(m/2, 1/2, r^2)
         self._beta_const = 0.5 * math.exp(special.betaln(0.5 * self._m, 0.5))
@@ -464,19 +449,28 @@ class AdversarialLaw:
         return np.clip(val, 0.0, 1.0)
 
     def log_radial_cdf(self, rho):
-        """log of the radial CDF, without underflow for the constant profile."""
+        """log of the radial CDF, without underflow on the first segment.
+
+        There h = alpha_0 + gamma_0 r, so the CDF is
+        I_m(rho) (alpha_0 + gamma_0 I_{m+1}(rho) / I_m(rho)) / I_m(sigma),
+        I_m(sigma) being the total that normalization gives the table;
+        its log is summed from cap integrals in log space, so it stays
+        finite where the mass is below the double range.  Past the first
+        segment the CDF exceeds that segment's mass, and its log is
+        taken directly.
+        """
         rho = float(rho)
         sigma = self.cap.sigma
         if not (0.0 < rho <= sigma * (1.0 + 1e-12)):
             raise ValueError("rho must lie in (0, sigma]")
         rho = min(rho, sigma)
-        if self.profile.kind == "constant":
-            return log_cap_integral(self._m, rho) - self._log_i_m_sigma
-        val = float(self._radial_cdf_clipped(np.asarray([rho]))[0])
-        if val == 0.0:
-            raise ValueError("radial CDF underflows at rho=%g; no log-space "
-                             "route for tabulated profiles" % rho)
-        return math.log(val)
+        if rho > self._r_nodes[1]:
+            return math.log(float(self._radial_cdf_clipped(
+                np.asarray([rho]))[0]))
+        log_im = log_cap_integral(self._m, rho)
+        ratio = math.exp(log_cap_integral(self._m + 1.0, rho) - log_im)
+        return (log_im + math.log(self._alpha[0] + self._gamma[0] * ratio)
+                - self._log_i_m_sigma)
 
     def inverse_radial_cdf(self, p):
         """Radius at which the radial CDF reaches p; scalar or array.
@@ -590,4 +584,4 @@ class AdversarialLaw:
 
 def uniform_law(cap):
     """Uniform probability law on the cap (beta = 0, constant profile)."""
-    return AdversarialLaw(cap, 0.0, constant_profile())
+    return AdversarialLaw(cap, 0.0)

@@ -10,10 +10,11 @@ radius arcsin(sigma) in S^n is O_{n-1} I_n(sigma), where O_n denotes
 the volume of the unit n-sphere.
 
 Two independent evaluation routes are provided: a continued-fraction
-incomplete beta carried in log space (default, works for real m and for
-values far below the smallest positive double), and adaptive quadrature
-of the defining integral after the substitution r = sin(theta).  For
-integer m a closed-form recurrence is available as a third route.
+incomplete beta carried in log space (log_cap_integral and cap_integral,
+for real m and for values far below the smallest positive double), and
+adaptive quadrature of the defining integral after the substitution
+r = sin(theta) (cap_integral_quad, a cross-check).  cap_integral_series
+adds closed forms as a third route.
 """
 
 import functools
@@ -26,6 +27,7 @@ from scipy import special
 __all__ = [
     "sphere_volume",
     "cap_integral",
+    "cap_integral_quad",
     "log_cap_integral",
     "cap_integral_series",
     "cap_integral_bounds",
@@ -124,38 +126,33 @@ def log_cap_integral(m, sigma):
     return _log_cap_integral_cached(m, sigma)
 
 
-def _cap_integral_quad(m, sigma):
-    # substitute r = sin(theta): integrand becomes sin(theta)^(m-1),
-    # smooth at the upper endpoint even for sigma = 1.  Imported here:
-    # scipy.integrate costs every CLI start about 0.2 s otherwise.
-    from scipy import integrate
-
-    if sigma == 0.0:
-        return 0.0
-    upper = math.asin(min(sigma, 1.0))
-    val, err = integrate.quad(lambda t: math.sin(t) ** (m - 1.0),
-                              0.0, upper, epsabs=1e-14, epsrel=1e-12,
-                              limit=200)
-    return val
-
-
-def cap_integral(m, sigma, backend="cf"):
+def cap_integral(m, sigma):
     """I_m(sigma) for real m > 0 and sigma in [0, 1].
 
-    backend "cf" evaluates the log-space continued fraction and
-    exponentiates (returns 0.0 if the value is below the double range);
-    backend "quad" integrates the defining integral adaptively and is
-    kept as an independent cross-check.
+    Evaluates the log-space continued fraction and exponentiates
+    (returns 0.0 if the value is below the double range).
     """
+    lv = log_cap_integral(m, sigma)
+    return math.exp(lv) if lv > -math.inf else 0.0
+
+
+def cap_integral_quad(m, sigma):
+    """I_m(sigma) by adaptive quadrature of the defining integral, kept
+    as an independent cross-check of cap_integral.
+
+    The substitution r = sin(theta) makes the integrand sin(theta)^(m-1),
+    smooth at the upper endpoint even for sigma = 1.
+    """
+    # imported here: scipy.integrate costs every CLI start about 0.2 s
+    from scipy import integrate
+
     m = float(m)
     sigma = float(sigma)
     _check_m_sigma(m, sigma)
-    if backend == "cf":
-        lv = log_cap_integral(m, sigma)
-        return math.exp(lv) if lv > -math.inf else 0.0
-    if backend == "quad":
-        return _cap_integral_quad(m, sigma)
-    raise ValueError("unknown backend %r" % (backend,))
+    val, _ = integrate.quad(lambda t: math.sin(t) ** (m - 1.0),
+                            0.0, math.asin(sigma), epsabs=1e-14,
+                            epsrel=1e-12, limit=200)
+    return val
 
 
 def cap_integral_series(m, sigma):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from capsmooth import bounds
-from capsmooth.distributions import AdversarialLaw, Cap
+from capsmooth.distributions import AdversarialLaw, Cap, normalize_profile
 from capsmooth.volumes import cap_integral
 
 
@@ -311,6 +311,27 @@ class TestBallMaximizer:
     def test_outer_annulus_strictly_dominated(self):
         assert bounds.ball_maximizer_check(self.law(4, 2.0),
                                            [(0.6, 0.8)])
+
+    def rising_law(self, monkeypatch):
+        # h = 1 + 4r with beta = 0: a weight that rises, which the law's
+        # constructor rejects unless its monotonicity check is off
+        monkeypatch.setattr(AdversarialLaw, "_check_weight_monotone",
+                            lambda law: None)
+        prof = normalize_profile(lambda r: 1.0 + 4.0 * r, 3, 0.0, 0.8)
+        return AdversarialLaw(Cap(e0(3), 0.8), 0.0, prof)
+
+    def test_centered_ball_equality_rising_weight(self, monkeypatch):
+        # a centered ball is its own equal-mass ball whatever the law,
+        # so the law's mass of the ball must come back unchanged
+        assert bounds.ball_maximizer_check(self.rising_law(monkeypatch),
+                                           [(0.0, 0.3)])
+
+    def test_rising_weight_fails(self, monkeypatch):
+        # negative control: when the weight rises, outer shells carry
+        # more law mass than the ball of the same uniform mass
+        law = self.rising_law(monkeypatch)
+        assert not bounds.ball_maximizer_check(law, [(0.6, 0.8)])
+        assert not bounds.ball_maximizer_check(law, [(0.2, 0.3), (0.7, 0.8)])
 
     def test_overlapping_rejected(self):
         with pytest.raises(ValueError):

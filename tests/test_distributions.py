@@ -49,7 +49,7 @@ class TestCap:
 
 class TestRadialProfile:
     def test_constant(self):
-        h = constant_profile()
+        h = constant_profile(0.5)
         assert h.kind == "constant"
         assert h.H == 1.0
         assert h(0.3) == 1.0
@@ -76,7 +76,8 @@ class TestRadialProfile:
             RadialProfile("tabulated", r_grid=[0.0, 0.5],
                           h_grid=[0.0, 1.0], sigma=0.5)  # zero at center
         with pytest.raises(ValueError):
-            RadialProfile("mystery")
+            RadialProfile("mystery", r_grid=[0.0, 0.5], h_grid=[1.0, 1.0],
+                          sigma=0.5)
 
 
 class TestNormalizeProfile:
@@ -228,6 +229,31 @@ class TestRadialCdf:
         val = law.log_radial_cdf(1e-12)
         assert val < -700.0
         assert math.isfinite(val)
+
+    @pytest.mark.parametrize("rho", [1e-6, 1e-9])
+    def test_log_route_tabulated_deep_tail(self, rho):
+        # I_60(rho) is below the double range, so the linear CDF reads 0;
+        # on the first segment, h = alpha_0 + gamma_0 r, and the mass is
+        # alpha_0 I_60(rho) + gamma_0 I_61(rho) over the normalized total
+        # I_60(sigma), here at 50 digits
+        n, beta, sigma = 64, 4.0, 0.5
+        law = _tabulated_law(lambda r: 2.0 - r / sigma, n, beta, sigma)
+        assert law.radial_cdf(rho) == 0.0
+        r1, h0, h1 = (mpmath.mpf(float(v)) for v in
+                      (law.profile.r_grid[1], *law.profile.h_grid[:2]))
+        with mpmath.workdps(50):
+            def cap(m, r):
+                return mpmath.betainc(m / 2, 0.5, 0, r ** 2) / 2
+
+            m, x = mpmath.mpf(n - beta), mpmath.mpf(rho)
+            mass = h0 * cap(m, x) + (h1 - h0) / r1 * cap(m + 1, x)
+            ref = float(mpmath.log(mass / cap(m, mpmath.mpf(sigma))))
+        val = law.log_radial_cdf(rho)
+        assert abs(val - ref) <= 8.0 * np.finfo(float).eps * abs(ref)
+
+    def test_log_route_tabulated_past_first_segment(self):
+        law = _tabulated_law(lambda r: 2.0 - r / 0.5, 64, 4.0, 0.5)
+        assert law.log_radial_cdf(1e-3) == math.log(law.radial_cdf(1e-3))
 
 
 def _residual_points():

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from capsmooth import volumes
 from capsmooth.volumes import (cap_integral, cap_integral_bounds,
-                               cap_integral_series, cap_measure,
-                               log_cap_integral, sandwich_report,
-                               sphere_volume)
+                               cap_integral_quad, cap_integral_series,
+                               cap_measure, log_cap_integral,
+                               sandwich_report, sphere_volume)
 
 SIGMAS = np.linspace(0.1, 1.0, 10)
 
@@ -87,12 +87,8 @@ class TestQuadBackend:
     def test_quad_agreement(self, m):
         for s in (0.1, 0.5, 0.9, 1.0):
             a = cap_integral(m, s)
-            b = cap_integral(m, s, backend="quad")
+            b = cap_integral_quad(m, s)
             assert np.isclose(a, b, rtol=1e-10, atol=0)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            cap_integral(2, 0.5, backend="mystery")
 
 
 class TestLogRoute:
