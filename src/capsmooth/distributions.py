@@ -24,11 +24,16 @@ tails do not underflow.  Sampling is by inverse transform on the radial
 coordinate combined with a uniform tangent direction.  The inverse runs
 through a piecewise-Chebyshev inverse of the regularized incomplete
 beta function, fitted to betaincinv once per law on its first inversion
-and certified then: that inverse is the answer on segments where h is
-constant, and the start of a safeguarded Newton iteration elsewhere.
+and certified then: its start radius is the answer on segments where h
+is constant.  Where h is not, a per-segment Chebyshev fit in the start
+radius gives the answer; it is built on the first inversion too, from a
+safeguarded Newton iteration on the segment mass that serves as its
+oracle and certificate, and that stays the inverse only on segments
+whose fit misses its bound.
 """
 
 import math
+import threading
 
 import numpy as np
 from scipy import special
@@ -48,6 +53,7 @@ __all__ = [
 # Newton iterations on a segment; points that stop moving leave early
 _NEWTON_ITERS = 60
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 # Chebyshev kernel for betaincinv: the degree and the piece count of the
 # first fit, the certificate's bound on the relative error in x, and how
@@ -73,31 +79,55 @@ def _betaincinv_polished(a, b, y):
 
 
 class _ChebyshevPieces:
-    """Interpolant of f on [lo, hi] cut into equal pieces, each of degree
-    _CHEB_DEGREE through the Chebyshev points of the first kind.  The
-    coefficients come from the discrete cosine sum; coef[j] holds the
-    degree-j coefficient of every piece."""
+    """Piecewise Chebyshev interpolant on one or more intervals, of
+    degree _CHEB_DEGREE through the Chebyshev points of the first kind
+    on every piece.  Interval g starts at lo[g], its pieces have width
+    1 / scale[g] and occupy coefficient columns first[g] to
+    first[g] + last[g]; coef[j] holds the degree-j coefficient of every
+    piece.  The coefficients come from the discrete cosine sum of the
+    values at the nodes."""
 
-    def __init__(self, f, lo, hi, pieces):
+    def __init__(self, lo, scale, first, last, coef=None):
+        self.lo = lo
+        self.scale = scale
+        self.first = first
+        self.last = last
+        self.coef = coef
+
+    @classmethod
+    def equal(cls, lo, hi, pieces):
+        """Intervals [lo[g], hi[g]], each cut into `pieces` equal pieces;
+        no coefficients yet."""
+        count = len(lo)
+        return cls(lo, pieces / (hi - lo), pieces * np.arange(count),
+                   np.full(count, pieces - 1))
+
+    @property
+    def pieces(self):
+        """Pieces per interval, for equal pieces."""
+        return int(self.last[0]) + 1
+
+    def points(self, theta):
+        """The points at angles theta on every piece of equal pieces,
+        (len(theta), columns)."""
+        offset = (np.arange(self.pieces)
+                  + 0.5 * (1.0 + np.cos(theta))[:, None])
+        return (self.lo[:, None] + offset[:, None, :] / self.scale[:, None]
+                ).reshape(len(theta), -1)
+
+    def interpolate(self, values):
         n = _CHEB_DEGREE + 1
         theta = np.pi * (np.arange(n) + 0.5) / n
-        self.lo = lo
-        self.pieces = pieces
-        self.scale = pieces / (hi - lo)
-        values = f(self.points(theta))
         self.coef = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ values
         self.coef[0] *= 0.5
 
-    def points(self, theta):
-        """The points at angles theta on every piece, (len(theta), pieces)."""
-        offset = np.arange(self.pieces) + 0.5 * (1.0 + np.cos(theta))[:, None]
-        return self.lo + offset / self.scale
-
-    def __call__(self, v):
-        """Clenshaw's recurrence, one gathered coefficient per step."""
-        u = (v - self.lo) * self.scale
-        k = np.minimum(u.astype(np.intp), self.pieces - 1)
+    def __call__(self, v, interval=0):
+        """Clenshaw's recurrence, one gathered coefficient per step; v
+        lies in the given interval (an index, or one per point)."""
+        u = (v - self.lo[interval]) * self.scale[interval]
+        k = np.minimum(u.astype(np.intp), self.last[interval])
         t = 2.0 * (u - k) - 1.0
+        k += self.first[interval]
         t2 = 2.0 * t
         b1 = self.coef[-1].take(k)
         b2 = np.zeros_like(t)
@@ -106,25 +136,63 @@ class _ChebyshevPieces:
         return t * b1 - b2 + self.coef[0].take(k)
 
 
-def _certified_fit(values, lo, hi, target, to_x, reference):
-    """Fit values on [lo, hi], doubling the pieces until x agrees with
-    reference(y) to a relative _CHEB_TOL at the points midway (in angle)
-    between the nodes and at the ends of the pieces.  target maps the
-    fitted variable to y; to_x(fit, y) is the kernel's x."""
+def _certified_fit(solve, lo, hi, pieces, tol=_CHEB_TOL):
+    """Fit each interval [lo[g], hi[g]], cut into `pieces` pieces, and
+    certify it at the points midway (in angle) between the nodes and at
+    the ends of the pieces.  solve(intervals, nodes, between) gives, from
+    one call, the values at the nodes and a function that maps the fit to
+    its relative error at the points between; both point arrays have one
+    column per piece.  An interval whose error exceeds tol is fitted
+    again with its pieces doubled, up to _CHEB_REFITS times.
+
+    Returns the rounds as (fit, its intervals, which of them it
+    certifies), then the intervals still missing and their errors."""
     n = _CHEB_DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
     between = np.pi * np.arange(n) / n
-    pieces = _CHEB_PIECES
+    intervals = np.arange(len(lo))
+    rounds = []
     for _ in range(_CHEB_REFITS + 1):
-        fit = _ChebyshevPieces(values, lo, hi, pieces)
-        y = target(fit.points(between)).ravel()
-        ref = reference(y)
-        err = float(np.max(np.abs(to_x(fit, y) - ref) / ref))
-        if err <= _CHEB_TOL:
-            return fit
+        fit = _ChebyshevPieces.equal(lo[intervals], hi[intervals], pieces)
+        values, error = solve(intervals, fit.points(theta),
+                              fit.points(between))
+        fit.interpolate(values)
+        err = error(fit).reshape(n, len(intervals), pieces).max(axis=(0, 2))
+        # nan (an underflowed node) misses too
+        ok = err <= tol
+        rounds.append((fit, intervals, ok))
+        intervals, err = intervals[~ok], err[~ok]
+        if not intervals.size:
+            break
         pieces *= 2
-    raise ArithmeticError("radial inversion kernel misses its %.0f eps bound "
-                          "(%.3g eps at %d pieces)"
-                          % (_CHEB_TOL / _EPS, err / _EPS, pieces // 2))
+    return rounds, intervals, err
+
+
+def _lower_series(a, q):
+    """x / q for the x with betainc(a, 1/2, x) = q^a, where q^a is below
+    the normal range.  From betainc(a, 1/2, x) = x^a sqrt(1 - x) F(x)
+    / (a B(a, 1/2)) with F = 2F1(a + 1/2, 1; a + 1; x), the ratio is
+    (a B(a, 1/2) / (sqrt(1 - x) F(x)))^(1/a); x = q times it is solved by
+    fixed-point iteration from x = q (a B(a, 1/2))^(1/a), which contracts
+    by about x / a per step."""
+    if not q.size:
+        return q
+    log_ab = math.log(a) + special.betaln(a, 0.5)
+    x = q * math.exp(log_ab / a)
+    for _ in range(_NEWTON_ITERS):
+        term = np.ones_like(x)
+        total = np.ones_like(x)
+        k = 0
+        while np.any(term > 0.5 * _EPS * total):
+            term *= (a + 0.5 + k) / (a + 1.0 + k) * x
+            total += term
+            k += 1
+        ratio = np.exp((log_ab - 0.5 * np.log1p(-x) - np.log(total)) / a)
+        new = q * ratio
+        if np.array_equal(new, x):
+            break
+        x = new
+    return ratio
 
 
 class _BetaincInverse:
@@ -135,13 +203,16 @@ class _BetaincInverse:
     Near 0, y^(1/a) = x phi(x) with phi analytic and positive, so
     x = q psi(q) in q = y^(1/a) with psi analytic and positive: the
     pole is factored out and x keeps its relative accuracy in the deep
-    tail.  Near 1, 1 - y = sqrt(1 - x) times a series in 1 - x, so
-    x = 1 - w chi(w) in w = (1 - y)^2, which keeps 1 - x accurate where
-    the slope of the radial CDF blows up at sigma = 1.  The lower branch
-    runs up to y = 1/2, or further if x is still below 1/2 there; the
-    upper branch exists only when top lies beyond that split.  Node
-    values and the build-time certificate come from
-    _betaincinv_polished, so scipy stays the oracle.
+    tail.  Below y = 2^-53, q is y^(1/a) with 1/a in two parts, so the
+    rounding of 1/a does not grow with |ln y|.  Near 1, 1 - y = sqrt(1 -
+    x) times a series in 1 - x, so x = 1 - w chi(w) in w = (1 - y)^2,
+    which keeps 1 - x accurate where the slope of the radial CDF blows
+    up at sigma = 1.  The lower branch runs up to y = 1/2, or further if
+    x is still below 1/2 there; the upper branch exists only when top
+    lies beyond that split.  Node values and the build-time certificate
+    come from _betaincinv_polished, so scipy stays the oracle, except at
+    nodes where q^a is below the normal range: there psi comes from the
+    series of _lower_series.
     """
 
     def __init__(self, a, top):
@@ -149,29 +220,73 @@ class _BetaincInverse:
         self.top = top
         self.split = min(top, max(0.5, float(special.betainc(a, 0.5, 0.5))))
         self._root = root
+        # 1/a less its rounding: exact in integers, then rounded once
+        num_a, den_a = float(a).as_integer_ratio()
+        num_r, den_r = root.as_integer_ratio()
+        self._root_lo = (den_a * den_r - num_r * num_a) / (num_a * den_r)
 
-        def lower_values(q):
+        def psi(q):
             y = q ** a
-            return _betaincinv_polished(a, 0.5, y) / y ** root
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = _betaincinv_polished(a, 0.5, y) / self._lower_q(y)
+            under = y < _TINY
+            out[under] = _lower_series(a, q[under])
+            return out
 
-        def upper_values(w):
+        def lower(_, nodes, between):
+            q = between.ravel()
+            y = q ** a
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref = _betaincinv_polished(a, 0.5, y)
+            under = np.flatnonzero(y < _TINY)
+            ref_psi = _lower_series(a, q[under])
+
+            def error(fit):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    err = np.abs(self._lower_x(fit, y) - ref) / ref
+                if under.size:
+                    # no double y there: the fitted psi against the series
+                    err[under] = np.abs(fit(q[under]) - ref_psi) / ref_psi
+                return err
+            return psi(nodes), error
+
+        def upper(_, nodes, between):
             # the complement as the evaluation sees it: y = 1 - sqrt(w)
             # rounds, and 1 - y is then exact for y >= 1/2
-            c = 1.0 - (1.0 - np.sqrt(w))
-            return _betaincinv_polished(0.5, a, c) / (c * c)
+            c = 1.0 - (1.0 - np.sqrt(nodes))
+            values = _betaincinv_polished(0.5, a, c) / (c * c)
+            y = 1.0 - np.sqrt(between.ravel())
+            ref = 1.0 - _betaincinv_polished(0.5, a, 1.0 - y)
+            return values, lambda fit: (np.abs(self._upper_x(fit, y) - ref)
+                                        / ref)
 
-        self._lower = _certified_fit(
-            lower_values, 0.0, self.split ** root, lambda q: q ** a,
-            self._lower_x, lambda y: _betaincinv_polished(a, 0.5, y))
+        self._lower = self._branch(lower, 0.0, self.split ** root)
         self._upper = None
         if top > self.split:
-            self._upper = _certified_fit(
-                upper_values, (1.0 - top) ** 2, (1.0 - self.split) ** 2,
-                lambda w: 1.0 - np.sqrt(w), self._upper_x,
-                lambda y: 1.0 - _betaincinv_polished(0.5, a, 1.0 - y))
+            self._upper = self._branch(upper, (1.0 - top) ** 2,
+                                       (1.0 - self.split) ** 2)
+
+    @staticmethod
+    def _branch(solve, lo, hi):
+        rounds, missed, err = _certified_fit(solve, np.array([lo]),
+                                             np.array([hi]), _CHEB_PIECES)
+        fit = rounds[-1][0]
+        if missed.size:
+            raise ArithmeticError("radial inversion kernel misses its %.0f "
+                                  "eps bound (%.3g eps at %d pieces)"
+                                  % (_CHEB_TOL / _EPS, err[0] / _EPS,
+                                     fit.pieces))
+        return fit
+
+    def _lower_q(self, y):
+        q = y ** self._root
+        deep = (y < 2.0 ** -53) & (y > 0.0)
+        if self._root_lo and np.any(deep):
+            q[deep] *= 1.0 + self._root_lo * np.log(y[deep])
+        return q
 
     def _lower_x(self, fit, y):
-        q = y ** self._root
+        q = self._lower_q(y)
         return q * fit(q)
 
     @staticmethod
@@ -375,11 +490,25 @@ class AdversarialLaw:
         cum = np.concatenate(([0.0], np.cumsum(seg)))
         self._cdf_nodes = cum
         self._cdf_total = float(cum[-1])
+        # equal buckets of mass, one per segment: _below[b] interior nodes
+        # lie in the buckets before b
+        # (no table when the total underflows: inversion refuses that law)
+        count = len(seg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._bucket_scale = np.float64(count) / self._cdf_total
+            bucket = np.minimum(
+                (cum[1:-1] * self._bucket_scale).astype(np.intp), count - 1)
+        self._below = np.searchsorted(bucket, np.arange(count + 1))
         self._alpha, self._gamma = _segment_coeffs(r_nodes, h_nodes)
         # I_m(r) = _beta_const * betainc(m/2, 1/2, r^2)
         self._beta_const = 0.5 * math.exp(special.betaln(0.5 * self._m, 0.5))
         self._check_weight_monotone()
+        self._sloped = bool(np.any(self._gamma != 0.0))
         self._inverse = None
+        # built on the first inversion; the lock keeps threads sampling
+        # one law from building them twice
+        self._fits = None
+        self._fits_lock = threading.Lock()
 
     @property
     def H(self):
@@ -449,28 +578,41 @@ class AdversarialLaw:
         return np.clip(val, 0.0, 1.0)
 
     def log_radial_cdf(self, rho):
-        """log of the radial CDF, without underflow on the first segment.
+        """log of the radial CDF, without underflow.
 
-        There h = alpha_0 + gamma_0 r, so the CDF is
+        On the first segment h = alpha_0 + gamma_0 r, so the CDF is
         I_m(rho) (alpha_0 + gamma_0 I_{m+1}(rho) / I_m(rho)) / I_m(sigma),
         I_m(sigma) being the total that normalization gives the table;
         its log is summed from cap integrals in log space, so it stays
         finite where the mass is below the double range.  Past the first
         segment the CDF exceeds that segment's mass, and its log is
-        taken directly.
+        taken directly, unless the cap integrals at the first node
+        underflow: then the completed segments and the partial one are
+        summed relative to I_m(rho), from cap integrals in log space.
         """
         rho = float(rho)
         sigma = self.cap.sigma
         if not (0.0 < rho <= sigma * (1.0 + 1e-12)):
             raise ValueError("rho must lie in (0, sigma]")
         rho = min(rho, sigma)
-        if rho > self._r_nodes[1]:
+        first = rho <= self._r_nodes[1]
+        if not first and self._im1_nodes[1] >= _TINY:
             return math.log(float(self._radial_cdf_clipped(
                 np.asarray([rho]))[0]))
-        log_im = log_cap_integral(self._m, rho)
-        ratio = math.exp(log_cap_integral(self._m + 1.0, rho) - log_im)
-        return (log_im + math.log(self._alpha[0] + self._gamma[0] * ratio)
-                - self._log_i_m_sigma)
+        m = self._m
+        log_im = log_cap_integral(m, rho)
+        if first:
+            ratio = math.exp(log_cap_integral(m + 1.0, rho) - log_im)
+            return (log_im + math.log(self._alpha[0] + self._gamma[0] * ratio)
+                    - self._log_i_m_sigma)
+        # segment k holds alpha_k dI_m + gamma_k dI_{m+1} between its ends
+        k = int(np.searchsorted(self._r_nodes, rho, side="right"))
+        ends = np.append(self._r_nodes[:k], rho)
+        scaled = [np.diff([math.exp(log_cap_integral(j, r) - log_im)
+                           for r in ends]) for j in (m, m + 1.0)]
+        mass = float(np.dot(self._alpha[:k], scaled[0])
+                     + np.dot(self._gamma[:k], scaled[1]))
+        return log_im + math.log(mass) - self._log_i_m_sigma
 
     def inverse_radial_cdf(self, p):
         """Radius at which the radial CDF reaches p; scalar or array.
@@ -479,23 +621,25 @@ class AdversarialLaw:
         table.  Holding h at its value at the segment's left node makes
         the segment mass a cap-integral increment, which the law's
         Chebyshev inverse of betainc(m/2, 1/2, .) inverts directly (see
-        _BetaincInverse; the first call builds it).  That is the answer
-        when h is constant on the segment.  Otherwise a safeguarded
-        Newton iteration on the segment mass follows, falling back to
-        bisection of its bracket whenever a step leaves it or lands on
-        one of its ends.  Every point is solved on its own, so results
-        do not depend on the batch.  Endpoints are exact: p = 0 gives
-        0, and p = 1 gives the end of the support (sigma unless h falls
-        to 0).
+        _BetaincInverse; the first call builds it).  That start radius
+        r0 is the answer when h is constant on the segment.  Otherwise
+        the answer is r0 g(r0), with g the segment's Chebyshev fit (see
+        _fit_segments; the first call builds the fits of every segment
+        where h is not constant).  Each fit is certified when it is
+        built against _solve, a safeguarded Newton iteration on the
+        segment mass from r0 that falls back to bisection of its bracket
+        whenever a step leaves it or lands on one of its ends.  On a
+        segment whose fit misses its bound that iteration is the
+        inverse.  Every point is solved on its own, so results do not
+        depend on the batch.  Endpoints are exact: p = 0 gives 0, and
+        p = 1 gives the end of the support (sigma unless h falls to 0).
 
-        Deep tails keep their accuracy, with two limits.  The inverse
-        works in x = r^2, so radii below about 1.5e-154 underflow; a
-        uniform p from rng.random (at least 2^-53 when positive) never
-        reaches that range when n - beta >= 0.5.  And its q = y^(2/m)
-        carries the rounding of 2/m in the exponent, so below
-        p = 2^-53 the relative error in x grows like |ln p| times that
-        rounding error (76 eps at p = 1e-100 when n - beta = 1.5; none
-        when 2/m is a power of two).
+        Deep tails keep their accuracy.  The inverse works in x = r^2,
+        so radii below about 1.5e-154 underflow; a uniform p from
+        rng.random (at least 2^-53 when positive) never reaches that
+        range when n - beta >= 0.5.  Below p = 2^-53 the exponent 2/m of
+        the kernel is carried in two parts, so its rounding does not
+        grow with |ln p|.
 
         At sigma = 1 the residual |F(r) - p| near r = 1 can exceed
         1e-12, and no inversion method removes it, inverting in the
@@ -509,37 +653,90 @@ class AdversarialLaw:
         p_arr = np.atleast_1d(p_arr)
         if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
             raise ValueError("p must lie in [0, 1]")
+        if not self._cdf_total > 0.0:
+            raise ArithmeticError(
+                "the radial mass I_%g(%g) of the cap is below the double "
+                "range, so no radius can be inverted"
+                % (self._m, self.cap.sigma))
         r_nodes = self._r_nodes
         target = p_arr * self._cdf_total
-        # side="left" never selects a zero-mass segment (h fallen to 0)
-        idx = np.clip(np.searchsorted(self._cdf_nodes, target, side="left")
-                      - 1, 0, len(r_nodes) - 2)
+        idx = self._segment_of(target)
         rem = target - self._cdf_nodes[idx]
         lo = r_nodes[idx]
         hi = r_nodes[idx + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = (self._im_nodes[idx] + rem / self._h_nodes[idx]) \
-                / self._beta_const
-        if self._inverse is None:
-            self._inverse = _BetaincInverse(
-                0.5 * self._m, float(special.betainc(0.5 * self._m, 0.5,
-                                                     self.cap.sigma ** 2)))
-        x = self._inverse(np.clip(x, 0.0, 1.0))
-        out = np.clip(np.sqrt(x), lo, hi)
-        active = np.flatnonzero(self._gamma[idx] != 0.0)
-        for _ in range(_NEWTON_ITERS):
-            if active.size == 0:
-                break
-            out[active], lo[active], hi[active], done = self._newton_step(
-                idx[active], rem[active], out[active], lo[active],
-                hi[active])
-            active = active[~done]
+        r0 = self._start(idx, rem)
+        if not self._sloped:
+            out = np.clip(r0, lo, hi)
+        else:
+            with self._fits_lock:
+                if self._fits is None:
+                    self._fits = self._fit_segments()
+            table, newton = self._fits
+            out = np.clip(r0 * table(r0, idx), lo, hi)
+            self._newton(idx, rem, out, lo, hi, np.flatnonzero(newton[idx]))
         out[p_arr == 0.0] = 0.0
         top = p_arr == 1.0
         out[top] = r_nodes[idx[top] + 1]
         if scalar:
             return float(out[0])
         return out
+
+    def _segment_of(self, target):
+        """The segment that holds each target mass: the number of
+        interior nodes below it, which is searchsorted(cdf_nodes, target,
+        side="left") - 1 clipped to the segments, so a zero-mass segment
+        (h fallen to 0) is never chosen.  The target's bucket fixes it
+        when no interior node shares that bucket, one comparison does
+        when one does, and a search only when more do."""
+        inner = self._cdf_nodes[1:-1]
+        bucket = np.minimum((target * self._bucket_scale).astype(np.intp),
+                            len(inner))
+        idx = self._below[bucket]
+        shared = self._below[bucket + 1] - idx
+        one = np.flatnonzero(shared == 1)
+        idx[one] += inner[idx[one]] < target[one]
+        many = np.flatnonzero(shared > 1)
+        idx[many] = np.searchsorted(inner, target[many], side="left")
+        return idx
+
+    def _start_x(self, idx, rem):
+        """betainc(m/2, 1/2, r0^2) for the start radius r0 of _start;
+        builds the law's inverse of it on the first call."""
+        if self._inverse is None:
+            self._inverse = _BetaincInverse(
+                0.5 * self._m, float(special.betainc(0.5 * self._m, 0.5,
+                                                     self.cap.sigma ** 2)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self._im_nodes[idx] + rem / self._h_nodes[idx]) \
+                / self._beta_const
+
+    def _start(self, idx, rem):
+        """Radius at which segment idx holds mass rem when h keeps its
+        value at the segment's left node; not clipped to the segment,
+        but at most sigma."""
+        x = self._start_x(idx, rem)
+        return np.sqrt(self._inverse(np.clip(x, 0.0, 1.0)))
+
+    def _solve(self, idx, rem):
+        """Radius at which segment idx holds mass rem, by safeguarded
+        Newton from the start radius wherever h is not constant: the
+        oracle of the segment fits, and their fallback."""
+        lo = self._r_nodes[idx]
+        hi = self._r_nodes[idx + 1]
+        out = np.clip(self._start(idx, rem), lo, hi)
+        self._newton(idx, rem, out, lo, hi,
+                     np.flatnonzero(self._gamma[idx] != 0.0))
+        return out
+
+    def _newton(self, idx, rem, r, lo, hi, active):
+        """Iterate _newton_step on the points `active` until each stops
+        moving, updating r and its bracket [lo, hi] in place."""
+        for _ in range(_NEWTON_ITERS):
+            if active.size == 0:
+                break
+            r[active], lo[active], hi[active], done = self._newton_step(
+                idx[active], rem[active], r[active], lo[active], hi[active])
+            active = active[~done]
 
     def _newton_step(self, idx, rem, r, lo, hi):
         """One safeguarded Newton step on the segment residual
@@ -560,6 +757,79 @@ class AdversarialLaw:
         done = ((np.abs(new - r) <= 2.0 * _EPS * r)
                 | (hi - lo <= 2.0 * _EPS * hi))
         return new, lo, hi, done
+
+    def _fit_segments(self):
+        """Inverse on the segments where h is not constant: r = r0 g(r0),
+        r0 the start radius, on r0 from the segment's left node to the
+        start at the segment's whole mass.  g is one Chebyshev piece per
+        segment (_certified_fit doubles the pieces of a segment that
+        misses); it is smooth where the profile is, the pole r^(m-1)
+        being divided out with r0.  Node values and the certificate,
+        relative error in r at most _CHEB_TOL / 2 (the kernel's bound in
+        r^2), come from one call of _solve per round, at radii fixed by
+        the law alone.  Returns the fits as one interpolant with an
+        interval per segment, and which segments keep the Newton
+        iteration."""
+        mass = np.diff(self._cdf_nodes)
+        sloped = np.flatnonzero((self._gamma != 0.0) & (mass > 0.0))
+        # a segment whose start passes sigma (h rising) before its mass
+        # is reached has no one-to-one start, and keeps Newton
+        ends = self._start(sloped, mass[sloped])
+        fittable = ((self._start_x(sloped, mass[sloped]) < self._inverse.top)
+                    & (ends > self._r_nodes[sloped]))
+        segs = sloped[fittable]
+        n = _CHEB_DEGREE + 1
+
+        def solve(intervals, nodes, between):
+            cols = nodes.shape[1]
+            pieces = cols // len(intervals)
+            slot = np.arange(cols) // pieces
+            seg = segs[intervals][slot]
+            r0 = np.concatenate((nodes, between))
+            rem = self._h_nodes[seg] * (_vec_cap_integral(self._m, r0)
+                                        - self._im_nodes[seg])
+            # the far end of a segment's interval is the start at the
+            # segment's whole mass, whose radius is the right node
+            r = np.full_like(r0, np.nan)
+            r[n, pieces - 1::pieces] = self._r_nodes[segs[intervals] + 1]
+            rem[n, pieces - 1::pieces] = mass[segs[intervals]]
+            idx = np.broadcast_to(seg, r0.shape).ravel()
+            rem, r = rem.ravel(), r.ravel()
+            inner = np.flatnonzero(np.isnan(r))
+            r[inner] = self._solve(idx[inner], rem[inner])
+            cut = nodes.size
+            start = self._start(idx[cut:], rem[cut:])
+            want, at = r[cut:], np.tile(slot, n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values = r[:cut].reshape(nodes.shape) / nodes
+            return values, lambda fit: np.abs(start * fit(start, at)
+                                              - want) / want
+
+        rounds = []
+        if segs.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rounds, _, _ = _certified_fit(solve, self._r_nodes[segs],
+                                              ends[fittable], 1,
+                                              _CHEB_TOL / 2)
+        # every segment that no fit certifies reads column 0, g = 1
+        # exactly: the start itself, for constant h and as Newton's start
+        unit = np.zeros((n, 1))
+        unit[0] = 1.0
+        count = len(mass)
+        lo, scale = np.zeros(count), np.zeros(count)
+        first, last = (np.zeros(count, dtype=np.intp) for _ in range(2))
+        newton = np.zeros(count, dtype=bool)
+        newton[sloped] = True
+        coef = [unit]
+        for fit, intervals, ok in rounds:
+            done = segs[intervals[ok]]
+            lo[done], scale[done] = fit.lo[ok], fit.scale[ok]
+            first[done] = fit.first[ok] + sum(c.shape[1] for c in coef)
+            last[done] = fit.last[ok]
+            newton[done] = False
+            coef.append(fit.coef)
+        return _ChebyshevPieces(lo, scale, first, last,
+                                np.concatenate(coef, axis=1)), newton
 
     def sample(self, rng, size=None):
         """Draw points from the law as unit vectors.

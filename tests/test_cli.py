@@ -81,6 +81,16 @@ class TestSample:
         d = np.sqrt(vals[:, 0] ** 2 + vals[:, 1] ** 2)
         assert np.all(d <= 0.5 + 1e-12)
 
+    def test_large_n(self, capsys):
+        # n = 200: the kernel's lowest nodes have q^(n/2) below the
+        # double range
+        code, out, _ = run(capsys, "sample", "--n", "200", "--samples", "3",
+                           "--seed", "1")
+        assert code == 0
+        radii = [float(r.split(",")[-1]) for r in out.strip().splitlines()[1:]]
+        assert len(radii) == 3
+        assert all(0.0 < r <= 0.5 for r in radii)
+
     def test_coords_wrong_length(self, capsys):
         code, _, err = run(capsys, "sample", "--n", "3",
                            "--center", "coords:1,0")
@@ -162,6 +172,25 @@ class TestTailAndExpect:
         cells = row.split(",")
         assert cells[0] == "3000"
         assert float(cells[6]) > 0  # margin
+
+    def test_tabulated_workers_do_not_change_output(self, capsys, tmp_path):
+        # a tabulated law builds its segment fits lazily, in whichever
+        # worker thread inverts first
+        sigma = 0.5
+        r = np.linspace(0.0, sigma, 1025)
+        profile = tmp_path / "profile.csv"
+        np.savetxt(profile, np.column_stack((r, 2.0 - r / sigma)),
+                   delimiter=",", fmt="%.17g")
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / ("w%s.csv" % workers)
+            code, _, _ = run(capsys, "tail", "--problem", "matrix:3", "--n",
+                             "8", "--beta", "4", "--profile", str(profile),
+                             "--seed", "5", "--workers", workers,
+                             "--out", str(out))
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_boosted_center_pole(self, capsys):
         code, out, _ = run(capsys, "tail", "--problem", "hyperplane",

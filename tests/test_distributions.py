@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -255,6 +257,41 @@ class TestRadialCdf:
         law = _tabulated_law(lambda r: 2.0 - r / 0.5, 64, 4.0, 0.5)
         assert law.log_radial_cdf(1e-3) == math.log(law.radial_cdf(1e-3))
 
+    @pytest.mark.parametrize("nodes", [1.5, 3.7, 102.4])
+    def test_log_route_past_underflowed_first_node(self, nodes):
+        # m = 200: I_200 at the first node (4.9e-4) is below the double
+        # range, so the linear CDF past it reads 0 over many segments;
+        # the reference sums every segment's mass up to rho at 50 digits
+        law = _tabulated_law(lambda r: 2.0 - r / 0.5, 210, 10.0, 0.5)
+        r_grid, h_grid = law.profile.r_grid, law.profile.h_grid
+        rho = nodes * r_grid[1]
+        with mpmath.workdps(50):
+            def cap(m, r):
+                return mpmath.betainc(m / 2, 0.5, 0, r ** 2) / 2
+
+            m, x = mpmath.mpf(200), mpmath.mpf(rho)
+            mass = mpmath.mpf(0)
+            for k in range(int(np.searchsorted(r_grid, rho))):
+                a, b, ha, hb = (mpmath.mpf(float(v)) for v in
+                                (r_grid[k], r_grid[k + 1], h_grid[k],
+                                 h_grid[k + 1]))
+                gamma = (hb - ha) / (b - a)
+                b = min(b, x)
+                mass += ((ha - gamma * a) * (cap(m, b) - cap(m, a))
+                         + gamma * (cap(m + 1, b) - cap(m + 1, a)))
+            ref = float(mpmath.log(mass / cap(m, mpmath.mpf(0.5))))
+        val = law.log_radial_cdf(rho)
+        assert abs(val - ref) <= 8.0 * np.finfo(float).eps * abs(ref)
+
+    def test_log_route_monotone_across_first_node(self):
+        law = _tabulated_law(lambda r: 2.0 - r / 0.5, 210, 10.0, 0.5)
+        r1 = law.profile.r_grid[1]
+        rho = [r1 * (1.0 - 1e-9), np.nextafter(r1, 0.0), r1,
+               np.nextafter(r1, 1.0), r1 * (1.0 + 1e-9)]
+        vals = [law.log_radial_cdf(r) for r in rho]
+        assert vals[0] < vals[2] < vals[4]
+        assert np.all(np.diff(vals) >= 0.0)
+
 
 def _residual_points():
     uniforms = np.random.default_rng(11).random(16384)
@@ -308,6 +345,22 @@ class TestInverseCdf:
         assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
         inner = (p > 0.0) & (p < 1.0)
         assert np.all(law.profile(r[inner]) > 0.0)
+
+    @pytest.mark.parametrize("name", sorted(RESIDUAL_LAWS) + ["m = 200"])
+    def test_segment_lookup(self, name):
+        # the bucket lookup picks the segment a binary search of the
+        # node masses picks, at the nodes and one ulp either side too
+        make = RESIDUAL_LAWS.get(name, lambda: _tabulated_law(
+            lambda r: 2.0 - r / 0.5, 210, 10.0, 0.5))
+        law = make()
+        nodes = law._cdf_nodes
+        target = np.concatenate((
+            _residual_points() * law._cdf_total, nodes,
+            np.nextafter(nodes, 0.0), np.nextafter(nodes, nodes[-1])))
+        target = np.clip(target, 0.0, nodes[-1])
+        want = np.clip(np.searchsorted(nodes, target, side="left") - 1, 0,
+                       len(nodes) - 2)
+        assert np.array_equal(law._segment_of(target), want)
 
     def test_top_is_end_of_support(self):
         # h vanishes on [sigma/2, sigma], so F reaches 1 at sigma/2
@@ -429,6 +482,46 @@ class TestInverseKernel:
             == [distributions._CHEB_PIECES] * len(fits)
         assert (law._inverse._upper is not None) or sigma < 1.0
 
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [136, 200, 300])
+    def test_large_m_builds(self, n, sigma):
+        # q^(m/2) underflows at the lowest nodes of the lower branch from
+        # m = 136 on; there psi comes from the series
+        law = AdversarialLaw(Cap(e0(n), sigma), 0.0)
+        p = _residual_points()
+        if n == 300 and sigma == 0.05:
+            # I_300(0.05) ~ 1e-393: the law's own mass is not a double
+            with pytest.raises(ArithmeticError, match="double range"):
+                law.inverse_radial_cdf(p)
+            return
+        r = law.inverse_radial_cdf(p)
+        f = law.radial_cdf(r)
+        if sigma < 1.0:
+            assert np.max(np.abs(f - p)) <= 1e-12
+        else:
+            # one ulp of r moves F by more than 1e-12 near r = 1, as in
+            # test_cdf_residual_full_cap
+            up = law.radial_cdf(np.minimum(np.nextafter(r, 2.0), 1.0))
+            down = law.radial_cdf(np.maximum(np.nextafter(r, -1.0), 0.0))
+            step = np.maximum(up - f, f - down)
+            assert np.all(np.abs(f - p) <= np.maximum(1e-12, step))
+
+    @pytest.mark.parametrize("p", [1e-20, 1e-100, 1e-200])
+    def test_deep_tail_exponent(self, p):
+        # n - beta = 1.5: 1/a = 4/3 is not a double, and q = y^(1/a)
+        # with the rounded exponent was 76 eps off at p = 1e-100
+        law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
+        law.inverse_radial_cdf(0.5)
+        a, y = 0.75, p * law._inverse.top
+        x = float(law._inverse(np.array([y]))[0])
+        with mpmath.workdps(40):
+            xr, beta = mpmath.mpf(x), mpmath.beta(a, 0.5)
+            for _ in range(8):
+                res = mpmath.betainc(a, 0.5, 0, xr, regularized=True) - y
+                xr -= res * beta * xr ** (1 - a) * mpmath.sqrt(1 - xr)
+            rel = abs((x - xr) / xr)
+        assert rel <= distributions._CHEB_TOL
+
     def test_certificate_raises(self, monkeypatch):
         # a fit too coarse for its bound, even after its refits, fails
         # the build instead of degrading the sampler
@@ -465,6 +558,126 @@ class TestInverseKernel:
         calls.clear()
         law.sample(rng(2), size=BATCH_SIZE)
         assert calls == []
+
+
+class TestSegmentFits:
+    """The per-segment inverse of laws whose h is not constant."""
+
+    def test_certificate_falls_back(self, monkeypatch):
+        # with the kernel built, a degree too low for the bound leaves
+        # (nearly) every segment on the Newton oracle, which still solves
+        law = RESIDUAL_LAWS["2 - r/sigma"]()
+        ref = law.inverse_radial_cdf(_residual_points())
+        law = RESIDUAL_LAWS["2 - r/sigma"]()
+        law._start(np.array([0]), np.array([0.0]))
+        monkeypatch.setattr(distributions, "_CHEB_DEGREE", 2)
+        p = _residual_points()
+        r = law.inverse_radial_cdf(p)
+        _, newton = law._fits
+        assert np.count_nonzero(newton) > 0.9 * newton.size
+        assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
+        assert np.max(np.abs(r - ref) / np.maximum(ref, 1e-300)) \
+            <= distributions._CHEB_TOL
+
+    def test_kernel_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_CHEB_DEGREE", 2)
+        monkeypatch.setattr(distributions, "_CHEB_REFITS", 1)
+        law = RESIDUAL_LAWS["2 - r/sigma"]()
+        with pytest.raises(ArithmeticError):
+            law.inverse_radial_cdf(0.5)
+
+    @pytest.mark.parametrize("name", ["2 - r/sigma", "zero tail",
+                                      "rising 1 + r"])
+    def test_against_oracle(self, name):
+        # the fitted radius agrees with the Newton oracle to the bound
+        # the fit was certified to, between its certificate points too
+        law = RESIDUAL_LAWS[name]()
+        p = np.concatenate((_residual_points()[2:],
+                            np.geomspace(2.0 ** -53, 1e-3, 200)))
+        r = law.inverse_radial_cdf(p)
+        target = p * law._cdf_total
+        idx = np.clip(np.searchsorted(law._cdf_nodes, target, side="left")
+                      - 1, 0, len(law._r_nodes) - 2)
+        want = law._solve(idx, target - law._cdf_nodes[idx])
+        assert np.max(np.abs(r - want) / want) \
+            <= 0.5 * distributions._CHEB_TOL
+
+    @pytest.mark.parametrize("name,uncertified", [("2 - r/sigma", []),
+                                                  ("zero tail", [31]),
+                                                  ("rising 1 + r", [1023])])
+    def test_newton_only_off_the_fits(self, monkeypatch, name, uncertified):
+        # after the build, Newton runs only on points of segments whose
+        # fit missed: h falling to 0 at the end of segment 31, and the
+        # last segment, where the start passes sigma while h rises
+        law = RESIDUAL_LAWS[name]()
+        law.inverse_radial_cdf(0.5)
+        _, newton = law._fits
+        assert list(np.flatnonzero(newton)) == uncertified
+        step = law._newton_step
+        seen = []
+
+        def counted(idx, *args):
+            seen.extend(idx)
+            return step(idx, *args)
+
+        monkeypatch.setattr(law, "_newton_step", counted)
+        # two points inside each uncertified segment, whatever the draw
+        inside = (law._cdf_nodes[uncertified][:, None] + [0.25, 0.75]
+                  * np.diff(law._cdf_nodes)[uncertified][:, None])
+        p = np.concatenate((_residual_points(),
+                            inside.ravel() / law._cdf_total))
+        law.inverse_radial_cdf(p)
+        assert set(seen) == set(uncertified)
+
+    def test_no_fittable_segment(self):
+        # one segment whose h rises: its start passes sigma before the
+        # segment's mass is reached, so nothing is fitted and Newton solves
+        n, beta, sigma = 3, 1.0, 0.5
+        prof = normalize_profile(lambda r: 1.0 + r, n, beta, sigma, 2)
+        law = AdversarialLaw(Cap(e0(n), sigma), beta, prof)
+        p = _residual_points()
+        r = law.inverse_radial_cdf(p)
+        assert list(law._fits[1]) == [True]
+        assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
+
+    def test_build_independent_of_trigger(self):
+        first = RESIDUAL_LAWS["2 - r/sigma"]()
+        first.inverse_radial_cdf(0.3)
+        second = RESIDUAL_LAWS["2 - r/sigma"]()
+        second.inverse_radial_cdf(_residual_points()[::-1])
+        (a, newton_a), (b, newton_b) = first._fits, second._fits
+        for name in ("lo", "scale", "first", "last", "coef"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(newton_a, newton_b)
+
+    def test_threads_build_once(self, monkeypatch):
+        # threads sampling one law share its lazy build: one build, and
+        # every thread gets the same radii
+        law = RESIDUAL_LAWS["2 - r/sigma"]()
+        build = law._fit_segments
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(law, "_fit_segments", counted)
+        p = _residual_points()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                radii = list(pool.map(law.inverse_radial_cdf, [p] * 8,
+                                      timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [1]
+        assert all(np.array_equal(r, radii[0]) for r in radii)
+
+    def test_constant_profile_builds_nothing(self):
+        law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
+        law.inverse_radial_cdf(_residual_points())
+        assert law._fits is None
 
 
 class TestSampling:
