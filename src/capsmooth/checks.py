@@ -8,6 +8,7 @@ grid of the small_calc entry, are public, so the checker subcommands and
 the acceptance tests run the same code on their own grids.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -248,8 +249,7 @@ def _ks_radial(quick, seed, workers):
 def _sigma_min_eigen_oracle(quick, seed, workers):
     # sigma_min by the scalar SVD and by the batched Jacobi of matrix
     # batches, both against the eigenvalue route
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed, 7], dtype=np.uint64)))
+    rng = montecarlo.stream_rng(seed, 7)
     by_size = {}
     worst = 0.0
     for _ in range(1000):
@@ -298,9 +298,9 @@ def _tail_and_expectation(quick, seed, workers):
             lo, _ = bounds.tail_theorem(problem.n, problem.degree,
                                         law.cap.sigma, law.beta, law.H,
                                         scale)
-            cfg.t_grid = list(np.geomspace(lo, 1e4 * lo, 12)
-                              if scale == "linear"
-                              else np.linspace(lo, lo + 8.0, 12))
+            cfg = dataclasses.replace(cfg, t_grid=(
+                np.geomspace(lo, 1e4 * lo, 12) if scale == "linear"
+                else np.linspace(lo, lo + 8.0, 12)))
             n_viol = sum(1 for r in montecarlo.estimate_tail(cfg).rows
                          if r.violation)
             row = CheckRow(float(n_viol), 0.0, n_viol == 0)

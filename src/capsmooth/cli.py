@@ -22,6 +22,7 @@ repeated runs with the same arguments produce identical output bytes.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,10 +33,6 @@ from . import bounds, checks, condnum, montecarlo, volumes
 from .distributions import AdversarialLaw, Cap, normalize_profile
 from .geometry import normalize, proj_distance
 
-# batch index reserved for drawing a random center; experiment batches
-# count up from zero, so they never collide with it
-_CENTER_STREAM = 2 ** 63
-
 
 def _resolve_center(spec, n, seed, problem=None):
     if spec == "pole":
@@ -44,8 +41,7 @@ def _resolve_center(spec, n, seed, problem=None):
                              "or coords:<c0,c1,...>")
         return np.array(problem.ill_posed, dtype=float)
     if spec == "random":
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed, _CENTER_STREAM], dtype=np.uint64)))
+        rng = montecarlo.stream_rng(seed, montecarlo.CENTER_STREAM)
         return normalize(rng.standard_normal(n + 1))
     if spec.startswith("coords:"):
         try:
@@ -101,10 +97,13 @@ def _emit(text, out_path):
             fh.write(text)
 
 
+def _json_text(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _report_text(report, fmt):
     if fmt == "json":
-        return json.dumps(report.to_json_dict(), sort_keys=True,
-                          indent=2) + "\n"
+        return _json_text(report.to_json_dict())
     return report.to_csv()
 
 
@@ -114,26 +113,22 @@ def _check_choice(name, value, choices):
                          % (name, "/".join(choices), value))
 
 
-def _fmt(x):
-    return "%.17g" % x
-
-
 def _cmd_volumes(args):
     if args.n is None:
         raise ValueError("volumes needs --n")
     n = args.n
     sigmas = [float(s) for s in str(args.sigma).split(",")]
-    lines = ["n,sigma,sphere_volume,cap_integral,lower,upper,cap_measure,"
-             "space_fraction"]
     o_n = volumes.sphere_volume(n)
     half = 0.5 * o_n
+    rows = []
     for s in sigmas:
         val = volumes.cap_integral(n, s)
         lo, hi = volumes.cap_integral_bounds(n, s)
         meas = volumes.cap_measure(n, s)
-        lines.append(",".join(_fmt(x) for x in
-                              (n, s, o_n, val, lo, hi, meas, meas / half)))
-    _emit("\n".join(lines) + "\n", args.out)
+        rows.append((n, s, o_n, val, lo, hi, meas, meas / half))
+    _emit(montecarlo.csv_text(
+        ("n", "sigma", "sphere_volume", "cap_integral", "lower", "upper",
+         "cap_measure", "space_fraction"), rows), args.out)
     return 0
 
 
@@ -142,29 +137,26 @@ def _cmd_sample(args):
         raise ValueError("sample needs --n")
     center = _resolve_center(args.center, args.n, args.seed)
     law = _build_law(center, args.n, args.sigma, args.beta, args.profile)
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([args.seed, 0], dtype=np.uint64)))
-    z = law.sample(rng, size=args.samples)
-    radii = proj_distance(z, law.cap.center)
-    header = ",".join("x%d" % i for i in range(args.n + 1)) + ",radius"
-    lines = [header]
-    for row, r in zip(z, np.atleast_1d(radii)):
-        lines.append(",".join(_fmt(v) for v in row) + "," + _fmt(r))
-    _emit("\n".join(lines) + "\n", args.out)
+    z = law.sample(montecarlo.stream_rng(args.seed, 0), size=args.samples)
+    radii = np.atleast_1d(proj_distance(z, law.cap.center))
+    columns = ["x%d" % i for i in range(args.n + 1)] + ["radius"]
+    _emit(montecarlo.csv_text(columns, ((*row, r) for row, r
+                                        in zip(z, radii))), args.out)
     return 0
 
 
-def _default_t_grid(args, problem, law):
-    """Threshold grid of a tail run; refuses a grid on which no row
-    would be checked against a theorem."""
-    t_min, bound = bounds.tail_theorem(problem.n, problem.degree,
+def _with_t_grid(cfg, args):
+    """cfg with the threshold grid of a tail run; refuses a grid on which
+    no row would be checked against a theorem."""
+    law = cfg.law
+    t_min, bound = bounds.tail_theorem(cfg.problem.n, cfg.problem.degree,
                                        law.cap.sigma, law.beta, law.H,
-                                       args.scale)
+                                       cfg.scale)
     if bound is None:
         raise ValueError("no tail theorem covers beta > 0 on the linear "
                          "scale; use --scale log")
     lo = t_min if args.t_min is None else args.t_min
-    if args.scale == "linear":
+    if cfg.scale == "linear":
         hi = args.t_max if args.t_max is not None else max(1e4, 100.0 * lo)
         if lo <= 0 or hi <= lo:
             raise ValueError("need 0 < t-min < t-max")
@@ -174,10 +166,11 @@ def _default_t_grid(args, problem, law):
         if hi <= lo:
             raise ValueError("need t-min < t-max")
         grid = np.linspace(lo, hi, args.t_steps)
-    if grid[-1] < t_min:
+    cfg = dataclasses.replace(cfg, t_grid=grid)
+    if cfg.t_grid[-1] < t_min:
         raise ValueError("every threshold lies below t = %.17g, where the "
                          "tail theorem's range starts" % t_min)
-    return list(grid)
+    return cfg
 
 
 def _experiment_config(args, need_t_grid):
@@ -195,10 +188,7 @@ def _experiment_config(args, need_t_grid):
     cfg = montecarlo.ExperimentConfig(
         problem=problem, law=law, samples=args.samples, seed=args.seed,
         workers=args.workers, scale=scale)
-    if need_t_grid:
-        args.scale = cfg.scale
-        cfg.t_grid = _default_t_grid(args, problem, law)
-    return cfg
+    return _with_t_grid(cfg, args) if need_t_grid else cfg
 
 
 def _cmd_tail(args):
@@ -215,44 +205,37 @@ def _cmd_expect(args):
     return 1 if report.has_violation else 0
 
 
-def _emit_checked(rows, header, out_path, summary):
-    """Write (cells, CheckRow) pairs as CSV with a trailing pass column;
-    the exit code is 1 when any row fails."""
-    lines = [header]
-    failures = 0
-    for cells, row in rows:
-        failures += 0 if row.passed else 1
-        lines.append(",".join(cells + ["true" if row.passed else "false"]))
-    _emit("\n".join(lines) + "\n", out_path)
+def _emit_checked(columns, rows, out_path, summary):
+    """Write rows ending in a CheckRow as CSV, the CheckRow as its lhs,
+    rhs and pass columns; the exit code is 1 when any row fails."""
+    rows = [(*values, row.lhs, row.rhs, row.passed) for *values, row in rows]
+    failures = sum(not values[-1] for values in rows)
+    _emit(montecarlo.csv_text(columns.split(","), rows), out_path)
     sys.stderr.write(summary % failures)
     return 1 if failures else 0
 
 
 def _cmd_boost_check(args):
     grid = checks.boost_grid(args.n, args.beta, args.sigma, args.H, args.eps)
-    rows = (([str(p.n)] + [_fmt(x) for x in (p.beta, p.sigma, p.H, p.eps,
-                                              rho, row.lhs, row.rhs)], row)
+    rows = ((p.n, p.beta, p.sigma, p.H, p.eps, rho, row)
             for p, rho, row in checks.boosting_rows(grid, args.rho_steps))
-    return _emit_checked(rows, "n,beta,sigma,H,eps,rho,lhs,rhs,pass",
+    return _emit_checked("n,beta,sigma,H,eps,rho,lhs,rhs,pass", rows,
                          args.out, "boost-check: %d failures\n")
 
 
 def _cmd_smoothness(args):
     points = checks.grid_axes(args.n, args.beta, args.sigma)
-    rows = (([str(n)] + [_fmt(x) for x in (beta, sigma, args.rho, row.lhs,
-                                            row.rhs)], row)
-            for n, beta, sigma, row in checks.smoothness_rows(
-                points, args.rho, args.tol))
-    return _emit_checked(rows, "n,beta,sigma,rho,ratio,alpha,pass", args.out,
-                         "smoothness: %d rows outside tolerance\n")
+    rows = ((n, beta, sigma, args.rho, row) for n, beta, sigma, row
+            in checks.smoothness_rows(points, args.rho, args.tol))
+    return _emit_checked("n,beta,sigma,rho,ratio,alpha,pass", rows,
+                         args.out, "smoothness: %d rows outside tolerance\n")
 
 
 def _cmd_small_calc(args):
     ns = checks.small_calc_grid(args.n_max, args.points)
-    rows = (([str(n), _fmt(row.lhs), _fmt(row.rhs)], row)
-            for n, row in zip(ns, map(bounds.small_calc_check, ns)))
-    return _emit_checked(rows, "n,lhs,rhs,pass", args.out,
-                         "small-calc: %d failures\n")
+    return _emit_checked("n,lhs,rhs,pass",
+                         zip(ns, map(bounds.small_calc_check, ns)),
+                         args.out, "small-calc: %d failures\n")
 
 
 def _cmd_verify(args):
@@ -265,7 +248,7 @@ def _cmd_verify(args):
                  if hard and not row.passed]
 
     if args.format == "json":
-        payload = {
+        text = _json_text({
             "schema": "capsmooth-verify-v1",
             "quick": bool(args.quick),
             "checks": [{
@@ -273,15 +256,12 @@ def _cmd_verify(args):
                 "rhs": row.rhs, "passed": row.passed, "hard": hard,
             } for check, params, row, hard in rows],
             "hard_failures": len(hard_fail),
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        })
     else:
-        lines = ["check,params,lhs,rhs,passed,hard"]
-        lines += [",".join([check, '"%s"' % params, _fmt(row.lhs),
-                            _fmt(row.rhs), "true" if row.passed else "false",
-                            "true" if hard else "false"])
-                  for check, params, row, hard in rows]
-        text = "\n".join(lines) + "\n"
+        text = montecarlo.csv_text(
+            ("check", "params", "lhs", "rhs", "passed", "hard"),
+            ((check, '"%s"' % params, row.lhs, row.rhs, row.passed, hard)
+             for check, params, row, hard in rows))
     _emit(text, args.out)
 
     sys.stderr.write("%d checks, %d hard failures\n"

@@ -125,7 +125,7 @@ class _ChebyshevPieces:
         """Clenshaw's recurrence, one gathered coefficient per step; v
         lies in the given interval (an index, or one per point)."""
         u = (v - self.lo[interval]) * self.scale[interval]
-        k = np.minimum(u.astype(np.intp), self.last[interval])
+        k = np.clip(u.astype(np.intp), 0, self.last[interval])
         t = 2.0 * (u - k) - 1.0
         k += self.first[interval]
         t2 = 2.0 * t
@@ -580,33 +580,27 @@ class AdversarialLaw:
     def log_radial_cdf(self, rho):
         """log of the radial CDF, without underflow.
 
-        On the first segment h = alpha_0 + gamma_0 r, so the CDF is
-        I_m(rho) (alpha_0 + gamma_0 I_{m+1}(rho) / I_m(rho)) / I_m(sigma),
-        I_m(sigma) being the total that normalization gives the table;
-        its log is summed from cap integrals in log space, so it stays
-        finite where the mass is below the double range.  Past the first
-        segment the CDF exceeds that segment's mass, and its log is
-        taken directly, unless the cap integrals at the first node
-        underflow: then the completed segments and the partial one are
-        summed relative to I_m(rho), from cap integrals in log space.
+        On segment k, h = alpha_k + gamma_k r, so the segment holds
+        alpha_k dI_m + gamma_k dI_{m+1} between its ends, of the total
+        I_m(sigma) that normalization gives the table.  The completed
+        segments and the partial one are summed relative to I_m(rho),
+        from cap integrals in log space, so the log stays finite where
+        the mass is below the double range.  Past the first segment,
+        unless the cap integrals at the first node underflow, the CDF
+        exceeds that segment's mass, and its log is taken directly.
         """
         rho = float(rho)
         sigma = self.cap.sigma
         if not (0.0 < rho <= sigma * (1.0 + 1e-12)):
             raise ValueError("rho must lie in (0, sigma]")
         rho = min(rho, sigma)
-        first = rho <= self._r_nodes[1]
-        if not first and self._im1_nodes[1] >= _TINY:
+        if rho > self._r_nodes[1] and self._im1_nodes[1] >= _TINY:
             return math.log(float(self._radial_cdf_clipped(
                 np.asarray([rho]))[0]))
         m = self._m
         log_im = log_cap_integral(m, rho)
-        if first:
-            ratio = math.exp(log_cap_integral(m + 1.0, rho) - log_im)
-            return (log_im + math.log(self._alpha[0] + self._gamma[0] * ratio)
-                    - self._log_i_m_sigma)
-        # segment k holds alpha_k dI_m + gamma_k dI_{m+1} between its ends
-        k = int(np.searchsorted(self._r_nodes, rho, side="right"))
+        k = min(int(np.searchsorted(self._r_nodes, rho, side="right")),
+                len(self._alpha))
         ends = np.append(self._r_nodes[:k], rho)
         scaled = [np.diff([math.exp(log_cap_integral(j, r) - log_im)
                            for r in ends]) for j in (m, m + 1.0)]

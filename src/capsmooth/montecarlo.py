@@ -1,11 +1,16 @@
 """Monte Carlo verification of the tail and expectation bounds.
 
 Sampling is organized in fixed-size batches, each driven by its own
-counter-based generator Philox(key=(seed, batch_index)).  Batches are
-reduced in index order with integer counts and compensated float sums,
-so results are bit-identical for a given seed regardless of how many
-worker threads execute the batches.  Wall-clock time is kept on the
-report object but never serialized.
+counter-based stream: stream_rng(seed, index) is Philox keyed by
+(seed, index), and every random draw of capsmooth comes from such a
+stream.  Batches are reduced in index order with integer counts and
+compensated float sums, so results are bit-identical for a given seed
+regardless of how many worker threads execute the batches.  Wall-clock
+time is kept on the report object but never serialized.
+
+Report bytes follow one rule as well: csv_text writes every CSV that
+capsmooth prints, with floats as %.17g (nan for NaN) and booleans as
+true/false.
 
 Empirical survival probabilities carry two-sided 95% Wilson score
 intervals; an experiment flags a violation only when the Wilson lower
@@ -16,7 +21,7 @@ violation is statistically meaningful rather than sampling noise.
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +33,10 @@ from .geometry import proj_distance
 
 __all__ = [
     "BATCH_SIZE",
+    "CENTER_STREAM",
     "WILSON_Z",
+    "stream_rng",
+    "csv_text",
     "wilson_interval",
     "ExperimentConfig",
     "TailRow",
@@ -41,6 +49,9 @@ __all__ = [
 ]
 
 BATCH_SIZE = 16384
+# stream index reserved for drawing a random cap center; batches count
+# up from zero, so they never collide with it
+CENTER_STREAM = 2 ** 63
 # two-sided 95% normal quantile
 WILSON_Z = 1.959963984540054
 # one-sample Kolmogorov-Smirnov threshold at significance 0.01
@@ -128,7 +139,9 @@ class ExperimentConfig:
         }
 
 
-def _batch_rng(seed, index):
+def stream_rng(seed, index):
+    """Generator of stream `index` under a 64-bit seed: Philox keyed by
+    (seed, index).  Batch i of an experiment draws from stream i."""
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -150,14 +163,20 @@ def _run_batches(job, total, workers):
         return list(pool.map(job, range(len(sizes)), sizes))
 
 
-def _float_cell(x):
-    if x != x:
-        return "nan"
-    return "%.17g" % x
+def _csv_cell(x):
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return "nan" if x != x else "%.17g" % x
+    return str(x)
 
 
-def _bool_cell(b):
-    return "true" if b else "false"
+def csv_text(columns, rows):
+    """CSV with a header of column names and one line per row of values;
+    floats print as %.17g (nan for NaN), booleans as true/false."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -170,6 +189,14 @@ class TailRow:
     bound: float
     bound_applicable: bool
     violation: bool
+
+
+_TAIL_COLUMNS = tuple(f.name for f in fields(TailRow))
+
+
+def _json_value(x):
+    # NaN is not JSON
+    return None if x != x else x
 
 
 @dataclass
@@ -185,30 +212,15 @@ class TailReport:
         return any(r.violation for r in self.rows)
 
     def to_csv(self):
-        lines = ["t,count,survival,wilson_lower,wilson_upper,bound,"
-                 "bound_applicable,violation"]
-        for r in self.rows:
-            lines.append(",".join([
-                _float_cell(r.t), str(r.count), _float_cell(r.survival),
-                _float_cell(r.wilson_lower), _float_cell(r.wilson_upper),
-                _float_cell(r.bound), _bool_cell(r.bound_applicable),
-                _bool_cell(r.violation),
-            ]))
-        return "\n".join(lines) + "\n"
+        return csv_text(_TAIL_COLUMNS, map(astuple, self.rows))
 
     def to_json_dict(self):
         return {
             "schema": "capsmooth-report-v1",
             "kind": "tail",
             "config": self.config,
-            "rows": [{
-                "t": r.t, "count": r.count, "survival": r.survival,
-                "wilson_lower": r.wilson_lower,
-                "wilson_upper": r.wilson_upper,
-                "bound": None if r.bound != r.bound else r.bound,
-                "bound_applicable": r.bound_applicable,
-                "violation": r.violation,
-            } for r in self.rows],
+            "rows": [{k: _json_value(v) for k, v in asdict(r).items()}
+                     for r in self.rows],
         }
 
 
@@ -224,34 +236,22 @@ class ExpectationReport:
     margin: float
     wall_time: float = field(default=0.0, compare=False)
 
+    COLUMNS = ("n_samples", "n_effective", "n_redrawn", "mean_ln_c",
+               "stderr", "bound", "margin")
+
     @property
     def has_violation(self):
         return self.margin < 0.0
 
     def to_csv(self):
-        header = ("n_samples,n_effective,n_redrawn,mean_ln_c,stderr,"
-                  "bound,margin")
-        row = ",".join([
-            str(self.n_samples), str(self.n_effective),
-            str(self.n_redrawn), _float_cell(self.mean_ln_c),
-            _float_cell(self.stderr), _float_cell(self.bound),
-            _float_cell(self.margin),
-        ])
-        return header + "\n" + row + "\n"
+        return csv_text(self.COLUMNS,
+                        [[getattr(self, c) for c in self.COLUMNS]])
 
     def to_json_dict(self):
-        return {
-            "schema": "capsmooth-report-v1",
-            "kind": "expectation",
-            "config": self.config,
-            "mean_ln_c": self.mean_ln_c,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "n_effective": self.n_effective,
-            "n_redrawn": self.n_redrawn,
-            "bound": self.bound,
-            "margin": self.margin,
-        }
+        doc = {c: _json_value(getattr(self, c)) for c in self.COLUMNS}
+        doc.update(schema="capsmooth-report-v1", kind="expectation",
+                   config=self.config)
+        return doc
 
 
 @dataclass
@@ -285,7 +285,7 @@ def estimate_tail(config):
     start = time.monotonic()
 
     def job(index, count):
-        rng = _batch_rng(config.seed, index)
+        rng = stream_rng(config.seed, index)
         z = law.sample(rng, size=count)
         c = batch_eval(z)
         if log_scale:
@@ -328,7 +328,7 @@ def estimate_expectation(config):
     start = time.monotonic()
 
     def job(index, count):
-        rng = _batch_rng(config.seed, index)
+        rng = stream_rng(config.seed, index)
         z = law.sample(rng, size=count)
         c = batch_eval(z)
         redrawn = 0
@@ -380,7 +380,7 @@ def ks_radial_test(law, n_samples, seed, reference=None):
     center = law.cap.center
 
     def job(index, count):
-        rng = _batch_rng(seed, index)
+        rng = stream_rng(seed, index)
         z = law.sample(rng, size=count)
         return proj_distance(z, center)
 

@@ -59,6 +59,10 @@ class TestUniformTail:
                           78.0 * math.exp(-t), rtol=1e-14)
         with pytest.raises(ValueError):
             bounds.uniform_log_tail_bound(3, 1, 0.5, 2.0)
+        # the theorem a uniform law gets on the log scale
+        t_min, bound = bounds.tail_theorem(3, 1, 0.5, 0.0, 1.0, "log")
+        assert t_min == bounds.t0_log(3, 1, 0.5)
+        assert bound(t) == bounds.uniform_log_tail_bound(3, 1, 0.5, t)
 
     def test_decreasing_in_t(self):
         vals = [bounds.uniform_tail_bound(3, 1, 0.5, t)

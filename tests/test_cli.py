@@ -124,6 +124,26 @@ class TestTailAndExpect:
         assert code == 2
         assert "error:" in err
 
+    def test_union_problem(self, capsys):
+        code, out, _ = run(capsys, "tail", "--problem", "union:2", "--n",
+                           "3", "--samples", "2000", "--t-steps", "3")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+        # k counts standard-basis normals, so 1 <= k <= n + 1
+        for k in ("0", "5"):
+            code, out, err = run(capsys, "tail", "--problem", "union:" + k,
+                                 "--n", "3", "--samples", "100")
+            assert code == 2
+            assert out == ""
+            assert "union:k needs" in err
+
+    def test_empty_t_grid(self, capsys):
+        code, out, err = run(capsys, "tail", "--problem", "hyperplane",
+                             "--n", "3", "--samples", "100", "--t-steps", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: t_grid must not be empty\n"
+
     def test_unknown_problem(self, capsys):
         code, _, err = run(capsys, "tail", "--problem", "sphere",
                            "--n", "3", "--samples", "100")
@@ -287,6 +307,22 @@ class TestVerify:
                    for l in failing)
         assert all('sigma=1' in l for l in failing)
         assert "hard failures" in err
+        # the JSON report holds the same rows
+        json_path = tmp_path / "verify.json"
+        code, _, json_err = run(capsys, "verify", "--quick", "--seed", "3",
+                                "--format", "json", "--out", str(json_path))
+        assert code == 1
+        assert json_err == err
+        doc = json.loads(json_path.read_text())
+        assert doc["schema"] == "capsmooth-verify-v1"
+        assert doc["quick"] is True
+        assert len(doc["checks"]) == 464
+        assert doc["hard_failures"] == 33
+        cell = {True: "true", False: "false"}
+        assert [",".join([c["check"], '"%s"' % c["params"],
+                          "%.17g" % c["lhs"], "%.17g" % c["rhs"],
+                          cell[c["passed"]], cell[c["hard"]]])
+                for c in doc["checks"]] == text.splitlines()[1:]
 
     def test_workers_do_not_change_output(self, capsys, tmp_path):
         p1 = tmp_path / "w1.csv"

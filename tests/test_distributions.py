@@ -12,7 +12,7 @@ from capsmooth.distributions import (AdversarialLaw, Cap, RadialProfile,
                                      constant_profile, normalize_profile,
                                      uniform_law)
 from capsmooth.geometry import normalize, proj_distance
-from capsmooth.montecarlo import BATCH_SIZE, _batch_rng
+from capsmooth.montecarlo import BATCH_SIZE, stream_rng
 from capsmooth.volumes import cap_integral
 
 
@@ -251,17 +251,21 @@ class TestRadialCdf:
             mass = h0 * cap(m, x) + (h1 - h0) / r1 * cap(m + 1, x)
             ref = float(mpmath.log(mass / cap(m, mpmath.mpf(sigma))))
         val = law.log_radial_cdf(rho)
-        assert abs(val - ref) <= 8.0 * np.finfo(float).eps * abs(ref)
+        eps = np.finfo(float).eps
+        assert abs(val - ref) <= max(8.0 * eps * abs(ref), 64.0 * eps)
 
     def test_log_route_tabulated_past_first_segment(self):
         law = _tabulated_law(lambda r: 2.0 - r / 0.5, 64, 4.0, 0.5)
         assert law.log_radial_cdf(1e-3) == math.log(law.radial_cdf(1e-3))
 
-    @pytest.mark.parametrize("nodes", [1.5, 3.7, 102.4])
+    @pytest.mark.parametrize("nodes", [1.5, 3.7, 102.4, 1024.0])
     def test_log_route_past_underflowed_first_node(self, nodes):
         # m = 200: I_200 at the first node (4.9e-4) is below the double
         # range, so the linear CDF past it reads 0 over many segments;
-        # the reference sums every segment's mass up to rho at 50 digits
+        # the reference sums every segment's mass up to rho at 50 digits.
+        # 1024 nodes is rho = sigma, where the reference is about 0: the
+        # table is normalized with double segment masses, so its exact
+        # mass falls 7.8e-15 (35 eps) short of I_200(sigma)
         law = _tabulated_law(lambda r: 2.0 - r / 0.5, 210, 10.0, 0.5)
         r_grid, h_grid = law.profile.r_grid, law.profile.h_grid
         rho = nodes * r_grid[1]
@@ -281,7 +285,8 @@ class TestRadialCdf:
                          + gamma * (cap(m + 1, b) - cap(m + 1, a)))
             ref = float(mpmath.log(mass / cap(m, mpmath.mpf(0.5))))
         val = law.log_radial_cdf(rho)
-        assert abs(val - ref) <= 8.0 * np.finfo(float).eps * abs(ref)
+        eps = np.finfo(float).eps
+        assert abs(val - ref) <= max(8.0 * eps * abs(ref), 64.0 * eps)
 
     def test_log_route_monotone_across_first_node(self):
         law = _tabulated_law(lambda r: 2.0 - r / 0.5, 210, 10.0, 0.5)
@@ -314,6 +319,10 @@ RESIDUAL_LAWS = {
     "rising 1 + r": lambda: _tabulated_law(lambda r: 1.0 + r, 4, 2.0, 0.5),
     "zero tail": lambda: _tabulated_law(
         lambda r: max(0.0, 1.0 - 2.0 * r / 0.5), 4, 1.0, 0.5, 65),
+    # I_200 underflows at the first nodes, so some points certifying a
+    # segment fit fall below their interval
+    "m = 200": lambda: _tabulated_law(lambda r: 2.0 - r / 0.5, 210, 10.0,
+                                      0.5),
 }
 
 
@@ -346,13 +355,11 @@ class TestInverseCdf:
         inner = (p > 0.0) & (p < 1.0)
         assert np.all(law.profile(r[inner]) > 0.0)
 
-    @pytest.mark.parametrize("name", sorted(RESIDUAL_LAWS) + ["m = 200"])
+    @pytest.mark.parametrize("name", sorted(RESIDUAL_LAWS))
     def test_segment_lookup(self, name):
         # the bucket lookup picks the segment a binary search of the
         # node masses picks, at the nodes and one ulp either side too
-        make = RESIDUAL_LAWS.get(name, lambda: _tabulated_law(
-            lambda r: 2.0 - r / 0.5, 210, 10.0, 0.5))
-        law = make()
+        law = RESIDUAL_LAWS[name]()
         nodes = law._cdf_nodes
         target = np.concatenate((
             _residual_points() * law._cdf_total, nodes,
@@ -406,7 +413,7 @@ class TestInverseCdf:
         monkeypatch.setattr(law, "_newton_step", counted)
         for index in range(16):
             calls.clear()
-            p = _batch_rng(1, index).random(BATCH_SIZE)
+            p = stream_rng(1, index).random(BATCH_SIZE)
             law.inverse_radial_cdf(p)
             assert len(calls) <= 8, index
 
