@@ -547,18 +547,32 @@ class AdversarialLaw:
         return out
 
     def radial_cdf(self, rho):
-        """P(d(x, a) <= rho) for x drawn from the law; scalar or array."""
+        """P(d(x, a) <= rho) for x drawn from the law; scalar or array.
+
+        Raises ArithmeticError when the law's radial mass I_m(sigma) is
+        below the double range; log_radial_cdf serves such a law.
+        """
         rho_arr = np.asarray(rho, dtype=float)
         scalar = rho_arr.ndim == 0
         rho_arr = np.atleast_1d(rho_arr)
         sigma = self.cap.sigma
         if np.any(rho_arr < 0.0) or np.any(rho_arr > sigma * (1.0 + 1e-12)):
             raise ValueError("rho must lie in [0, sigma]")
+        self._require_mass("the CDF would be 0/0; log_radial_cdf serves "
+                           "this law")
         rho_arr = np.minimum(rho_arr, sigma)
         out = self._radial_cdf_clipped(rho_arr)
         if scalar:
             return float(out[0])
         return out
+
+    def _require_mass(self, consequence):
+        """Raise ArithmeticError when the segment masses, held in
+        absolute I_m units, underflow to a total of 0."""
+        if not self._cdf_total > 0.0:
+            raise ArithmeticError(
+                "the radial mass I_%g(%g) of the cap is below the double "
+                "range, so %s" % (self._m, self.cap.sigma, consequence))
 
     def _segment_mass(self, idx, rho):
         """Mass of segment idx below rho (closed form, alpha and gamma
@@ -647,11 +661,7 @@ class AdversarialLaw:
         p_arr = np.atleast_1d(p_arr)
         if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
             raise ValueError("p must lie in [0, 1]")
-        if not self._cdf_total > 0.0:
-            raise ArithmeticError(
-                "the radial mass I_%g(%g) of the cap is below the double "
-                "range, so no radius can be inverted"
-                % (self._m, self.cap.sigma))
+        self._require_mass("no radius can be inverted")
         r_nodes = self._r_nodes
         target = p_arr * self._cdf_total
         idx = self._segment_of(target)
@@ -831,8 +841,12 @@ class AdversarialLaw:
         Inverse-transform radius first (one uniform per point), then an
         independent uniform tangent direction; the point is
         sqrt(1 - r^2) a + r u.  Returns (k,) for size=None, else
-        (size, k).  Draw order is fixed: radius uniforms before
-        direction gaussians.
+        (size, k): an F-ordered view of the (k, size) array the
+        geometry builds coordinate-major.  Draw order is fixed: radius
+        uniforms before direction gaussians, each point's k gaussians
+        together.  The geometry is called through this module's names
+        tangent_direction and geodesic_point, so rebinding them wraps
+        every batch.
         """
         count = 1 if size is None else int(size)
         if count < 1:

@@ -9,6 +9,21 @@ between the spanned lines,
 which takes values in [0, 1].  The second expression is the norm of the
 component of x orthogonal to y and is the one used here: it stays accurate
 for nearly parallel vectors, where 1 - <x,y>^2 cancels catastrophically.
+
+A batch of N points is an (N, k) array of row vectors at the interface,
+and the arithmetic runs coordinate-major, on its (k, N) transpose: with k
+small (4 for the hyperplane in P^3), a sum over the k coordinates of
+every point is k - 1 operations on whole rows, several times faster than
+the same sum over the short inner axis of an (N, k) array.  The
+functions accept a batch in either memory order; tangent_direction and
+geodesic_point return one as the transpose of a contiguous (k, N) array,
+an F-ordered (N, k) view.  A point's result does not depend on the
+memory order of its batch: inner products go through BLAS on row-major
+rows, because BLAS picks its summation order by layout, and a norm adds
+the k squares first to last.  That is the order of numpy's sum over one
+row when k < 8, so at k = 4 every point gets the bits of the row-major
+formulas; from k = 8 on numpy sums a row pairwise, and a norm can differ
+from that in the last bit.
 """
 
 import numpy as np
@@ -37,20 +52,38 @@ def normalize(v):
     return v / nrm
 
 
-def _check_unit(x, name):
-    nrm = np.linalg.norm(x, axis=-1)
-    if not np.allclose(nrm, 1.0, rtol=0.0, atol=1e-8):
+def _norms(xt):
+    """Euclidean norms of the columns of a (k, N) array, each adding its
+    k squares first to last."""
+    out = xt[0] * xt[0]
+    for row in xt[1:]:
+        out += row * row
+    return np.sqrt(out, out=out)
+
+
+def _check_unit(xt, name):
+    """Raise unless every column of xt, a (k,) vector or a (k, N) batch,
+    has norm 1 within 1e-8; NaN fails the comparison and is rejected."""
+    dev = np.max(np.abs(_norms(xt.reshape(xt.shape[0], -1)) - 1.0))
+    if not dev <= 1e-8:
         raise ValueError("%s is not a unit vector (||.|| deviates by %g)"
-                         % (name, float(np.max(np.abs(nrm - 1.0)))))
+                         % (name, float(dev)))
+
+
+def _tangent_part(a, x):
+    """x - <x, a> a for each row of an (N, k) array x, as a (k, N) array."""
+    xt = np.multiply.outer(a, x @ a)
+    np.subtract(x.T, xt, out=xt)
+    return xt
 
 
 def proj_distance(x, y):
     """Projective distance between unit vectors (sine of the angle).
 
-    x may be a single vector or an (N, k) array of row vectors; y is a
-    single vector of matching dimension.  Returns a scalar or an (N,)
-    array with values in [0, 1], invariant under sign flips of either
-    argument.
+    x may be a single vector or an (N, k) array of row vectors in either
+    memory order; y is a single vector of matching dimension.  Returns a
+    scalar or an (N,) array with values in [0, 1], invariant under sign
+    flips of either argument.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -58,11 +91,13 @@ def proj_distance(x, y):
         raise ValueError("y must be a single vector")
     if x.shape[-1] != y.shape[0]:
         raise ValueError("dimension mismatch: %s vs %s" % (x.shape, y.shape))
-    c = x @ y
-    # Norm of the component of x orthogonal to y; exact near c = +-1.
-    orth = x - np.multiply.outer(c, y)
-    d = np.linalg.norm(orth, axis=-1)
-    d = np.clip(d, 0.0, 1.0)
+    # BLAS sums <x, y> in an order that depends on the memory order of x,
+    # so the rows are made row-major first: a point's distance does not
+    # depend on the layout of its batch.
+    rows = np.ascontiguousarray(x.reshape(-1, y.shape[0]))
+    # Norm of the component of x orthogonal to y; exact near <x, y> = +-1.
+    d = _norms(_tangent_part(y, rows))
+    d = np.clip(d, 0.0, 1.0).reshape(x.shape[:-1])
     if x.ndim == 1:
         return float(d)
     return d
@@ -74,7 +109,9 @@ def tangent_direction(a, rng, size=None):
     Draws standard gaussians, removes the component along a, and
     normalizes; rotational invariance of the gaussian makes the result
     uniform on the unit sphere of the tangent space at a.  With
-    size=None a single (k,) vector is returned, otherwise (size, k).
+    size=None a single (k,) vector is returned, otherwise (size, k), an
+    F-ordered view.  The gaussians are drawn as one (size, k) array, so
+    the stream gives point i its coordinates in order before point i+1.
     """
     a = np.asarray(a, dtype=float)
     _check_unit(a, "a")
@@ -82,20 +119,19 @@ def tangent_direction(a, rng, size=None):
     n_draw = 1 if size is None else int(size)
     if n_draw < 1:
         raise ValueError("size must be positive")
-    x = rng.standard_normal((n_draw, k))
-    x -= np.multiply.outer(x @ a, a)
-    nrm = np.linalg.norm(x, axis=1)
+    xt = _tangent_part(a, rng.standard_normal((n_draw, k)))
+    nrm = _norms(xt)
     # A numerically zero residual is astronomically rare; redraw if hit.
-    bad = nrm < 1e-12
-    while np.any(bad):
-        x[bad] = rng.standard_normal((int(np.count_nonzero(bad)), k))
-        x[bad] -= np.multiply.outer(x[bad] @ a, a)
-        nrm = np.linalg.norm(x, axis=1)
-        bad = nrm < 1e-12
-    x /= nrm[:, None]
+    bad = np.flatnonzero(nrm < 1e-12)
+    while bad.size:
+        redrawn = _tangent_part(a, rng.standard_normal((bad.size, k)))
+        xt[:, bad] = redrawn
+        nrm[bad] = _norms(redrawn)
+        bad = bad[nrm[bad] < 1e-12]
+    xt /= nrm
     if size is None:
-        return x[0]
-    return x
+        return xt[:, 0]
+    return xt.T
 
 
 def geodesic_point(a, u, r):
@@ -103,22 +139,25 @@ def geodesic_point(a, u, r):
 
     Computes sqrt(1 - r^2) * a + r * u, a unit vector whenever u is a
     unit tangent at a.  Accepts a single direction with scalar r, or an
-    (N, k) array of directions with an (N,) array of radii.  r must lie
-    in [0, 1].
+    (N, k) array of directions in either memory order with an (N,)
+    array of radii; a batch comes back as an F-ordered (N, k) view.  r
+    must lie in [0, 1].
     """
     a = np.asarray(a, dtype=float)
     u = np.asarray(u, dtype=float)
     r = np.asarray(r, dtype=float)
     _check_unit(a, "a")
-    _check_unit(u, "u")
+    ut = u.T
+    _check_unit(ut, "u")
     if np.max(np.abs(u @ a)) > 1e-8:
         raise ValueError("u is not orthogonal to a")
-    if np.any(r < 0.0) or np.any(r > 1.0):
+    if not (np.min(r) >= 0.0 and np.max(r) <= 1.0):
         raise ValueError("r must lie in [0, 1]")
     if u.ndim == 1:
         if r.ndim != 0:
             raise ValueError("scalar direction needs scalar r")
-        return float(np.sqrt(1.0 - r * r)) * a + float(r) * u
-    if r.ndim == 0:
+    elif r.ndim == 0:
         r = np.full(u.shape[0], float(r))
-    return np.sqrt(1.0 - r * r)[:, None] * a + r[:, None] * u
+    zt = np.multiply(ut, r, order="C")
+    zt += np.multiply.outer(a, np.sqrt(1.0 - r * r))
+    return zt.T

@@ -288,6 +288,25 @@ class TestRadialCdf:
         eps = np.finfo(float).eps
         assert abs(val - ref) <= max(8.0 * eps * abs(ref), 64.0 * eps)
 
+    def test_underflowed_mass_routes_to_log(self):
+        # I_300(0.05) ~ 1e-393 is not a double, so the linear CDF would be
+        # 0/0; it raises as inversion does, and the log route serves the
+        # law: for a constant profile the CDF is
+        # betainc(m/2, 1/2, rho^2) / betainc(m/2, 1/2, sigma^2), at 50 digits
+        law = AdversarialLaw(Cap(e0(300), 0.05), 0.0)
+        with pytest.raises(ArithmeticError, match="log_radial_cdf"):
+            law.radial_cdf(0.03)
+        with pytest.raises(ArithmeticError, match="double range"):
+            law.radial_cdf(np.array([0.0, 0.03, 0.05]))
+        with mpmath.workdps(50):
+            def reg(r):
+                return mpmath.betainc(150, 0.5, 0, mpmath.mpf(r) ** 2,
+                                      regularized=True)
+            ref = float(mpmath.log(reg(0.03) / reg(0.05)))
+        val = law.log_radial_cdf(0.03)
+        assert round(val, 2) == -153.25
+        assert abs(val - ref) <= 8.0 * np.finfo(float).eps * abs(ref)
+
     def test_log_route_monotone_across_first_node(self):
         law = _tabulated_law(lambda r: 2.0 - r / 0.5, 210, 10.0, 0.5)
         r1 = law.profile.r_grid[1]
@@ -719,6 +738,30 @@ class TestSampling:
         z = law.sample(rng(5), size=200)
         r = proj_distance(z, center)
         assert np.all(r <= 0.4 + 1e-12)
+
+    @pytest.mark.parametrize("size", [None, 1, 300])
+    def test_sample_calls_module_level_geometry(self, monkeypatch, size):
+        # sample looks tangent_direction and geodesic_point up by their
+        # module-level names in distributions at each call, so rebinding
+        # those names (as a tracer does to time each layer) reaches every
+        # batch exactly once
+        calls = {"tangent_direction": 0, "geodesic_point": 0}
+
+        def counted(name):
+            func = getattr(distributions, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(distributions, name, counted(name))
+        law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
+        for expected in (1, 2):
+            law.sample(rng(6), size=size)
+            assert calls == {"tangent_direction": expected,
+                             "geodesic_point": expected}
 
     def test_direction_isotropy(self):
         # tangent components should have mean ~ 0 in every coordinate

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from capsmooth.condnum import hyperplane_problem
+from capsmooth.distributions import AdversarialLaw, Cap
 from capsmooth.geometry import (geodesic_point, normalize, proj_distance,
                                 tangent_direction)
+
+EPS = np.finfo(float).eps
 
 
 def rng(seed=0):
@@ -114,6 +118,40 @@ class TestTangentDirection:
         u2 = tangent_direction(a, rng(9), size=5)
         np.testing.assert_array_equal(u1, u2)
 
+    # rows that are exact multiples of a leave a residual of 0, so they
+    # must be redrawn, in order, from the draws that follow
+    @pytest.mark.parametrize("a", [np.eye(4)[1],
+                                   np.array([0.0, 0.6, 0.8, 0.0])])
+    def test_redraws_zero_residual_rows(self, a):
+        first = rng(12).standard_normal((5, 4))
+        first[1], first[3] = 2.0 * a, -3.0 * a
+        second = rng(13).standard_normal((2, 4))
+        second[0] = 0.5 * a
+        third = rng(14).standard_normal((1, 4))
+        stub = _Scripted(first, second, third)
+        u = tangent_direction(a, stub, size=5)
+        assert stub.shapes == [(5, 4), (2, 4), (1, 4)]
+        expected = _ref_unit_tangent(
+            a, np.stack([first[0], third[0], first[2], second[1],
+                         first[4]]))
+        np.testing.assert_array_equal(u, expected)
+        np.testing.assert_array_equal(
+            u, _ref_tangent_direction(a, _Scripted(first, second, third), 5))
+        np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(u @ a, 0.0, atol=1e-12)
+
+    def test_redraws_zero_residual_single(self):
+        a = np.eye(4)[0]
+        good = rng(15).standard_normal((1, 4))
+        stub = _Scripted(4.0 * a[None], -a[None], good)
+        u = tangent_direction(a, stub)
+        assert stub.shapes == [(1, 4)] * 3
+        assert u.shape == (4,)
+        np.testing.assert_array_equal(u, _ref_unit_tangent(a, good)[0])
+        assert np.isclose(np.linalg.norm(u), 1.0, atol=1e-12)
+        assert abs(u @ a) <= 1e-12
+
 
 class TestGeodesicPoint:
     def setup_method(self):
@@ -153,3 +191,194 @@ class TestGeodesicPoint:
             geodesic_point(self.a, self.u, 1.5)
         with pytest.raises(ValueError):
             geodesic_point(self.a, self.u, -0.1)
+
+    # a batch is read through its transpose, so each check must fire on
+    # C-ordered and on F-ordered (N, k) directions alike
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("fault", [
+        "non-unit u", "nan in u", "u not orthogonal", "r above 1",
+        "r below 0", "nan in r"])
+    def test_rejects_bad_batches(self, order, fault):
+        us = np.array(tangent_direction(self.a, rng(16), size=6),
+                      order="C")
+        rs = np.linspace(0.0, 1.0, 6)
+        if fault == "non-unit u":
+            us[2] *= 1.0 + 1e-6
+        elif fault == "nan in u":
+            us[4, 1] = np.nan
+        elif fault == "u not orthogonal":
+            us[3] = self.a
+        elif fault == "r above 1":
+            rs[5] = 1.0 + 1e-12
+        elif fault == "r below 0":
+            rs[0] = -1e-300
+        else:
+            rs[1] = np.nan
+        us = np.asarray(us, order=order)
+        assert us.flags[order + "_CONTIGUOUS"]
+        with pytest.raises(ValueError):
+            geodesic_point(self.a, us, rs)
+
+
+class _Scripted:
+    """Stands in for a Generator: hands out prepared gaussian blocks in
+    order and records the shape each draw asked for."""
+
+    def __init__(self, *blocks):
+        self.blocks = [np.array(b, dtype=float) for b in blocks]
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(tuple(shape))
+        block = self.blocks.pop(0)
+        assert block.shape == tuple(shape)
+        return block
+
+
+# Test-only reference: the row-major formulas the coordinate-major code
+# replaced.  Each reduces along the inner axis of an (N, k) array.
+
+def _ref_unit_tangent(a, x):
+    x = x - np.multiply.outer(x @ a, a)
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _ref_tangent_direction(a, rng, size=None):
+    k = a.shape[0]
+    x = rng.standard_normal((1 if size is None else size, k))
+    x -= np.multiply.outer(x @ a, a)
+    nrm = np.linalg.norm(x, axis=1)
+    bad = nrm < 1e-12
+    while np.any(bad):
+        x[bad] = rng.standard_normal((int(np.count_nonzero(bad)), k))
+        x[bad] -= np.multiply.outer(x[bad] @ a, a)
+        nrm = np.linalg.norm(x, axis=1)
+        bad = nrm < 1e-12
+    x /= nrm[:, None]
+    return x[0] if size is None else x
+
+
+def _ref_geodesic_point(a, u, r):
+    if u.ndim == 1:
+        return float(np.sqrt(1.0 - r * r)) * a + float(r) * u
+    return np.sqrt(1.0 - r * r)[:, None] * a + r[:, None] * u
+
+
+def _ref_proj_distance(x, y):
+    c = x @ y
+    d = np.clip(np.linalg.norm(x - np.multiply.outer(c, y), axis=-1),
+                0.0, 1.0)
+    return float(d) if x.ndim == 1 else d
+
+
+def _ref_hyperplane_evaluate(z):
+    z = np.ascontiguousarray(z)
+    with np.errstate(divide="ignore"):
+        return np.linalg.norm(z, axis=1) / np.abs(z[:, 0])
+
+
+def _center(k, seed):
+    """The pole for seed 0, otherwise a random unit vector."""
+    if seed == 0:
+        return np.eye(k)[0]
+    return normalize(rng(100 + seed).standard_normal(k))
+
+
+class TestRowMajorReference:
+    SEEDS = range(5)
+    N = 2000
+
+    def _outputs(self, k, seed):
+        """(new, reference) outputs of each function on shared inputs;
+        batches go in both memory orders (the sampler's are F-ordered)."""
+        a = _center(k, seed)
+        radii = np.sqrt(rng(50 + seed).random(self.N))
+        u_ref = _ref_tangent_direction(a, rng(seed), self.N)
+        z_ref = _ref_geodesic_point(a, u_ref, radii)
+        evaluate = hyperplane_problem(k - 1).evaluate_batch
+        pairs = {
+            "tangent_direction": (tangent_direction(a, rng(seed), self.N),
+                                  u_ref),
+            "tangent_direction single": (tangent_direction(a, rng(seed)),
+                                         _ref_tangent_direction(a, rng(seed))),
+            "geodesic_point single": (
+                geodesic_point(a, u_ref[0], radii[0]),
+                _ref_geodesic_point(a, u_ref[0], radii[0])),
+            "proj_distance single": (
+                np.asarray(proj_distance(z_ref[0], a)),
+                np.asarray(_ref_proj_distance(z_ref[0], a))),
+        }
+        for order in "CF":
+            u = np.asarray(u_ref, order=order)
+            z = np.asarray(z_ref, order=order)
+            pairs["geodesic_point " + order] = (
+                geodesic_point(a, u, radii), z_ref)
+            pairs["proj_distance " + order] = (
+                proj_distance(z, a), _ref_proj_distance(z_ref, a))
+            pairs["evaluate_batch " + order] = (
+                evaluate(z), _ref_hyperplane_evaluate(z_ref))
+        return pairs
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bit_identical_at_k4(self, seed):
+        for name, (new, ref) in self._outputs(4, seed).items():
+            assert new.shape == ref.shape, name
+            np.testing.assert_array_equal(new, ref, err_msg=name)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_within_4_eps_at_k9(self, seed):
+        # the k squares of a norm are summed in order, where numpy's
+        # pairwise sum over a contiguous row of 8 or more pairs them
+        for name, (new, ref) in self._outputs(9, seed).items():
+            assert new.shape == ref.shape, name
+            tol = 4.0 * EPS * np.maximum(1.0, np.abs(ref))
+            assert np.all(np.abs(new - ref) <= tol), name
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_shapes(self, k):
+        a = _center(k, 1)
+        u = tangent_direction(a, rng(1), size=7)
+        z = geodesic_point(a, u, np.full(7, 0.3))
+        assert u.shape == z.shape == (7, k)
+        assert u.flags.f_contiguous and z.flags.f_contiguous
+        z_from_c = geodesic_point(a, np.ascontiguousarray(u), np.full(7, 0.3))
+        assert z_from_c.flags.f_contiguous
+        assert tangent_direction(a, rng(1)).shape == (k,)
+        assert geodesic_point(a, u[0], 0.3).shape == (k,)
+        assert geodesic_point(a, u, 0.3).shape == (7, k)
+        assert proj_distance(z, a).shape == (7,)
+        assert isinstance(proj_distance(z[0], a), float)
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_independent_of_memory_order(self, k):
+        # BLAS sums a product in an order that depends on the layout, so
+        # proj_distance must hand it row-major rows; the geodesic map is
+        # elementwise, so a point alone gets its bits in a batch too
+        a = _center(k, 2)
+        u = tangent_direction(a, rng(2), size=50)
+        r = np.sqrt(rng(3).random(50))
+        z = geodesic_point(a, u, r)
+        np.testing.assert_array_equal(
+            geodesic_point(a, np.ascontiguousarray(u), r), z)
+        for i in (0, 17, 49):
+            np.testing.assert_array_equal(geodesic_point(a, u[i], r[i]),
+                                          z[i])
+        np.testing.assert_array_equal(
+            proj_distance(np.ascontiguousarray(z), a), proj_distance(z, a))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_law_sample_bit_identical_at_k4(self, seed):
+        # a sample is the radius uniforms, then the direction gaussians,
+        # through the row-major formulas; its distances and condition
+        # numbers read the F-ordered batch
+        law = AdversarialLaw(Cap(_center(4, seed), 0.5), 1.5)
+        a = law.cap.center
+        g = rng(seed)
+        r = law.inverse_radial_cdf(g.random(self.N))
+        ref = _ref_geodesic_point(a, _ref_tangent_direction(a, g, self.N), r)
+        z = law.sample(rng(seed), size=self.N)
+        np.testing.assert_array_equal(z, ref)
+        np.testing.assert_array_equal(proj_distance(z, a),
+                                      _ref_proj_distance(ref, a))
+        np.testing.assert_array_equal(hyperplane_problem(3).evaluate_batch(z),
+                                      _ref_hyperplane_evaluate(ref))
