@@ -338,6 +338,20 @@ def boosting_check(n, beta, sigma, H, eps, rho, slack=1e-12):
     with m = n - beta, for 0 < rho <= rho_eps.  Returns a CheckRow of
     the two logs; it passes when the inequality holds within an
     additive log-space slack.
+
+    Lemma: f(rho) = lhs - rhs is strictly increasing on (0, 1], so the
+    inequality holds on (0, rho_eps] iff it holds at rho_eps.  Proof:
+    with alpha = m/n and g_k(rho) = rho^k / (k I_k(rho)),
+
+        f'(rho) = n / (rho sqrt(1 - rho^2)) * [alpha g_m - (alpha - eps) g_n].
+
+    Substituting r = rho u in I_k gives
+    k I_k(rho) / rho^k = E[(1 - rho^2 U^2)^(-1/2)] with U ~ Beta(k, 1),
+    whose law is stochastically increasing in k while the integrand
+    increases in u; so 1/g_k grows with k, and m <= n gives g_m >= g_n.
+    Hence f' >= n eps g_n / (rho sqrt(1 - rho^2)) > 0.  The slack
+    term only widens as rho falls (|rhs| grows), so the verdict with
+    its slack at rho_eps also carries over to every smaller radius.
     """
     n = _check_n(n)
     beta = _check_beta(n, beta)

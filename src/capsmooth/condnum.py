@@ -20,6 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .geometry import _norms
+
 __all__ = [
     "ConicProblem",
     "smallest_singular_value",
@@ -162,9 +164,15 @@ def union_hyperplanes_problem(normals):
 
     def evaluate_batch(z):
         z = np.asarray(z, dtype=float)
+        # min over the k rows of the (k, N) view: the same exact minimum
+        # as a reduction over the k-wide inner axis, without its
+        # per-point overhead
+        dist = np.abs(z @ u.T).T
+        low = dist[0].copy()
+        for row in dist[1:]:
+            np.minimum(low, row, out=low)
         with np.errstate(divide="ignore"):
-            return (np.linalg.norm(z, axis=1)
-                    / np.min(np.abs(z @ u.T), axis=1))
+            return np.linalg.norm(z, axis=1) / low
 
     # unit vector orthogonal to the first normal lies on Sigma
     seed = np.zeros(dim)
@@ -198,8 +206,10 @@ def matrix_problem(m):
     def evaluate_batch(z):
         z = np.asarray(z, dtype=float)
         s = _jacobi_sigma_min(z.reshape(-1, m, m))
+        # ||z||_F adds the squares first to last whatever the memory
+        # order of z (np.linalg.norm sums C-ordered rows pairwise)
         with np.errstate(divide="ignore"):
-            return np.linalg.norm(z, axis=1) / s
+            return _norms(z.T) / s
 
     ill = np.zeros((m, m))
     for i in range(m - 1):

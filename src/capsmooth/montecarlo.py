@@ -340,7 +340,10 @@ def estimate_expectation(config):
             c[bad] = batch_eval(np.atleast_2d(z_new))
             bad = ~np.isfinite(c)
         vals = np.log(c)
-        return (math.fsum(vals), math.fsum(np.square(vals)), count, redrawn)
+        # fsum is exact, so the list only saves the per-element numpy
+        # scalars; the sums keep their bits
+        return (math.fsum(vals.tolist()),
+                math.fsum(np.square(vals).tolist()), count, redrawn)
 
     per_batch = _run_batches(job, config.samples, config.workers)
     total = math.fsum(b[0] for b in per_batch)

@@ -12,9 +12,9 @@ the volume of the unit n-sphere.
 Two independent evaluation routes are provided: a continued-fraction
 incomplete beta carried in log space (log_cap_integral and cap_integral,
 for real m and for values far below the smallest positive double), and
-adaptive quadrature of the defining integral after the substitution
-r = sin(theta) (cap_integral_quad, a cross-check).  cap_integral_series
-adds closed forms as a third route.
+mpmath's 30-digit hypergeometric-series incomplete beta
+(cap_integral_mpmath, a cross-check).  cap_integral_series adds closed
+forms as a third route.
 """
 
 import functools
@@ -27,7 +27,7 @@ from scipy import special
 __all__ = [
     "sphere_volume",
     "cap_integral",
-    "cap_integral_quad",
+    "cap_integral_mpmath",
     "log_cap_integral",
     "cap_integral_series",
     "cap_integral_bounds",
@@ -136,23 +136,22 @@ def cap_integral(m, sigma):
     return math.exp(lv) if lv > -math.inf else 0.0
 
 
-def cap_integral_quad(m, sigma):
-    """I_m(sigma) by adaptive quadrature of the defining integral, kept
-    as an independent cross-check of cap_integral.
+def cap_integral_mpmath(m, sigma):
+    """I_m(sigma) = B(sigma^2; m/2, 1/2) / 2 by mpmath's incomplete beta
+    at 30 digits, kept as an independent cross-check of cap_integral.
 
-    The substitution r = sin(theta) makes the integrand sin(theta)^(m-1),
-    smooth at the upper endpoint even for sigma = 1.
+    mpmath sums a hypergeometric series, so this route shares nothing
+    with scipy or with the continued fraction behind cap_integral.
     """
-    # imported here: scipy.integrate costs every CLI start about 0.2 s
-    from scipy import integrate
+    # imported here: mpmath stays out of every CLI start
+    import mpmath
 
     m = float(m)
     sigma = float(sigma)
     _check_m_sigma(m, sigma)
-    val, _ = integrate.quad(lambda t: math.sin(t) ** (m - 1.0),
-                            0.0, math.asin(sigma), epsabs=1e-14,
-                            epsrel=1e-12, limit=200)
-    return val
+    with mpmath.workdps(30):
+        x = mpmath.mpf(sigma) ** 2
+        return float(mpmath.betainc(mpmath.mpf(m) / 2, 0.5, 0, x) / 2)
 
 
 def cap_integral_series(m, sigma):

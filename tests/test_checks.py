@@ -1,0 +1,97 @@
+"""Battery rows of `capsmooth verify` that rest on a lemma or an oracle:
+the boosting inequality checked at rho_eps alone, and the mpmath
+cross-check of I_m, each with a negative control that must fail it."""
+
+import math
+
+import numpy as np
+import pytest
+
+from capsmooth import bounds, checks, volumes
+from capsmooth.bounds import CheckRow
+
+
+def only_row(entry):
+    rows = list(entry(True, 3, 1))
+    assert len(rows) == 1
+    return rows[0]
+
+
+class TestBoostingRow:
+    def test_one_check_per_grid_point_at_rho_eps(self, monkeypatch):
+        calls = []
+        check = bounds.boosting_check
+
+        def spy(n, beta, sigma, H, eps, rho):
+            calls.append((bounds.BoostParams(n, beta, sigma, H, eps), rho))
+            return check(n, beta, sigma, H, eps, rho)
+
+        monkeypatch.setattr(bounds, "boosting_check", spy)
+        name, params, row = only_row(checks._boosting_inequality)
+        assert (name, params) == ("boosting_inequality", "grid at rho_eps")
+        assert row == CheckRow(0.0, 0.0, True)
+        assert calls == [(p, p.rho()) for p in bounds.default_grid()]
+
+    def test_shifted_lhs_fails(self, monkeypatch):
+        # the smallest log margin at rho_eps on the grid is 0.2068
+        check = bounds.boosting_check
+
+        def shifted(*args):
+            row = check(*args)
+            lhs = row.lhs + 0.25
+            return CheckRow(lhs, row.rhs,
+                            lhs <= row.rhs + 1e-12 * max(1.0, abs(row.rhs)))
+
+        monkeypatch.setattr(bounds, "boosting_check", shifted)
+        _, _, row = only_row(checks._boosting_inequality)
+        assert not row.passed and row.lhs >= 1.0
+
+
+def log_ratio_slope(n, beta, eps, rho):
+    """f'(rho) of boosting_check's lemma, from g_k = rho^k / (k I_k)."""
+    m = n - beta
+    alpha = m / n
+
+    def g(k):
+        return math.exp(k * math.log(rho) - math.log(k)
+                        - volumes.log_cap_integral(k, rho))
+
+    return (n / (rho * math.sqrt(1.0 - rho * rho))
+            * (alpha * g(m) - (alpha - eps) * g(n)))
+
+
+class TestBoostingLemma:
+    @pytest.mark.parametrize("p", bounds.default_grid()[::37])
+    def test_margin_increases_to_rho_eps(self, p):
+        rows = [row for _, _, row in checks.boosting_rows([p], 60)]
+        f = np.array([row.lhs - row.rhs for row in rows])
+        assert np.all(np.diff(f) > 0.0)
+        assert f[-1] <= -0.2
+
+    @pytest.mark.parametrize("n, beta, eps", [(2, 1.0, 0.05), (8, 4.0, 0.2),
+                                              (32, 0.0, 0.01)])
+    def test_slope_formula(self, n, beta, eps):
+        # the derivative in the lemma against a central difference
+        rmax = bounds.rho_eps(n, beta, 1.0, 1.0, eps)
+        for rho in (1e-3 * rmax, 0.1 * rmax, 0.9 * rmax):
+            h = 1e-6 * rho
+            f = [bounds.boosting_check(n, beta, 1.0, 1.0, eps, r)
+                 for r in (rho - h, rho + h)]
+            diff = ((f[1].lhs - f[1].rhs) - (f[0].lhs - f[0].rhs)) / (2 * h)
+            slope = log_ratio_slope(n, beta, eps, rho)
+            assert slope > 0.0
+            assert np.isclose(diff, slope, rtol=1e-6)
+
+
+class TestMpmathRow:
+    def test_passes(self):
+        name, params, row = only_row(checks._cap_integral_mpmath)
+        assert (name, params) == ("cap_integral_mpmath", "m real grid")
+        assert row.passed and row.lhs <= 1e-13
+
+    def test_scaled_cap_integral_fails(self, monkeypatch):
+        exact = volumes.cap_integral
+        monkeypatch.setattr(volumes, "cap_integral",
+                            lambda m, s: exact(m, s) * (1.0 + 1e-8))
+        _, _, row = only_row(checks._cap_integral_mpmath)
+        assert not row.passed and row.lhs > 9e-9

@@ -118,6 +118,22 @@ class TestUnionHyperplanes:
         with pytest.raises(ValueError):
             union_hyperplanes_problem([[2.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_batch_bits_match_inner_axis_min(self, k):
+        # the minimum over (k, N) rows against np.min over the k-wide
+        # inner axis, on a sampled (F-ordered) batch and its C copy
+        u = np.eye(4)[:k]
+        p = union_hyperplanes_problem(u)
+        z = AdversarialLaw(Cap(p.ill_posed, 0.5), 1.5).sample(rng(8),
+                                                              size=4096)
+        z[0] = p.ill_posed
+        for batch in (z, np.ascontiguousarray(z)):
+            with np.errstate(divide="ignore"):
+                ref = (np.linalg.norm(batch, axis=1)
+                       / np.min(np.abs(batch @ u.T), axis=1))
+            assert np.array_equal(p.evaluate_batch(batch), ref)
+        assert ref[0] == math.inf
+
 
 class TestMatrixProblem:
     def test_metadata(self):
@@ -156,6 +172,18 @@ class TestMatrixProblem:
         for i in np.argsort(batch)[-50:]:
             c = p.evaluate(z[i])
             assert abs(batch[i] - c) <= 8.0 * EPS * c * c
+
+    def test_batch_independent_of_memory_order(self):
+        # ||z||_F adds its squares first to last in either order: the
+        # bits a sampled F-ordered batch got from np.linalg.norm
+        p = matrix_problem(3)
+        z = pole_batch(9, 16384)
+        assert z.flags.f_contiguous
+        c = p.evaluate_batch(z)
+        assert np.array_equal(p.evaluate_batch(np.ascontiguousarray(z)), c)
+        ref = np.linalg.norm(z, axis=1) / _jacobi_sigma_min(
+            z.reshape(-1, 3, 3))
+        assert np.array_equal(c, ref)
 
     def test_eckart_young_perturbation(self):
         # moving distance sigma_min along the right direction reaches a

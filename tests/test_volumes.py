@@ -1,6 +1,6 @@
 """Cap integral I_m(sigma) = int_0^sigma r^(m-1) (1-r^2)^(-1/2) dr against
 independent routes: elementary antiderivatives for m <= 3, the positive
-power series, adaptive quadrature, and high-precision values."""
+power series, mpmath's incomplete beta, and high-precision values."""
 
 import math
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from capsmooth import volumes
 from capsmooth.volumes import (cap_integral, cap_integral_bounds,
-                               cap_integral_quad, cap_integral_series,
+                               cap_integral_mpmath, cap_integral_series,
                                cap_measure, log_cap_integral,
                                sandwich_report, sphere_volume)
 
@@ -83,12 +83,28 @@ class TestSeriesOracle:
 
 
 class TestQuadBackend:
+    """cap_integral against the independent cap_integral_mpmath oracle."""
+
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 7.5, 16.0, 33.5])
     def test_quad_agreement(self, m):
         for s in (0.1, 0.5, 0.9, 1.0):
             a = cap_integral(m, s)
-            b = cap_integral_quad(m, s)
-            assert np.isclose(a, b, rtol=1e-10, atol=0)
+            b = cap_integral_mpmath(m, s)
+            assert np.isclose(a, b, rtol=1e-12, atol=0)
+
+    def test_closed_forms(self):
+        # the oracle itself against the antiderivatives and I_2(1) = 1
+        for m in (1, 2, 3):
+            for s in SIGMAS:
+                assert np.isclose(cap_integral_mpmath(m, s),
+                                  closed_form(m, s), rtol=1e-14, atol=0)
+        assert cap_integral_mpmath(2, 1.0) == 1.0
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            cap_integral_mpmath(0.0, 0.5)
+        with pytest.raises(ValueError):
+            cap_integral_mpmath(2, 1.5)
 
 
 class TestLogRoute:
