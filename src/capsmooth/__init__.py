@@ -9,8 +9,7 @@ Carlo machinery to test every displayed inequality.
 from .geometry import (geodesic_point, normalize, proj_distance,
                        tangent_direction)
 from .volumes import (cap_integral, cap_integral_bounds, cap_integral_series,
-                      cap_measure, log_cap_integral, sandwich_report,
-                      sphere_volume)
+                      cap_measure, log_cap_integral, sphere_volume)
 from .distributions import (AdversarialLaw, Cap, RadialProfile,
                             constant_profile, normalize_profile, uniform_law)
 from .condnum import (ConicProblem, hyperplane_problem, matrix_problem,
@@ -24,9 +23,9 @@ from .bounds import (BoostParams, CheckRow, adversarial_expectation_bound,
                      smoothness_ratio, t0, t0_log, t_eps, t_eps_exceeds_t0,
                      tail_theorem, uniform_expectation_bound,
                      uniform_log_tail_bound, uniform_tail_bound)
-from .montecarlo import (ExperimentConfig, ExpectationReport, KSResult,
-                         TailReport, TailRow, estimate_expectation,
-                         estimate_tail, ks_radial_test, wilson_interval)
+from .montecarlo import (ExperimentConfig, ExpectationReport, TailReport,
+                         TailRow, estimate_expectation, estimate_tail,
+                         ks_radial_test, wilson_interval)
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,6 @@ __all__ = [
     "normalize", "proj_distance", "tangent_direction", "geodesic_point",
     "sphere_volume", "cap_integral", "log_cap_integral",
     "cap_integral_series", "cap_integral_bounds", "cap_measure",
-    "sandwich_report",
     "Cap", "RadialProfile", "constant_profile", "normalize_profile",
     "AdversarialLaw", "uniform_law",
     "ConicProblem", "smallest_singular_value", "hyperplane_problem",
@@ -49,6 +47,6 @@ __all__ = [
     "BoostParams", "delta_eps_sandwich", "t_eps_exceeds_t0",
     "default_grid",
     "ExperimentConfig", "TailRow", "TailReport", "ExpectationReport",
-    "KSResult", "estimate_tail", "estimate_expectation", "ks_radial_test",
+    "estimate_tail", "estimate_expectation", "ks_radial_test",
     "wilson_interval",
 ]

@@ -52,13 +52,13 @@ __all__ = [
     "adversarial_expectation_bound_proof_chain",
     "expectation_bound_gap",
     "tail_theorem",
+    "SLACK",
     "CheckRow",
     "boosting_check",
     "small_calc_check",
     "smoothness_check",
     "ball_maximizer_check",
     "BoostParams",
-    "DeltaSandwichRow",
     "delta_eps_sandwich",
     "t_eps_exceeds_t0",
     "default_grid",
@@ -69,6 +69,10 @@ DEFAULT_BETA_FRACTIONS = (0.0, 0.25, 0.5, 0.75)
 DEFAULT_H = (1.0, 2.0, 10.0)
 DEFAULT_SIGMA = (0.1, 0.5, 1.0)
 DEFAULT_EPS_FRACTIONS = (0.25, 0.5, 0.75)
+
+# relative tolerance of the float verdicts; each check scales it by its
+# own rule
+SLACK = 1e-12
 
 
 def _check_n(n):
@@ -318,7 +322,9 @@ def tail_theorem(n, d, sigma, beta, H, scale):
 
 @dataclass(frozen=True)
 class CheckRow:
-    """Both sides of one checked inequality and its verdict.
+    """Both sides of one checked inequality and its verdict: the one
+    result type of every checker here but ball_maximizer_check, and of
+    montecarlo.ks_radial_test.
 
     Truth-testing raises TypeError, so a caller must read .passed: an
     `assert check(...)` on a row could otherwise never fail.
@@ -331,13 +337,12 @@ class CheckRow:
         raise TypeError("a CheckRow has no truth value; read .passed")
 
 
-def boosting_check(n, beta, sigma, H, eps, rho, slack=1e-12):
+def boosting_check(n, beta, sigma, H, eps, rho):
     """Core smoothness inequality behind the tail boosting, in log space.
 
     Checks  H * I_m(rho) / I_m(sigma) <= (I_n(rho) / I_n(sigma))^(1-beta/n-eps)
     with m = n - beta, for 0 < rho <= rho_eps.  Returns a CheckRow of
-    the two logs; it passes when the inequality holds within an
-    additive log-space slack.
+    the two logs; it passes when lhs <= rhs + SLACK max(1, |rhs|).
 
     Lemma: f(rho) = lhs - rhs is strictly increasing on (0, 1], so the
     inequality holds on (0, rho_eps] iff it holds at rho_eps.  Proof:
@@ -367,7 +372,7 @@ def boosting_check(n, beta, sigma, H, eps, rho, slack=1e-12):
            - log_cap_integral(m, sigma))
     rhs = (1.0 - beta / n - eps) * (log_cap_integral(n, rho)
                                     - log_cap_integral(n, sigma))
-    return CheckRow(lhs, rhs, lhs <= rhs + slack * max(1.0, abs(rhs)))
+    return CheckRow(lhs, rhs, lhs <= rhs + SLACK * max(1.0, abs(rhs)))
 
 
 def small_calc_check(n):
@@ -396,27 +401,16 @@ def smoothness_check(law, rho, tol):
     return CheckRow(ratio, alpha, abs(ratio - alpha) <= tol)
 
 
-@dataclass
-class DeltaSandwichRow:
-    n: int
-    beta: float
-    sigma: float
-    H: float
-    value: float
-    lower: float
-    upper: float
-    lower_ok: bool
-    upper_ok: bool
-
-
-def delta_eps_sandwich(n, beta, sigma, H, slack=1e-12):
+def delta_eps_sandwich(n, beta, sigma, H):
     """delta_eps at eps = alpha/2 against its closed-form sandwich.
 
     The sandwich is   q * X^(2/alpha) <= delta_eps <= X^(2/alpha)
-    with q = 2/(pi n) and X = (1/H) sqrt(1 - q^(1/n)); both sides are
-    sigma-free.  Compared in log space with additive slack.  Nothing is
-    asserted: the lower bound genuinely fails for sigma = 1 at small n,
-    and callers decide how to treat that.
+    with q = 2/(pi n) and X = (1/H) sqrt(1 - q^(1/n)); both bounds are
+    sigma-free.  Returns the CheckRows (lower, upper), each
+    CheckRow(delta_eps, bound, verdict).  The verdicts compare logs,
+    within SLACK max(1, |log bound|).  Nothing is asserted: the lower
+    bound genuinely fails for sigma = 1 at small n, and callers decide
+    how to treat that.
     """
     n = _check_n(n)
     beta = _check_beta(n, beta)
@@ -430,23 +424,23 @@ def delta_eps_sandwich(n, beta, sigma, H, slack=1e-12):
     log_x = math.log(1.0 / H) + 0.5 * math.log(-math.expm1(math.log(q) / n))
     log_upper = (2.0 / alpha) * log_x
     log_lower = math.log(q) + log_upper
-    tol_lo = slack * max(1.0, abs(log_lower))
-    tol_hi = slack * max(1.0, abs(log_upper))
-    return DeltaSandwichRow(
-        n=n, beta=beta, sigma=sigma, H=H,
-        value=math.exp(log_value),
-        lower=math.exp(log_lower),
-        upper=math.exp(log_upper),
-        lower_ok=bool(log_value >= log_lower - tol_lo),
-        upper_ok=bool(log_value <= log_upper + tol_hi),
-    )
+    tol_lo = SLACK * max(1.0, abs(log_lower))
+    tol_hi = SLACK * max(1.0, abs(log_upper))
+    value = math.exp(log_value)
+    lower = CheckRow(value, math.exp(log_lower),
+                     log_value >= log_lower - tol_lo)
+    upper = CheckRow(value, math.exp(log_upper),
+                     log_value <= log_upper + tol_hi)
+    return lower, upper
 
 
 def t_eps_exceeds_t0(n, d, sigma, beta, H):
-    """True when the boosted threshold exceeds the exponential-form t0."""
+    """CheckRow(t_eps, t0_log, t_eps > t0_log): the boosted threshold
+    against the exponential-form t0."""
     alpha = smoothness_alpha(n, beta)
     delta = delta_eps(n, beta, sigma, H, 0.5 * alpha)
-    return t_eps(n, d, sigma, delta) > t0_log(n, d, sigma)
+    lhs, rhs = t_eps(n, d, sigma, delta), t0_log(n, d, sigma)
+    return CheckRow(lhs, rhs, lhs > rhs)
 
 
 @dataclass(frozen=True)
@@ -502,6 +496,10 @@ def ball_maximizer_check(law, shells, slack=1e-12):
     rho = the uniform law's inverse_radial_cdf(nu(S)), and its law mass
     is the law's radial CDF at rho.  Returns True when
     mu(S) <= mu(B(rho)) + slack.
+
+    The one checker that returns a bool rather than a CheckRow, and the
+    one that keeps a slack keyword: the sweep gates of
+    bench/workloads.py call all() on its results and pass slack=1e-12.
     """
     sigma = law.cap.sigma
     pairs = [(float(lo), float(hi)) for lo, hi in shells]

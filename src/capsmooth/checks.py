@@ -2,13 +2,14 @@
 
 BATTERY lists the entries in report order.  Each entry is a function of
 (quick, seed, workers) that yields (check, params, CheckRow) triples;
-checks named in SOFT report a finding without failing the run.  The
-per-point sweeps behind the boosting and smoothness checks, and the
-grid of the small_calc entry, are public, so the checker subcommands and
-the acceptance tests run the same code on their own grids.  The
-boosting entry itself checks each grid point at rho_eps alone, which
-boosting_check's monotonicity lemma makes sufficient; the radius sweep
-of boosting_rows stays as the lemma's cross-check.
+checks named in SOFT report a finding without failing the run.  An entry
+that summarises a sweep reports CheckRow(failing rows, 0, none failing).
+The per-point sweeps behind the I_m sandwich, boosting and smoothness
+checks, and the grid of the small_calc entry, are public, so the checker
+subcommands and the acceptance tests run the same code on their own
+grids.  The boosting entry itself checks each grid point at rho_eps
+alone, which boosting_check's monotonicity lemma makes sufficient; the
+radius sweep of boosting_rows stays as the lemma's cross-check.
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ __all__ = [
     "SOFT",
     "grid_axes",
     "boost_grid",
+    "sandwich_rows",
     "boosting_rows",
     "smoothness_rows",
     "small_calc_grid",
@@ -63,6 +65,20 @@ def boost_grid(n=None, beta=None, sigma=None, H=None, eps=None):
                 yield bounds.BoostParams(n=k, beta=b, sigma=s, H=h, eps=e)
 
 
+def sandwich_rows(ms, sigmas):
+    """(m, sigma, lower, upper) of the I_m sandwich at each point of
+    ms x sigmas: the two CheckRows compare I_m(sigma) with the bounds of
+    volumes.cap_integral_bounds, each within SLACK times the upper
+    bound.  The upper bound is known to fail near sigma = 1."""
+    for m in map(float, ms):
+        for sigma in map(float, sigmas):
+            val = volumes.cap_integral(m, sigma)
+            lo, hi = volumes.cap_integral_bounds(m, sigma)
+            tol = bounds.SLACK * hi
+            yield (m, sigma, CheckRow(val, lo, val >= lo - tol),
+                   CheckRow(val, hi, val <= hi + tol))
+
+
 def boosting_rows(grid, n_rho):
     """(p, rho, CheckRow) of the boosting inequality for each p in grid,
     at n_rho radii log-spaced from 1e-8 rho_eps up to rho_eps."""
@@ -86,6 +102,12 @@ def small_calc_grid(n_max, points):
     """Distinct integers of a points-long log grid on [1, n_max]."""
     return [int(v) for v in np.unique(
         np.geomspace(1, n_max, points).astype(int))]
+
+
+def _failures(rows):
+    """CheckRow(number of failing rows, 0, none failing) of a sweep."""
+    bad = sum(not row.passed for row in rows)
+    return CheckRow(float(bad), 0.0, bad == 0)
 
 
 def _cap_integral_closed_form(quick, seed, workers):
@@ -123,46 +145,40 @@ def _half_sphere_identity(quick, seed, workers):
 
 def _cap_integral_sandwich(quick, seed, workers):
     # lower bound everywhere, upper bound region reported
-    report = volumes.sandwich_report(range(1, 51), _SIG_GRID)
-    lower_bad = [r for r in report if not r.lower_ok]
-    upper_bad = [r for r in report if not r.upper_ok]
+    rows = list(sandwich_rows(range(1, 51), _SIG_GRID))
     yield ("cap_integral_sandwich_lower", "m=1..50",
-           CheckRow(float(len(lower_bad)), 0.0, not lower_bad))
+           _failures(lower for _, _, lower, _ in rows))
+    upper_bad = [(m, s) for m, s, _, upper in rows if not upper.passed]
     upper_note = "none"
     if upper_bad:
-        upper_note = "m=%g..%g sigma>=%.3g" % (
-            min(r.m for r in upper_bad), max(r.m for r in upper_bad),
-            min(r.sigma for r in upper_bad))
+        ms, sigmas = zip(*upper_bad)
+        upper_note = "m=%g..%g sigma>=%.3g" % (min(ms), max(ms), min(sigmas))
     yield ("cap_integral_sandwich_upper", "violations: " + upper_note,
-           CheckRow(float(len(upper_bad)), 0.0, not upper_bad))
+           _failures(upper for *_, upper in rows))
 
 
 def _cap_integral_monotone_m(quick, seed, workers):
-    ok = True
-    for s in _SIG_GRID:
-        vals = [volumes.cap_integral(m, s) for m in range(1, 51)]
-        ok = ok and all(b <= a * (1 + 1e-12) for a, b in
-                        zip(vals, vals[1:]))
-    yield ("cap_integral_monotone_m", "m=1..50",
-           CheckRow(0.0 if ok else 1.0, 0.0, ok))
+    # I_{m+1}(sigma) <= I_m(sigma), within 1e-12 relative
+    vals = [[volumes.cap_integral(m, s) for m in range(1, 51)]
+            for s in _SIG_GRID]
+    yield ("cap_integral_monotone_m", "m=1..50", _failures(
+        CheckRow(b, a * (1 + 1e-12), b <= a * (1 + 1e-12))
+        for row in vals for a, b in zip(row, row[1:])))
 
 
 def _small_calc(quick, seed, workers):
     # elementary n-dependent inequality used by the expectation proof
     ns = small_calc_grid(10 ** 6, 30 if quick else 200)
-    ok = all(bounds.small_calc_check(n).passed for n in ns)
     yield ("small_calc", "n=1..1e6 log grid",
-           CheckRow(0.0 if ok else 1.0, 0.0, ok))
+           _failures(map(bounds.small_calc_check, ns)))
 
 
 def _boosting_inequality(quick, seed, workers):
     # lhs - rhs increases in rho (boosting_check), so the inequality
     # holds on (0, rho_eps] iff it holds at rho_eps
-    bad = sum(not bounds.boosting_check(p.n, p.beta, p.sigma, p.H, p.eps,
-                                        p.rho()).passed
-              for p in bounds.default_grid())
-    yield ("boosting_inequality", "grid at rho_eps",
-           CheckRow(float(bad), 0.0, bad == 0))
+    yield ("boosting_inequality", "grid at rho_eps", _failures(
+        bounds.boosting_check(p.n, p.beta, p.sigma, p.H, p.eps, p.rho())
+        for p in bounds.default_grid()))
 
 
 def _delta_eps_sandwich(quick, seed, workers):
@@ -173,22 +189,16 @@ def _delta_eps_sandwich(quick, seed, workers):
         if key in seen:
             continue
         seen.add(key)
-        row = bounds.delta_eps_sandwich(p.n, p.beta, p.sigma, p.H)
+        lower, upper = bounds.delta_eps_sandwich(*key)
         params = "n=%d beta=%g sigma=%g H=%g" % key
-        yield ("delta_eps_sandwich_lower", params,
-               CheckRow(row.value, row.lower, row.lower_ok))
-        yield ("delta_eps_sandwich_upper", params,
-               CheckRow(row.value, row.upper, row.upper_ok))
+        yield "delta_eps_sandwich_lower", params, lower
+        yield "delta_eps_sandwich_upper", params, upper
 
 
 def _t_eps_exceeds_t0(quick, seed, workers):
-    ok = True
-    for p in bounds.default_grid():
-        for d in (1, 2, 5):
-            ok = ok and bounds.t_eps_exceeds_t0(p.n, d, p.sigma, p.beta,
-                                                p.H)
-    yield ("t_eps_exceeds_t0", "grid x d in {1,2,5}",
-           CheckRow(0.0 if ok else 1.0, 0.0, ok))
+    yield ("t_eps_exceeds_t0", "grid x d in {1,2,5}", _failures(
+        bounds.t_eps_exceeds_t0(p.n, d, p.sigma, p.beta, p.H)
+        for p in bounds.default_grid() for d in (1, 2, 5)))
 
 
 def _smoothness_ratio_limit(quick, seed, workers):
@@ -241,14 +251,13 @@ def _ks_radial(quick, seed, workers):
     for n, beta in ((3, 0.0), (3, 1.5), (4, 2.0), (10, 5.0)):
         for sigma in (0.5, 1.0):
             law = AdversarialLaw(Cap(np.eye(n + 1)[0], sigma), beta)
-            res = montecarlo.ks_radial_test(law, n_ks, seed)
             yield ("ks_radial", "n=%d beta=%g sigma=%g" % (n, beta, sigma),
-                   CheckRow(res.statistic, res.threshold, res.passed))
+                   montecarlo.ks_radial_test(law, n_ks, seed))
     cap = Cap(np.eye(4)[0], 0.5)
     res = montecarlo.ks_radial_test(AdversarialLaw(cap, 1.5), n_ks, seed,
                                     reference=uniform_law(cap))
     yield ("ks_negative_control", "beta=1.5 vs uniform",
-           CheckRow(res.statistic, res.threshold, not res.passed))
+           dataclasses.replace(res, passed=not res.passed))
 
 
 def _sigma_min_eigen_oracle(quick, seed, workers):

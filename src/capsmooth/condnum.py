@@ -8,7 +8,11 @@ reciprocal of that distance.  C is +inf exactly on Sigma.
 
 Three instances are provided: a single hyperplane, a finite union of
 hyperplanes, and square matrices with Sigma the singular ones, where
-dist_F(A, Sigma) = sigma_min(A) by the Eckart-Young theorem.  Matrix
+dist_F(A, Sigma) = sigma_min(A) by the Eckart-Young theorem.  Every
+evaluate_batch takes ||z|| from geometry._norms, which adds the squares
+first to last whatever the memory order of z (np.linalg.norm sums
+C-ordered rows pairwise), so a batch and its C-ordered copy get the
+same bits.  Matrix
 batches get sigma_min from one-sided Jacobi run on the whole stack at
 once; the scalar path stays on LAPACK's SVD and is the independent
 reference the batch path is tested against.
@@ -133,7 +137,7 @@ def hyperplane_problem(n):
     def evaluate_batch(z):
         z = np.asarray(z, dtype=float)
         with np.errstate(divide="ignore"):
-            return np.linalg.norm(z, axis=1) / np.abs(z[:, 0])
+            return _norms(z.T) / np.abs(z[:, 0])
 
     ill = np.zeros(n + 1)
     ill[1] = 1.0
@@ -172,7 +176,7 @@ def union_hyperplanes_problem(normals):
         for row in dist[1:]:
             np.minimum(low, row, out=low)
         with np.errstate(divide="ignore"):
-            return np.linalg.norm(z, axis=1) / low
+            return _norms(z.T) / low
 
     # unit vector orthogonal to the first normal lies on Sigma
     seed = np.zeros(dim)
@@ -206,8 +210,6 @@ def matrix_problem(m):
     def evaluate_batch(z):
         z = np.asarray(z, dtype=float)
         s = _jacobi_sigma_min(z.reshape(-1, m, m))
-        # ||z||_F adds the squares first to last whatever the memory
-        # order of z (np.linalg.norm sums C-ordered rows pairwise)
         with np.errstate(divide="ignore"):
             return _norms(z.T) / s
 

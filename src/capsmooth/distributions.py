@@ -504,11 +504,11 @@ class AdversarialLaw:
         self._beta_const = 0.5 * math.exp(special.betaln(0.5 * self._m, 0.5))
         self._check_weight_monotone()
         self._sloped = bool(np.any(self._gamma != 0.0))
+        # built on the first inversion by _build; the lock keeps threads
+        # sampling one law from building them twice
         self._inverse = None
-        # built on the first inversion; the lock keeps threads sampling
-        # one law from building them twice
         self._fits = None
-        self._fits_lock = threading.Lock()
+        self._build_lock = threading.Lock()
 
     @property
     def H(self):
@@ -668,13 +668,11 @@ class AdversarialLaw:
         rem = target - self._cdf_nodes[idx]
         lo = r_nodes[idx]
         hi = r_nodes[idx + 1]
+        self._build()
         r0 = self._start(idx, rem)
         if not self._sloped:
             out = np.clip(r0, lo, hi)
         else:
-            with self._fits_lock:
-                if self._fits is None:
-                    self._fits = self._fit_segments()
             table, newton = self._fits
             out = np.clip(r0 * table(r0, idx), lo, hi)
             self._newton(idx, rem, out, lo, hi, np.flatnonzero(newton[idx]))
@@ -703,13 +701,20 @@ class AdversarialLaw:
         idx[many] = np.searchsorted(inner, target[many], side="left")
         return idx
 
+    def _build(self):
+        """Build the law's inversion tables once: the inverse of
+        betainc(m/2, 1/2, .) (_BetaincInverse), then, where h is not
+        constant, the segment fits, which are certified through it."""
+        with self._build_lock:
+            if self._inverse is None:
+                self._inverse = _BetaincInverse(
+                    0.5 * self._m, float(special.betainc(
+                        0.5 * self._m, 0.5, self.cap.sigma ** 2)))
+            if self._sloped and self._fits is None:
+                self._fits = self._fit_segments()
+
     def _start_x(self, idx, rem):
-        """betainc(m/2, 1/2, r0^2) for the start radius r0 of _start;
-        builds the law's inverse of it on the first call."""
-        if self._inverse is None:
-            self._inverse = _BetaincInverse(
-                0.5 * self._m, float(special.betainc(0.5 * self._m, 0.5,
-                                                     self.cap.sigma ** 2)))
+        """betainc(m/2, 1/2, r0^2) for the start radius r0 of _start."""
         with np.errstate(divide="ignore", invalid="ignore"):
             return (self._im_nodes[idx] + rem / self._h_nodes[idx]) \
                 / self._beta_const

@@ -42,7 +42,6 @@ __all__ = [
     "TailRow",
     "TailReport",
     "ExpectationReport",
-    "KSResult",
     "estimate_tail",
     "estimate_expectation",
     "ks_radial_test",
@@ -254,14 +253,6 @@ class ExpectationReport:
         return doc
 
 
-@dataclass
-class KSResult:
-    statistic: float
-    threshold: float
-    n_samples: int
-    passed: bool
-
-
 def _tail_bound_column(config, t_grid):
     """Theorem bound and applicability per threshold, or nan when the
     threshold is below the theorem's range (or no theorem applies)."""
@@ -372,8 +363,9 @@ def ks_radial_test(law, n_samples, seed, reference=None):
     """One-sample KS test of sampled radii against a radial CDF.
 
     The reference defaults to the sampling law itself; passing a
-    different law gives a negative control.  The pass threshold is
-    1.63 / sqrt(N), the asymptotic 1% critical value.
+    different law gives a negative control.  Returns
+    CheckRow(statistic, threshold, statistic <= threshold), the
+    threshold 1.63 / sqrt(N) being the asymptotic 1% critical value.
     """
     n_samples = int(n_samples)
     if n_samples < 1000:
@@ -395,5 +387,4 @@ def ks_radial_test(law, n_samples, seed, reference=None):
     d_minus = float(np.max(f - (i - 1.0) / n_samples))
     stat = max(d_plus, d_minus)
     thr = KS_COEFF / math.sqrt(n_samples)
-    return KSResult(statistic=stat, threshold=thr, n_samples=n_samples,
-                    passed=bool(stat <= thr))
+    return bounds.CheckRow(stat, thr, stat <= thr)

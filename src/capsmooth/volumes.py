@@ -14,12 +14,12 @@ incomplete beta carried in log space (log_cap_integral and cap_integral,
 for real m and for values far below the smallest positive double), and
 mpmath's 30-digit hypergeometric-series incomplete beta
 (cap_integral_mpmath, a cross-check).  cap_integral_series adds closed
-forms as a third route.
+forms as a third route.  The module holds evaluators only; the
+sandwich of cap_integral_bounds is checked by checks.sandwich_rows.
 """
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -32,8 +32,6 @@ __all__ = [
     "cap_integral_series",
     "cap_integral_bounds",
     "cap_measure",
-    "SandwichRow",
-    "sandwich_report",
 ]
 
 _MAXIT = 500
@@ -84,18 +82,19 @@ def _log_inc_beta(a, b, x):
 
     Uses the continued fraction directly when x is below the standard
     crossover (a+1)/(a+b+2), otherwise evaluates the complementary tail
-    and subtracts from the complete beta in log space.
+    and subtracts from the complete beta in log space.  Returns a Python
+    float on every branch, so verdicts computed from it are bools.
     """
     if x == 0.0:
         return -math.inf
-    if x == 1.0:
-        return special.betaln(a, b)
     if x < (a + 1.0) / (a + b + 2.0):
         return (a * math.log(x) + b * math.log1p(-x) - math.log(a)
                 + math.log(_betacf(a, b, x)))
+    lbeta = float(special.betaln(a, b))
+    if x == 1.0:
+        return lbeta
     log_tail = (a * math.log(x) + b * math.log1p(-x) - math.log(b)
                 + math.log(_betacf(b, a, 1.0 - x)))
-    lbeta = special.betaln(a, b)
     # B(x) = B - tail; the tail is below B/2 on this branch.
     return lbeta + math.log1p(-math.exp(log_tail - lbeta))
 
@@ -224,8 +223,8 @@ def cap_integral_bounds(m, sigma):
     upper = min((1 - sigma^2)^(-1/2), sqrt(pi m / 2)) * sigma^m / m.
 
     The lower bound always holds.  The upper bound fails in a region
-    near sigma = 1 (for every m at sigma = 1 exactly); use
-    sandwich_report to measure rather than assume validity there.
+    near sigma = 1 (for every m at sigma = 1 exactly);
+    checks.sandwich_rows measures rather than assumes validity there.
     """
     m = float(m)
     sigma = float(sigma)
@@ -259,35 +258,3 @@ def cap_measure(n, sigma):
         raise ValueError("n must be a positive integer")
     return sphere_volume(int(n) - 1) * cap_integral(n, sigma)
 
-
-@dataclass
-class SandwichRow:
-    m: float
-    sigma: float
-    value: float
-    lower: float
-    upper: float
-    lower_ok: bool
-    upper_ok: bool
-
-
-def sandwich_report(ms, sigmas, slack=1e-12):
-    """Check the I_m sandwich over a grid and report per-point outcomes.
-
-    Comparisons carry an additive tolerance of slack * upper.  Nothing
-    is asserted: the caller decides what to do with failures (the upper
-    bound is known to fail for sigma near 1).
-    """
-    rows = []
-    for m in ms:
-        for sigma in sigmas:
-            val = cap_integral(m, sigma)
-            lo, hi = cap_integral_bounds(m, sigma)
-            tol = slack * hi
-            rows.append(SandwichRow(
-                m=float(m), sigma=float(sigma), value=val,
-                lower=lo, upper=hi,
-                lower_ok=bool(val >= lo - tol),
-                upper_ok=bool(val <= hi + tol),
-            ))
-    return rows

@@ -96,15 +96,15 @@ def test_criterion_02():
     start = time.monotonic()
     ms = list(range(1, 21)) + [0.5, 1.5, 2.5, 7.5]
     sigmas = np.arange(1, 41) / 40.0
-    rows = volumes.sandwich_report(ms, sigmas, slack=1e-12)
-    assert all(r.lower_ok for r in rows)
-    upper_bad = [r for r in rows if not r.upper_ok]
+    rows = list(checks.sandwich_rows(ms, sigmas))
+    assert all(lower.passed for _, _, lower, _ in rows)
+    upper_bad = [(m, s) for m, s, _, upper in rows if not upper.passed]
     # measured validity region, split by the two known failure modes:
     # the sqrt(pi m / 2) multiplier is below 1 for m < 1 (fails at any
     # sigma there), and for m >= 1 the bound degrades only near 1
-    bad_small_m = [r for r in upper_bad if r.m < 1.0]
-    bad_near_one = [r for r in upper_bad if r.m >= 1.0]
-    first_bad = min(r.sigma for r in bad_near_one)
+    bad_small_m = [(m, s) for m, s in upper_bad if m < 1.0]
+    bad_near_one = [(m, s) for m, s in upper_bad if m >= 1.0]
+    first_bad = min(s for _, s in bad_near_one)
     elapsed = time.monotonic() - start
     print("[criterion 02] lower sandwich holds at all %d points. Upper "
           "fails at %d points: %d with m < 1 (any sigma), %d with "
@@ -112,10 +112,10 @@ def test_criterion_02():
           "m >= 1, sigma < %.3g (%.2fs)"
           % (len(rows), len(upper_bad), len(bad_small_m),
              len(bad_near_one), first_bad, first_bad, elapsed))
-    assert all(r.sigma >= 0.9 for r in bad_near_one)
+    assert all(s >= 0.9 for _, s in bad_near_one)
     for m in ms:
-        assert not [r for r in rows
-                    if r.m == m and r.sigma == 1.0][0].upper_ok
+        assert not [upper for mm, s, _, upper in rows
+                    if mm == m and s == 1.0][0].passed
     assert elapsed < 1.0
 
 
@@ -137,8 +137,8 @@ def test_criterion_04():
         for sigma in (0.5, 1.0):
             law = AdversarialLaw(Cap(e0(n), sigma), beta)
             res = ks_radial_test(law, 100000, seed=1001)
-            stats.append(res.statistic)
-            assert res.passed, (n, beta, sigma, res.statistic)
+            stats.append(res.lhs)
+            assert res.passed, (n, beta, sigma, res.lhs)
     control_law = AdversarialLaw(Cap(e0(3), 1.0), 1.5)
     control_ref = AdversarialLaw(Cap(e0(3), 1.0), 0.0)
     control = ks_radial_test(control_law, 100000, seed=1001,
@@ -146,8 +146,7 @@ def test_criterion_04():
     elapsed = time.monotonic() - start
     print("[criterion 04] KS at 1%%: all 8 laws pass (max stat %.4g vs "
           "threshold %.4g); negative control stat %.3g fails (%.1fs)"
-          % (max(stats), 1.63 / math.sqrt(100000), control.statistic,
-             elapsed))
+          % (max(stats), 1.63 / math.sqrt(100000), control.lhs, elapsed))
     assert not control.passed
     assert elapsed < 30.0
 
@@ -240,70 +239,74 @@ def _premise_holds(n, sigma):
         volumes.cap_integral(n, sigma)
 
 
-def _oracle_verdicts(row, slack):
-    """(lower_ok, upper_ok) of a delta_eps sandwich row, recomputed with
-    the mass ratio I_n(rho_eps) / I_n(sigma) and both closed-form bounds
-    in 50-digit arithmetic, under the row's own slack rule.
+def _oracle_verdicts(n, beta, sigma, H):
+    """The (lower, upper) verdicts of the delta_eps sandwich at
+    (n, beta, sigma, H), recomputed with the mass ratio
+    I_n(rho_eps) / I_n(sigma) and both closed-form bounds in 50-digit
+    arithmetic, under the rows' own slack rule.
 
     The recurrence cancels at small radii: at n = 32, rho = 0.04 it keeps
     about 6 digits of the log ratio, far inside the closest verdict
     margin on the default grid (1.6e-4, n = 16 at sigma = 1).
     """
-    alpha = 1.0 - row.beta / row.n
-    rho = bounds.rho_eps(row.n, row.beta, row.sigma, row.H, 0.5 * alpha)
+    alpha = 1.0 - beta / n
+    rho = bounds.rho_eps(n, beta, sigma, H, 0.5 * alpha)
     with mpmath.workdps(50):
-        log_value = mpmath.log(recurrence_oracle(row.n, rho)
-                               / recurrence_oracle(row.n, row.sigma))
-        q = 2 / (mpmath.pi * row.n)
-        log_x = (-mpmath.log(row.H)
-                 + mpmath.log(1 - q ** (mpmath.mpf(1) / row.n)) / 2)
+        log_value = mpmath.log(recurrence_oracle(n, rho)
+                               / recurrence_oracle(n, sigma))
+        q = 2 / (mpmath.pi * n)
+        log_x = (-mpmath.log(H)
+                 + mpmath.log(1 - q ** (mpmath.mpf(1) / n)) / 2)
         log_upper = 2 * log_x / mpmath.mpf(alpha)
         log_lower = mpmath.log(q) + log_upper
-        tol_lo = slack * max(1, abs(log_lower))
-        tol_hi = slack * max(1, abs(log_upper))
+        tol_lo = bounds.SLACK * max(1, abs(log_lower))
+        tol_hi = bounds.SLACK * max(1, abs(log_upper))
         return (bool(log_value >= log_lower - tol_lo),
                 bool(log_value <= log_upper + tol_hi))
 
 
-def _sandwich_flags(row, premise, oracle):
-    """Reasons a delta_eps sandwich row breaks criterion 9 (empty when
-    it does not).  premise is _premise_holds at the row's (n, sigma);
-    oracle is _oracle_verdicts of the row."""
+def _sandwich_flags(rows, premise, oracle):
+    """Reasons the (lower, upper) CheckRows of a delta_eps sandwich
+    break criterion 9 (empty when they do not).  premise is
+    _premise_holds at the rows' (n, sigma); oracle is _oracle_verdicts
+    there."""
+    lower, upper = rows
     flags = []
-    if not row.upper_ok:
+    if not upper.passed:
         flags.append("upper bound fails")
-    if premise and not row.lower_ok:
+    if premise and not lower.passed:
         flags.append("lower bound fails where its premise holds")
-    if (row.lower_ok, row.upper_ok) != oracle:
+    if (lower.passed, upper.passed) != oracle:
         flags.append("verdicts disagree with the 50-digit oracle")
     return flags
 
 
 def test_criterion_09():
-    slack = 1e-12
     combos = sorted(set((p.n, p.beta, p.sigma, p.H)
                         for p in bounds.default_grid()))
     checked = []
-    for n, beta, sigma, H in combos:
+    for key in combos:
+        n, beta, sigma, H = key
         for d in (1, 2, 5):
-            assert bounds.t_eps_exceeds_t0(n, d, sigma, beta, H), \
+            assert bounds.t_eps_exceeds_t0(n, d, sigma, beta, H).passed, \
                 (n, d, sigma, beta, H)
-        row = bounds.delta_eps_sandwich(n, beta, sigma, H, slack=slack)
-        checked.append((row, _premise_holds(n, sigma),
-                        _oracle_verdicts(row, slack)))
-    flagged = [(c[0], _sandwich_flags(*c)) for c in checked
+        checked.append((key, bounds.delta_eps_sandwich(*key),
+                        _premise_holds(n, sigma), _oracle_verdicts(*key)))
+    flagged = [(key, _sandwich_flags(*c)) for key, *c in checked
                if _sandwich_flags(*c)]
-    disagreements = sum((row.lower_ok, row.upper_ok) != oracle
-                        for row, _, oracle in checked)
-    lower_bad = [(row, premise) for row, premise, _ in checked
-                 if not row.lower_ok]
-    shortfalls = [math.log(r.lower) - math.log(r.value)
-                  for r, _ in lower_bad]
+    disagreements = sum((lower.passed, upper.passed) != oracle
+                        for _, (lower, upper), _, oracle in checked)
+    lower_bad = [(key, lower, premise)
+                 for key, (lower, _), premise, _ in checked
+                 if not lower.passed]
+    shortfalls = [math.log(lower.rhs) - math.log(lower.lhs)
+                  for _, lower, _ in lower_bad]
 
     # negative control: a lower-bound failure where the premise holds
-    row, premise, oracle = next(c for c in checked if c[0].sigma == 0.5)
-    control = _sandwich_flags(dataclasses.replace(row, lower_ok=False),
-                              premise, oracle)
+    _, (lower, upper), premise, oracle = next(c for c in checked
+                                              if c[0][2] == 0.5)
+    control = _sandwich_flags((dataclasses.replace(lower, passed=False),
+                               upper), premise, oracle)
 
     print("[criterion 09] t_eps > ln((1+2d)n/sigma) holds at all %d "
           "points; delta_eps upper bound holds at %d of %d grid points; "
@@ -311,13 +314,14 @@ def test_criterion_09():
           "shortfall %.3g..%.3g), %d of them where I_n(sigma) <= "
           "sqrt(pi n/2) sigma^n/n fails: KNOWN DEFECT of the displayed "
           "constant. Oracle disagreements %d; control flagged: %s"
-          % (3 * len(combos), sum(r.upper_ok for r, _, _ in checked),
+          % (3 * len(combos),
+             sum(upper.passed for _, (_, upper), _, _ in checked),
              len(combos), len(lower_bad), len(combos),
-             sorted(set(r.sigma for r, _ in lower_bad)),
-             sorted(set(r.n for r, _ in lower_bad)),
+             sorted(set(key[2] for key, _, _ in lower_bad)),
+             sorted(set(key[0] for key, _, _ in lower_bad)),
              min(shortfalls, default=math.nan),
              max(shortfalls, default=math.nan),
-             sum(not premise for _, premise in lower_bad), disagreements,
+             sum(not premise for *_, premise in lower_bad), disagreements,
              "; ".join(control)))
     assert len(combos) == 216
     assert not flagged, flagged

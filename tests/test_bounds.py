@@ -259,28 +259,30 @@ class TestSmallCalc:
 class TestDeltaSandwich:
     def test_holds_at_small_sigma(self):
         for n, beta, H in ((2, 0.0, 1.0), (4, 2.0, 2.0), (8, 6.0, 10.0)):
-            row = bounds.delta_eps_sandwich(n, beta, 0.5, H)
-            assert row.lower_ok and row.upper_ok
+            lower, upper = bounds.delta_eps_sandwich(n, beta, 0.5, H)
+            assert lower.passed and upper.passed
 
     def test_upper_holds_on_grid(self):
         for p in bounds.default_grid()[::11]:
-            row = bounds.delta_eps_sandwich(p.n, p.beta, p.sigma, p.H)
-            assert row.upper_ok
+            _, upper = bounds.delta_eps_sandwich(p.n, p.beta, p.sigma, p.H)
+            assert upper.passed
 
     def test_known_lower_failure_at_sigma_one(self):
         # the closed-form lower bound relies on an upper sandwich branch
         # that is invalid at sigma = 1; the discrepancy is real, not a
         # numerical artifact (see the acceptance suite)
-        row = bounds.delta_eps_sandwich(2, 0.0, 1.0, 1.0)
-        assert np.isclose(row.value, 0.1315989966403572, rtol=1e-12)
-        assert np.isclose(row.lower, 0.13872276405862413, rtol=1e-12)
-        assert not row.lower_ok
-        assert row.upper_ok
+        lower, upper = bounds.delta_eps_sandwich(2, 0.0, 1.0, 1.0)
+        assert lower.lhs == upper.lhs
+        assert np.isclose(lower.lhs, 0.1315989966403572, rtol=1e-12)
+        assert np.isclose(lower.rhs, 0.13872276405862413, rtol=1e-12)
+        assert not lower.passed
+        assert upper.passed
 
     def test_t_eps_exceeds_t0(self):
         for p in bounds.default_grid()[::23]:
             for d in (1, 2, 5):
-                assert bounds.t_eps_exceeds_t0(p.n, d, p.sigma, p.beta, p.H)
+                assert bounds.t_eps_exceeds_t0(p.n, d, p.sigma, p.beta,
+                                               p.H).passed
 
 
 class TestGridAndParams:

@@ -1,7 +1,10 @@
 """Battery rows of `capsmooth verify` that rest on a lemma or an oracle:
 the boosting inequality checked at rho_eps alone, and the mpmath
-cross-check of I_m, each with a negative control that must fail it."""
+cross-check of I_m, each with a negative control that must fail it.
+Also a negative control for each row that reads its checker's
+CheckRows: the I_m and delta_eps sandwiches, t_eps > t0 and small_calc."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -95,3 +98,67 @@ class TestMpmathRow:
                             lambda m, s: exact(m, s) * (1.0 + 1e-8))
         _, _, row = only_row(checks._cap_integral_mpmath)
         assert not row.passed and row.lhs > 9e-9
+
+
+def rows_of(entry):
+    return [(name, row) for name, _, row in entry(True, 3, 1)]
+
+
+class TestReWiredRows:
+    def test_raised_lower_cap_integral_bound_fails(self, monkeypatch):
+        assert rows_of(checks._cap_integral_sandwich)[0] == (
+            "cap_integral_sandwich_lower", CheckRow(0.0, 0.0, True))
+        exact = volumes.cap_integral_bounds
+
+        def raised(m, sigma):
+            lo, hi = exact(m, sigma)
+            return 1.5 * lo, hi
+
+        monkeypatch.setattr(volumes, "cap_integral_bounds", raised)
+        (name, row), _ = rows_of(checks._cap_integral_sandwich)
+        assert name == "cap_integral_sandwich_lower"
+        assert not row.passed and row.lhs >= 1.0
+
+    def test_lowered_upper_delta_eps_bound_fails(self, monkeypatch):
+        # rho_eps taken at H = 1 keeps delta_eps at its H = 1 value while
+        # the bounds at H fall by H^(-2/alpha); at H = 10 that is at
+        # least 2 log 10 = 4.61 in log, past the largest log margin of
+        # the upper bound on the grid, 3.842
+        rho_eps = bounds.rho_eps
+        monkeypatch.setattr(bounds, "rho_eps",
+                            lambda n, beta, sigma, H, eps:
+                            rho_eps(n, beta, sigma, 1.0, eps))
+        upper = [(params, row) for name, params, row
+                 in checks._delta_eps_sandwich(True, 3, 1)
+                 if name == "delta_eps_sandwich_upper"]
+        assert len(upper) == 216
+        for params, row in upper:
+            if params.endswith(" H=1"):
+                assert row.passed, params
+            if params.endswith(" H=10"):
+                assert not row.passed, params
+
+    def test_raised_t0_log_fails(self, monkeypatch):
+        # the smallest t_eps - t0_log on the grid is 2.871
+        (name, row), = rows_of(checks._t_eps_exceeds_t0)
+        assert (name, row) == ("t_eps_exceeds_t0", CheckRow(0.0, 0.0, True))
+        t0_log = bounds.t0_log
+        monkeypatch.setattr(bounds, "t0_log",
+                            lambda n, d, sigma: t0_log(n, d, sigma) + 3.0)
+        (_, row), = rows_of(checks._t_eps_exceeds_t0)
+        assert not row.passed and 1.0 <= row.lhs < 3 * 648
+
+    def test_broken_small_calc_check_fails(self, monkeypatch):
+        # a checker that compares its sides the wrong way round
+        check = bounds.small_calc_check
+
+        def swapped(n):
+            row = check(n)
+            return dataclasses.replace(row, lhs=row.rhs, rhs=row.lhs,
+                                       passed=row.rhs <= row.lhs)
+
+        monkeypatch.setattr(bounds, "small_calc_check", swapped)
+        (name, row), = rows_of(checks._small_calc)
+        assert name == "small_calc"
+        assert not row.passed
+        assert row.lhs == len(checks.small_calc_grid(10 ** 6, 30))

@@ -8,7 +8,7 @@ import pytest
 from capsmooth.condnum import (_jacobi_sigma_min, hyperplane_problem,
                                matrix_problem, smallest_singular_value,
                                union_hyperplanes_problem)
-from capsmooth.distributions import AdversarialLaw, Cap
+from capsmooth.distributions import AdversarialLaw, Cap, uniform_law
 from capsmooth.geometry import normalize
 
 EPS = np.finfo(float).eps
@@ -133,6 +133,22 @@ class TestUnionHyperplanes:
                        / np.min(np.abs(batch @ u.T), axis=1))
             assert np.array_equal(p.evaluate_batch(batch), ref)
         assert ref[0] == math.inf
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("make", [
+    hyperplane_problem,
+    lambda n: union_hyperplanes_problem(np.eye(n + 1)[:3]),
+], ids=["hyperplane", "union"])
+def test_batch_bits_independent_of_memory_order(make, n):
+    # from 8 coordinates on, np.linalg.norm sums C-ordered rows pairwise
+    # and F-ordered ones first to last; ||z|| must not depend on it
+    p = make(n)
+    z = uniform_law(Cap(normalize(np.ones(n + 1)), 0.5)).sample(
+        rng(11), size=16384)
+    assert z.flags.f_contiguous
+    assert np.array_equal(p.evaluate_batch(np.ascontiguousarray(z)),
+                          p.evaluate_batch(z))
 
 
 class TestMatrixProblem:

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -595,8 +596,14 @@ class TestSegmentFits:
         law = RESIDUAL_LAWS["2 - r/sigma"]()
         ref = law.inverse_radial_cdf(_residual_points())
         law = RESIDUAL_LAWS["2 - r/sigma"]()
-        law._start(np.array([0]), np.array([0.0]))
-        monkeypatch.setattr(distributions, "_CHEB_DEGREE", 2)
+        fit = law._fit_segments
+
+        def low_degree():
+            # the build makes the kernel first, at the full degree
+            monkeypatch.setattr(distributions, "_CHEB_DEGREE", 2)
+            return fit()
+
+        monkeypatch.setattr(law, "_fit_segments", low_degree)
         p = _residual_points()
         r = law.inverse_radial_cdf(p)
         _, newton = law._fits
@@ -676,6 +683,22 @@ class TestSegmentFits:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert np.array_equal(newton_a, newton_b)
 
+    @staticmethod
+    def radii_from_threads(law):
+        """law's inverse at _residual_points from 8 threads at once,
+        switching every microsecond; asserts every thread got the same
+        radii."""
+        p = _residual_points()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                radii = list(pool.map(law.inverse_radial_cdf, [p] * 8,
+                                      timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(r, radii[0]) for r in radii)
+
     def test_threads_build_once(self, monkeypatch):
         # threads sampling one law share its lazy build: one build, and
         # every thread gets the same radii
@@ -688,17 +711,23 @@ class TestSegmentFits:
             return build()
 
         monkeypatch.setattr(law, "_fit_segments", counted)
-        p = _residual_points()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                radii = list(pool.map(law.inverse_radial_cdf, [p] * 8,
-                                      timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
+        self.radii_from_threads(law)
         assert calls == [1]
-        assert all(np.array_equal(r, radii[0]) for r in radii)
+
+    def test_threads_build_kernel_once(self, monkeypatch):
+        # the betainc kernel is built under the same lock as the fits;
+        # a slow build holds every other thread at that lock
+        kernel = distributions._BetaincInverse
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            time.sleep(0.05)
+            return kernel(*args)
+
+        monkeypatch.setattr(distributions, "_BetaincInverse", counted)
+        self.radii_from_threads(AdversarialLaw(Cap(e0(3), 0.5), 1.5))
+        assert calls == [1]
 
     def test_constant_profile_builds_nothing(self):
         law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)

@@ -254,9 +254,8 @@ class TestKSRadial:
         law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
         res = ks_radial_test(law, 5000, seed=21)
         assert res.passed
-        assert res.statistic <= res.threshold
-        assert np.isclose(res.threshold, 1.63 / math.sqrt(5000),
-                          rtol=1e-15)
+        assert res.lhs <= res.rhs
+        assert np.isclose(res.rhs, 1.63 / math.sqrt(5000), rtol=1e-15)
 
     def test_negative_control_fails(self):
         law = AdversarialLaw(Cap(e0(3), 1.0), 1.5)
