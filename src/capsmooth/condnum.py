@@ -62,9 +62,98 @@ def smallest_singular_value(a):
     return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
-# one-sided Jacobi: a cap on sweeps (3x3 batches converge in 5 or 6)
+# one-sided Jacobi: a cap on sweeps.  The 3x3 stacks of the sampled laws
+# stop after 5 sweeps, the last a check that no matrix rotates, run on
+# only the about 6% of matrices still active
 _JACOBI_SWEEPS = 30
 _EPS = np.finfo(float).eps
+
+
+def _sum_products(x, y, out, tmp):
+    """sum_i x[i] * y[i] over the rows of two (m, N) arrays, added
+    first to last into the (N,) row out (the order np.einsum's
+    "ij,ij->j" adds in for N > 1)."""
+    np.multiply(x[0], y[0], out=out)
+    for i in range(1, len(x)):
+        np.multiply(x[i], y[i], out=tmp)
+        np.add(out, tmp, out=out)
+    return out
+
+
+def _jacobi_sweep(cols, spare, floor, tol, rows, flags):
+    """One sweep of one-sided Jacobi over every column pair (p, q) of
+    the stack held as cols, a list of m (m, K) column arrays.  Every
+    step writes into the work rows, (8, K) floats and (3, K) bools; a
+    rotated column p is written into the (m, K) array spare, which then
+    takes its place in cols.  Returns the flag row of the matrices that
+    rotated some pair, and the array now spare."""
+    alpha, beta, gamma, zeta, t, c, s, tmp = rows
+    rot, mask, moved = flags
+    moved.fill(False)
+    m = len(cols)
+    for p in range(m - 1):
+        for q in range(p + 1, m):
+            cp, cq = cols[p], cols[q]
+            _sum_products(cp, cp, alpha, tmp)
+            _sum_products(cq, cq, beta, tmp)
+            _sum_products(cp, cq, gamma, tmp)
+            # rot: |gamma| > tol sqrt(alpha) sqrt(beta), and both
+            # columns above the floor
+            np.sqrt(alpha, out=tmp)
+            np.multiply(tol, tmp, out=tmp)
+            np.sqrt(beta, out=c)
+            np.multiply(tmp, c, out=tmp)
+            np.abs(gamma, out=c)
+            np.greater(c, tmp, out=rot)
+            np.greater(alpha, floor, out=mask)
+            rot &= mask
+            np.greater(beta, floor, out=mask)
+            rot &= mask
+            if not rot.any():
+                continue
+            # t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)),
+            # zeta = (beta - alpha) / (2 gamma); t = 0 where not rot
+            np.subtract(beta, alpha, out=zeta)
+            np.multiply(2.0, gamma, out=tmp)
+            np.divide(zeta, tmp, out=zeta)
+            np.multiply(zeta, zeta, out=t)
+            np.add(1.0, t, out=t)
+            np.sqrt(t, out=t)
+            np.abs(zeta, out=tmp)
+            np.add(tmp, t, out=t)
+            np.copysign(1.0, zeta, out=tmp)
+            np.divide(tmp, t, out=t)
+            np.logical_not(rot, out=mask)
+            np.copyto(t, 0.0, where=mask)
+            # c = 1 / sqrt(1 + t^2), s = c t
+            np.multiply(t, t, out=c)
+            np.add(1.0, c, out=c)
+            np.sqrt(c, out=c)
+            np.divide(1.0, c, out=c)
+            np.multiply(c, t, out=s)
+            # (cp, cq) <- (c cp - s cq, s cp + c cq), a row at a time:
+            # whole (m, K) blocks leave the cache between steps
+            for new, x, y in zip(spare, cp, cq):
+                np.multiply(c, x, out=new)
+                np.multiply(s, y, out=tmp)
+                np.subtract(new, tmp, out=new)
+                np.multiply(s, x, out=tmp)
+                np.multiply(c, y, out=y)
+                np.add(tmp, y, out=y)
+            cols[p], spare = spare, cp
+            np.not_equal(t, 0.0, out=mask)
+            moved |= mask
+    return moved, spare
+
+
+def _column_min(cols, rows):
+    """sigma_min of each matrix of a converged stack: its smallest
+    column norm."""
+    low, sq, tmp = rows[0], rows[1], rows[2]
+    _sum_products(cols[0], cols[0], low, tmp)
+    for col in cols[1:]:
+        np.minimum(low, _sum_products(col, col, sq, tmp), out=low)
+    return np.sqrt(low)
 
 
 def _jacobi_sigma_min(a):
@@ -87,35 +176,53 @@ def _jacobi_sigma_min(a):
     exactly rank-one matrix kept its whole batch sweeping until the
     rotation underflowed (13 sweeps instead of 5, sigma_min 4.6e-160).
     Such a matrix returns sigma_min <= eps ||A||_F, C >= 1/eps.
+
+    The stack is swept as a whole, every step writing into work rows
+    allocated once per call (none is shared between calls, so threads
+    may evaluate batches at once).  Gram entries and column norms add
+    their terms first to last whatever the stack size; np.einsum added
+    an (m, 1) column in another order, so a stack of one matrix got
+    other last bits than the same matrix in a larger stack.
+
+    Once a sweep rotates fewer than half of the active matrices, only
+    those that rotated stay active.  This is exact, by a fixed-point
+    argument: a matrix that rotated no pair in a sweep (t = 0 for each
+    pair, c = 1, s = 0) leaves it with the same columns, up to the sign
+    of a zero, which no Gram entry or decision sees; so the next sweep
+    repeats its decisions, and it never rotates again.  The result is
+    the same bits as sweeping the whole stack until no matrix rotates.
+    A pair that no matrix rotates is skipped for the same reason.
     """
-    m = a.shape[-1]
-    cols = a.transpose(2, 1, 0).copy()   # cols[j] is column j, (m, N)
+    m, count = a.shape[-1], a.shape[0]
+    stack = a.transpose(2, 1, 0).copy()   # stack[j] is column j, (m, N)
     tol = m * _EPS
     # rotations keep ||A||_F, so the floor is fixed per matrix
-    floor = _EPS * _EPS * np.einsum("jik,jik->k", cols, cols)
+    floor = _EPS * _EPS * np.einsum("jik,jik->k", stack, stack)
+    cols = list(stack)
+    # work rows, allocated once; the active set uses their first columns
+    rows = np.empty((8, count))
+    flags = np.empty((3, count), dtype=bool)
+    spare = np.empty((m, count))
+    out = np.empty(count)
+    index = np.arange(count)    # where the active matrices sit in out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_JACOBI_SWEEPS):
-            moved = np.zeros(cols.shape[2], dtype=bool)
-            for p in range(m - 1):
-                for q in range(p + 1, m):
-                    cp, cq = cols[p], cols[q]
-                    alpha = np.einsum("ij,ij->j", cp, cp)
-                    beta = np.einsum("ij,ij->j", cq, cq)
-                    gamma = np.einsum("ij,ij->j", cp, cq)
-                    zeta = (beta - alpha) / (2.0 * gamma)
-                    t = np.copysign(1.0, zeta) / (
-                        np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                    rot = ((np.abs(gamma)
-                            > tol * np.sqrt(alpha) * np.sqrt(beta))
-                           & (alpha > floor) & (beta > floor))
-                    t = np.where(rot, t, 0.0)
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = c * t
-                    cols[p], cols[q] = c * cp - s * cq, s * cp + c * cq
-                    moved |= t != 0.0
-            if not moved.any():
+            moved, spare = _jacobi_sweep(cols, spare, floor, tol, rows,
+                                         flags)
+            rotated = int(np.count_nonzero(moved))
+            if rotated == 0:
                 break
-    return np.sqrt(np.min(np.einsum("jik,jik->jk", cols, cols), axis=0))
+            if 2 * rotated < len(index):
+                # a matrix that rotated no pair has the same columns
+                # next sweep, so it would rotate none ever again
+                out[index] = _column_min(cols, rows)
+                keep = np.flatnonzero(moved)
+                index, floor = index[keep], floor[keep]
+                cols = [col[:, keep] for col in cols]
+                rows, flags = rows[:, :len(keep)], flags[:, :len(keep)]
+                spare = spare[:, :len(keep)]
+    out[index] = _column_min(cols, rows)
+    return out
 
 
 def _ratio(num, den):

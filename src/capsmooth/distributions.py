@@ -576,11 +576,15 @@ class AdversarialLaw:
 
     def _segment_mass(self, idx, rho):
         """Mass of segment idx below rho (closed form, alpha and gamma
-        terms in cap-integral increments)."""
-        im_rho = _vec_cap_integral(self._m, rho)
+        terms in cap-integral increments).  On a law with no sloped
+        segment every gamma is 0, so the I_{m+1} term is skipped: it
+        would add a zero, which leaves the bits of the sum."""
+        mass = self._alpha[idx] * (_vec_cap_integral(self._m, rho)
+                                   - self._im_nodes[idx])
+        if not self._sloped:
+            return mass
         im1_rho = _vec_cap_integral(self._m + 1.0, rho)
-        return (self._alpha[idx] * (im_rho - self._im_nodes[idx])
-                + self._gamma[idx] * (im1_rho - self._im1_nodes[idx]))
+        return mass + self._gamma[idx] * (im1_rho - self._im1_nodes[idx])
 
     def _radial_cdf_clipped(self, rho_arr):
         # completed segments plus a partial term

@@ -1,14 +1,18 @@
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
 
+from capsmooth import condnum
 from capsmooth.condnum import (_jacobi_sigma_min, hyperplane_problem,
                                matrix_problem, smallest_singular_value,
                                union_hyperplanes_problem)
-from capsmooth.distributions import AdversarialLaw, Cap, uniform_law
+from capsmooth.distributions import (AdversarialLaw, Cap, normalize_profile,
+                                     uniform_law)
 from capsmooth.geometry import normalize
 
 EPS = np.finfo(float).eps
@@ -24,6 +28,61 @@ def pole_batch(seed, size):
     p = matrix_problem(3)
     law = AdversarialLaw(Cap(p.ill_posed, 0.5), 4.0)
     return law.sample(rng(seed), size=size)
+
+
+def _ref_jacobi_sigma_min(a):
+    # the whole-stack one-sided Jacobi that _jacobi_sigma_min must
+    # reproduce bit for bit: a fresh array per step, every matrix swept
+    # until none rotates
+    m = a.shape[-1]
+    cols = a.transpose(2, 1, 0).copy()
+    tol = m * EPS
+    floor = EPS * EPS * np.einsum("jik,jik->k", cols, cols)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(condnum._JACOBI_SWEEPS):
+            moved = np.zeros(cols.shape[2], dtype=bool)
+            for p in range(m - 1):
+                for q in range(p + 1, m):
+                    cp, cq = cols[p], cols[q]
+                    alpha = np.einsum("ij,ij->j", cp, cp)
+                    beta = np.einsum("ij,ij->j", cq, cq)
+                    gamma = np.einsum("ij,ij->j", cp, cq)
+                    zeta = (beta - alpha) / (2.0 * gamma)
+                    t = np.copysign(1.0, zeta) / (
+                        np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                    rot = ((np.abs(gamma)
+                            > tol * np.sqrt(alpha) * np.sqrt(beta))
+                           & (alpha > floor) & (beta > floor))
+                    t = np.where(rot, t, 0.0)
+                    c = 1.0 / np.sqrt(1.0 + t * t)
+                    s = c * t
+                    cols[p], cols[q] = c * cp - s * cq, s * cp + c * cq
+                    moved |= t != 0.0
+            if not moved.any():
+                break
+    return np.sqrt(np.min(np.einsum("jik,jik->jk", cols, cols), axis=0))
+
+
+def benchmark_batch(seed):
+    # matrix:3 under the tabulated law 2 - r/sigma with beta = 4
+    p = matrix_problem(3)
+    prof = normalize_profile(lambda r: 2.0 - r / 0.5, p.n, 4.0, 0.5,
+                             grid_points=1025)
+    law = AdversarialLaw(Cap(p.ill_posed, 0.5), 4.0, prof)
+    return law.sample(rng(seed), size=16384)
+
+
+def sweep_sizes(monkeypatch):
+    # the active-set size of every sweep _jacobi_sigma_min runs
+    sizes = []
+    sweep = condnum._jacobi_sweep
+
+    def counted(cols, *args):
+        sizes.append(cols[0].shape[1])
+        return sweep(cols, *args)
+
+    monkeypatch.setattr(condnum, "_jacobi_sweep", counted)
+    return sizes
 
 
 class TestSmallestSingularValue:
@@ -246,8 +305,12 @@ class TestJacobiSigmaMin:
         whole = p.evaluate_batch(z)
         assert np.array_equal(p.evaluate_batch(z[::7]), whole[::7])
         g = rng(10).standard_normal((1000, 4, 4))
-        assert np.array_equal(_jacobi_sigma_min(g[3::5]),
-                              _jacobi_sigma_min(g)[3::5])
+        whole = _jacobi_sigma_min(g)
+        assert np.array_equal(_jacobi_sigma_min(g[3::5]), whole[3::5])
+        # a stack of one matrix too: np.einsum summed an (m, 1) column
+        # in another order than an (m, N) one
+        assert all(_jacobi_sigma_min(g[i:i + 1])[0] == whole[i]
+                   for i in range(0, 1000, 25))
 
     def test_singular_inputs(self):
         p = matrix_problem(3)
@@ -275,22 +338,14 @@ class TestJacobiSigmaMin:
         # whole batch sweeping until the rotation underflowed
         a = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
         assert _jacobi_sigma_min(a[None])[0] <= EPS * np.linalg.norm(a)
-        # every sweep over a 3x3 stack makes the same 9 einsum calls
-        calls = []
-        einsum = np.einsum
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return einsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", counted)
+        sizes = sweep_sizes(monkeypatch)
         stack = rng(13).standard_normal((16384, 3, 3))
         _jacobi_sigma_min(stack)
-        clean = len(calls)
-        calls.clear()
+        clean = len(sizes)
+        sizes.clear()
         stack[100] = a
         _jacobi_sigma_min(stack)
-        assert len(calls) == clean
+        assert len(sizes) == clean
 
     @pytest.mark.parametrize("m", [2, 4, 5])
     def test_agrees_with_lapack(self, m):
@@ -298,3 +353,66 @@ class TestJacobiSigmaMin:
         got = _jacobi_sigma_min(a)
         want = np.array([smallest_singular_value(x) for x in a])
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+class TestJacobiReference:
+    """_jacobi_sigma_min on reused rows and a shrinking active set gives
+    the bits of the whole-stack reference."""
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_gaussian(self, m):
+        a = rng(20 + m).standard_normal((2000, m, m))
+        assert np.array_equal(_jacobi_sigma_min(a), _ref_jacobi_sigma_min(a))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_law(self, seed):
+        a = benchmark_batch(seed).reshape(-1, 3, 3)
+        assert np.array_equal(_jacobi_sigma_min(a), _ref_jacobi_sigma_min(a))
+
+    def test_active_set_shrinks(self, monkeypatch):
+        # scaled permutation matrices have orthogonal columns and never
+        # rotate: the active set drops them after sweep 1, and drops the
+        # Gaussian matrices as they converge
+        g = rng(30)
+        perm = np.zeros((3000, 3, 3))
+        for k in range(3000):
+            perm[k, np.arange(3), g.permutation(3)] = g.standard_normal(3)
+        a = np.concatenate((perm, g.standard_normal((1000, 3, 3))))
+        a = a[g.permutation(len(a))]
+        sizes = sweep_sizes(monkeypatch)
+        got = _jacobi_sigma_min(a)
+        assert np.array_equal(got, _ref_jacobi_sigma_min(a))
+        assert sizes[:2] == [4000, 1000] and sizes[-1] < 1000
+
+    def test_singular_and_single(self):
+        g = rng(31)
+        zero_col = g.standard_normal((50, 3, 3))
+        zero_col[:, :, 1] = 0.0
+        u = g.integers(-9, 10, size=(50, 4)).astype(float)
+        v = g.integers(1, 10, size=(50, 4)).astype(float)
+        rank_one = np.einsum("ni,nj->nij", u, v)
+        for a in (zero_col, rank_one):
+            assert np.array_equal(_jacobi_sigma_min(a),
+                                  _ref_jacobi_sigma_min(a))
+        # one matrix against the reference run on a stack: on an
+        # (m, 1) column the reference's einsum adds in another order
+        for m in (2, 3, 5):
+            a = g.standard_normal((40, m, m))
+            want = _ref_jacobi_sigma_min(a)
+            for i in range(40):
+                assert _jacobi_sigma_min(a[i:i + 1])[0] == want[i]
+
+    def test_threads_share_no_rows(self):
+        # eight threads evaluate at once; each gets the bits of a
+        # sequential run, so no work row is shared between calls
+        p = matrix_problem(3)
+        batches = [pole_batch(40 + i, 4096) for i in range(8)]
+        want = [p.evaluate_batch(z) for z in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(p.evaluate_batch, batches * 4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want * 4))

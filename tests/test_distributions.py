@@ -220,6 +220,33 @@ class TestRadialCdf:
                 0.0, rho, epsabs=1e-14, epsrel=1e-12)
             assert np.isclose(law.radial_cdf(rho), val / norm, rtol=1e-9)
 
+    @pytest.mark.parametrize("sloped", [False, True])
+    def test_segment_terms(self, monkeypatch, sloped):
+        # on a law with no sloped segment the I_{m+1} term of a segment's
+        # mass is gamma = 0 times an increment: it is not evaluated, and
+        # the CDF keeps the bits of the two-term sum
+        law = (_tabulated_law(lambda r: 2.0 - r / 0.5, 8, 4.0, 0.5)
+               if sloped else AdversarialLaw(Cap(e0(5), 0.7), 2.0))
+        rho = np.linspace(0.0, law.cap.sigma, 2001)
+        idx = np.clip(np.searchsorted(law._r_nodes, rho, side="right") - 1,
+                      0, len(law._r_nodes) - 2)
+        im = distributions._vec_cap_integral(law._m, rho)
+        im1 = distributions._vec_cap_integral(law._m + 1.0, rho)
+        mass = (law._alpha[idx] * (im - law._im_nodes[idx])
+                + law._gamma[idx] * (im1 - law._im1_nodes[idx]))
+        want = np.clip((law._cdf_nodes[idx] + mass) / law._cdf_total,
+                       0.0, 1.0)
+        calls = []
+        vec = distributions._vec_cap_integral
+
+        def counted(m, r):
+            calls.append(m)
+            return vec(m, r)
+
+        monkeypatch.setattr(distributions, "_vec_cap_integral", counted)
+        assert np.array_equal(law.radial_cdf(rho), want)
+        assert calls == ([law._m, law._m + 1.0] if sloped else [law._m])
+
     def test_log_route_matches(self):
         law = AdversarialLaw(Cap(e0(4), 0.5), 1.0)
         for rho in (0.01, 0.1, 0.4):

@@ -3,6 +3,9 @@ expectation estimators, the radial KS check, and report serialization."""
 
 import json
 import math
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -266,6 +269,55 @@ class TestKSRadial:
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
             ks_radial_test(uniform_law(3), 999, seed=0)
+
+
+# Warm up one pole-law tail run, then count the minor page faults of a
+# 20-batch run; ctypes.CDLL is wrapped to record who looks up mallopt.
+_FAULTS_CODE = """
+import ctypes, json, resource
+looked_up = []
+
+class Recorded(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name == "mallopt":
+            looked_up.append(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = Recorded
+import capsmooth, capsmooth.cli
+at_import = len(looked_up)
+from capsmooth import condnum, montecarlo
+from capsmooth.distributions import AdversarialLaw, Cap
+problem = condnum.hyperplane_problem(3)
+law = AdversarialLaw(Cap(problem.ill_posed, 0.5), 1.5)
+
+def tail(batches, seed):
+    montecarlo.estimate_tail(montecarlo.ExperimentConfig(
+        problem, law, batches * montecarlo.BATCH_SIZE, seed,
+        t_grid=[0.0, 1.0, 2.0], scale="log"))
+
+tail(1, 1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+tail(20, 2)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps({"at_import": at_import, "after_run": len(looked_up),
+                  "faults": after - before}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is glibc's mallopt")
+def test_batches_do_not_refault_memory():
+    # with glibc's default thresholds every batch gave its freed rows
+    # back to the kernel and faulted them in again, 500 to 800 minor
+    # faults per batch here; the pinned heap leaves a few in all
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_CODE],
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    assert got["at_import"] == 0
+    assert got["after_run"] > 0
+    assert got["faults"] < 64 * 20
 
 
 class TestSerialization:
