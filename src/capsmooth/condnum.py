@@ -16,6 +16,14 @@ same bits.  Matrix
 batches get sigma_min from one-sided Jacobi run on the whole stack at
 once; the scalar path stays on LAPACK's SVD and is the independent
 reference the batch path is tested against.
+
+A problem may also carry bound_batch, a cheap upper bound on C per row
+that is certified: never below the true C.  matrix:2 and matrix:3 take
+it from the closed-form determinant, C <= ||A||^m / ((m-1)^((m-1)/2)
+|det A|) by AM-GM on sigma_1 ... sigma_{m-1}, with the rounding of the
+determinant subtracted from |det A| first (_det_bound_batch).  A tail
+estimate uses it to skip the rows that cannot reach its lowest
+threshold (see montecarlo).  The other instances have none.
 """
 
 import math
@@ -43,7 +51,9 @@ class ConicProblem:
     the algebraic degree of Sigma.  evaluate maps one nonzero vector to
     C(x) in [1, +inf]; evaluate_batch maps an (N, n+1) array to an (N,)
     array and must agree with evaluate row by row.  ill_posed is one
-    unit vector lying on Sigma.
+    unit vector lying on Sigma.  bound_batch, where given, maps an
+    (N, n+1) array to a cheap certified upper bound on C per row: never
+    below the true C (it may be +inf or NaN, which bound nothing).
     """
     name: str
     n: int
@@ -51,6 +61,8 @@ class ConicProblem:
     evaluate: Callable[[np.ndarray], float]
     evaluate_batch: Callable[[np.ndarray], np.ndarray]
     ill_posed: Optional[np.ndarray] = field(default=None, repr=False)
+    bound_batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, repr=False)
 
 
 def smallest_singular_value(a):
@@ -67,6 +79,8 @@ def smallest_singular_value(a):
 # only the about 6% of matrices still active
 _JACOBI_SWEEPS = 30
 _EPS = np.finfo(float).eps
+# the sign bit of a float64, as an int64
+_SIGN_BIT = np.int64(-2 ** 63)
 
 
 def _sum_products(x, y, out, tmp):
@@ -121,8 +135,13 @@ def _jacobi_sweep(cols, spare, floor, tol, rows, flags):
             np.sqrt(t, out=t)
             np.abs(zeta, out=tmp)
             np.add(tmp, t, out=t)
-            np.copysign(1.0, zeta, out=tmp)
-            np.divide(tmp, t, out=t)
+            # the sign of zeta ORed into the positive 1 / (...): the
+            # bits of copysign(1, zeta) / (...), since -1/x == -(1/x)
+            np.divide(1.0, t, out=t)
+            np.bitwise_and(zeta.view(np.int64), _SIGN_BIT,
+                           out=tmp.view(np.int64))
+            np.bitwise_or(t.view(np.int64), tmp.view(np.int64),
+                          out=t.view(np.int64))
             np.logical_not(rot, out=mask)
             np.copyto(t, 0.0, where=mask)
             # c = 1 / sqrt(1 + t^2), s = c t
@@ -225,6 +244,63 @@ def _jacobi_sigma_min(a):
     return out
 
 
+# rows whose norm lies outside [2^-200, 2^200] get no determinant bound:
+# inside, ||A||^m neither overflows nor underflows, and the absolute
+# error of an underflowed product is far below eps ||A||^m
+_BOUND_NORMS = (2.0 ** -200, 2.0 ** 200)
+
+
+def _det_rows(zt, m):
+    """det of each matrix of a (m*m, N) coordinate-major stack (rows of
+    the matrix read row by row), for m = 2 and 3: ad - bc, and the
+    cofactor expansion along the first row."""
+    if m == 2:
+        a, b, c, d = zt
+        return a * d - b * c
+    a, b, c, d, e, f, g, h, i = zt
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _det_bound_batch(m):
+    """A certified upper bound on C(A) = ||A||_F / sigma_min(A) per row,
+    for m = 2 and 3 (None otherwise).
+
+    sigma_min = |det A| / (sigma_1 ... sigma_{m-1}), and by AM-GM the
+    product is at most (||A||^2 / (m-1))^((m-1)/2), so
+    C <= ||A||^m / ((m-1)^((m-1)/2) |det A|).  The determinant is
+    rounded: every monomial passes through at most 5 roundings, so
+    |det_fl - det| <= gamma_5 per(|A|) <= 2.5 eps ||A||^3 for m = 3
+    (the permanent is at most the product of the row 1-norms, hence at
+    most ||A||^3), and eps ||A||^2 / 2 for m = 2.  The bound divides
+    by low = |det_fl| - 8 eps ||A||^m <= |det A|, and is +inf where low
+    is not positive (singular and rank-one rows among them) and where
+    ||A|| lies outside _BOUND_NORMS.  Its own rounding is below
+    25 eps relative.
+    """
+    if m not in (2, 3):
+        return None
+    scale = float(m - 1) ** ((m - 1) / 2.0)
+
+    def bound_batch(z):
+        zt = np.asarray(z, dtype=float).T
+        # rows outside _BOUND_NORMS may overflow; they get +inf below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            nrm = _norms(zt)
+            num = nrm * nrm
+            if m == 3:
+                num *= nrm
+            low = np.abs(_det_rows(zt, m))
+            low -= 8.0 * _EPS * num
+            out = num / (scale * low)
+        ok = low > 0.0
+        ok &= nrm > _BOUND_NORMS[0]
+        ok &= nrm < _BOUND_NORMS[1]
+        out[~ok] = math.inf
+        return out
+
+    return bound_batch
+
+
 def _ratio(num, den):
     if den == 0.0:
         return math.inf
@@ -303,7 +379,9 @@ def matrix_problem(m):
     Eckart-Young, dist_F(A, Sigma) = sigma_min(A), so
     C(A) = ||A||_F / sigma_min(A), the scaled matrix condition number.
     n = m^2 - 1, degree m (determinant).  evaluate takes sigma_min from
-    LAPACK's SVD, evaluate_batch from batched one-sided Jacobi.
+    LAPACK's SVD, evaluate_batch from batched one-sided Jacobi.  For
+    m = 2 and 3, bound_batch bounds C from the closed-form determinant
+    (see _det_bound_batch); for m >= 4 it is None.
     """
     if int(m) != m or m < 2:
         raise ValueError("m must be an integer >= 2")
@@ -325,4 +403,5 @@ def matrix_problem(m):
         ill[i, i] = 1.0
     ill = (ill / np.linalg.norm(ill)).reshape(-1)
     return ConicProblem("matrix:%d" % m, m * m - 1, m,
-                        evaluate, evaluate_batch, ill)
+                        evaluate, evaluate_batch, ill,
+                        bound_batch=_det_bound_batch(m))

@@ -4,7 +4,8 @@ Sampling is organized in fixed-size batches, each driven by its own
 counter-based stream: stream_rng(seed, index) is Philox keyed by
 (seed, index), and every random draw of capsmooth comes from such a
 stream.  Batches are reduced in index order with integer counts and
-compensated float sums, so results are bit-identical for a given seed
+exact float sums (_exact_sum within a batch, math.fsum across
+batches), so results are bit-identical for a given seed
 regardless of how many worker threads execute the batches.  Wall-clock
 time is kept on the report object but never serialized.
 
@@ -21,6 +22,20 @@ batch, _run_batches sets glibc's mmap threshold to 32 batch rows
 (4 MiB) and its trim threshold to 128 rows (16 MiB) with mallopt, so
 the freed rows of one batch serve the next.  The setting is
 process-wide, and a no-op where the C library has no mallopt.
+
+Tail estimates screen rows before evaluating them.  Where the problem
+has a bound_batch (a certified upper bound on C per row, condnum),
+estimate_tail passes to evaluate_batch only the rows whose bound is not
+below the cut min(t_lo / 2, 2^40), t_lo being the lowest threshold on
+the C scale (exp of it on the log scale); a NaN bound is evaluated.
+Every other row counts as below every threshold, and the counts are
+exactly those of evaluating every row: a screened row has true C below
+t_lo / 2, and evaluate_batch's C has a relative error far below 2 up
+to C = 2^40 (about 0.1 eps C for batched Jacobi), so its computed C is
+below t_lo too; and evaluate_batch gives a row the same bits whatever
+rows share its batch.  On the benchmark's matrix:3 law about 10 of
+250,000 rows reach Jacobi.  TailReport.n_evaluated counts them.
+Expectation estimates evaluate every row.
 
 Empirical survival probabilities carry two-sided 95% Wilson score
 intervals; an experiment flags a violation only when the Wilson lower
@@ -73,6 +88,9 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 * BATCH_SIZE * 8
 _TRIM_THRESHOLD = 128 * BATCH_SIZE * 8
+# the tail screen's cut never exceeds 2^40: up to there, batched Jacobi's
+# relative error in C (at most about 0.1 eps C measured) is below 1e-4
+_SCREEN_CEILING = 2.0 ** 40
 
 
 def wilson_interval(successes, trials, z=WILSON_Z):
@@ -163,6 +181,40 @@ def stream_rng(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _exact_sum(x):
+    """The correctly rounded sum of a float64 array: math.fsum's value,
+    without a Python float per element.
+
+    Each value is m 2^(e-53) with m a 53-bit integer (np.frexp); m is
+    cut into a high part of at most 27 bits and a low part of 26, and
+    np.bincount adds each part per exponent.  Those are sums of at most
+    2^26 integers below 2^27 in magnitude, so every partial sum is an
+    integer below 2^53 and exact.  Python ints then combine the
+    exponents exactly, and one int division rounds the total once
+    (CPython's int / int is correctly rounded).  Non-finite values, and
+    empty or longer arrays, go to math.fsum; where fsum raises on an
+    intermediate overflow this returns the sum if it is finite.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if not 0 < len(x) <= 2 ** 26 or not np.isfinite(x).all():
+        return math.fsum(x.tolist())
+    mant, expo = np.frexp(x)
+    mant *= 2.0 ** 53
+    high = np.trunc(mant * 2.0 ** -26)
+    low = mant - high * 2.0 ** 26
+    e_min = int(expo.min())
+    expo -= e_min
+    highs = np.bincount(expo, weights=high).tolist()
+    lows = np.bincount(expo, weights=low).tolist()
+    total = 0
+    for h, lo in zip(reversed(highs), reversed(lows)):
+        total = 2 * total + (int(h) << 26) + int(lo)
+    shift = e_min - 53
+    if shift >= 0:
+        return float(total << shift)
+    return total / (1 << -shift)
+
+
 def _batch_sizes(total):
     full, rest = divmod(total, BATCH_SIZE)
     sizes = [BATCH_SIZE] * full
@@ -248,6 +300,8 @@ class TailReport:
     scale: str
     rows: list
     n_samples: int
+    # rows that reached evaluate_batch; like wall_time, never serialized
+    n_evaluated: int = field(default=0, compare=False)
     wall_time: float = field(default=0.0, compare=False)
 
     @property
@@ -308,30 +362,51 @@ def _tail_bound_column(config, t_grid):
             for t in t_grid]
 
 
+def _screen_cut(t_first, log_scale):
+    """The cut of the tail screen for a grid starting at t_first: half
+    the lowest threshold on the C scale, at most 2^40 (see the module
+    docstring).  On the log scale exp may overflow to inf, which is
+    right: every finite C has ln C <= 709.8 < t_first."""
+    if log_scale:
+        with np.errstate(over="ignore"):
+            t_first = float(np.exp(t_first))
+    return min(t_first / 2.0, _SCREEN_CEILING)
+
+
 def estimate_tail(config):
     """Estimate survival probabilities on the threshold grid and compare
-    against the applicable theorem bound.  Returns a TailReport."""
+    against the applicable theorem bound.  Returns a TailReport.
+
+    Where the problem has a bound_batch, only the rows whose bound is
+    not below _screen_cut reach evaluate_batch; the counts are those of
+    evaluating every row (see the module docstring)."""
     if config.t_grid is None:
         raise ValueError("tail estimation needs a t_grid")
     t_grid = np.asarray(config.t_grid, dtype=float)
     law = config.law
     batch_eval = config.problem.evaluate_batch
     log_scale = config.scale == "log"
+    screen = config.problem.bound_batch
+    cut = _screen_cut(t_grid[0], log_scale)
+    if not cut > 1.0:
+        # C >= 1, so no bound falls below the cut
+        screen = None
     start = time.monotonic()
 
     def job(index, count):
         rng = stream_rng(config.seed, index)
         z = law.sample(rng, size=count)
+        if screen is not None:
+            z = z[~(screen(z) < cut)]
         c = batch_eval(z)
         if log_scale:
             with np.errstate(divide="ignore"):
-                vals = np.log(c)
-            return np.array([int(np.count_nonzero(vals >= t))
-                             for t in t_grid])
-        return np.array([int(np.count_nonzero(c >= t)) for t in t_grid])
+                c = np.log(c)
+        return [len(z)] + [int(np.count_nonzero(c >= t)) for t in t_grid]
 
     per_batch = _run_batches(job, config.samples, config.workers)
-    counts = np.sum(np.asarray(per_batch, dtype=np.int64), axis=0)
+    totals = np.sum(np.asarray(per_batch, dtype=np.int64), axis=0)
+    n_evaluated, counts = int(totals[0]), totals[1:]
 
     bound_col = _tail_bound_column(config, t_grid)
     rows = []
@@ -346,7 +421,7 @@ def estimate_tail(config):
             violation=bool(applicable and lo > b),
         ))
     return TailReport(config=config.echo(), scale=config.scale, rows=rows,
-                      n_samples=config.samples,
+                      n_samples=config.samples, n_evaluated=n_evaluated,
                       wall_time=time.monotonic() - start)
 
 
@@ -375,10 +450,8 @@ def estimate_expectation(config):
             c[bad] = batch_eval(np.atleast_2d(z_new))
             bad = ~np.isfinite(c)
         vals = np.log(c)
-        # fsum is exact, so the list only saves the per-element numpy
-        # scalars; the sums keep their bits
-        return (math.fsum(vals.tolist()),
-                math.fsum(np.square(vals).tolist()), count, redrawn)
+        return (_exact_sum(vals), _exact_sum(np.square(vals)), count,
+                redrawn)
 
     per_batch = _run_batches(job, config.samples, config.workers)
     total = math.fsum(b[0] for b in per_batch)

@@ -277,6 +277,72 @@ class TestMatrixProblem:
             matrix_problem(1)
 
 
+def bound_rows(g, m):
+    # (name, rows) of m x m matrices, read row by row, that the
+    # determinant bound must hold on
+    k = m * m
+    ill = matrix_problem(m).ill_posed
+    gauss = g.standard_normal((1000, k))
+    # ill_posed plus a perturbation of size 1e-1 ... 1e-14
+    size = 10.0 ** -np.repeat(np.arange(1, 15), 50)
+    near = ill + size[:, None] * g.standard_normal((len(size), k))
+    # sigma_min set to 1e-1 ... 1e-14 times sigma_max
+    u, s, vt = np.linalg.svd(g.standard_normal((len(size), m, m)))
+    s[:, -1] = s[:, 0] * size
+    spectral = np.einsum("nij,nj,njk->nik", u, s, vt).reshape(-1, k)
+    # a zero column, two equal rows, and small integers with a row the
+    # sum of two others (twice the first for m = 2), all exact
+    singular = g.standard_normal((150, m, m))
+    singular[:50, :, 1] = 0.0
+    singular[50:100, 1] = singular[50:100, 0]
+    singular[100:] = g.integers(-9, 10, size=(50, m, m))
+    singular[100:, -1] = singular[100:, 0] + singular[100:, -2]
+    a = g.integers(-9, 10, size=(200, m)).astype(float)
+    b = g.integers(1, 10, size=(200, m)).astype(float)
+    rank_one = np.einsum("ni,nj->nij", a, b).reshape(-1, k)
+    # non-unit rows from 1e-300 to 1e300: outside 2^-200 ... 2^200 the
+    # bound is +inf
+    scaled = (g.standard_normal((600, k))
+              * 10.0 ** g.integers(-300, 301, size=600)[:, None])
+    # singular rows scaled so that their products underflow: without
+    # the norm range, rounding leaves det nonzero on 8 of the m = 3 rows
+    singular = singular.reshape(-1, k)
+    return [("gaussian", gauss), ("near", near), ("spectral", spectral),
+            ("singular", singular), ("rank_one", rank_one),
+            ("scaled", scaled), ("singular", singular * 2.0 ** -360)]
+
+
+class TestDeterminantBound:
+    """matrix:m's bound_batch never falls below C."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_bounds_lapack(self, m):
+        p = matrix_problem(m)
+        for name, z in bound_rows(rng(50 + m), m):
+            bound = p.bound_batch(z)
+            with np.errstate(over="ignore"):
+                c = np.array([p.evaluate(x) for x in z])
+            assert np.all(bound >= c), name
+            if name in ("singular", "rank_one"):
+                assert np.all(bound == math.inf), name
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_tight_on_sampled_rows(self, m):
+        # on unit rows of a uniform law the bound is finite and within a
+        # factor 10 of C for most rows, so it screens
+        p = matrix_problem(m)
+        law = uniform_law(Cap(normalize(np.ones(m * m)), 0.5))
+        z = law.sample(rng(60 + m), size=4096)
+        ratio = p.bound_batch(z) / p.evaluate_batch(z)
+        assert np.all(ratio >= 1.0)
+        assert np.median(ratio) < 10.0
+
+    def test_only_closed_form_sizes(self):
+        assert matrix_problem(4).bound_batch is None
+        assert hyperplane_problem(3).bound_batch is None
+        assert union_hyperplanes_problem(np.eye(4)[:2]).bound_batch is None
+
+
 class TestJacobiSigmaMin:
     """The batch path's one-sided Jacobi against independent references."""
 
@@ -383,6 +449,19 @@ class TestJacobiReference:
         got = _jacobi_sigma_min(a)
         assert np.array_equal(got, _ref_jacobi_sigma_min(a))
         assert sizes[:2] == [4000, 1000] and sizes[-1] < 1000
+
+    def test_sign_step_at_signed_zero(self):
+        # equal column norms make zeta = (beta - alpha) / (2 gamma) a
+        # signed zero, so t = +-1: the sign bit of zeta ORed into
+        # 1 / (|zeta| + sqrt(1 + zeta^2)) must give copysign's bits
+        g = rng(32)
+        x, y = g.standard_normal((2, 500))
+        a = np.empty((1000, 2, 2))
+        # columns (x, y) and +-(y, x): gamma = +-2xy
+        a[:, 0, 0], a[:, 1, 0] = np.tile(x, 2), np.tile(y, 2)
+        a[:500, 0, 1], a[:500, 1, 1] = y, x
+        a[500:, 0, 1], a[500:, 1, 1] = -y, -x
+        assert np.array_equal(_jacobi_sigma_min(a), _ref_jacobi_sigma_min(a))
 
     def test_singular_and_single(self):
         g = rng(31)

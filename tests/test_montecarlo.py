@@ -1,6 +1,7 @@
 """Monte Carlo harness: Wilson intervals, experiment configs, tail and
 expectation estimators, the radial KS check, and report serialization."""
 
+import dataclasses
 import json
 import math
 import platform
@@ -9,10 +10,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capsmooth import bounds, montecarlo
-from capsmooth.condnum import ConicProblem, hyperplane_problem
-from capsmooth.distributions import AdversarialLaw, Cap
+from capsmooth.condnum import ConicProblem, hyperplane_problem, matrix_problem
+from capsmooth.distributions import AdversarialLaw, Cap, normalize_profile
+from capsmooth.geometry import normalize
 from capsmooth.montecarlo import (ExperimentConfig, estimate_expectation,
                                   estimate_tail, ks_radial_test,
                                   wilson_interval)
@@ -370,3 +374,175 @@ class TestSerialization:
         assert doc["kind"] == "expectation"
         assert doc["margin"] == rep.margin
         json.dumps(doc)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False,
+                          allow_subnormal=True)
+# values in [-1, 1] times 2^e for |e| <= 1000: magnitudes 1e-300 to
+# 1e300 and every sign
+scaled_floats = st.builds(math.ldexp, st.floats(-1.0, 1.0),
+                          st.integers(-1000, 1000))
+
+
+class TestExactSum:
+    """montecarlo._exact_sum is math.fsum's correctly rounded sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(scaled_floats, finite_floats.filter(
+        lambda x: abs(x) < 1e300)), max_size=200))
+    def test_matches_fsum(self, xs):
+        got = montecarlo._exact_sum(np.array(xs, dtype=float))
+        want = math.fsum(xs)
+        assert got == want and math.copysign(1.0, got) == math.copysign(
+            1.0, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(scaled_floats, min_size=1, max_size=100),
+           st.lists(st.floats(0.0, 1e-300) | st.just(5e-324), max_size=20))
+    def test_cancellation_and_subnormals(self, xs, tiny):
+        # every value with its negative, plus small leftovers: the sum
+        # is the leftovers alone
+        vals = xs + [-x for x in xs] + tiny + [-t for t in tiny[1:]]
+        arr = np.array(vals)
+        np.random.default_rng(len(vals)).shuffle(arr)
+        assert montecarlo._exact_sum(arr) == math.fsum(arr.tolist())
+
+    def test_batch_of_logs(self):
+        vals = np.log(np.random.default_rng(3).pareto(1.0, 16384) + 1.0)
+        for x in (vals, np.square(vals)):
+            assert montecarlo._exact_sum(x) == math.fsum(x.tolist())
+
+    def test_non_finite_defers_to_fsum(self):
+        assert montecarlo._exact_sum(np.array([1.0, math.inf])) == math.inf
+        assert math.isnan(montecarlo._exact_sum(np.array([1.0, math.nan])))
+        with pytest.raises(ValueError):
+            montecarlo._exact_sum(np.array([math.inf, -math.inf]))
+        assert montecarlo._exact_sum(np.array([])) == 0.0
+
+
+def matrix_laws(m, sigma):
+    # (name, law) on matrix:m: the pole law at ill_posed, the uniform law
+    # at a random centre, and the benchmark's tabulated law 2 - r/sigma
+    problem = matrix_problem(m)
+    beta = 4.0 if m == 3 else 1.5
+    center = normalize(montecarlo.stream_rng(
+        m, montecarlo.CENTER_STREAM).standard_normal(m * m))
+    profile = normalize_profile(lambda r: 2.0 - r / sigma, problem.n, beta,
+                                sigma, grid_points=1025)
+    pole = Cap(problem.ill_posed, sigma)
+    return [("pole", AdversarialLaw(pole, beta)),
+            ("uniform", AdversarialLaw(Cap(center, sigma), 0.0)),
+            ("tabulated", AdversarialLaw(pole, beta, profile))]
+
+
+def quantile_grid(problem, law, scale):
+    # thresholds at quantiles 0.9 ... 0.999 of C on a pilot batch drawn
+    # from another stream, so many rows lie near the screen's cut (a
+    # median grid would put the cut below 2, and no bound below it)
+    c = problem.evaluate_batch(law.sample(montecarlo.stream_rng(99, 0),
+                                          size=4096))
+    grid = np.quantile(c, [0.9, 0.95, 0.99, 0.999])
+    return list(np.log(grid) if scale == "log" else grid)
+
+
+def unscreened(problem):
+    return dataclasses.replace(problem, bound_batch=None)
+
+
+class TestTailScreen:
+    """estimate_tail evaluates only rows whose bound reaches the cut,
+    and its counts are those of evaluating every row."""
+
+    SAMPLES = montecarlo.BATCH_SIZE + 3000
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_counts_exact(self, m, sigma):
+        problem = matrix_problem(m)
+        for name, law in matrix_laws(m, sigma):
+            for scale in ("linear", "log"):
+                grid = quantile_grid(problem, law, scale)
+                mk = lambda p, w: ExperimentConfig(
+                    p, law, self.SAMPLES, seed=7, t_grid=grid, workers=w,
+                    scale=scale)
+                want = estimate_tail(mk(unscreened(problem), 1))
+                assert want.n_evaluated == self.SAMPLES
+                for workers in (1, 2):
+                    got = estimate_tail(mk(problem, workers))
+                    assert got.to_csv() == want.to_csv(), (name, scale)
+                    assert got.n_evaluated < self.SAMPLES, (name, scale)
+
+    def test_loose_bound_caught(self):
+        # negative control: a "bound" of C / 4 is not a bound, and rows
+        # with C in [t, 2t) are wrongly screened
+        problem = matrix_problem(3)
+        law = matrix_laws(3, 0.5)[1][1]
+        broken = dataclasses.replace(
+            problem, bound_batch=lambda z: problem.evaluate_batch(z) / 4.0)
+        grid = quantile_grid(problem, law, "linear")
+        mk = lambda p: ExperimentConfig(p, law, self.SAMPLES, seed=7,
+                                        t_grid=grid, scale="linear")
+        assert (estimate_tail(mk(broken)).to_csv()
+                != estimate_tail(mk(unscreened(problem))).to_csv())
+
+    def test_every_row_screened(self):
+        # C stays far below 1e12 on a cap around the identity, so no row
+        # reaches evaluate_batch and every count is zero
+        problem = matrix_problem(3)
+        law = AdversarialLaw(Cap(normalize(np.eye(3).reshape(-1)), 0.5), 0.0)
+        rep = estimate_tail(ExperimentConfig(
+            problem, law, self.SAMPLES, seed=3, t_grid=[1e12, 1e13],
+            scale="linear"))
+        assert rep.n_evaluated == 0
+        assert [r.count for r in rep.rows] == [0, 0]
+
+    def test_benchmark_law_evaluates_few(self):
+        # the benchmark's tabulated law with the boosted log grid from
+        # t_eps: at most 1% of the rows reach evaluate_batch
+        problem = matrix_problem(3)
+        law = matrix_laws(3, 0.5)[2][1]
+        delta = bounds.delta_eps(problem.n, law.beta, 0.5, law.H,
+                                 0.5 * (1.0 - law.beta / problem.n))
+        lo = bounds.t_eps(problem.n, problem.degree, 0.5, delta)
+        rep = estimate_tail(ExperimentConfig(
+            problem, law, 50_000, seed=1,
+            t_grid=list(np.linspace(lo, lo + 8.0, 25)), scale="log"))
+        assert rep.n_evaluated <= 500
+
+    def test_no_bound_evaluates_all(self):
+        rep = estimate_tail(ExperimentConfig(
+            hyperplane_problem(3), AdversarialLaw(Cap(e0(3), 0.5), 1.5),
+            20_000, seed=2, t_grid=[5.0, 10.0]))
+        assert rep.n_evaluated == 20_000
+
+    def test_cut(self):
+        assert montecarlo._screen_cut(100.0, False) == 50.0
+        assert montecarlo._screen_cut(1e20, False) == 2.0 ** 40
+        assert montecarlo._screen_cut(math.log(100.0), True) == pytest.approx(
+            50.0, rel=1e-15)
+        # exp overflows: no finite C reaches the grid
+        assert montecarlo._screen_cut(800.0, True) == 2.0 ** 40
+
+    def test_low_grid_skips_the_bound(self):
+        # a cut at or below 1 screens nothing, so the bound is not run
+        def refuse(z):
+            raise AssertionError("bound_batch called")
+
+        problem = dataclasses.replace(matrix_problem(2), bound_batch=refuse)
+        law = matrix_laws(2, 0.5)[1][1]
+        for grid, scale in (([2.0, 5.0], "linear"), ([0.5, 1.0], "log")):
+            rep = estimate_tail(ExperimentConfig(
+                problem, law, 1000, seed=0, t_grid=grid, scale=scale))
+            assert rep.n_evaluated == 1000
+
+    def test_n_evaluated_not_serialized(self):
+        problem = matrix_problem(3)
+        law = matrix_laws(3, 0.5)[1][1]
+        cfg = lambda p: ExperimentConfig(p, law, 5000, seed=4,
+                                         t_grid=[50.0, 500.0],
+                                         scale="linear")
+        screened = estimate_tail(cfg(problem))
+        full = estimate_tail(cfg(unscreened(problem)))
+        assert screened.n_evaluated < full.n_evaluated
+        assert screened == full
+        assert screened.to_json_dict() == full.to_json_dict()
