@@ -23,23 +23,23 @@ enters, and its log carries the first segment in log space, so deep
 tails do not underflow.  Sampling is by inverse transform on the radial
 coordinate combined with a uniform tangent direction.  The inverse runs
 through a piecewise-Chebyshev inverse of the regularized incomplete
-beta function, fitted to betaincinv once per law on its first inversion
-and certified then: its start radius is the answer on segments where h
-is constant.  Where h is not, a per-segment Chebyshev fit in the start
-radius gives the answer; it is built on the first inversion too, from a
-safeguarded Newton iteration on the segment mass that serves as its
-oracle and certificate, and that stays the inverse only on segments
-whose fit misses its bound.
+beta function, fitted once per law on its first inversion to the
+inverse volumes._betaincinv_half and certified then: its start radius
+is the answer on segments where h is constant.  Where h is not, a
+per-segment Chebyshev fit in the start radius gives the answer; it is
+built on the first inversion too, from a safeguarded Newton iteration on
+the segment mass that serves as its oracle and certificate, and that
+stays the inverse only on segments whose fit misses its bound.
 """
 
 import math
 import threading
 
 import numpy as np
-from scipy import special
 
 from .geometry import geodesic_point, proj_distance, tangent_direction
-from .volumes import _vec_cap_integral, log_cap_integral
+from .volumes import (_beta_half, _betainc_half, _betaincinv_half,
+                      _log_beta_half, _vec_cap_integral, log_cap_integral)
 
 __all__ = [
     "Cap",
@@ -55,27 +55,14 @@ _NEWTON_ITERS = 60
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
-# Chebyshev kernel for betaincinv: the degree and the piece count of the
-# first fit, the certificate's bound on the relative error in x, and how
-# often a branch that misses it doubles its pieces before the build fails
+# Chebyshev kernel for the inverse of betainc(a, 1/2, .): the degree and
+# the piece count of the first fit, the certificate's bound on the
+# relative error in x, and how often a branch that misses it doubles its
+# pieces before the build fails
 _CHEB_DEGREE = 12
 _CHEB_PIECES = 32
 _CHEB_TOL = 64 * _EPS
 _CHEB_REFITS = 3
-
-
-def _betaincinv_polished(a, b, y):
-    """betaincinv(a, b, y) after one Newton step on betainc.
-
-    scipy's inverse alone was measured up to 60 eps off a 40-digit
-    reference (a = 16, small y); the step, whose residual comes from the
-    accurate forward function, brings it within a few eps.
-    """
-    x = special.betaincinv(a, b, y)
-    # x times the derivative of betainc(a, b, .) at x
-    slope = np.exp(a * np.log(x) + (b - 1.0) * np.log1p(-x)
-                   - special.betaln(a, b))
-    return x - x * (special.betainc(a, b, x) - y) / slope
 
 
 class _ChebyshevPieces:
@@ -177,7 +164,7 @@ def _lower_series(a, q):
     by about x / a per step."""
     if not q.size:
         return q
-    log_ab = math.log(a) + special.betaln(a, 0.5)
+    log_ab = math.log(a) + _log_beta_half(a)
     x = q * math.exp(log_ab / a)
     for _ in range(_NEWTON_ITERS):
         term = np.ones_like(x)
@@ -210,53 +197,54 @@ class _BetaincInverse:
     up at sigma = 1.  The lower branch runs up to y = 1/2, or further if
     x is still below 1/2 there; the upper branch exists only when top
     lies beyond that split.  Node values and the build-time certificate
-    come from _betaincinv_polished, so scipy stays the oracle, except at
-    nodes where q^a is below the normal range: there psi comes from the
-    series of _lower_series.
+    come from volumes._betaincinv_half, a bracketed Halley iteration on
+    the in-house incomplete beta that is solved for the nodes and the
+    certificate points in one call, except where q^a is below the
+    normal range: there psi comes from the series of _lower_series.
     """
 
     def __init__(self, a, top):
         root = 1.0 / a
         self.top = top
-        self.split = min(top, max(0.5, float(special.betainc(a, 0.5, 0.5))))
+        self.split = min(top, max(0.5, _betainc_half(a, 0.5)))
         self._root = root
         # 1/a less its rounding: exact in integers, then rounded once
         num_a, den_a = float(a).as_integer_ratio()
         num_r, den_r = root.as_integer_ratio()
         self._root_lo = (den_a * den_r - num_r * num_a) / (num_a * den_r)
 
-        def psi(q):
-            y = q ** a
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = _betaincinv_polished(a, 0.5, y) / self._lower_q(y)
-            under = y < _TINY
-            out[under] = _lower_series(a, q[under])
-            return out
-
         def lower(_, nodes, between):
-            q = between.ravel()
+            # one inverse for the nodes and the points between, where q^a
+            # is a normal double; below, psi comes from the series
+            q = np.concatenate((nodes.ravel(), between.ravel()))
             y = q ** a
+            under = y < _TINY
+            x = np.zeros_like(q)
+            x[~under] = _betaincinv_half(a, y[~under])
+            cut = nodes.size
             with np.errstate(divide="ignore", invalid="ignore"):
-                ref = _betaincinv_polished(a, 0.5, y)
-            under = np.flatnonzero(y < _TINY)
+                values = x[:cut] / self._lower_q(y[:cut])
+            values[under[:cut]] = _lower_series(a, q[:cut][under[:cut]])
+            q, y, ref, under = q[cut:], y[cut:], x[cut:], under[cut:]
             ref_psi = _lower_series(a, q[under])
 
             def error(fit):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     err = np.abs(self._lower_x(fit, y) - ref) / ref
-                if under.size:
+                if ref_psi.size:
                     # no double y there: the fitted psi against the series
                     err[under] = np.abs(fit(q[under]) - ref_psi) / ref_psi
                 return err
-            return psi(nodes), error
+            return values.reshape(nodes.shape), error
 
         def upper(_, nodes, between):
             # the complement as the evaluation sees it: y = 1 - sqrt(w)
             # rounds, and 1 - y is then exact for y >= 1/2
-            c = 1.0 - (1.0 - np.sqrt(nodes))
-            values = _betaincinv_polished(0.5, a, c) / (c * c)
+            c = 1.0 - (1.0 - np.sqrt(nodes.ravel()))
             y = 1.0 - np.sqrt(between.ravel())
-            ref = 1.0 - _betaincinv_polished(0.5, a, 1.0 - y)
+            w = _betaincinv_half(a, np.concatenate((c, 1.0 - y)), upper=True)
+            values = (w[:c.size] / (c * c)).reshape(nodes.shape)
+            ref = 1.0 - w[c.size:]
             return values, lambda fit: (np.abs(self._upper_x(fit, y) - ref)
                                         / ref)
 
@@ -441,7 +429,7 @@ def normalize_profile(raw, n, beta, sigma, grid_points=1025):
                                                        im1)))
     if not (total > 0.0):
         raise ValueError("raw profile integrates to zero")
-    target = math.exp(log_cap_integral(m, sigma))
+    target = float(_vec_cap_integral(m, sigma))
     scale = target / total
     h_grid = h_raw * scale
     back = float(np.sum(_piecewise_weighted_integrals(r_grid, h_grid, im,
@@ -501,7 +489,7 @@ class AdversarialLaw:
         self._below = np.searchsorted(bucket, np.arange(count + 1))
         self._alpha, self._gamma = _segment_coeffs(r_nodes, h_nodes)
         # I_m(r) = _beta_const * betainc(m/2, 1/2, r^2)
-        self._beta_const = 0.5 * math.exp(special.betaln(0.5 * self._m, 0.5))
+        self._beta_const = float(_beta_half(0.5 * self._m) / 2)
         self._check_weight_monotone()
         self._sloped = bool(np.any(self._gamma != 0.0))
         # built on the first inversion by _build; the lock keeps threads
@@ -712,8 +700,8 @@ class AdversarialLaw:
         with self._build_lock:
             if self._inverse is None:
                 self._inverse = _BetaincInverse(
-                    0.5 * self._m, float(special.betainc(
-                        0.5 * self._m, 0.5, self.cap.sigma ** 2)))
+                    0.5 * self._m,
+                    _betainc_half(0.5 * self._m, self.cap.sigma ** 2))
             if self._sloped and self._fits is None:
                 self._fits = self._fit_segments()
 

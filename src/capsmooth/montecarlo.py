@@ -52,6 +52,10 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
+# every run draws through stream_rng: numpy loads its random module
+# lazily, and importing it with the package keeps that one-time import
+# (about 12 ms of CPU) out of the first batch and its timings
+import numpy.random  # noqa: F401
 
 from . import bounds
 from .condnum import ConicProblem

@@ -16,13 +16,21 @@ mpmath's 30-digit hypergeometric-series incomplete beta
 (cap_integral_mpmath, a cross-check).  cap_integral_series adds closed
 forms as a third route.  The module holds evaluators only; the
 sandwich of cap_integral_bounds is checked by checks.sandwich_rows.
+
+The samplers need the incomplete beta at b = 1/2 only, so the module
+holds its own: _betainc_half, the regularized I_x(a, 1/2) over arrays
+(positive series on either side of the crossover and a vectorized
+continued fraction between), _betaincinv_half, its bracketed Halley
+inverse, and _beta_half, the complete B(a, 1/2) to 28 digits.
+_vec_cap_integral is I_m at many radii from the same series.  Nothing
+here imports scipy; the tests use it and mpmath as oracles.
 """
 
+import decimal
 import functools
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "sphere_volume",
@@ -37,6 +45,15 @@ __all__ = [
 _MAXIT = 500
 _EPS = 3e-16
 _FPMIN = 1e-300
+_EPS_DOUBLE = np.finfo(float).eps
+# the most points whose series terms are summed as a table, and the
+# largest x summed by the lower series: above it the continued fraction
+# needs fewer steps
+_SERIES_TABLE = 64
+_SERIES_TOP = 0.75
+# the relative step below which the inverse's Halley iteration stops:
+# the step after it would be far below an ulp
+_INVERSE_STOP = 1e-9
 
 
 def _betacf(a, b, x):
@@ -77,26 +94,286 @@ def _betacf(a, b, x):
                        "(a=%g, b=%g, x=%g)" % (a, b, x))
 
 
-def _log_inc_beta(a, b, x):
-    """log of the unnormalized incomplete beta B(x; a, b).
+def _log_inc_beta(a, x):
+    """log of the unnormalized incomplete beta B(x; a, 1/2).
 
     Uses the continued fraction directly when x is below the standard
-    crossover (a+1)/(a+b+2), otherwise evaluates the complementary tail
+    crossover (a+1)/(a+5/2), otherwise evaluates the complementary tail
     and subtracts from the complete beta in log space.  Returns a Python
     float on every branch, so verdicts computed from it are bools.
     """
     if x == 0.0:
         return -math.inf
-    if x < (a + 1.0) / (a + b + 2.0):
-        return (a * math.log(x) + b * math.log1p(-x) - math.log(a)
-                + math.log(_betacf(a, b, x)))
-    lbeta = float(special.betaln(a, b))
+    if x < (a + 1.0) / (a + 2.5):
+        return (a * math.log(x) + 0.5 * math.log1p(-x) - math.log(a)
+                + math.log(_betacf(a, 0.5, x)))
+    lbeta = _log_beta_half(a)
     if x == 1.0:
         return lbeta
-    log_tail = (a * math.log(x) + b * math.log1p(-x) - math.log(b)
-                + math.log(_betacf(b, a, 1.0 - x)))
+    log_tail = (a * math.log(x) + 0.5 * math.log1p(-x) - math.log(0.5)
+                + math.log(_betacf(0.5, a, 1.0 - x)))
     # B(x) = B - tail; the tail is below B/2 on this branch.
     return lbeta + math.log1p(-math.exp(log_tail - lbeta))
+
+
+# Bernoulli numbers B_2, ..., B_20 (numerator, denominator), and pi to
+# 36 digits
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
+              (7, 6), (-3617, 510), (43867, 798), (-174611, 330))
+_PI = decimal.Decimal("3.14159265358979323846264338327950288")
+
+
+def _log_ratio_coefs():
+    """c_k = (2 - 2^(1-2k)) B_2k / ((2k - 1) 2k), at 28 digits: log
+    Gamma(x + 1/2) - log Gamma(x) = log(x) / 2 - sum_k c_k x^(1-2k), the
+    difference of the Stirling series at x + 1/2 and at x (Bernoulli
+    polynomials at 1/2: B_2k(1/2) = (2^(1-2k) - 1) B_2k)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28
+        return tuple((2 - decimal.Decimal(2) ** (1 - 2 * k)) * num
+                     / (den * (2 * k - 1) * 2 * k)
+                     for k, (num, den) in enumerate(_BERNOULLI, 1))
+
+
+_LOG_RATIO = _log_ratio_coefs()
+
+
+@functools.lru_cache(maxsize=1024)
+def _beta_half(a):
+    """The complete beta B(a, 1/2) as a 28-digit Decimal, for a > 0.
+
+    B(a, 1/2) = sqrt(pi) Gamma(a) / Gamma(a + 1/2).  The ratio
+    Gamma(a) / Gamma(a + 1/2) is lifted by 28-digit products to
+    x = a + j >= 12, where _LOG_RATIO's series in 1/x^2, ten terms,
+    reaches about 1e-21:
+
+        B(a, 1/2) = sqrt(pi / x) exp(sum_k c_k x^(1-2k))
+                    prod_j (a + j + 1/2) / (a + j).
+
+    No difference of two large log Gammas is formed, so every float
+    taken from the result is rounded once.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28
+        half = decimal.Decimal(0.5)
+        x = decimal.Decimal(a)
+        num = den = decimal.Decimal(1)
+        while x < 12:
+            num *= x + half
+            den *= x
+            x += 1
+        inv2 = 1 / (x * x)
+        series = 0
+        for c in reversed(_LOG_RATIO):
+            series = series * inv2 + c
+        return (_PI / x).sqrt() * (series / x).exp() * num / den
+
+
+def _log_beta_half(a):
+    """log B(a, 1/2), within about an ulp of B (from _beta_half)."""
+    return math.log(float(_beta_half(float(a))))
+
+
+def _positive_series(z, first, ratio):
+    """sum_k t_k over an array z, with t_0 = first and t_(k+1) =
+    t_k (z ratio(k)), for terms that only fall; ratio takes an array of
+    k.
+
+    The number of terms is fixed for the whole array by its largest z:
+    past it every term is below a quarter of eps times t_0, so below
+    half an ulp of its point's total, which it and every later term
+    leave unchanged.  Each point's terms are multiplied and added first
+    to last, in a loop over the terms, or for at most _SERIES_TABLE
+    points (where a loop would spend its time in numpy calls) by a
+    cumulative product and sum along a table with one row per point:
+    the same operations in the same order, so no point's bits depend on
+    the other points of its array.
+    """
+    if not z.size:
+        return np.empty_like(z)
+    zmax = float(np.max(z))
+    count = 32
+    while True:
+        coefs = ratio(np.arange(float(count)))
+        past = np.flatnonzero(np.cumprod(zmax * coefs) < 0.25 * _EPS_DOUBLE)
+        if past.size:
+            coefs = coefs[:past[0] + 1]
+            break
+        count *= 2
+    if z.size <= _SERIES_TABLE:
+        table = np.empty((z.size, coefs.size + 1))
+        table[:, 0] = first
+        np.multiply.outer(z, coefs, out=table[:, 1:])
+        np.cumprod(table, axis=1, out=table)
+        return np.cumsum(table, axis=1, out=table)[:, -1].copy()
+    term = np.full_like(z, first)
+    total = term.copy()
+    factor = np.empty_like(z)
+    for c in coefs:
+        np.multiply(z, c, out=factor)
+        term *= factor
+        total += term
+    return total
+
+
+def _betacf_vec(a, b, x):
+    """The continued fraction of _betacf over an array x, by the same
+    modified Lentz steps with each coefficient's x factored out.  A point
+    leaves the iteration when it converges, so its bits do not depend on
+    the other points of its array."""
+    out = np.empty_like(x)
+    if not x.size:
+        return out
+    idx = np.arange(x.size)
+
+    def floor(v):
+        return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
+
+    c = np.ones_like(x)
+    d = 1.0 / floor(1.0 - (a + b) / (a + 1.0) * x)
+    h = d.copy()
+    for m in range(1, _MAXIT + 1):
+        m2 = 2 * m
+        for coef in (m * (b - m) / ((a - 1.0 + m2) * (a + m2)),
+                     -(a + m) * (a + b + m) / ((a + m2) * (a + 1.0 + m2))):
+            aa = coef * x
+            d = 1.0 / floor(1.0 + aa * d)
+            c = floor(1.0 + aa / c)
+            delta = d * c
+            h *= delta
+        done = np.abs(delta - 1.0) < _EPS
+        if np.any(done):
+            out[idx[done]] = h[done]
+            keep = ~done
+            idx, x, c, d, h = idx[keep], x[keep], c[keep], d[keep], h[keep]
+            if not idx.size:
+                return out
+    raise RuntimeError("incomplete beta continued fraction did not converge "
+                       "(a=%g, b=%g)" % (a, b))
+
+
+def _beta_tails(a, x, w, power):
+    """One tail of the incomplete beta B(x; a, 1/2) at each point, from
+    x, w = 1 - x and power = x^a, each as exact as the caller has them;
+    returns the tails and which points hold the upper one.
+
+    Below the crossover x = (a+1)/(a+5/2) the lower tail is
+    B(x; a, 1/2) = x^a sum_k c_k x^k / (a + k), c_k = (1/2)_k / k!, a
+    positive series, for x <= _SERIES_TOP; above, where that series needs
+    many terms, it is x^a sqrt(w) F / a with F = 2F1(a+1/2, 1; a+1; x) from
+    the continued fraction of _betacf.  Above the crossover the upper
+    tail B(a, 1/2) - B(x; a, 1/2) is 2 w^(1/2) x^a G, with the positive
+    series G = 2F1(a+1/2, 1; 3/2; w), whose terms fall at once.  Tails
+    below the double range come out 0.
+    """
+    top = x >= (a + 1.0) / (a + 2.5)
+    tail = np.empty_like(x)
+    low = np.flatnonzero((x <= _SERIES_TOP) & ~top)
+    tail[low] = power[low] * _positive_series(
+        x[low], 1.0 / a,
+        lambda k: (k + 0.5) * (a + k) / ((k + 1.0) * (a + k + 1.0)))
+    mid = np.flatnonzero((x > _SERIES_TOP) & ~top)
+    tail[mid] = (power[mid] * np.sqrt(w[mid])
+                 * _betacf_vec(a, 0.5, x[mid]) / a)
+    high = np.flatnonzero(top)
+    tail[high] = 2.0 * np.sqrt(w[high]) * power[high] * _positive_series(
+        w[high], 1.0, lambda k: (a + 0.5 + k) / (1.5 + k))
+    return tail, top
+
+
+def _betainc_half(a, x, upper=False):
+    """The regularized incomplete beta I_x(a, 1/2) for a > 0 and x in
+    [0, 1], an array or a scalar, from _beta_tails.  With upper=True the
+    argument is w = 1 - x and the result is the upper tail
+    I_w(1/2, a) = 1 - I_{1-w}(a, 1/2), accurate where it is small.
+    x^a is pow of whichever of x and w is exact, from log1p(-w) when
+    only w is.
+    """
+    v = np.asarray(x, dtype=float)
+    shape = v.shape
+    v = v.ravel()
+    if upper:
+        w, x = v, 1.0 - v
+    else:
+        x, w = v, 1.0 - v
+    power = np.power(x, a)
+    if upper:
+        inexact = np.flatnonzero(w < 0.5)
+        power[inexact] = np.exp(a * np.log1p(-w[inexact]))
+    tail, top = _beta_tails(a, x, w, power)
+    out = tail * float(1 / _beta_half(float(a)))
+    out = np.where(top != upper, 1.0 - out, out)
+    if not shape:
+        return float(out[0])
+    return out.reshape(shape)
+
+
+def _betaincinv_half(a, y, upper=False):
+    """x in [0, 1] with I_x(a, 1/2) = y, for an array y in [0, 1]; with
+    upper=True, the w with I_w(1/2, a) = y (_betainc_half's upper tail).
+    A root below the double range comes out 0.
+
+    Bracketed Halley iteration on log I in log x, from the leading
+    terms I ~ x^p / (p B) and 1 - I ~ (1 - x)^q / (q B), with p, q the
+    tail's parameters: in those variables the tail is nearly linear.  A
+    step that leaves the bracket bisects it instead.  A point stops
+    after a step below _INVERSE_STOP relative, since the next step would
+    be far below an ulp, or when its bracket closes, so its bits do not
+    depend on the other points.
+    """
+    y = np.asarray(y, dtype=float)
+    shape = y.shape
+    y = y.ravel()
+    p, q = (0.5, a) if upper else (a, 0.5)
+    log_beta = _log_beta_half(a)
+    out = np.zeros_like(y)
+    out[y >= 1.0] = 1.0
+    idx = np.flatnonzero((y > 0.0) & (y < 1.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        # the leading terms of both tails overshoot the root, so the
+        # start is the lesser of the two (the far one where it is in
+        # (0, 1)); a start that underflows marks a root below the double
+        # range, which stays 0
+        x = np.exp((np.log(y[idx] * p) + log_beta) / p)
+        far = -np.expm1((np.log1p(-y[idx]) + math.log(q) + log_beta) / q)
+        x = np.where((far > 0.0) & (far < x), far, x)
+        x = np.where(x < 1.0, x, 0.5)
+        idx, x = idx[x > 0.0], x[x > 0.0]
+        target = y[idx]
+        lo = np.zeros_like(x)
+        hi = np.ones_like(x)
+        for _ in range(_MAXIT):
+            if not idx.size:
+                return out.reshape(shape)
+            tail = _betainc_half(a, x, upper)
+            lo = np.where(tail < target, x, lo)
+            hi = np.where(tail > target, x, hi)
+            # in u = log x: g = log(I / y), taken of the ratio, which is
+            # near 1, so it does not carry the rounding of log y and
+            # log I; g' = x^p (1 - x)^(q-1) / (B I) and
+            # g'' = g' (p + (1 - q) x / (1 - x) - g'); Halley's step
+            g = np.log(tail / target)
+            slope = np.exp(p * np.log(x) + (q - 1.0) * np.log1p(-x)
+                           - log_beta) / tail
+            curve = slope * (p + (1.0 - q) * x / (1.0 - x) - slope)
+            step = x * np.expm1(-2.0 * g * slope
+                                / (2.0 * slope * slope - g * curve))
+            new = x + step
+            # a step too small to leave the root stands, even where it
+            # rounds onto a bracket end
+            small = np.abs(step) <= _INVERSE_STOP * x
+            new = np.where(small | ((lo < new) & (new < hi)), new,
+                           0.5 * (lo + hi))
+            done = small | (hi - lo <= 2.0 * _EPS_DOUBLE * hi)
+            x = new
+            if np.any(done):
+                out[idx[done]] = x[done]
+                keep = ~done
+                idx, x, lo, hi = idx[keep], x[keep], lo[keep], hi[keep]
+                target = target[keep]
+    raise RuntimeError("incomplete beta inverse did not converge (a=%g)"
+                       % (a,))
 
 
 def _check_m_sigma(m, sigma):
@@ -108,7 +385,7 @@ def _check_m_sigma(m, sigma):
 
 @functools.lru_cache(maxsize=65536)
 def _log_cap_integral_cached(m, sigma):
-    return math.log(0.5) + _log_inc_beta(0.5 * m, 0.5, sigma * sigma)
+    return math.log(0.5) + _log_inc_beta(0.5 * m, sigma * sigma)
 
 
 def log_cap_integral(m, sigma):
@@ -140,7 +417,7 @@ def cap_integral_mpmath(m, sigma):
     at 30 digits, kept as an independent cross-check of cap_integral.
 
     mpmath sums a hypergeometric series, so this route shares nothing
-    with scipy or with the continued fraction behind cap_integral.
+    with the continued fraction behind cap_integral.
     """
     # imported here: mpmath stays out of every CLI start
     import mpmath
@@ -205,15 +482,19 @@ def cap_integral_series(m, sigma):
 
 
 def _vec_cap_integral(m, r):
-    """I_m at many radii as an array; fine for moderate m.
-
-    Uses the regularized incomplete beta from scipy times the complete
-    beta constant.  Shared by the distribution samplers, where m never
-    exceeds the ambient dimension.
+    """I_m at many radii as an array: half the incomplete beta
+    B(r^2; m/2, 1/2) of _beta_tails, from r^m and (1 - r)(1 + r), so
+    neither rounds r^2 first.  Shared by the distribution samplers,
+    where m never exceeds the ambient dimension.
     """
     r = np.asarray(r, dtype=float)
-    const = 0.5 * math.exp(special.betaln(0.5 * m, 0.5))
-    return const * special.betainc(0.5 * m, 0.5, np.square(r))
+    shape = r.shape
+    r = r.ravel()
+    a = 0.5 * m
+    power = np.power(r, m)
+    tail, top = _beta_tails(a, r * r, (1.0 - r) * (1.0 + r), power)
+    return 0.5 * np.where(top, float(_beta_half(float(a))) - tail,
+                          tail).reshape(shape)
 
 
 def cap_integral_bounds(m, sigma):

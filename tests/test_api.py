@@ -34,3 +34,35 @@ def test_cli_import_skips_quadrature(tmp_path):
                            str(tmp_path / "verify.csv")],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split("\n") == ["[]", "1 []", ""]
+
+
+def test_runs_without_scipy():
+    # scipy is a test oracle only: importing the package and its CLI
+    # loads none of it, and with every scipy import refused (so a lazy
+    # one cannot come back) a pole law still samples, reads its radial
+    # CDF and normalizes a tabulated profile
+    code = (
+        "import sys\n"
+        "import capsmooth, capsmooth.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is blocked: ' + name)\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import numpy as np\n"
+        "from capsmooth.distributions import (AdversarialLaw, Cap,\n"
+        "                                     normalize_profile)\n"
+        "from capsmooth.montecarlo import stream_rng\n"
+        "center = np.eye(5)[0]\n"
+        "law = AdversarialLaw(Cap(center, 1.0), 1.5)\n"
+        "z = law.sample(stream_rng(1, 0), size=1000)\n"
+        "f = law.radial_cdf(np.linspace(0.0, 1.0, 11))\n"
+        "prof = normalize_profile(lambda r: 2.0 - r / 0.5, 4, 1.0, 0.5)\n"
+        "tab = AdversarialLaw(Cap(center, 0.5), 1.0, prof)\n"
+        "r = tab.inverse_radial_cdf(np.linspace(0.0, 1.0, 101))\n"
+        "print(z.shape, f[0], f[-1], r[-1], prof.kind)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split("\n") == ["[]", "(1000, 5) 0.0 1.0 0.5 tabulated",
+                                       ""]

@@ -6,9 +6,9 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
-from capsmooth import distributions
+from capsmooth import distributions, volumes
 from capsmooth.distributions import (AdversarialLaw, Cap, RadialProfile,
                                      constant_profile, normalize_profile,
                                      uniform_law)
@@ -293,7 +293,7 @@ class TestRadialCdf:
         # the reference sums every segment's mass up to rho at 50 digits.
         # 1024 nodes is rho = sigma, where the reference is about 0: the
         # table is normalized with double segment masses, so its exact
-        # mass falls 7.8e-15 (35 eps) short of I_200(sigma)
+        # mass misses I_200(sigma) by their rounding (about 1 eps)
         law = _tabulated_law(lambda r: 2.0 - r / 0.5, 210, 10.0, 0.5)
         r_grid, h_grid = law.profile.r_grid, law.profile.h_grid
         rho = nodes * r_grid[1]
@@ -493,11 +493,11 @@ class TestInverseKernel:
                                      (6.0, 1e-20), (16.0, 1e-22),
                                      (16.0, 0.2)])
     def test_oracle_against_mpmath(self, a, y):
-        # the fit's node values and certificate rest on betaincinv plus
-        # one Newton step; check that against a 40-digit root.  The step
-        # is exact up to the rounding of betainc, which x ~ y^(1/a)
+        # the fit's node values and certificate rest on the in-house
+        # inverse of betainc; check it against a 40-digit root.  It is
+        # exact up to the rounding of betainc, which x ~ y^(1/a)
         # magnifies by 1/a
-        x = float(distributions._betaincinv_polished(a, 0.5, y))
+        x = float(volumes._betaincinv_half(a, y))
         with mpmath.workdps(40):
             xr, beta = mpmath.mpf(x), mpmath.beta(a, 0.5)
             for _ in range(5):
@@ -510,15 +510,15 @@ class TestInverseKernel:
     @pytest.mark.parametrize("m", KERNEL_M)
     def test_against_betaincinv(self, m, sigma):
         # relative error in x = r^2 within the build bound, deep tail
-        # included; the reference is betaincinv polished by one Newton
-        # step (raw betaincinv is itself up to 60 eps off at m = 32)
+        # included; the reference is the in-house inverse of betainc that
+        # the kernel is fitted to
         law = _kernel_law(m, sigma)
         p = _residual_points()[2:]
         p = np.concatenate((p, np.geomspace(2.0 ** -53, 1e-3, 200)))
         law.inverse_radial_cdf(p)
         kernel = law._inverse
         y = p * kernel.top
-        want = distributions._betaincinv_polished(0.5 * m, 0.5, y)
+        want = volumes._betaincinv_half(0.5 * m, y)
         rel = np.abs(kernel(y) - want) / want
         assert np.max(rel) <= distributions._CHEB_TOL
 
@@ -597,15 +597,16 @@ class TestInverseKernel:
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0])
     def test_built_once(self, monkeypatch, sigma):
-        # the first batch builds the kernel; later ones call no betaincinv
+        # the first batch builds the kernel; later ones call no inverse
+        # of the incomplete beta
         calls = []
-        inverse = special.betaincinv
+        inverse = distributions._betaincinv_half
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return inverse(*args)
+            return inverse(*args, **kwargs)
 
-        monkeypatch.setattr(special, "betaincinv", counted)
+        monkeypatch.setattr(distributions, "_betaincinv_half", counted)
         law = AdversarialLaw(Cap(e0(3), sigma), 1.5)
         law.sample(rng(1), size=BATCH_SIZE)
         assert calls

@@ -201,3 +201,189 @@ def test_monotonicity_properties(m, s1, s2):
     assert a <= b * (1 + 1e-12)
     # integrand shrinks with m pointwise on r <= 1
     assert cap_integral(m + 0.5, hi) <= b * (1 + 1e-12)
+
+
+# -- the in-house incomplete beta at b = 1/2 -------------------------------
+
+EPS = np.finfo(float).eps
+BETA_A = [0.25, 0.75, 1.5, 2.0, 2.5, 4.5, 16.0, 50.0, 100.0, 300.0, 500.0]
+# dense in x: the lower series, the continued fraction, the crossover
+# and the upper series all get points, and so do both ends
+DENSE_X = np.unique(np.concatenate((
+    np.geomspace(1e-12, 0.5, 40), np.linspace(0.5, 1.0, 61)[1:-1],
+    1.0 - np.geomspace(1e-14, 0.3, 30))))
+DENSE_W = np.geomspace(1e-14, 0.5, 40)
+
+
+def _mp_betainc(a, b, x):
+    """Regularized I_x(a, b) at 40 digits."""
+    import mpmath
+    with mpmath.workdps(40):
+        return mpmath.betainc(a, b, 0, mpmath.mpf(float(x)),
+                              regularized=True)
+
+
+def _relative_errors(values, refs):
+    """|value - ref| / ref in eps, with ref at 40 digits, where the
+    reference is at least 1e-290."""
+    import mpmath
+    out = []
+    with mpmath.workdps(40):
+        for v, ref in zip(values, refs):
+            if ref >= mpmath.mpf("1e-290"):
+                out.append(float(abs(mpmath.mpf(float(v)) - ref) / ref)
+                           / EPS)
+    return np.array(out)
+
+
+def _bound_eps(a):
+    # 32 eps up to a = 8; 2e-13 relative beyond, where x^a and the
+    # continued fraction lose accuracy with a
+    return 32.0 if a <= 8 else 2e-13 / EPS
+
+
+class TestBetaincHalf:
+    """volumes._betainc_half against 40-digit mpmath, scipy alongside."""
+
+    @pytest.mark.parametrize("a", BETA_A)
+    def test_lower_tail_against_mpmath(self, a):
+        from scipy import special
+        refs = [_mp_betainc(a, 0.5, x) for x in DENSE_X]
+        ours = _relative_errors(volumes._betainc_half(a, DENSE_X), refs)
+        theirs = _relative_errors(special.betainc(a, 0.5, DENSE_X), refs)
+        assert ours.size == theirs.size > 0
+        assert np.max(ours) <= _bound_eps(a)
+        # scipy, the second reference, is no closer than this bound plus
+        # its own error anywhere
+        assert np.max(ours) <= np.max(theirs) + _bound_eps(a)
+
+    @pytest.mark.parametrize("a", BETA_A)
+    def test_upper_tail_against_mpmath(self, a):
+        # upper=True takes w = 1 - x and returns I_w(1/2, a), which must
+        # keep its relative accuracy where it is small
+        from scipy import special
+        refs = [_mp_betainc(0.5, a, w) for w in DENSE_W]
+        ours = _relative_errors(volumes._betainc_half(a, DENSE_W, upper=True),
+                                refs)
+        assert ours.size > 0 and np.max(ours) <= _bound_eps(a)
+        theirs = _relative_errors(special.betainc(0.5, a, DENSE_W), refs)
+        assert np.max(ours) <= np.max(theirs) + _bound_eps(a)
+
+    def test_log_beta(self):
+        import mpmath
+        grid = np.concatenate((np.linspace(0.25, 20.0, 80),
+                               np.geomspace(20.0, 600.0, 40)))
+        with mpmath.workdps(40):
+            worst = max(abs(volumes._log_beta_half(a)
+                            - mpmath.log(mpmath.beta(float(a), 0.5)))
+                        for a in grid)
+        # an error d in log B is a relative error d in B
+        assert float(worst) <= 4.0 * EPS
+
+    @pytest.mark.parametrize("a", [0.25, 1.5, 16.0, 300.0])
+    def test_ends_and_underflow(self, a):
+        x = np.array([0.0, 1.0])
+        assert list(volumes._betainc_half(a, x)) == [0.0, 1.0]
+        assert list(volumes._betainc_half(a, x, upper=True)) == [0.0, 1.0]
+        assert volumes._betainc_half(a, 0.0) == 0.0
+        assert isinstance(volumes._betainc_half(a, 0.5), float)
+        # a value below the double range is 0, not nan
+        tiny = volumes._betainc_half(a, np.array([1e-300 ** (1.0 / a)
+                                                  if a < 1 else 1e-5]))
+        assert not np.isnan(tiny).any()
+        assert list(volumes._vec_cap_integral(2 * a, np.array([0.0]))) \
+            == [0.0]
+
+    def test_deep_underflow_is_zero(self):
+        assert volumes._betainc_half(300.0, 1e-5) == 0.0
+        assert list(volumes._vec_cap_integral(600.0, np.array([1e-3]))) \
+            == [0.0]
+
+    @pytest.mark.parametrize("a", [0.25, 1.5, 4.5, 16.0, 300.0])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_points_stand_alone(self, a, upper):
+        # the sums stop on each point's own terms: a point gets the same
+        # bits in a large array (a term loop), a small one (a term table)
+        # and alone
+        x = np.concatenate((DENSE_X, DENSE_W))
+        whole = volumes._betainc_half(a, x, upper)
+        assert np.array_equal(whole[::9], volumes._betainc_half(
+            a, x[::9], upper))
+        assert np.array_equal(whole[::40], [volumes._betainc_half(a, v, upper)
+                                            for v in x[::40]])
+        inverse = volumes._betaincinv_half(a, whole, upper)
+        assert np.array_equal(inverse[::9], volumes._betaincinv_half(
+            a, whole[::9], upper))
+
+    @pytest.mark.parametrize("m", [0.5, 3.0, 8.0, 200.0])
+    def test_cap_integral_vector(self, m):
+        # I_m from r^m and (1 - r)(1 + r), against 40-digit mpmath, the
+        # region near r = 1 included
+        import mpmath
+        r = np.concatenate((np.linspace(0.01, 0.99, 50),
+                            1.0 - np.geomspace(1e-12, 1e-3, 10), [1.0]))
+        got = volumes._vec_cap_integral(m, r)
+        with mpmath.workdps(40):
+            refs = [mpmath.betainc(m / 2, 0.5, 0, mpmath.mpf(float(v)) ** 2)
+                    / 2 for v in r]
+        assert np.max(_relative_errors(got, refs)) <= _bound_eps(m / 2)
+
+
+def _mp_root(p, q, y, x):
+    """The 40-digit root of I_x(p, q) = y, by Newton from x."""
+    import mpmath
+    with mpmath.workdps(40):
+        xr, beta = mpmath.mpf(float(x)), mpmath.beta(p, q)
+        for _ in range(8):
+            res = mpmath.betainc(p, q, 0, xr, regularized=True) - y
+            xr -= res * beta * xr ** (1 - p) * (1 - xr) ** (1 - q)
+        return xr
+
+
+class TestBetaincinvHalf:
+    """The bracketed Newton inverse, on both branches of the kernel:
+    the lower tail in x and the upper tail in w = 1 - x."""
+
+    @pytest.mark.parametrize("a", [0.25, 0.75, 1.5, 4.5, 16.0, 150.0])
+    def test_lower_round_trip(self, a):
+        # x ~ (y a B)^(1/a) in the tail: the roots for a = 1/4 run from
+        # below the double range (which give 0) to 0.3
+        y = np.concatenate((np.geomspace(1e-200, 1e-3, 8),
+                            np.linspace(0.01, 0.5, 8)))
+        x = volumes._betaincinv_half(a, y)
+        gone = x == 0.0
+        assert list(np.flatnonzero(gone)) == ([0, 1, 2, 3, 4] if a < 0.5
+                                              else [])
+        x, y = x[~gone], y[~gone]
+        for xi, yi in zip(x, y):
+            ref = _mp_root(a, 0.5, yi, xi)
+            # the rounding of I, which x ~ y^(1/a) magnifies by 1/a
+            assert abs(float((xi - ref) / ref)) \
+                <= 4.0 * EPS * max(1.0, 1.0 / a)
+        # and forward again: the residual is the forward function's
+        # error plus one ulp of x times the slope d log I / d log x
+        back = volumes._betainc_half(a, x)
+        slope = np.exp(a * np.log(x) - 0.5 * np.log1p(-x)
+                       - volumes._log_beta_half(a)) / y
+        assert np.all(np.abs(back - y) / y
+                      <= (_bound_eps(a) + 2.0 * slope) * EPS)
+
+    @pytest.mark.parametrize("a", [0.25, 0.75, 1.5, 4.5, 16.0, 150.0])
+    def test_upper_round_trip(self, a):
+        c = np.concatenate((np.geomspace(1e-12, 1e-3, 6),
+                            np.linspace(0.01, 0.5, 8)))
+        w = volumes._betaincinv_half(a, c, upper=True)
+        for wi, ci in zip(w, c):
+            ref = _mp_root(0.5, a, ci, wi)
+            # w ~ c^2 near 0 doubles the relative error of the tail
+            assert abs(float((wi - ref) / ref)) <= 16.0 * EPS
+        back = volumes._betainc_half(a, w, upper=True)
+        assert np.max(np.abs(back - c) / c) <= 16.0 * EPS
+
+    def test_ends(self):
+        y = np.array([0.0, 1.0])
+        assert list(volumes._betaincinv_half(2.0, y)) == [0.0, 1.0]
+        assert list(volumes._betaincinv_half(2.0, y, upper=True)) \
+            == [0.0, 1.0]
+        assert volumes._betaincinv_half(2.0, np.zeros((2, 3))).shape \
+            == (2, 3)
