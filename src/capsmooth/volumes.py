@@ -9,21 +9,19 @@ incomplete beta function.  The volume of a spherical cap of angular
 radius arcsin(sigma) in S^n is O_{n-1} I_n(sigma), where O_n denotes
 the volume of the unit n-sphere.
 
-Two independent evaluation routes are provided: a continued-fraction
-incomplete beta carried in log space (log_cap_integral and cap_integral,
-for real m and for values far below the smallest positive double), and
-mpmath's 30-digit hypergeometric-series incomplete beta
-(cap_integral_mpmath, a cross-check).  cap_integral_series adds closed
-forms as a third route.  The module holds evaluators only; the
-sandwich of cap_integral_bounds is checked by checks.sandwich_rows.
-
-The samplers need the incomplete beta at b = 1/2 only, so the module
-holds its own: _betainc_half, the regularized I_x(a, 1/2) over arrays
-(positive series on either side of the crossover and a vectorized
-continued fraction between), _betaincinv_half, its bracketed Halley
-inverse, and _beta_half, the complete B(a, 1/2) to 28 digits.
-_vec_cap_integral is I_m at many radii from the same series.  Nothing
-here imports scipy; the tests use it and mpmath as oracles.
+Everything here needs the incomplete beta at b = 1/2 only, so the
+module holds one engine for it (_beta_tails): series on either side of
+the crossover x = (a+1)/(a+5/2) and a continued fraction between, in
+value or in log (finite far below the smallest positive double), with
+array loops and plain-float loops at one point that give the same bits.
+log_cap_integral, cap_integral, _betainc_half (the regularized
+I_x(a, 1/2)), _vec_cap_integral (I_m at many radii), _betaincinv_half (a
+bracketed Halley inverse) and _betaincinv_ratio (the inverse where I
+underflows) all read it; _beta_half is B(a, 1/2) to 28 digits.
+mpmath's 30-digit incomplete beta (cap_integral_mpmath) and the closed
+forms of cap_integral_series stay apart from it, as cross-checks;
+checks.sandwich_rows checks the sandwich of cap_integral_bounds.
+Nothing here imports scipy; the tests use it and mpmath as oracles.
 """
 
 import decimal
@@ -51,69 +49,13 @@ _EPS_DOUBLE = np.finfo(float).eps
 # needs fewer steps
 _SERIES_TABLE = 64
 _SERIES_TOP = 0.75
+# the most points that _beta_tails evaluates one at a time: the array
+# loops cost 40-100 us on up to 16 points (0.4-0.9 ms in the continued
+# fraction), the plain-float ones 5-10 us a point (2-core x86-64)
+_SCALAR_CUT = 10
 # the relative step below which the inverse's Halley iteration stops:
 # the step after it would be far below an ulp
 _INVERSE_STOP = 1e-9
-
-
-def _betacf(a, b, x):
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge "
-                       "(a=%g, b=%g, x=%g)" % (a, b, x))
-
-
-def _log_inc_beta(a, x):
-    """log of the unnormalized incomplete beta B(x; a, 1/2).
-
-    Uses the continued fraction directly when x is below the standard
-    crossover (a+1)/(a+5/2), otherwise evaluates the complementary tail
-    and subtracts from the complete beta in log space.  Returns a Python
-    float on every branch, so verdicts computed from it are bools.
-    """
-    if x == 0.0:
-        return -math.inf
-    if x < (a + 1.0) / (a + 2.5):
-        return (a * math.log(x) + 0.5 * math.log1p(-x) - math.log(a)
-                + math.log(_betacf(a, 0.5, x)))
-    lbeta = _log_beta_half(a)
-    if x == 1.0:
-        return lbeta
-    log_tail = (a * math.log(x) + 0.5 * math.log1p(-x) - math.log(0.5)
-                + math.log(_betacf(0.5, a, 1.0 - x)))
-    # B(x) = B - tail; the tail is below B/2 on this branch.
-    return lbeta + math.log1p(-math.exp(log_tail - lbeta))
 
 
 # Bernoulli numbers B_2, ..., B_20 (numerator, denominator), and pi to
@@ -174,32 +116,48 @@ def _log_beta_half(a):
     return math.log(float(_beta_half(float(a))))
 
 
-def _positive_series(z, first, ratio):
-    """sum_k t_k over an array z, with t_0 = first and t_(k+1) =
-    t_k (z ratio(k)), for terms that only fall; ratio takes an array of
-    k.
-
-    The number of terms is fixed for the whole array by its largest z:
-    past it every term is below a quarter of eps times t_0, so below
-    half an ulp of its point's total, which it and every later term
-    leave unchanged.  Each point's terms are multiplied and added first
-    to last, in a loop over the terms, or for at most _SERIES_TABLE
-    points (where a loop would spend its time in numpy calls) by a
-    cumulative product and sum along a table with one row per point:
-    the same operations in the same order, so no point's bits depend on
-    the other points of its array.
-    """
-    if not z.size:
-        return np.empty_like(z)
-    zmax = float(np.max(z))
+@functools.lru_cache(maxsize=1024)
+def _series_coefs(a, upper):
+    """The ratios c_k, t_(k+1) = t_k z c_k, of the positive series below
+    the crossover (z = x) or above it (z = w), as an array and a list:
+    enough for the region's largest z, widened above for x and w rounded
+    apart (see _positive_series)."""
+    if upper:
+        def ratio(k):
+            return (a + 0.5 + k) / (1.5 + k)
+        zmax = (1.0 - (a + 1.0) / (a + 2.5)) * (1.0 + 1e-6)
+    else:
+        def ratio(k):
+            return (k + 0.5) * (a + k) / ((k + 1.0) * (a + k + 1.0))
+        zmax = _SERIES_TOP
     count = 32
     while True:
         coefs = ratio(np.arange(float(count)))
         past = np.flatnonzero(np.cumprod(zmax * coefs) < 0.25 * _EPS_DOUBLE)
         if past.size:
             coefs = coefs[:past[0] + 1]
-            break
+            return coefs, coefs.tolist()
         count *= 2
+
+
+def _positive_series(z, first, coefs):
+    """sum_k t_k over an array z, with t_0 = first and t_(k+1) =
+    t_k (z coefs[k]), for terms that only fall.
+
+    The array's largest z fixes the number of terms: past it every term
+    is below a quarter of eps times t_0, so below half an ulp of its
+    point's total, which it and every later term leave unchanged.  Each
+    point's terms are multiplied and added first to last, in a loop over
+    the terms, or for at most _SERIES_TABLE points by a cumulative
+    product and sum along a table with a row per point: the same
+    operations in the same order, so no point's bits depend on the
+    others.
+    """
+    if not z.size:
+        return np.empty_like(z)
+    past = np.flatnonzero(np.cumprod(float(np.max(z)) * coefs)
+                          < 0.25 * _EPS_DOUBLE)
+    coefs = coefs[:past[0] + 1]
     if z.size <= _SERIES_TABLE:
         table = np.empty((z.size, coefs.size + 1))
         table[:, 0] = first
@@ -216,69 +174,113 @@ def _positive_series(z, first, ratio):
     return total
 
 
-def _betacf_vec(a, b, x):
-    """The continued fraction of _betacf over an array x, by the same
-    modified Lentz steps with each coefficient's x factored out.  A point
-    leaves the iteration when it converges, so its bits do not depend on
-    the other points of its array."""
-    out = np.empty_like(x)
-    if not x.size:
-        return out
-    idx = np.arange(x.size)
+def _series_point(z, first, coefs):
+    """_positive_series at one float z, up to the first term that leaves
+    the total unchanged: every later one is smaller."""
+    term = total = first
+    for c in coefs:
+        term *= z * c
+        if total + term == total:
+            break
+        total += term
+    return total
 
-    def floor(v):
+
+def _floor(v):
+    """v, or _FPMIN where |v| is below it: Lentz's guard against 0."""
+    if isinstance(v, np.ndarray):
         return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
+    return _FPMIN if abs(v) < _FPMIN else v
 
-    c = np.ones_like(x)
-    d = 1.0 / floor(1.0 - (a + b) / (a + 1.0) * x)
-    h = d.copy()
+
+def _lentz(a, x):
+    """The modified Lentz steps of the continued fraction
+    F = 2F1(a + 1/2, 1; a + 1; x), at a float x or over an array: yields
+    F and whether it has converged after each step, so the caller takes
+    each point's F at its own convergence."""
+    c = 1.0
+    d = 1.0 / _floor(1.0 - (a + 0.5) / (a + 1.0) * x)
+    h = d
     for m in range(1, _MAXIT + 1):
         m2 = 2 * m
-        for coef in (m * (b - m) / ((a - 1.0 + m2) * (a + m2)),
-                     -(a + m) * (a + b + m) / ((a + m2) * (a + 1.0 + m2))):
+        for coef in (m * (0.5 - m) / ((a - 1.0 + m2) * (a + m2)),
+                     -(a + m) * (a + 0.5 + m) / ((a + m2) * (a + 1.0 + m2))):
             aa = coef * x
-            d = 1.0 / floor(1.0 + aa * d)
-            c = floor(1.0 + aa / c)
+            d = 1.0 / _floor(1.0 + aa * d)
+            c = _floor(1.0 + aa / c)
             delta = d * c
-            h *= delta
-        done = np.abs(delta - 1.0) < _EPS
-        if np.any(done):
-            out[idx[done]] = h[done]
-            keep = ~done
-            idx, x, c, d, h = idx[keep], x[keep], c[keep], d[keep], h[keep]
-            if not idx.size:
-                return out
+            h = h * delta
+        yield h, abs(delta - 1.0) < _EPS
     raise RuntimeError("incomplete beta continued fraction did not converge "
-                       "(a=%g, b=%g)" % (a, b))
+                       "(a=%g)" % (a,))
 
 
-def _beta_tails(a, x, w, power):
+def _finish(a, region, w, power, part, log):
+    """A region's tail from its sum, by numpy operations that act alike
+    on floats and arrays; see _beta_tails."""
+    if region == 0:
+        return power + np.log(part) if log else power * part
+    if region == 1:
+        return (power + np.log(np.sqrt(w) * part / a) if log
+                else power * np.sqrt(w) * part / a)
+    tail = 2.0 * np.sqrt(w) * (np.exp(power) if log else power) * part
+    if log:
+        return _log_beta_half(a) + np.log1p(-tail / float(_beta_half(a)))
+    return tail
+
+
+def _beta_tails(a, x, w, power, log=False):
     """One tail of the incomplete beta B(x; a, 1/2) at each point, from
-    x, w = 1 - x and power = x^a, each as exact as the caller has them;
-    returns the tails and which points hold the upper one.
+    arrays of x, w = 1 - x and power = x^a, each as exact as the caller
+    has them; returns the tails and which points hold the upper one.
 
-    Below the crossover x = (a+1)/(a+5/2) the lower tail is
-    B(x; a, 1/2) = x^a sum_k c_k x^k / (a + k), c_k = (1/2)_k / k!, a
-    positive series, for x <= _SERIES_TOP; above, where that series needs
-    many terms, it is x^a sqrt(w) F / a with F = 2F1(a+1/2, 1; a+1; x) from
-    the continued fraction of _betacf.  Above the crossover the upper
-    tail B(a, 1/2) - B(x; a, 1/2) is 2 w^(1/2) x^a G, with the positive
-    series G = 2F1(a+1/2, 1; 3/2; w), whose terms fall at once.  Tails
-    below the double range come out 0.
+    Below the crossover x = (a+1)/(a+5/2) the lower tail is x^a S, with
+    the positive series S = sum_k c_k x^k / (a + k), c_k = (1/2)_k / k!,
+    for x <= _SERIES_TOP and S = sqrt(w) F / a, F from _lentz, above.
+    Past it the upper tail B(a, 1/2) - B(x; a, 1/2) is 2 w^(1/2) x^a G,
+    G = 2F1(a+1/2, 1; 3/2; w) a positive series.  Tails below the double
+    range come out 0.  With log, power holds log x^a and the result is
+    log B(x; a, 1/2), which stays finite: log x^a + log S below the
+    crossover, log B + log1p(-tail / B) above.  At most _SCALAR_CUT
+    points go one by one through _beta_tail, for the same bits without
+    the fixed cost of numpy calls.
     """
+    if x.size <= _SCALAR_CUT:
+        pairs = [_beta_tail(a, *point, log) for point in
+                 zip(x.tolist(), w.tolist(), power.tolist())]
+        return (np.array([tail for tail, _ in pairs], dtype=float),
+                np.array([top for _, top in pairs], dtype=bool))
     top = x >= (a + 1.0) / (a + 2.5)
-    tail = np.empty_like(x)
     low = np.flatnonzero((x <= _SERIES_TOP) & ~top)
-    tail[low] = power[low] * _positive_series(
-        x[low], 1.0 / a,
-        lambda k: (k + 0.5) * (a + k) / ((k + 1.0) * (a + k + 1.0)))
     mid = np.flatnonzero((x > _SERIES_TOP) & ~top)
-    tail[mid] = (power[mid] * np.sqrt(w[mid])
-                 * _betacf_vec(a, 0.5, x[mid]) / a)
     high = np.flatnonzero(top)
-    tail[high] = 2.0 * np.sqrt(w[high]) * power[high] * _positive_series(
-        w[high], 1.0, lambda k: (a + 0.5 + k) / (1.5 + k))
+    fraction = np.empty(mid.size)
+    pending = np.ones(mid.size, dtype=bool)
+    steps = _lentz(a, x[mid])
+    while pending.any():
+        h, done = next(steps)
+        fraction[pending & done] = h[pending & done]
+        pending &= ~done
+    parts = (_positive_series(x[low], 1.0 / a, _series_coefs(a, False)[0]),
+             fraction,
+             _positive_series(w[high], 1.0, _series_coefs(a, True)[0]))
+    tail = np.empty_like(x)
+    for region, (idx, part) in enumerate(zip((low, mid, high), parts)):
+        tail[idx] = _finish(a, region, w[idx], power[idx], part, log)
     return tail, top
+
+
+def _beta_tail(a, x, w, power, log=False):
+    """_beta_tails at one point of floats: a float and a bool."""
+    top = x >= (a + 1.0) / (a + 2.5)
+    if top:
+        region, part = 2, _series_point(w, 1.0, _series_coefs(a, True)[1])
+    elif x <= _SERIES_TOP:
+        region, part = 0, _series_point(x, 1.0 / a,
+                                        _series_coefs(a, False)[1])
+    else:
+        region, part = 1, next(h for h, done in _lentz(a, x) if done)
+    return float(_finish(a, region, w, power, part, log)), top
 
 
 def _betainc_half(a, x, upper=False):
@@ -376,6 +378,24 @@ def _betaincinv_half(a, y, upper=False):
                        % (a,))
 
 
+def _betaincinv_ratio(a, q):
+    """x / q for the x with I_x(a, 1/2) = q^a, over an array q where q^a
+    is below the normal range.  There B(x; a, 1/2) = x^a S(x), with S
+    the power-free factor of _beta_tails (its log output at log x^a =
+    0), so x = q exp((log B(a, 1/2) - log S(x)) / a): a fixed point,
+    iterated from S(0) = 1/a, that contracts by about x / a per step."""
+    log_beta = _log_beta_half(a)
+    x = q * math.exp((log_beta + math.log(a)) / a)
+    for _ in range(_MAXIT):
+        log_s, _ = _beta_tails(a, x, 1.0 - x, np.zeros_like(x), log=True)
+        ratio = np.exp((log_beta - log_s) / a)
+        new = q * ratio
+        if np.array_equal(new, x):
+            break
+        x = new
+    return ratio
+
+
 def _check_m_sigma(m, sigma):
     if not (m > 0.0) or not math.isfinite(m):
         raise ValueError("m must be a positive finite real, got %r" % (m,))
@@ -385,11 +405,16 @@ def _check_m_sigma(m, sigma):
 
 @functools.lru_cache(maxsize=65536)
 def _log_cap_integral_cached(m, sigma):
-    return math.log(0.5) + _log_inc_beta(0.5 * m, sigma * sigma)
+    log_b, _ = _beta_tail(0.5 * m, sigma * sigma,
+                          (1.0 - sigma) * (1.0 + sigma), m * np.log(sigma),
+                          log=True)
+    return math.log(0.5) + log_b
 
 
 def log_cap_integral(m, sigma):
-    """log I_m(sigma), exact in log space (no underflow for large m).
+    """log I_m(sigma), by the log output of the engine at one point
+    (_beta_tail), with log sigma^m = m log sigma and 1 - sigma^2 =
+    (1 - sigma)(1 + sigma): no underflow for large m.
 
     Memoized: the grid checkers hit the same (m, sigma) pairs many
     thousands of times.
@@ -405,8 +430,8 @@ def log_cap_integral(m, sigma):
 def cap_integral(m, sigma):
     """I_m(sigma) for real m > 0 and sigma in [0, 1].
 
-    Evaluates the log-space continued fraction and exponentiates
-    (returns 0.0 if the value is below the double range).
+    Exponentiates log_cap_integral (returns 0.0 if the value is below
+    the double range).
     """
     lv = log_cap_integral(m, sigma)
     return math.exp(lv) if lv > -math.inf else 0.0
@@ -416,8 +441,8 @@ def cap_integral_mpmath(m, sigma):
     """I_m(sigma) = B(sigma^2; m/2, 1/2) / 2 by mpmath's incomplete beta
     at 30 digits, kept as an independent cross-check of cap_integral.
 
-    mpmath sums a hypergeometric series, so this route shares nothing
-    with the continued fraction behind cap_integral.
+    mpmath sums a hypergeometric series at 30 digits, so this route
+    shares no rounding with the engine behind cap_integral.
     """
     # imported here: mpmath stays out of every CLI start
     import mpmath
@@ -431,8 +456,11 @@ def cap_integral_mpmath(m, sigma):
 
 
 def cap_integral_series(m, sigma):
-    """I_m(sigma) by elementary closed forms, independent of the
-    continued fraction.
+    """I_m(sigma) by elementary closed forms, in code apart from the
+    engine behind cap_integral.  For sigma^2 <= 3/4 the series below is
+    the engine's lower series too, so there it checks the code, not the
+    expansion; past that, where the engine turns to a continued fraction
+    and a series in 1 - sigma^2, and at sigma = 1, it is independent.
 
     For sigma < 1, expand (1 - r^2)^(-1/2) = sum_k c_k r^(2k) with
     c_k = binom(2k, k) / 4^k and integrate term by term:

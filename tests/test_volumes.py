@@ -56,7 +56,7 @@ class TestClosedForms:
 
 
 class TestSeriesOracle:
-    def test_agrees_with_continued_fraction(self):
+    def test_agrees_with_cap_integral(self):
         worst = 0.0
         for m in list(range(1, 21)) + [0.5, 2.5, 10.5]:
             for s in SIGMAS:
@@ -107,12 +107,37 @@ class TestQuadBackend:
             cap_integral_mpmath(2, 1.5)
 
 
+LOG_ROUTE_CASES = ([(m, s) for m in (1.0, 3.5, 9.0, 20.0, 80.0, 1000.0)
+                    for s in (0.1, 0.5, 0.9, 0.95, 0.99, 1.0)]
+                   + [(300.0, 0.05), (10000.0, 0.5)])
+
+
 class TestLogRoute:
     def test_matches_linear_route(self):
         for m in (1, 3.5, 20, 80):
             for s in (0.1, 0.6, 1.0):
                 assert np.isclose(math.exp(log_cap_integral(m, s)),
                                   cap_integral(m, s), rtol=1e-13)
+
+    def test_against_mpmath(self):
+        # every region of the engine (lower series, continued fraction,
+        # upper series), sigma = 1, and values far below the double
+        # range: I_300(0.05) ~ 1e-393, I_10000(0.5) ~ 1e-3014.  The
+        # error in log I is the relative error of I, within the
+        # engine's bound, plus the rounding of log I itself
+        import mpmath
+        regions = set()
+        for m, s in LOG_ROUTE_CASES:
+            a, x = m / 2, s * s
+            regions.add(2 if x >= (a + 1.0) / (a + 2.5)
+                        else int(x > volumes._SERIES_TOP))
+            with mpmath.workdps(40):
+                ref = mpmath.log(mpmath.betainc(
+                    mpmath.mpf(m) / 2, 0.5, 0, mpmath.mpf(s) ** 2) / 2)
+                err = float(abs(log_cap_integral(m, s) - ref))
+            assert err <= (_bound_eps(a) * EPS
+                           + 2.0 * np.spacing(abs(float(ref)))), (m, s)
+        assert regions == {0, 1, 2}
 
     def test_no_underflow_for_large_m(self):
         # I_10000(0.5) ~ 1e-3014 underflows linearly but not in logs
@@ -238,7 +263,9 @@ def _relative_errors(values, refs):
 
 def _bound_eps(a):
     # 32 eps up to a = 8; 2e-13 relative beyond, where x^a and the
-    # continued fraction lose accuracy with a
+    # engine's continued-fraction band, 0.75 < x < (a+1)/(a+5/2), lose
+    # accuracy with a; every route (values, logs, arrays and single
+    # points) reads that one engine
     return 32.0 if a <= 8 else 2e-13 / EPS
 
 
@@ -282,10 +309,21 @@ class TestBetaincHalf:
 
     @pytest.mark.parametrize("a", [0.25, 1.5, 16.0, 300.0])
     def test_ends_and_underflow(self, a):
-        x = np.array([0.0, 1.0])
-        assert list(volumes._betainc_half(a, x)) == [0.0, 1.0]
-        assert list(volumes._betainc_half(a, x, upper=True)) == [0.0, 1.0]
-        assert volumes._betainc_half(a, 0.0) == 0.0
+        # the ends stay exact in both drivers (no log of 0, no 0 * inf):
+        # at most _SCALAR_CUT points, and scalars, take the plain-float one
+        for x in (np.array([0.0, 1.0]),
+                  np.tile([0.0, 1.0], volumes._SCALAR_CUT)):
+            ends = list(x)
+            assert list(volumes._betainc_half(a, x)) == ends
+            assert list(volumes._betainc_half(a, x, upper=True)) == ends
+            assert list(volumes._vec_cap_integral(2 * a, x)) == [
+                float(volumes._beta_half(a)) / 2 * v for v in ends]
+        for upper in (False, True):
+            assert volumes._betainc_half(a, 0.0, upper) == 0.0
+            assert volumes._betainc_half(a, 1.0, upper) == 1.0
+        assert log_cap_integral(2 * a, 0.0) == -math.inf
+        assert log_cap_integral(2 * a, 1.0) \
+            == math.log(0.5) + volumes._log_beta_half(a)
         assert isinstance(volumes._betainc_half(a, 0.5), float)
         # a value below the double range is 0, not nan
         tiny = volumes._betainc_half(a, np.array([1e-300 ** (1.0 / a)
@@ -303,14 +341,24 @@ class TestBetaincHalf:
     @pytest.mark.parametrize("upper", [False, True])
     def test_points_stand_alone(self, a, upper):
         # the sums stop on each point's own terms: a point gets the same
-        # bits in a large array (a term loop), a small one (a term table)
-        # and alone
+        # bits in a large array (a term loop), a small one (a term
+        # table), one of at most _SCALAR_CUT points or a scalar (the
+        # plain-float driver), for both tails and for I_m
         x = np.concatenate((DENSE_X, DENSE_W))
+        r = np.sqrt(1.0 - x if upper else x)
+        if a > 3.5:
+            # both drivers reach the continued-fraction band
+            assert np.any((x > volumes._SERIES_TOP)
+                          & (x < (a + 1.0) / (a + 2.5)))
+        for func, v in ((lambda p: volumes._betainc_half(a, p, upper), x),
+                        (lambda p: volumes._vec_cap_integral(2 * a, p), r)):
+            whole = func(v)
+            assert np.array_equal(whole[::9], func(v[::9]))
+            for size in (1, 2, volumes._SCALAR_CUT + 1):
+                assert np.array_equal(whole, np.concatenate(
+                    [func(v[i:i + size]) for i in range(0, v.size, size)]))
+            assert np.array_equal(whole[::40], [func(p) for p in v[::40]])
         whole = volumes._betainc_half(a, x, upper)
-        assert np.array_equal(whole[::9], volumes._betainc_half(
-            a, x[::9], upper))
-        assert np.array_equal(whole[::40], [volumes._betainc_half(a, v, upper)
-                                            for v in x[::40]])
         inverse = volumes._betaincinv_half(a, whole, upper)
         assert np.array_equal(inverse[::9], volumes._betaincinv_half(
             a, whole[::9], upper))
