@@ -28,8 +28,9 @@ inverse volumes._betaincinv_half and certified then: its start radius
 is the answer on segments where h is constant.  Where h is not, a
 per-segment Chebyshev fit in the start radius gives the answer; it is
 built on the first inversion too, from a safeguarded Newton iteration on
-the segment mass that serves as its oracle and certificate, and that
-stays the inverse only on segments whose fit misses its bound.
+the segment mass that serves as its oracle and certificate.  Every fit
+is made once: a kernel branch or a segment whose fit misses its bound
+is inverted by the oracle it was certified against.
 """
 
 import math
@@ -55,48 +56,39 @@ _NEWTON_ITERS = 60
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
-# Chebyshev kernel for the inverse of betainc(a, 1/2, .): the degree and
-# the piece count of the first fit, the certificate's bound on the
-# relative error in x, and how often a branch that misses it doubles its
-# pieces before the build fails
+# Chebyshev kernel for the inverse of betainc(a, 1/2, .): the degree, the
+# piece count and the certificate's bound on the relative error in x
 _CHEB_DEGREE = 12
 _CHEB_PIECES = 32
 _CHEB_TOL = 64 * _EPS
-_CHEB_REFITS = 3
 
 
 class _ChebyshevPieces:
     """Piecewise Chebyshev interpolant on one or more intervals, of
     degree _CHEB_DEGREE through the Chebyshev points of the first kind
-    on every piece.  Interval g starts at lo[g], its pieces have width
-    1 / scale[g] and occupy coefficient columns first[g] to
-    first[g] + last[g]; coef[j] holds the degree-j coefficient of every
-    piece.  The coefficients come from the discrete cosine sum of the
-    values at the nodes."""
+    on every piece.  Interval g starts at lo[g] and is cut into `pieces`
+    pieces of width 1 / scale[g], which occupy coefficient columns
+    first[g] on; coef[j] holds the degree-j coefficient of every piece.
+    The coefficients come from the discrete cosine sum of the values at
+    the nodes."""
 
-    def __init__(self, lo, scale, first, last, coef=None):
+    def __init__(self, lo, scale, first, pieces, coef=None):
         self.lo = lo
         self.scale = scale
         self.first = first
-        self.last = last
+        self.pieces = pieces
         self.coef = coef
 
     @classmethod
     def equal(cls, lo, hi, pieces):
         """Intervals [lo[g], hi[g]], each cut into `pieces` equal pieces;
         no coefficients yet."""
-        count = len(lo)
-        return cls(lo, pieces / (hi - lo), pieces * np.arange(count),
-                   np.full(count, pieces - 1))
-
-    @property
-    def pieces(self):
-        """Pieces per interval, for equal pieces."""
-        return int(self.last[0]) + 1
+        return cls(lo, pieces / (hi - lo), pieces * np.arange(len(lo)),
+                   pieces)
 
     def points(self, theta):
-        """The points at angles theta on every piece of equal pieces,
-        (len(theta), columns)."""
+        """The points at angles theta on every piece, (len(theta),
+        columns)."""
         offset = (np.arange(self.pieces)
                   + 0.5 * (1.0 + np.cos(theta))[:, None])
         return (self.lo[:, None] + offset[:, None, :] / self.scale[:, None]
@@ -112,7 +104,7 @@ class _ChebyshevPieces:
         """Clenshaw's recurrence, one gathered coefficient per step; v
         lies in the given interval (an index, or one per point)."""
         u = (v - self.lo[interval]) * self.scale[interval]
-        k = np.clip(u.astype(np.intp), 0, self.last[interval])
+        k = np.clip(u.astype(np.intp), 0, self.pieces - 1)
         t = 2.0 * (u - k) - 1.0
         k += self.first[interval]
         t2 = 2.0 * t
@@ -126,33 +118,20 @@ class _ChebyshevPieces:
 def _certified_fit(solve, lo, hi, pieces, tol=_CHEB_TOL):
     """Fit each interval [lo[g], hi[g]], cut into `pieces` pieces, and
     certify it at the points midway (in angle) between the nodes and at
-    the ends of the pieces.  solve(intervals, nodes, between) gives, from
-    one call, the values at the nodes and a function that maps the fit to
-    its relative error at the points between; both point arrays have one
-    column per piece.  An interval whose error exceeds tol is fitted
-    again with its pieces doubled, up to _CHEB_REFITS times.
-
-    Returns the rounds as (fit, its intervals, which of them it
-    certifies), then the intervals still missing and their errors."""
+    the ends of the pieces.  solve(nodes, between) gives, from one call,
+    the values at the nodes and a function that maps the fit to its
+    relative error at the points between; both point arrays have one
+    column per piece.  Returns the fit and which of its intervals it
+    certifies: those whose error is at most tol."""
     n = _CHEB_DEGREE + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
     between = np.pi * np.arange(n) / n
-    intervals = np.arange(len(lo))
-    rounds = []
-    for _ in range(_CHEB_REFITS + 1):
-        fit = _ChebyshevPieces.equal(lo[intervals], hi[intervals], pieces)
-        values, error = solve(intervals, fit.points(theta),
-                              fit.points(between))
-        fit.interpolate(values)
-        err = error(fit).reshape(n, len(intervals), pieces).max(axis=(0, 2))
-        # nan (an underflowed node) misses too
-        ok = err <= tol
-        rounds.append((fit, intervals, ok))
-        intervals, err = intervals[~ok], err[~ok]
-        if not intervals.size:
-            break
-        pieces *= 2
-    return rounds, intervals, err
+    fit = _ChebyshevPieces.equal(lo, hi, pieces)
+    values, error = solve(fit.points(theta), fit.points(between))
+    fit.interpolate(values)
+    err = error(fit).reshape(n, len(lo), pieces).max(axis=(0, 2))
+    # nan (an underflowed node) misses too
+    return fit, err <= tol
 
 
 class _BetaincInverse:
@@ -175,10 +154,18 @@ class _BetaincInverse:
     certificate points in one call, except where q^a is below the
     normal range: there psi comes from volumes._betaincinv_ratio, a
     fixed point on the same engine's log output.
+
+    Each branch is fitted once, at _CHEB_PIECES pieces.  A branch that
+    misses the certificate is None, and volumes._betaincinv_half itself
+    inverts it, in the complement 1 - y on the upper branch, as the
+    certificate does: within about one ulp of x, at several times the
+    cost of the fit per point.  At sigma = 1 the lower branch misses
+    from a = 32 on.
     """
 
     def __init__(self, a, top):
         root = 1.0 / a
+        self._a = a
         self.top = top
         self.split = min(top, max(0.5, _betainc_half(a, 0.5)))
         self._root = root
@@ -187,7 +174,7 @@ class _BetaincInverse:
         num_r, den_r = root.as_integer_ratio()
         self._root_lo = (den_a * den_r - num_r * num_a) / (num_a * den_r)
 
-        def lower(_, nodes, between):
+        def lower(nodes, between):
             # one inverse for the nodes and the points between, where q^a
             # is a normal double; below, from _betaincinv_ratio
             q = np.concatenate((nodes.ravel(), between.ravel()))
@@ -211,7 +198,7 @@ class _BetaincInverse:
                 return err
             return values.reshape(nodes.shape), error
 
-        def upper(_, nodes, between):
+        def upper(nodes, between):
             # the complement as the evaluation sees it: y = 1 - sqrt(w)
             # rounds, and 1 - y is then exact for y >= 1/2
             c = 1.0 - (1.0 - np.sqrt(nodes.ravel()))
@@ -230,15 +217,10 @@ class _BetaincInverse:
 
     @staticmethod
     def _branch(solve, lo, hi):
-        rounds, missed, err = _certified_fit(solve, np.array([lo]),
-                                             np.array([hi]), _CHEB_PIECES)
-        fit = rounds[-1][0]
-        if missed.size:
-            raise ArithmeticError("radial inversion kernel misses its %.0f "
-                                  "eps bound (%.3g eps at %d pieces)"
-                                  % (_CHEB_TOL / _EPS, err[0] / _EPS,
-                                     fit.pieces))
-        return fit
+        """The branch's fit on [lo, hi], or None if it misses."""
+        fit, ok = _certified_fit(solve, np.array([lo]), np.array([hi]),
+                                 _CHEB_PIECES)
+        return fit if ok[0] else None
 
     def _lower_q(self, y):
         q = y ** self._root
@@ -248,11 +230,14 @@ class _BetaincInverse:
         return q
 
     def _lower_x(self, fit, y):
+        if fit is None:
+            return _betaincinv_half(self._a, y)
         q = self._lower_q(y)
         return q * fit(q)
 
-    @staticmethod
-    def _upper_x(fit, y):
+    def _upper_x(self, fit, y):
+        if fit is None:
+            return 1.0 - _betaincinv_half(self._a, 1.0 - y, upper=True)
         w = np.square(1.0 - y)
         return 1.0 - w * fit(w)
 
@@ -260,7 +245,7 @@ class _BetaincInverse:
         # a start above top (a tabulated segment's h held at its left
         # node, or rounding at p = 1) is clipped to its segment anyway
         y = np.minimum(y, self.top)
-        if self._upper is None:
+        if self.top <= self.split:
             return self._lower_x(self._lower, y)
         x = np.empty_like(y)
         low = y <= self.split
@@ -594,13 +579,14 @@ class AdversarialLaw:
         r0 is the answer when h is constant on the segment.  Otherwise
         the answer is r0 g(r0), with g the segment's Chebyshev fit (see
         _fit_segments; the first call builds the fits of every segment
-        where h is not constant).  Each fit is certified when it is
-        built against _solve, a safeguarded Newton iteration on the
-        segment mass from r0 that falls back to bisection of its bracket
-        whenever a step leaves it or lands on one of its ends.  On a
-        segment whose fit misses its bound that iteration is the
-        inverse.  Every point is solved on its own, so results do not
-        depend on the batch.  Endpoints are exact: p = 0 gives 0, and
+        where h is not constant).  Each fit is made once, and certified
+        when it is built against _solve, a safeguarded Newton iteration
+        on the segment mass from r0 that falls back to bisection of its
+        bracket whenever a step leaves it or lands on one of its ends.
+        On a segment whose fit misses its bound that iteration is the
+        inverse, as volumes._betaincinv_half is on a kernel branch that
+        misses its own.  Every point is solved on its own, so results do
+        not depend on the batch.  Endpoints are exact: p = 0 gives 0, and
         p = 1 gives the end of the support (sigma unless h falls to 0).
 
         Deep tails keep their accuracy.  The inverse works in x = r^2,
@@ -616,6 +602,9 @@ class AdversarialLaw:
         1/sqrt(1 - r^2), so one ulp of r moves F by up to about 1e-11.
         The radius returned is within one ulp of the representable
         radius with the least residual.
+
+        Raises ArithmeticError only when the law's radial mass is below
+        the double range (see radial_cdf).
         """
         p_arr = np.asarray(p, dtype=float)
         scalar = p_arr.ndim == 0
@@ -732,14 +721,13 @@ class AdversarialLaw:
         """Inverse on the segments where h is not constant: r = r0 g(r0),
         r0 the start radius, on r0 from the segment's left node to the
         start at the segment's whole mass.  g is one Chebyshev piece per
-        segment (_certified_fit doubles the pieces of a segment that
-        misses); it is smooth where the profile is, the pole r^(m-1)
+        segment; it is smooth where the profile is, the pole r^(m-1)
         being divided out with r0.  Node values and the certificate,
         relative error in r at most _CHEB_TOL / 2 (the kernel's bound in
-        r^2), come from one call of _solve per round, at radii fixed by
-        the law alone.  Returns the fits as one interpolant with an
-        interval per segment, and which segments keep the Newton
-        iteration."""
+        r^2), come from one call of _solve, at radii fixed by the law
+        alone.  Returns the fits as one interpolant with an interval per
+        segment, and which segments keep the Newton iteration: those
+        whose fit misses, and those with no fit."""
         mass = np.diff(self._cdf_nodes)
         sloped = np.flatnonzero((self._gamma != 0.0) & (mass > 0.0))
         # a segment whose start passes sigma (h rising) before its mass
@@ -750,56 +738,46 @@ class AdversarialLaw:
         segs = sloped[fittable]
         n = _CHEB_DEGREE + 1
 
-        def solve(intervals, nodes, between):
-            cols = nodes.shape[1]
-            pieces = cols // len(intervals)
-            slot = np.arange(cols) // pieces
-            seg = segs[intervals][slot]
+        def solve(nodes, between):
             r0 = np.concatenate((nodes, between))
-            rem = self._h_nodes[seg] * (_vec_cap_integral(self._m, r0)
-                                        - self._im_nodes[seg])
+            rem = self._h_nodes[segs] * (_vec_cap_integral(self._m, r0)
+                                         - self._im_nodes[segs])
             # the far end of a segment's interval is the start at the
             # segment's whole mass, whose radius is the right node
             r = np.full_like(r0, np.nan)
-            r[n, pieces - 1::pieces] = self._r_nodes[segs[intervals] + 1]
-            rem[n, pieces - 1::pieces] = mass[segs[intervals]]
-            idx = np.broadcast_to(seg, r0.shape).ravel()
+            r[n] = self._r_nodes[segs + 1]
+            rem[n] = mass[segs]
+            idx = np.broadcast_to(segs, r0.shape).ravel()
             rem, r = rem.ravel(), r.ravel()
             inner = np.flatnonzero(np.isnan(r))
             r[inner] = self._solve(idx[inner], rem[inner])
             cut = nodes.size
             start = self._start(idx[cut:], rem[cut:])
-            want, at = r[cut:], np.tile(slot, n)
+            want, at = r[cut:], np.tile(np.arange(segs.size), n)
             with np.errstate(divide="ignore", invalid="ignore"):
                 values = r[:cut].reshape(nodes.shape) / nodes
             return values, lambda fit: np.abs(start * fit(start, at)
                                               - want) / want
 
-        rounds = []
-        if segs.size:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rounds, _, _ = _certified_fit(solve, self._r_nodes[segs],
-                                              ends[fittable], 1,
-                                              _CHEB_TOL / 2)
-        # every segment that no fit certifies reads column 0, g = 1
+        # every segment without a certified fit reads column 0, g = 1
         # exactly: the start itself, for constant h and as Newton's start
-        unit = np.zeros((n, 1))
-        unit[0] = 1.0
         count = len(mass)
         lo, scale = np.zeros(count), np.zeros(count)
-        first, last = (np.zeros(count, dtype=np.intp) for _ in range(2))
+        first = np.zeros(count, dtype=np.intp)
         newton = np.zeros(count, dtype=bool)
         newton[sloped] = True
-        coef = [unit]
-        for fit, intervals, ok in rounds:
-            done = segs[intervals[ok]]
+        coef = np.zeros((n, 1))
+        coef[0] = 1.0
+        if segs.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fit, ok = _certified_fit(solve, self._r_nodes[segs],
+                                         ends[fittable], 1, _CHEB_TOL / 2)
+            done = segs[ok]
             lo[done], scale[done] = fit.lo[ok], fit.scale[ok]
-            first[done] = fit.first[ok] + sum(c.shape[1] for c in coef)
-            last[done] = fit.last[ok]
+            first[done] = fit.first[ok] + 1
             newton[done] = False
-            coef.append(fit.coef)
-        return _ChebyshevPieces(lo, scale, first, last,
-                                np.concatenate(coef, axis=1)), newton
+            coef = np.concatenate((coef, fit.coef), axis=1)
+        return _ChebyshevPieces(lo, scale, first, 1, coef), newton
 
     def sample(self, rng, size=None):
         """Draw points from the law as unit vectors.

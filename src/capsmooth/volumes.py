@@ -383,17 +383,22 @@ def _betaincinv_ratio(a, q):
     is below the normal range.  There B(x; a, 1/2) = x^a S(x), with S
     the power-free factor of _beta_tails (its log output at log x^a =
     0), so x = q exp((log B(a, 1/2) - log S(x)) / a): a fixed point,
-    iterated from S(0) = 1/a, that contracts by about x / a per step."""
+    iterated from S(0) = 1/a, that contracts by about x / a per step.
+    Rounding can leave a point hopping between two adjacent doubles, so
+    the iteration stops when the new iterate equals the last one or the
+    one before it."""
     log_beta = _log_beta_half(a)
     x = q * math.exp((log_beta + math.log(a)) / a)
+    before = None
     for _ in range(_MAXIT):
         log_s, _ = _beta_tails(a, x, 1.0 - x, np.zeros_like(x), log=True)
         ratio = np.exp((log_beta - log_s) / a)
         new = q * ratio
-        if np.array_equal(new, x):
-            break
-        x = new
-    return ratio
+        if np.array_equal(new, x) or np.array_equal(new, before):
+            return ratio
+        before, x = x, new
+    raise RuntimeError("incomplete beta ratio did not converge (a=%g)"
+                       % (a,))
 
 
 def _check_m_sigma(m, sigma):

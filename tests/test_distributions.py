@@ -561,9 +561,10 @@ class TestInverseKernel:
     @pytest.mark.parametrize("m", KERNEL_M)
     @pytest.mark.parametrize("sigma", [0.05, 0.5, 0.99, 1.0])
     def test_first_fit_holds(self, m, sigma):
-        # the first fit passes its certificate on every law here, so no
-        # law pays for refits; sigma = 1 needs the upper branch (the
-        # one-ulp criterion of test_cdf_residual_full_cap checks it)
+        # the fit passes its certificate on every law here, so no law
+        # here falls back to the slower Halley inverse; sigma = 1 needs
+        # the upper branch (the one-ulp criterion of
+        # test_cdf_residual_full_cap checks it)
         law = _kernel_law(m, sigma)
         law.inverse_radial_cdf(0.5)
         fits = [f for f in (law._inverse._lower, law._inverse._upper)
@@ -572,11 +573,15 @@ class TestInverseKernel:
             == [distributions._CHEB_PIECES] * len(fits)
         assert (law._inverse._upper is not None) or sigma < 1.0
 
-    @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0])
-    @pytest.mark.parametrize("n", [136, 200, 300])
+    @pytest.mark.parametrize("n,sigma", [
+        (136, 0.05), (136, 0.5), (136, 1.0), (200, 0.05), (200, 0.5),
+        (200, 1.0), (300, 0.05), (300, 0.5), (300, 1.0), (600, 0.5),
+        (600, 1.0), (1000, 1.0)])
     def test_large_m_builds(self, n, sigma):
         # q^(m/2) underflows at the lowest nodes of the lower branch from
-        # m = 136 on; there psi comes from the series
+        # m = 136 on; there psi comes from the series.  At sigma = 1 the
+        # lower branch misses its certificate from m = 64 on, and the
+        # Halley inverse serves it
         law = AdversarialLaw(Cap(e0(n), sigma), 0.0)
         p = _residual_points()
         if n == 300 and sigma == 0.05:
@@ -612,14 +617,59 @@ class TestInverseKernel:
             rel = abs((x - xr) / xr)
         assert rel <= distributions._CHEB_TOL
 
-    def test_certificate_raises(self, monkeypatch):
-        # a fit too coarse for its bound, even after its refits, fails
-        # the build instead of degrading the sampler
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_missed_branch_inverts_by_halley(self, monkeypatch, sigma):
+        # a fit too coarse for its bound is dropped, and the Halley
+        # inverse it was certified against inverts that branch instead:
+        # in the complement on the upper branch, which sigma = 1 needs
         monkeypatch.setattr(distributions, "_CHEB_DEGREE", 2)
-        monkeypatch.setattr(distributions, "_CHEB_REFITS", 1)
-        law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
-        with pytest.raises(ArithmeticError):
-            law.inverse_radial_cdf(0.5)
+        law = AdversarialLaw(Cap(e0(3), sigma), 1.5)
+        p = _residual_points()
+        r = law.inverse_radial_cdf(p)
+        kernel = law._inverse
+        assert kernel._lower is None and kernel._upper is None
+        f = law.radial_cdf(r)
+        if sigma < 1.0:
+            assert np.max(np.abs(f - p)) <= 1e-12
+        else:
+            # the one-ulp criterion of test_cdf_residual_full_cap
+            up = law.radial_cdf(np.minimum(np.nextafter(r, 2.0), 1.0))
+            down = law.radial_cdf(np.maximum(np.nextafter(r, -1.0), 0.0))
+            step = np.maximum(up - f, f - down)
+            assert np.all(np.abs(f - p) <= np.maximum(1e-12, step))
+        idx = np.zeros(p.size, dtype=np.intp)
+        start = np.minimum(law._start_x(idx, p * law._cdf_total), kernel.top)
+        inner = (p > 0.0) & (p < 1.0)
+        low = start <= kernel.split
+        want = np.empty_like(start)
+        want[low] = volumes._betaincinv_half(0.75, start[low])
+        want[~low] = 1.0 - volumes._betaincinv_half(0.75, 1.0 - start[~low],
+                                                     upper=True)
+        assert np.array_equal(r[inner], np.sqrt(want[inner]))
+        assert np.any(~low[inner]) == (sigma == 1.0)
+        assert np.array_equal(law.inverse_radial_cdf(p[::7]), r[::7])
+
+    def test_ratio_stops_on_a_two_cycle(self, monkeypatch):
+        # at n = 600, sigma = 0.5 one underflowed node of the lower branch
+        # hops between two adjacent doubles; the fixed point stops there
+        # instead of running all _MAXIT steps
+        calls = []
+        tails = volumes._beta_tails
+
+        def counted(*args, log=False):
+            if log:
+                calls.append(1)
+            return tails(*args, log=log)
+
+        monkeypatch.setattr(volumes, "_beta_tails", counted)
+        AdversarialLaw(Cap(e0(600), 0.5), 0.0).inverse_radial_cdf(0.5)
+        assert 0 < len(calls) <= 20
+        q = np.geomspace(1e-3, 2e-2, 8)
+        assert np.all(q ** 300.0 < np.finfo(float).tiny)
+        volumes._betaincinv_ratio(300.0, q)
+        monkeypatch.setattr(volumes, "_MAXIT", 1)
+        with pytest.raises(RuntimeError):
+            volumes._betaincinv_ratio(300.0, q)
 
     @pytest.mark.parametrize("make", [
         RESIDUAL_LAWS["constant beta 1.5"], RESIDUAL_LAWS["2 - r/sigma"],
@@ -676,12 +726,17 @@ class TestSegmentFits:
         assert np.max(np.abs(r - ref) / np.maximum(ref, 1e-300)) \
             <= distributions._CHEB_TOL
 
-    def test_kernel_certificate_raises(self, monkeypatch):
+    def test_missed_kernel_branch_falls_back(self, monkeypatch):
+        # the kernel and the segment fits all miss at degree 2: the
+        # Halley inverse gives the starts, and Newton the radii
         monkeypatch.setattr(distributions, "_CHEB_DEGREE", 2)
-        monkeypatch.setattr(distributions, "_CHEB_REFITS", 1)
         law = RESIDUAL_LAWS["2 - r/sigma"]()
-        with pytest.raises(ArithmeticError):
-            law.inverse_radial_cdf(0.5)
+        p = _residual_points()
+        r = law.inverse_radial_cdf(p)
+        assert law._inverse._lower is None
+        assert np.all(law._fits[1][law._gamma != 0.0])
+        assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
+        assert np.array_equal(law.inverse_radial_cdf(p[::7]), r[::7])
 
     @pytest.mark.parametrize("name", ["2 - r/sigma", "zero tail",
                                       "rising 1 + r"])
@@ -699,13 +754,14 @@ class TestSegmentFits:
         assert np.max(np.abs(r - want) / want) \
             <= 0.5 * distributions._CHEB_TOL
 
-    @pytest.mark.parametrize("name,uncertified", [("2 - r/sigma", []),
-                                                  ("zero tail", [31]),
-                                                  ("rising 1 + r", [1023])])
+    @pytest.mark.parametrize("name,uncertified", [
+        ("2 - r/sigma", [1]), ("zero tail", [1, 2, 28, 29, 30, 31]),
+        ("rising 1 + r", [1, 1023])])
     def test_newton_only_off_the_fits(self, monkeypatch, name, uncertified):
         # after the build, Newton runs only on points of segments whose
-        # fit missed: h falling to 0 at the end of segment 31, and the
-        # last segment, where the start passes sigma while h rises
+        # one-piece fit missed: segments next to r = 0 (1, and 2 in "zero
+        # tail"), those where h falls to 0 (28-31), and the last segment,
+        # where the start passes sigma while h rises
         law = RESIDUAL_LAWS[name]()
         law.inverse_radial_cdf(0.5)
         _, newton = law._fits
@@ -743,7 +799,7 @@ class TestSegmentFits:
         second = RESIDUAL_LAWS["2 - r/sigma"]()
         second.inverse_radial_cdf(_residual_points()[::-1])
         (a, newton_a), (b, newton_b) = first._fits, second._fits
-        for name in ("lo", "scale", "first", "last", "coef"):
+        for name in ("lo", "scale", "first", "pieces", "coef"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert np.array_equal(newton_a, newton_b)
 

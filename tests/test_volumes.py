@@ -113,12 +113,6 @@ LOG_ROUTE_CASES = ([(m, s) for m in (1.0, 3.5, 9.0, 20.0, 80.0, 1000.0)
 
 
 class TestLogRoute:
-    def test_matches_linear_route(self):
-        for m in (1, 3.5, 20, 80):
-            for s in (0.1, 0.6, 1.0):
-                assert np.isclose(math.exp(log_cap_integral(m, s)),
-                                  cap_integral(m, s), rtol=1e-13)
-
     def test_against_mpmath(self):
         # every region of the engine (lower series, continued fraction,
         # upper series), sigma = 1, and values far below the double
