@@ -12,9 +12,9 @@ Subcommands:
   verify      deterministic inequality battery plus seeded MC spot checks
 
 Every flag can also be supplied through --config FILE, a JSON object
-whose keys mirror the flag names; explicit command-line flags win.  The
-default seed comes from the CAPSMOOTH_SEED environment variable when it
-is set.
+whose keys name the subcommand's own flags; explicit flags win, and null
+keeps a flag's default.  --help prints each default; the seed's is the
+CAPSMOOTH_SEED environment variable when it is set, else 0.
 
 Exit codes: 0 success, 1 a checked bound or inequality was violated,
 2 invalid arguments.  All randomness is counter-based from the seed, so
@@ -23,6 +23,7 @@ repeated runs with the same arguments produce identical output bytes.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -59,6 +60,8 @@ def _resolve_center(spec, n, seed, problem=None):
 
 
 def _parse_problem(spec, n):
+    if spec is None:
+        raise ValueError("tail and expect need --problem")
     if spec == "hyperplane":
         if n is None:
             raise ValueError("--problem hyperplane needs --n")
@@ -107,17 +110,11 @@ def _report_text(report, fmt):
     return report.to_csv()
 
 
-def _check_choice(name, value, choices):
-    if value not in choices:
-        raise ValueError("--%s must be one of %s, got %r"
-                         % (name, "/".join(choices), value))
-
-
 def _cmd_volumes(args):
     if args.n is None:
         raise ValueError("volumes needs --n")
     n = args.n
-    sigmas = [float(s) for s in str(args.sigma).split(",")]
+    sigmas = [float(s) for s in args.sigma.split(",")]
     o_n = volumes.sphere_volume(n)
     half = 0.5 * o_n
     rows = []
@@ -174,20 +171,16 @@ def _with_t_grid(cfg, args):
 
 
 def _experiment_config(args, need_t_grid):
-    _check_choice("format", args.format, ("csv", "json"))
     problem = _parse_problem(args.problem, args.n)
     if args.d is not None and args.d != problem.degree:
         raise ValueError("--d %d does not match the problem degree %d"
                          % (args.d, problem.degree))
     center = _resolve_center(args.center, problem.n, args.seed, problem)
     law = _build_law(center, problem.n, args.sigma, args.beta, args.profile)
-    scale = None
-    if need_t_grid:
-        _check_choice("scale", args.scale, ("auto", "linear", "log"))
-        scale = None if args.scale == "auto" else args.scale
     cfg = montecarlo.ExperimentConfig(
         problem=problem, law=law, samples=args.samples, seed=args.seed,
-        workers=args.workers, scale=scale)
+        workers=args.workers,
+        scale=None if not need_t_grid or args.scale == "auto" else args.scale)
     return _with_t_grid(cfg, args) if need_t_grid else cfg
 
 
@@ -239,7 +232,6 @@ def _cmd_small_calc(args):
 
 
 def _cmd_verify(args):
-    _check_choice("format", args.format, ("csv", "json"))
     rows = [(check, params, row, check not in checks.SOFT)
             for entry in checks.BATTERY
             for check, params, row in entry(args.quick, args.seed,
@@ -273,179 +265,147 @@ def _cmd_verify(args):
 
 
 def _build_parser():
+    """capsmooth's parser, and its subcommand parsers by name.  Flags
+    that several subcommands share come from parent parsers, whose
+    actions are shared objects; set_defaults writes an action's default,
+    so each call of main builds its own parser."""
+    fmt = argparse.ArgumentDefaultsHelpFormatter
     ap = argparse.ArgumentParser(
-        prog="capsmooth",
+        prog="capsmooth", formatter_class=fmt,
         description="cap laws, conic condition numbers, and bound checks")
     sub = ap.add_subparsers(dest="command", required=True)
+    parent = functools.partial(argparse.ArgumentParser, add_help=False)
 
-    def add_command(name, func, help_text, flags, defaults):
-        p = sub.add_parser(name, help=help_text)
-        types = {}
-        for flag, kw in flags:
-            dest = flag.lstrip("-").replace("-", "_")
-            if kw.get("action") == "store_true":
-                types[dest] = bool
-                p.add_argument(flag, action="store_true",
-                               default=argparse.SUPPRESS,
-                               help=kw.get("help"))
-            else:
-                types[dest] = kw.get("type", str)
-                kw = dict(kw, default=argparse.SUPPRESS)
-                p.add_argument(flag, **kw)
-        p.add_argument("--config", default=argparse.SUPPRESS,
-                       metavar="FILE",
+    def command(name, func, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents,
+                           formatter_class=fmt)
+        p.add_argument("--config", metavar="FILE",
                        help="JSON object of flag values; explicit flags win")
-        p.set_defaults(_func=func, _defaults=defaults, _types=types)
+        p.set_defaults(_func=func)
+        return p
 
-    law_flags = [
-        ("--n", dict(type=int, help="projective dimension")),
-        ("--sigma", dict(type=float, help="cap radius in (0, 1]")),
-        ("--beta", dict(type=float, help="pole exponent in [0, n)")),
-        ("--profile", dict(metavar="FILE",
-                           help="CSV of r,h rows for the radial factor")),
-        ("--center", dict(help="pole, random, or coords:<c0,c1,...>")),
-        ("--seed", dict(type=int, help="64-bit experiment seed")),
-        ("--out", dict(help="output path (default stdout)")),
-    ]
-    law_defaults = {"n": None, "sigma": 0.5, "beta": 0.0, "profile": None,
-                    "seed": None, "out": None}
+    out = parent()
+    out.add_argument("--out", help="output path; stdout when None")
+    seed = parent()
+    seed.add_argument("--seed", type=int, help="seed; CAPSMOOTH_SEED if set",
+                      default=os.environ.get("CAPSMOOTH_SEED") or "0")
+    law = parent()
+    law.add_argument("--n", type=int, help="projective dimension")
+    law.add_argument("--sigma", type=float, default=0.5, help="cap radius")
+    law.add_argument("--beta", type=float, default=0.0, help="pole exponent")
+    law.add_argument("--profile", metavar="FILE",
+                     help="CSV of r,h rows for the radial factor")
+    runs = parent()
+    runs.add_argument("--workers", type=int, default=1, help="processes")
+    runs.add_argument("--format", choices=("csv", "json"), default="csv",
+                      help="report format")
+    mc = parent(parents=[law, seed, runs])
+    mc.add_argument("--center", default="pole",
+                    help="pole, random, or coords:<c0,c1,...>")
+    mc.add_argument("--problem", help="hyperplane, union:k, or matrix:m")
+    mc.add_argument("--d", type=int, help="expected problem degree (checked)")
+    mc.add_argument("--samples", type=int, default=100000, help="draws")
 
-    add_command(
-        "volumes", _cmd_volumes, "cap integrals and measures",
-        [("--n", dict(type=int, help="projective dimension")),
-         ("--sigma", dict(help="comma-separated cap radii")),
-         ("--out", dict(help="output path (default stdout)"))],
-        {"n": None, "sigma": "0.1,0.25,0.5,0.75,1.0", "out": None,
-         "seed": None})
+    p = command("volumes", _cmd_volumes, "cap integrals and measures", out)
+    p.add_argument("--n", type=int, help="projective dimension")
+    p.add_argument("--sigma", default="0.1,0.25,0.5,0.75,1.0", help="radii")
 
-    add_command(
-        "sample", _cmd_sample, "draw points from a cap law",
-        law_flags + [("--samples", dict(type=int))],
-        dict(law_defaults, center="random", samples=100))
+    p = command("sample", _cmd_sample, "draw points from a cap law",
+                law, seed, out)
+    p.add_argument("--center", default="random",
+                   help="pole, random, or coords:<c0,c1,...>")
+    p.add_argument("--samples", type=int, default=100, help="draws")
 
-    mc_flags = law_flags + [
-        ("--problem", dict(help="hyperplane, union:k, or matrix:m")),
-        ("--d", dict(type=int, help="expected problem degree (checked)")),
-        ("--samples", dict(type=int)),
-        ("--workers", dict(type=int)),
-        ("--format", dict(help="csv or json")),
-    ]
-    mc_defaults = dict(law_defaults, center="pole", problem=None, d=None,
-                       samples=100000, workers=1, format="csv")
+    p = command("tail", _cmd_tail, "tail probabilities against the bound",
+                mc, out)
+    p.add_argument("--scale", choices=("auto", "linear", "log"),
+                   default="auto", help="threshold scale")
+    p.add_argument("--t-min", type=float, help="first threshold; auto if None")
+    p.add_argument("--t-max", type=float, help="last threshold; auto if None")
+    p.add_argument("--t-steps", type=int, default=25, help="thresholds")
 
-    add_command(
-        "tail", _cmd_tail, "tail probabilities against the bound",
-        mc_flags + [
-            ("--scale", dict(help="auto, linear, or log")),
-            ("--t-min", dict(type=float)),
-            ("--t-max", dict(type=float)),
-            ("--t-steps", dict(type=int)),
-        ],
-        dict(mc_defaults, scale="auto", t_min=None, t_max=None, t_steps=25))
+    command("expect", _cmd_expect, "mean ln C against the bound", mc, out)
 
-    add_command(
-        "expect", _cmd_expect, "mean ln C against the bound",
-        mc_flags, dict(mc_defaults))
+    p = command("boost-check", _cmd_boost_check,
+                "sweep the boosting inequality over a grid", out)
+    p.add_argument("--n", type=int, help="pin the dimension axis")
+    p.add_argument("--beta", type=float, help="pin the pole exponent axis")
+    p.add_argument("--sigma", type=float, help="pin the cap radius axis")
+    p.add_argument("--H", type=float, help="pin the profile sup axis")
+    p.add_argument("--eps", type=float, help="pin the epsilon axis")
+    p.add_argument("--rho-steps", type=int, default=25, help="radii per point")
 
-    add_command(
-        "boost-check", _cmd_boost_check,
-        "sweep the boosting inequality over a grid",
-        [("--n", dict(type=int, help="pin the dimension axis")),
-         ("--beta", dict(type=float, help="pin the pole exponent axis")),
-         ("--sigma", dict(type=float, help="pin the cap radius axis")),
-         ("--H", dict(type=float, help="pin the profile sup axis")),
-         ("--eps", dict(type=float, help="pin the epsilon axis")),
-         ("--rho-steps", dict(type=int, help="radii per combination")),
-         ("--out", dict(help="output path (default stdout)"))],
-        {"n": None, "beta": None, "sigma": None, "H": None, "eps": None,
-         "rho_steps": 25, "out": None, "seed": None})
+    p = command("smoothness", _cmd_smoothness,
+                "mass ratio against the limit exponent", out)
+    p.add_argument("--n", type=int, help="pin the dimension axis")
+    p.add_argument("--beta", type=float, help="pin the pole exponent axis")
+    p.add_argument("--sigma", type=float, default=0.5, help="cap radius")
+    p.add_argument("--rho", type=float, default=1e-6, help="radius")
+    p.add_argument("--tol", type=float, default=0.02, help="pass tolerance")
 
-    add_command(
-        "smoothness", _cmd_smoothness,
-        "mass ratio against the limit exponent",
-        [("--n", dict(type=int, help="pin the dimension axis")),
-         ("--beta", dict(type=float, help="pin the pole exponent axis")),
-         ("--sigma", dict(type=float, help="pin the cap radius axis")),
-         ("--rho", dict(type=float, help="evaluation radius")),
-         ("--tol", dict(type=float, help="pass tolerance on |ratio-alpha|")),
-         ("--out", dict(help="output path (default stdout)"))],
-        {"n": None, "beta": None, "sigma": 0.5, "rho": 1e-6, "tol": 0.02,
-         "out": None, "seed": None})
+    p = command("small-calc", _cmd_small_calc,
+                "the elementary n-inequality of the expectation proof", out)
+    p.add_argument("--n-max", type=int, default=10 ** 6, help="largest n")
+    p.add_argument("--points", type=int, default=200, help="grid size")
 
-    add_command(
-        "small-calc", _cmd_small_calc,
-        "the elementary n-inequality of the expectation proof",
-        [("--n-max", dict(type=int, help="top of the log grid")),
-         ("--points", dict(type=int, help="grid size")),
-         ("--out", dict(help="output path (default stdout)"))],
-        {"n_max": 10 ** 6, "points": 200, "out": None, "seed": None})
-
-    add_command(
-        "verify", _cmd_verify, "run the full checker battery",
-        [("--quick", dict(action="store_true",
-                          help="smaller grids and sample counts")),
-         ("--seed", dict(type=int)),
-         ("--workers", dict(type=int)),
-         ("--format", dict(help="csv or json")),
-         ("--out", dict(help="output path (default stdout)"))],
-        {"quick": False, "seed": None, "workers": 1, "format": "csv",
-         "out": None})
-
-    return ap
+    p = command("verify", _cmd_verify, "run the full checker battery",
+                seed, runs, out)
+    p.add_argument("--quick", action="store_true", help="smaller battery")
+    return ap, sub.choices
 
 
-def _coerce_config_value(dest, value, types):
-    t = types.get(dest, str)
-    if value is None:
-        return None
-    if t is bool:
-        if not isinstance(value, bool):
-            raise ValueError("config key %r must be a JSON boolean" % dest)
-        return value
-    if t is int:
-        if isinstance(value, bool) or (isinstance(value, float)
-                                       and int(value) != value):
-            raise ValueError("config key %r must be an integer" % dest)
-        return int(value)
-    if t is float:
-        if isinstance(value, bool):
-            raise ValueError("config key %r must be a number" % dest)
-        return float(value)
-    return str(value)
+_KINDS = {bool: "a JSON boolean", int: "an integer", float: "a number"}
 
 
-def _merge_args(args):
-    provided = dict(vars(args))
-    func = provided.pop("_func")
-    defaults = dict(provided.pop("_defaults"))
-    types = provided.pop("_types")
-    provided.pop("command")
+def _config_value(key, action, value):
+    """A config file's value for action's flag, checked as the flag's
+    type and choices check it; a switch takes only a JSON boolean, a
+    number flag no boolean, and an int flag no fraction."""
+    kind = bool if action.nargs == 0 else action.type or str
+    try:
+        if kind is not str and (isinstance(value, bool) != (kind is bool) or
+                                kind is int and isinstance(value, float)
+                                and value % 1):
+            raise ValueError
+        value = kind(value)
+    except ValueError:
+        raise ValueError("config key %r must be %s"
+                         % (key, _KINDS[kind])) from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError("config key %r must be one of %s, got %r"
+                         % (key, "/".join(action.choices), value))
+    return value
 
-    config_path = provided.pop("config", None)
-    if config_path is not None:
-        with open(config_path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key, value in data.items():
-            dest = str(key).replace("-", "_")
-            if dest not in defaults:
-                raise ValueError("unknown config key %r" % (key,))
-            defaults[dest] = _coerce_config_value(dest, value, types)
-    defaults.update(provided)
 
-    if defaults.get("seed") is None:
-        env = os.environ.get("CAPSMOOTH_SEED")
-        defaults["seed"] = int(env) if env else 0
-    return func, argparse.Namespace(**defaults)
+def _parse_args(argv):
+    """The namespace of argv.  A --config file's values become the
+    subcommand's defaults, so explicit flags win; each key must name one
+    of its flags, and null keeps the flag's default."""
+    ap, commands = _build_parser()
+    args = ap.parse_args(argv)
+    if args.config is None:
+        return args
+    with open(args.config) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
+    parser = commands[args.command]
+    actions = {a.dest: a for a in parser._actions
+               if a.dest not in ("help", "config")}
+    for key, value in data.items():
+        action = actions.get(str(key).replace("-", "_"))
+        if action is None:
+            raise ValueError("unknown config key %r" % (key,))
+        if value is not None:
+            parser.set_defaults(**{action.dest:
+                                   _config_value(key, action, value)})
+    return ap.parse_args(argv)
 
 
 def main(argv=None):
-    ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
-        func, ns = _merge_args(args)
-        return func(ns)
+        args = _parse_args(argv)
+        return args._func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

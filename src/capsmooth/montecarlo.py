@@ -34,7 +34,8 @@ t_lo / 2, and evaluate_batch's C has a relative error far below 2 up
 to C = 2^40 (about 0.1 eps C for batched Jacobi), so its computed C is
 below t_lo too; and evaluate_batch gives a row the same bits whatever
 rows share its batch.  On the benchmark's matrix:3 law about 10 of
-250,000 rows reach Jacobi.  TailReport.n_evaluated counts them.
+250,000 rows reach Jacobi.  TailReport.n_evaluated counts them, in
+the JSON report only.
 Expectation estimates evaluate every row.
 
 Empirical survival probabilities carry two-sided 95% Wilson score
@@ -304,7 +305,8 @@ class TailReport:
     scale: str
     rows: list
     n_samples: int
-    # rows that reached evaluate_batch; like wall_time, never serialized
+    # rows that reached evaluate_batch: the same at any worker count, so
+    # the JSON report holds it, but not the CSV nor equality
     n_evaluated: int = field(default=0, compare=False)
     wall_time: float = field(default=0.0, compare=False)
 
@@ -320,6 +322,7 @@ class TailReport:
             "schema": "capsmooth-report-v1",
             "kind": "tail",
             "config": self.config,
+            "n_evaluated": self.n_evaluated,
             "rows": [{k: _json_value(v) for k, v in asdict(r).items()}
                      for r in self.rows],
         }

@@ -44,10 +44,8 @@ _MAXIT = 500
 _EPS = 3e-16
 _FPMIN = 1e-300
 _EPS_DOUBLE = np.finfo(float).eps
-# the most points whose series terms are summed as a table, and the
-# largest x summed by the lower series: above it the continued fraction
-# needs fewer steps
-_SERIES_TABLE = 64
+# the largest x summed by the lower series: above it the continued
+# fraction needs fewer steps
 _SERIES_TOP = 0.75
 # the most points that _beta_tails evaluates one at a time: the array
 # loops cost 40-100 us on up to 16 points (0.4-0.9 ms in the continued
@@ -147,23 +145,14 @@ def _positive_series(z, first, coefs):
     The array's largest z fixes the number of terms: past it every term
     is below a quarter of eps times t_0, so below half an ulp of its
     point's total, which it and every later term leave unchanged.  Each
-    point's terms are multiplied and added first to last, in a loop over
-    the terms, or for at most _SERIES_TABLE points by a cumulative
-    product and sum along a table with a row per point: the same
-    operations in the same order, so no point's bits depend on the
-    others.
+    point's terms are multiplied and added first to last, so no point's
+    bits depend on the others.
     """
     if not z.size:
         return np.empty_like(z)
     past = np.flatnonzero(np.cumprod(float(np.max(z)) * coefs)
                           < 0.25 * _EPS_DOUBLE)
     coefs = coefs[:past[0] + 1]
-    if z.size <= _SERIES_TABLE:
-        table = np.empty((z.size, coefs.size + 1))
-        table[:, 0] = first
-        np.multiply.outer(z, coefs, out=table[:, 1:])
-        np.cumprod(table, axis=1, out=table)
-        return np.cumsum(table, axis=1, out=table)[:, -1].copy()
     term = np.full_like(z, first)
     total = term.copy()
     factor = np.empty_like(z)
@@ -385,18 +374,23 @@ def _betaincinv_ratio(a, q):
     0), so x = q exp((log B(a, 1/2) - log S(x)) / a): a fixed point,
     iterated from S(0) = 1/a, that contracts by about x / a per step.
     Rounding can leave a point hopping between two adjacent doubles, so
-    the iteration stops when the new iterate equals the last one or the
-    one before it."""
+    a point stops when its new iterate equals its last one or the one
+    before it, and its bits do not depend on the other points."""
     log_beta = _log_beta_half(a)
+    out = np.empty_like(q)
+    idx = np.arange(q.size)
     x = q * math.exp((log_beta + math.log(a)) / a)
-    before = None
+    before = np.full_like(x, np.nan)
     for _ in range(_MAXIT):
+        if not idx.size:
+            return out
         log_s, _ = _beta_tails(a, x, 1.0 - x, np.zeros_like(x), log=True)
         ratio = np.exp((log_beta - log_s) / a)
-        new = q * ratio
-        if np.array_equal(new, x) or np.array_equal(new, before):
-            return ratio
-        before, x = x, new
+        new = q[idx] * ratio
+        done = (new == x) | (new == before)
+        out[idx[done]] = ratio[done]
+        keep = ~done
+        idx, before, x = idx[keep], x[keep], new[keep]
     raise RuntimeError("incomplete beta ratio did not converge (a=%g)"
                        % (a,))
 

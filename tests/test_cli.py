@@ -1,4 +1,4 @@
-"""Command line interface: argument merging, output formats, exit codes.
+"""Command line interface: flags, config files, output formats, exit codes.
 
 Commands run in-process through main(argv) so the suite stays fast; one
 subprocess test confirms the installed entry point works end to end.
@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from capsmooth.cli import main
+from capsmooth.cli import _build_parser, _parse_args, main
 
 
 def run(capsys, *argv):
@@ -149,6 +149,12 @@ class TestTailAndExpect:
                            "--n", "3", "--samples", "100")
         assert code == 2
         assert "error:" in err
+
+    def test_missing_problem(self, capsys):
+        for cmd in ("tail", "expect"):
+            code, _, err = run(capsys, cmd, "--n", "3", "--samples", "100")
+            assert code == 2
+            assert err == "error: tail and expect need --problem\n"
 
     def test_degree_check(self, capsys):
         code, _, err = run(capsys, "tail", "--problem", "hyperplane",
@@ -289,6 +295,128 @@ class TestConfigFile:
         code, _, err = run(capsys, "sample", "--config",
                            str(tmp_path / "nope.json"))
         assert code == 2
+
+
+# every subcommand's flags and their defaults (CAPSMOOTH_SEED unset)
+LAW = {"n": None, "sigma": 0.5, "beta": 0.0, "profile": None, "seed": 0,
+       "out": None}
+MC = dict(LAW, center="pole", problem=None, d=None, samples=100000,
+          workers=1, format="csv")
+COMMANDS = {
+    "volumes": ("--config --n --out --sigma",
+                {"n": None, "sigma": "0.1,0.25,0.5,0.75,1.0", "out": None}),
+    "sample": ("--beta --center --config --n --out --profile --samples "
+               "--seed --sigma", dict(LAW, center="random", samples=100)),
+    "tail": ("--beta --center --config --d --format --n --out --problem "
+             "--profile --samples --scale --seed --sigma --t-max --t-min "
+             "--t-steps --workers",
+             dict(MC, scale="auto", t_min=None, t_max=None, t_steps=25)),
+    "expect": ("--beta --center --config --d --format --n --out --problem "
+               "--profile --samples --seed --sigma --workers", MC),
+    "boost-check": ("--H --beta --config --eps --n --out --rho-steps "
+                    "--sigma", {"n": None, "beta": None, "sigma": None,
+                                "H": None, "eps": None, "rho_steps": 25,
+                                "out": None}),
+    "smoothness": ("--beta --config --n --out --rho --sigma --tol",
+                   {"n": None, "beta": None, "sigma": 0.5, "rho": 1e-6,
+                    "tol": 0.02, "out": None}),
+    "small-calc": ("--config --n-max --out --points",
+                   {"n_max": 10 ** 6, "points": 200, "out": None}),
+    "verify": ("--config --format --out --quick --seed --workers",
+               {"quick": False, "seed": 0, "workers": 1, "format": "csv",
+                "out": None}),
+}
+
+
+def flag_values(args):
+    """The flag values of a namespace, without --config."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "config", "_func")}
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flags_and_defaults(self, command, monkeypatch):
+        monkeypatch.delenv("CAPSMOOTH_SEED", raising=False)
+        flags, defaults = COMMANDS[command]
+        _, commands = _build_parser()
+        assert ({s for a in commands[command]._actions
+                 for s in a.option_strings} - {"-h", "--help"}
+                == set(flags.split()))
+        got = flag_values(_parse_args([command]))
+        # repr tells 0 from 0.0, so the types are pinned too
+        assert {k: repr(v) for k, v in got.items()} == {
+            k: repr(v) for k, v in defaults.items()}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "(default: " in capsys.readouterr().out
+
+    def test_choices_on_the_command_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "xml"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    def test_null_keeps_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CAPSMOOTH_SEED", "7")
+        path = write_config(tmp_path, {"n": 3, "samples": None,
+                                       "seed": None, "center": None})
+        args = _parse_args(["sample", "--config", path])
+        assert (args.n, args.samples, args.seed, args.center) == (
+            3, 100, 7, "random")
+
+    def test_config_does_not_leak(self, tmp_path):
+        # set_defaults writes the shared parent actions: a later parse
+        # must see the declared defaults again
+        path = write_config(tmp_path, {"samples": 10, "seed": 4})
+        assert _parse_args(["tail", "--config", path]).samples == 10
+        assert _parse_args(["tail"]).samples == 100000
+        assert _parse_args(["expect"]).samples == 100000
+
+    @pytest.mark.parametrize("command", ["volumes", "boost-check",
+                                         "smoothness", "small-calc"])
+    def test_seed_rejected_without_seed_flag(self, command, tmp_path,
+                                             capsys):
+        path = write_config(tmp_path, {"seed": 3})
+        code, out, err = run(capsys, command, "--config", path)
+        assert code == 2
+        assert out == ""
+        assert "'seed'" in err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("tail", "format", "xml"), ("verify", "format", "xml"),
+        ("tail", "scale", "bogus"), ("verify", "quick", 1),
+        ("tail", "sigma", True), ("tail", "t-min", "nine")])
+    def test_bad_value(self, command, key, value, tmp_path, capsys):
+        path = write_config(tmp_path, {key: value})
+        code, _, err = run(capsys, command, "--config", path)
+        assert code == 2
+        assert err.startswith("error:")
+        assert repr(key) in err
+
+    def test_quick_switch(self, tmp_path):
+        # parse only: the battery does not run
+        path = write_config(tmp_path, {"quick": True})
+        via_config = flag_values(_parse_args(["verify", "--config", path]))
+        assert via_config == flag_values(_parse_args(["verify", "--quick"]))
+        assert via_config["quick"] is True
+
+    def test_dashes_or_underscores(self, tmp_path):
+        for key in ("t-steps", "t_steps"):
+            path = write_config(tmp_path, {key: 4})
+            assert _parse_args(["tail", "--config", path]).t_steps == 4
 
 
 class TestVerify:

@@ -671,6 +671,24 @@ class TestInverseKernel:
         with pytest.raises(RuntimeError):
             volumes._betaincinv_ratio(300.0, q)
 
+    def test_ratio_stops_per_point(self):
+        # the underflowed lower-branch nodes of the n = 600, sigma = 0.5
+        # kernel, one of which hops between two adjacent doubles: each
+        # gets the same bits alone as in the kernel's batch
+        a = 300.0
+        kernel = distributions._BetaincInverse(
+            a, volumes._betainc_half(a, 0.25))
+        deg = distributions._CHEB_DEGREE + 1
+        fit = distributions._ChebyshevPieces.equal(
+            np.array([0.0]), np.array([kernel.split ** kernel._root]),
+            distributions._CHEB_PIECES)
+        q = fit.points(np.pi * (np.arange(deg) + 0.5) / deg).ravel()
+        q = q[q ** a < np.finfo(float).tiny]
+        assert q.size > 100
+        alone = [volumes._betaincinv_ratio(a, q[i:i + 1])[0]
+                 for i in range(q.size)]
+        assert np.array_equal(volumes._betaincinv_ratio(a, q), alone)
+
     @pytest.mark.parametrize("make", [
         RESIDUAL_LAWS["constant beta 1.5"], RESIDUAL_LAWS["2 - r/sigma"],
         lambda: AdversarialLaw(Cap(e0(16), 1.0), 4.0)],

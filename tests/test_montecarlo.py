@@ -535,14 +535,26 @@ class TestTailScreen:
                 problem, law, 1000, seed=0, t_grid=grid, scale=scale))
             assert rep.n_evaluated == 1000
 
-    def test_n_evaluated_not_serialized(self):
+    def test_n_evaluated_serialized(self):
+        # the JSON report holds n_evaluated; the CSV and equality do not
         problem = matrix_problem(3)
         law = matrix_laws(3, 0.5)[1][1]
-        cfg = lambda p: ExperimentConfig(p, law, 5000, seed=4,
-                                         t_grid=[50.0, 500.0],
-                                         scale="linear")
+        cfg = lambda p, w=1: ExperimentConfig(p, law, 5000, seed=4,
+                                              t_grid=[50.0, 500.0],
+                                              scale="linear", workers=w)
         screened = estimate_tail(cfg(problem))
         full = estimate_tail(cfg(unscreened(problem)))
-        assert screened.n_evaluated < full.n_evaluated
+        assert screened.n_evaluated < full.n_evaluated == 5000
         assert screened == full
-        assert screened.to_json_dict() == full.to_json_dict()
+        assert screened.to_csv() == full.to_csv()
+        doc = screened.to_json_dict()
+        assert doc["n_evaluated"] == screened.n_evaluated
+        assert full.to_json_dict() == dict(doc, n_evaluated=5000)
+        # no screen on the hyperplane: every row is evaluated
+        plain = estimate_tail(ExperimentConfig(
+            hyperplane_problem(3), AdversarialLaw(Cap(e0(3), 0.5), 0.0),
+            3000, seed=4, t_grid=[5.0, 10.0]))
+        assert plain.to_json_dict()["n_evaluated"] == 3000
+        # deterministic: the same bytes at one and two workers
+        text = lambda rep: json.dumps(rep.to_json_dict(), sort_keys=True)
+        assert text(estimate_tail(cfg(problem, 2))) == text(screened)
