@@ -382,8 +382,6 @@ def _betaincinv_ratio(a, q):
     x = q * math.exp((log_beta + math.log(a)) / a)
     before = np.full_like(x, np.nan)
     for _ in range(_MAXIT):
-        if not idx.size:
-            return out
         log_s, _ = _beta_tails(a, x, 1.0 - x, np.zeros_like(x), log=True)
         ratio = np.exp((log_beta - log_s) / a)
         new = q[idx] * ratio
@@ -391,6 +389,8 @@ def _betaincinv_ratio(a, q):
         out[idx[done]] = ratio[done]
         keep = ~done
         idx, before, x = idx[keep], x[keep], new[keep]
+        if not idx.size:
+            return out
     raise RuntimeError("incomplete beta ratio did not converge (a=%g)"
                        % (a,))
 
