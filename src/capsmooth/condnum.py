@@ -13,17 +13,23 @@ evaluate_batch takes ||z|| from geometry._norms, which adds the squares
 first to last whatever the memory order of z (np.linalg.norm sums
 C-ordered rows pairwise), so a batch and its C-ordered copy get the
 same bits.  Matrix
-batches get sigma_min from one-sided Jacobi run on the whole stack at
-once; the scalar path stays on LAPACK's SVD and is the independent
-reference the batch path is tested against.
+batches of m = 2 and 3 get sigma_min in closed form, elementwise, from
+the determinant, the 2x2 minors and ||A|| (_closed_sigma_min); rows
+near rank one, where those cancel, and m >= 4 get it from one-sided
+Jacobi run on the whole stack at once.  The scalar path stays on
+LAPACK's SVD and is the independent reference the batch path is tested
+against.
 
 A problem may also carry bound_batch, a cheap upper bound on C per row
 that is certified: never below the true C.  matrix:2 and matrix:3 take
 it from the closed-form determinant, C <= ||A||^m / ((m-1)^((m-1)/2)
 |det A|) by AM-GM on sigma_1 ... sigma_{m-1}, with the rounding of the
-determinant subtracted from |det A| first (_det_bound_batch).  A tail
+determinant subtracted from |det A| first (_det_bound).  A tail
 estimate uses it to skip the rows that cannot reach its lowest
-threshold (see montecarlo).  The other instances have none.
+threshold (see montecarlo), and evaluate_batch to send the rows whose
+bound exceeds _CLOSED_CUT to Jacobi.  Both read the norm and the
+determinant from one helper (_det_parts).  The other instances have
+none.
 """
 
 import math
@@ -215,8 +221,6 @@ def _jacobi_sigma_min(a):
     m, count = a.shape[-1], a.shape[0]
     stack = a.transpose(2, 1, 0).copy()   # stack[j] is column j, (m, N)
     tol = m * _EPS
-    # rotations keep ||A||_F, so the floor is fixed per matrix
-    floor = _EPS * _EPS * np.einsum("jik,jik->k", stack, stack)
     cols = list(stack)
     # work rows, allocated once; the active set uses their first columns
     rows = np.empty((8, count))
@@ -225,6 +229,8 @@ def _jacobi_sigma_min(a):
     out = np.empty(count)
     index = np.arange(count)    # where the active matrices sit in out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # rotations keep ||A||_F, so the floor is fixed per matrix
+        floor = _EPS * _EPS * np.einsum("jik,jik->k", stack, stack)
         for _ in range(_JACOBI_SWEEPS):
             moved, spare = _jacobi_sweep(cols, spare, floor, tol, rows,
                                          flags)
@@ -240,7 +246,7 @@ def _jacobi_sigma_min(a):
                 cols = [col[:, keep] for col in cols]
                 rows, flags = rows[:, :len(keep)], flags[:, :len(keep)]
                 spare = spare[:, :len(keep)]
-    out[index] = _column_min(cols, rows)
+        out[index] = _column_min(cols, rows)
     return out
 
 
@@ -248,22 +254,30 @@ def _jacobi_sigma_min(a):
 # inside, ||A||^m neither overflows nor underflows, and the absolute
 # error of an underflowed product is far below eps ||A||^m
 _BOUND_NORMS = (2.0 ** -200, 2.0 ** 200)
+# rows whose determinant bound exceeds this take sigma_min from Jacobi
+# (derived in _closed_sigma_min)
+_CLOSED_CUT = 2.0 ** 23
 
 
-def _det_rows(zt, m):
-    """det of each matrix of a (m*m, N) coordinate-major stack (rows of
-    the matrix read row by row), for m = 2 and 3: ad - bc, and the
-    cofactor expansion along the first row."""
+def _det_parts(zt, m):
+    """||A||_F, det A and the minors of A's first row for each matrix
+    of a (m*m, N) coordinate-major stack (the rows of each matrix read
+    row by row), m = 2 or 3.  det is ad - bc, or the cofactor expansion
+    along the first row, whose minors (e i - f h, d i - f g, d h - e g)
+    come back for the closed-form sigma_min (an empty tuple for m = 2).
+    """
+    nrm = _norms(zt)
     if m == 2:
         a, b, c, d = zt
-        return a * d - b * c
+        return nrm, a * d - b * c, ()
     a, b, c, d, e, f, g, h, i = zt
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    first = (e * i - f * h, d * i - f * g, d * h - e * g)
+    return nrm, a * first[0] - b * first[1] + c * first[2], first
 
 
-def _det_bound_batch(m):
-    """A certified upper bound on C(A) = ||A||_F / sigma_min(A) per row,
-    for m = 2 and 3 (None otherwise).
+def _det_bound(nrm, det, m):
+    """A certified upper bound on C(A) = ||A||_F / sigma_min(A) per row
+    from _det_parts' norm and determinant, m = 2 or 3.
 
     sigma_min = |det A| / (sigma_1 ... sigma_{m-1}), and by AM-GM the
     product is at most (||A||^2 / (m-1))^((m-1)/2), so
@@ -275,30 +289,142 @@ def _det_bound_batch(m):
     by low = |det_fl| - 8 eps ||A||^m <= |det A|, and is +inf where low
     is not positive (singular and rank-one rows among them) and where
     ||A|| lies outside _BOUND_NORMS.  Its own rounding is below
-    25 eps relative.
+    25 eps relative.  Call it inside np.errstate: rows outside
+    _BOUND_NORMS may overflow before they get +inf.
     """
+    num = nrm * nrm
+    if m == 3:
+        num *= nrm
+    low = np.abs(det)
+    low -= 8.0 * _EPS * num
+    out = num / (float(m - 1) ** ((m - 1) / 2.0) * low)
+    ok = low > 0.0
+    ok &= nrm > _BOUND_NORMS[0]
+    ok &= nrm < _BOUND_NORMS[1]
+    out[~ok] = math.inf
+    return out
+
+
+def _det_bound_batch(m):
+    """matrix:m's bound_batch, _det_bound on the rows of an (N, m*m)
+    array, for m = 2 and 3 (None otherwise)."""
     if m not in (2, 3):
         return None
-    scale = float(m - 1) ** ((m - 1) / 2.0)
 
     def bound_batch(z):
         zt = np.asarray(z, dtype=float).T
-        # rows outside _BOUND_NORMS may overflow; they get +inf below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            nrm = _norms(zt)
-            num = nrm * nrm
-            if m == 3:
-                num *= nrm
-            low = np.abs(_det_rows(zt, m))
-            low -= 8.0 * _EPS * num
-            out = num / (scale * low)
-        ok = low > 0.0
-        ok &= nrm > _BOUND_NORMS[0]
-        ok &= nrm < _BOUND_NORMS[1]
-        out[~ok] = math.inf
-        return out
+            nrm, det, _ = _det_parts(zt, m)
+            return _det_bound(nrm, det, m)
 
     return bound_batch
+
+
+def _top_eigenvalue(g11, g22, g33, g12, g13, g23):
+    """The largest eigenvalue of each symmetric 3x3 matrix G given by
+    its six entry rows (g11, g22, g33, g12, g13, g23), within a few eps
+    relative where G is positive semidefinite.
+
+    With q the mean eigenvalue, D = G - q I, p^2 = tr(D^2) / 6 and
+    r = det(D) / (2 p^3) in [-1, 1], the eigenvalues are q + 2 p
+    cos(phi + 2 pi k / 3), phi = acos(r) / 3 (the trigonometric form of
+    Cardano's formula).  D's entries carry an absolute error of about
+    eps q, so r carries about eps q / p, and acos magnifies that to its
+    square root as r nears -1, where the two largest eigenvalues meet:
+    there q + 2 p cos(phi) keeps only half the digits.  So where
+    r < -1/2 the top pair is split off the third eigenvalue
+    mu_3 = 2 p cos(phi + 2 pi / 3) of D instead, which stays accurate
+    there: adj(D - mu_3 I) / tr(adj(D - mu_3 I)) is the projector
+    v_3 v_3^T, E = D + (mu_3 / 2) I - (3 mu_3 / 2) v_3 v_3^T has the
+    eigenvalues +-(mu_1 - mu_2) / 2 and 0, and mu_1 = -mu_3 / 2 +
+    ||E||_F / sqrt(2) (mu_1 + mu_2 = -mu_3).  Each error there is again
+    about eps q.  Where p is 0, r is 0/0, and every r gives q.
+    """
+    q = g11 + g22
+    q += g33
+    q /= 3.0
+    d1, d2, d3 = g11 - q, g22 - q, g33 - q
+    p2 = d1 * d1 + d2 * d2
+    p2 += d3 * d3
+    p2 += 2.0 * (g12 * g12 + g13 * g13 + g23 * g23)
+    p2 /= 6.0
+    p = np.sqrt(p2)
+    det = d1 * (d2 * d3 - g23 * g23)
+    det -= g12 * (g12 * d3 - g23 * g13)
+    det += g13 * (g12 * g23 - d2 * g13)
+    r = det / (2.0 * p2 * p)
+    # fmin and fmax drop a NaN: the 0/0 of p = 0 becomes 1
+    np.fmin(r, 1.0, out=r)
+    np.fmax(r, -1.0, out=r)
+    phi = np.arccos(r)
+    phi /= 3.0
+    top = np.cos(phi)
+    top *= 2.0 * p
+    top += q
+    split = np.flatnonzero(r < -0.5)
+    if len(split):
+        d1, d2, d3, g12, g13, g23 = (x[split] for x in
+                                     (d1, d2, d3, g12, g13, g23))
+        mu3 = 2.0 * p[split] * np.cos(phi[split] + 2.0 * math.pi / 3.0)
+        m1, m2, m3 = d1 - mu3, d2 - mu3, d3 - mu3
+        adj = (m2 * m3 - g23 * g23, m1 * m3 - g13 * g13,
+               m1 * m2 - g12 * g12, g13 * g23 - g12 * m3,
+               g12 * g23 - g13 * m2, g12 * g13 - m1 * g23)
+        w = 1.5 * mu3 / (adj[0] + adj[1] + adj[2])
+        half = 0.5 * mu3
+        e = [x + half - w * c for x, c in zip((d1, d2, d3), adj[:3])]
+        e += [x - w * c for x, c in zip((g12, g13, g23), adj[3:])]
+        fro = e[0] * e[0] + e[1] * e[1] + e[2] * e[2]
+        fro += 2.0 * (e[3] * e[3] + e[4] * e[4] + e[5] * e[5])
+        top[split] = q[split] - half + np.sqrt(0.5 * fro)
+    return top
+
+
+def _closed_sigma_min(zt, nrm, det, first):
+    """sigma_min of each matrix of a (m*m, N) coordinate-major stack,
+    m = 2 or 3, in closed form from _det_parts' norm, determinant and
+    first-row minors.  Call it inside np.errstate.
+
+    m = 2: sigma_min = 2 |det| / (h_1 + h_2), h_1 + h_2 = 2 sigma_max,
+    with h_1, h_2 = sqrt(F^2 +- 2 det) (F = ||A||_F) evaluated without
+    a subtraction as ||(a + d, b - c)|| and ||(a - d, b + c)||.
+    m = 3: sigma_min = |det A| / ||adj A||_2, since the singular values
+    of the adjugate are the products sigma_i sigma_j.  ||adj A||_2^2 is
+    the largest eigenvalue of the Gram matrix of the rows of 2x2 minors
+    (the cofactors' signs do not change it), scaled by 1 / F^4 so that
+    nothing overflows (_top_eigenvalue).
+
+    Error, relative, with B the determinant bound (_det_bound): the
+    determinant's is at most 2.5 eps F^3 / |det| <= 5 eps B (m = 3) and
+    eps F^2 / (2 |det|) <= eps B / 2 (m = 2).  Each minor is off by at
+    most eps F^2 / 2, so adj A by 1.5 eps F^2 in Frobenius norm, which
+    is at most 2 eps B relative to ||adj A||_2 = |det| / sigma_min >=
+    sqrt(3) |det| / F.  The Gram matrix, its eigenvalue and the last
+    operations add a few eps, and B >= 2.6 for m = 3.  In all about
+    8 eps B: at most sqrt(eps) = 2^-26 for B <= _CLOSED_CUT = 2^23, so
+    every row this route serves keeps at least half of a double's
+    digits, and the rows the cut sends to Jacobi are those near rank
+    one, where the determinant and the minors cancel.  Rows away from
+    rank one do far better: within about eps C, as Jacobi is.
+    """
+    if len(zt) == 4:
+        a, b, c, d = zt
+        h = np.sqrt((a + d) ** 2 + (b - c) ** 2)
+        h += np.sqrt((a - d) ** 2 + (b + c) ** 2)
+        return 2.0 * np.abs(det) / h
+    a, b, c, d, e, f, g, h, i = zt
+    rows = (first,
+            (b * i - c * h, a * i - c * g, a * h - b * g),
+            (b * f - c * e, a * f - c * d, a * e - b * d))
+    scale = nrm * nrm
+    inv = 1.0 / (scale * scale)
+    tmp = np.empty_like(nrm)
+    gram = []
+    for j, k in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        gram.append(_sum_products(rows[j], rows[k], np.empty_like(nrm), tmp))
+        gram[-1] *= inv
+    scale *= np.sqrt(_top_eigenvalue(*gram))
+    return np.abs(det) / scale
 
 
 def _ratio(num, den):
@@ -379,9 +505,14 @@ def matrix_problem(m):
     Eckart-Young, dist_F(A, Sigma) = sigma_min(A), so
     C(A) = ||A||_F / sigma_min(A), the scaled matrix condition number.
     n = m^2 - 1, degree m (determinant).  evaluate takes sigma_min from
-    LAPACK's SVD, evaluate_batch from batched one-sided Jacobi.  For
-    m = 2 and 3, bound_batch bounds C from the closed-form determinant
-    (see _det_bound_batch); for m >= 4 it is None.
+    LAPACK's SVD.  For m = 2 and 3, bound_batch bounds C from the
+    closed-form determinant (see _det_bound), and evaluate_batch takes
+    sigma_min in closed form (see _closed_sigma_min) on every row whose
+    bound is at most _CLOSED_CUT, and from batched one-sided Jacobi on
+    the others, only those; each row's C is computed on its own, so it
+    does not depend on the rest of the batch.  For m >= 4 bound_batch
+    is None and Jacobi serves every row.  The zero matrix gets +inf,
+    as in evaluate.
     """
     if int(m) != m or m < 2:
         raise ValueError("m must be an integer >= 2")
@@ -394,9 +525,23 @@ def matrix_problem(m):
 
     def evaluate_batch(z):
         z = np.asarray(z, dtype=float)
-        s = _jacobi_sigma_min(z.reshape(-1, m, m))
-        with np.errstate(divide="ignore"):
-            return _norms(z.T) / s
+        zt = z.T
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if m > 3:
+                nrm = _norms(zt)
+                s = _jacobi_sigma_min(z.reshape(-1, m, m))
+            else:
+                nrm, det, first = _det_parts(zt, m)
+                s = _closed_sigma_min(zt, nrm, det, first)
+                # NaN never passes the cut
+                slow = np.flatnonzero(~(_det_bound(nrm, det, m)
+                                        <= _CLOSED_CUT))
+                if len(slow):
+                    s[slow] = _jacobi_sigma_min(z[slow].reshape(-1, m, m))
+            c = nrm / s
+        # the zero matrix's 0 / 0 is +inf, as in evaluate
+        c[s == 0.0] = math.inf
+        return c
 
     ill = np.zeros((m, m))
     for i in range(m - 1):

@@ -30,7 +30,9 @@ per-segment Chebyshev fit in the start radius gives the answer; it is
 built on the first inversion too, from a safeguarded Newton iteration on
 the segment mass that serves as its oracle and certificate.  Every fit
 is made once: a kernel branch or a segment whose fit misses its bound
-is inverted by the oracle it was certified against.
+is inverted by the oracle it was certified against, and so is every
+point of a law with n - beta above 2 _FIT_MAX_A, where no kernel is
+fitted.
 """
 
 import math
@@ -61,6 +63,13 @@ _TINY = np.finfo(float).tiny
 _CHEB_DEGREE = 12
 _CHEB_PIECES = 32
 _CHEB_TOL = 64 * _EPS
+# the largest a = m/2 that gets a kernel fit.  F magnifies the fit's
+# error by about m/2 near the top of the law, so the radial residual
+# max |F(r) - p| grows with m: at sigma = 0.5 it is 3.4e-13, 7.7e-13,
+# 9.6e-13 and 1.15e-12 at m = 300, 600, 700 and 1000, against the 1e-12
+# that sampling asks.  Above the cut Halley inverts every point (below
+# 1e-13 there, at about twice the kernel's cost per point)
+_FIT_MAX_A = 320.0
 
 
 class _ChebyshevPieces:
@@ -160,7 +169,9 @@ class _BetaincInverse:
     inverts it, in the complement 1 - y on the upper branch, as the
     certificate does: within about one ulp of x, at several times the
     cost of the fit per point.  At sigma = 1 the lower branch misses
-    from a = 32 on.
+    from a = 32 on.  Above a = _FIT_MAX_A no branch is fitted: the
+    certified 64 eps in x is then too coarse for the radial CDF, and
+    Halley inverts every point.
     """
 
     def __init__(self, a, top):
@@ -209,8 +220,10 @@ class _BetaincInverse:
             return values, lambda fit: (np.abs(self._upper_x(fit, y) - ref)
                                         / ref)
 
+        self._lower = self._upper = None
+        if a > _FIT_MAX_A:
+            return
         self._lower = self._branch(lower, 0.0, self.split ** root)
-        self._upper = None
         if top > self.split:
             self._upper = self._branch(upper, (1.0 - top) ** 2,
                                        (1.0 - self.split) ** 2)

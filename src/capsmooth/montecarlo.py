@@ -31,11 +31,14 @@ the C scale (exp of it on the log scale); a NaN bound is evaluated.
 Every other row counts as below every threshold, and the counts are
 exactly those of evaluating every row: a screened row has true C below
 t_lo / 2, and evaluate_batch's C has a relative error far below 2 up
-to C = 2^40 (about 0.1 eps C for batched Jacobi), so its computed C is
-below t_lo too; and evaluate_batch gives a row the same bits whatever
-rows share its batch.  On the benchmark's matrix:3 law about 10 of
-250,000 rows reach Jacobi.  TailReport.n_evaluated counts them, in
-the JSON report only.
+to C = 2^40, so its computed C is below t_lo too.  That error is at
+most about 2^-26 where the closed-form sigma_min serves a row (bound
+at most 2^23, condnum._closed_sigma_min), and about 0.1 eps C measured
+where batched Jacobi does (bound above 2^23, so C up to the bound);
+and evaluate_batch gives a row the same bits whatever rows share its
+batch.  On the benchmark's matrix:3 law about 10 of 250,000 rows reach
+evaluate_batch.  TailReport.n_evaluated counts them, and n_infinite
+those with C = inf, in the JSON report only.
 Expectation estimates evaluate every row.
 
 Empirical survival probabilities carry two-sided 95% Wilson score
@@ -93,8 +96,9 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 * BATCH_SIZE * 8
 _TRIM_THRESHOLD = 128 * BATCH_SIZE * 8
-# the tail screen's cut never exceeds 2^40: up to there, batched Jacobi's
-# relative error in C (at most about 0.1 eps C measured) is below 1e-4
+# the tail screen's cut never exceeds 2^40: up to there, evaluate_batch's
+# relative error in C is below 1e-4, at most 2^-26 on the closed-form
+# route (bound <= 2^23) and about 0.1 eps C measured on Jacobi beyond it
 _SCREEN_CEILING = 2.0 ** 40
 
 
@@ -305,9 +309,12 @@ class TailReport:
     scale: str
     rows: list
     n_samples: int
-    # rows that reached evaluate_batch: the same at any worker count, so
-    # the JSON report holds it, but not the CSV nor equality
+    # rows that reached evaluate_batch, and those of them with C = inf
+    # (on Sigma to machine precision), which count as exceeding every
+    # threshold: the same at any worker count, so the JSON report holds
+    # them, but not the CSV nor equality
     n_evaluated: int = field(default=0, compare=False)
+    n_infinite: int = field(default=0, compare=False)
     wall_time: float = field(default=0.0, compare=False)
 
     @property
@@ -323,6 +330,7 @@ class TailReport:
             "kind": "tail",
             "config": self.config,
             "n_evaluated": self.n_evaluated,
+            "n_infinite": self.n_infinite,
             "rows": [{k: _json_value(v) for k, v in asdict(r).items()}
                      for r in self.rows],
         }
@@ -409,11 +417,13 @@ def estimate_tail(config):
         if log_scale:
             with np.errstate(divide="ignore"):
                 c = np.log(c)
-        return [len(z)] + [int(np.count_nonzero(c >= t)) for t in t_grid]
+        return ([len(z), int(np.count_nonzero(c == math.inf))]
+                + [int(np.count_nonzero(c >= t)) for t in t_grid])
 
     per_batch = _run_batches(job, config.samples, config.workers)
     totals = np.sum(np.asarray(per_batch, dtype=np.int64), axis=0)
-    n_evaluated, counts = int(totals[0]), totals[1:]
+    n_evaluated, n_infinite, counts = (int(totals[0]), int(totals[1]),
+                                       totals[2:])
 
     bound_col = _tail_bound_column(config, t_grid)
     rows = []
@@ -429,6 +439,7 @@ def estimate_tail(config):
         ))
     return TailReport(config=config.echo(), scale=config.scale, rows=rows,
                       n_samples=config.samples, n_evaluated=n_evaluated,
+                      n_infinite=n_infinite,
                       wall_time=time.monotonic() - start)
 
 

@@ -13,7 +13,7 @@ from capsmooth.condnum import (_jacobi_sigma_min, hyperplane_problem,
                                union_hyperplanes_problem)
 from capsmooth.distributions import (AdversarialLaw, Cap, normalize_profile,
                                      uniform_law)
-from capsmooth.geometry import normalize
+from capsmooth.geometry import _norms, normalize
 
 EPS = np.finfo(float).eps
 
@@ -23,10 +23,15 @@ def rng(seed=0):
                                                              dtype=np.uint64)))
 
 
-def pole_batch(seed, size):
-    # matrix:3 pole law at the ill-posed input: C reaches 1e4 to 1e6
-    p = matrix_problem(3)
-    law = AdversarialLaw(Cap(p.ill_posed, 0.5), 4.0)
+def pole_beta(m):
+    return 4.0 if m == 3 else 1.5
+
+
+def pole_batch(seed, size, m=3):
+    # matrix:m pole law at the ill-posed input: C reaches 1e4 to 1e6 for
+    # m = 3, 1e6 to 1e8 for m = 2
+    p = matrix_problem(m)
+    law = AdversarialLaw(Cap(p.ill_posed, 0.5), pole_beta(m))
     return law.sample(rng(seed), size=size)
 
 
@@ -63,13 +68,42 @@ def _ref_jacobi_sigma_min(a):
     return np.sqrt(np.min(np.einsum("jik,jik->jk", cols, cols), axis=0))
 
 
-def benchmark_batch(seed):
-    # matrix:3 under the tabulated law 2 - r/sigma with beta = 4
-    p = matrix_problem(3)
-    prof = normalize_profile(lambda r: 2.0 - r / 0.5, p.n, 4.0, 0.5,
-                             grid_points=1025)
-    law = AdversarialLaw(Cap(p.ill_posed, 0.5), 4.0, prof)
+def benchmark_batch(seed, m=3):
+    # matrix:m under the tabulated law 2 - r/sigma with the pole law's
+    # beta: the benchmark's law for m = 3
+    p = matrix_problem(m)
+    prof = normalize_profile(lambda r: 2.0 - r / 0.5, p.n, pole_beta(m),
+                             0.5, grid_points=1025)
+    law = AdversarialLaw(Cap(p.ill_posed, 0.5), pole_beta(m), prof)
     return law.sample(rng(seed), size=16384)
+
+
+def mp_condition(row, m):
+    # C of one row by a 40-digit SVD
+    with mpmath.workdps(40):
+        a = mpmath.matrix(row.reshape(m, m).tolist())
+        s = min(mpmath.svd_r(a, compute_uv=False))
+        fro = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 for x in row))
+        return fro / s
+
+
+def error_in_eps_c(c, want):
+    # |c - C| / C in units of eps C, the rule of the 40-digit checks
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(c) - want) / want) / (EPS * float(want))
+
+
+def jacobi_alone(row, m):
+    # C of one row as the Jacobi route computes it, on a stack of one
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = _jacobi_sigma_min(row.reshape(1, m, m))[0]
+        return math.inf if s == 0.0 else _norms(row[:, None])[0] / s
+
+
+def closed_route(z, m):
+    # which rows of z the closed form serves: bound within the cut
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return matrix_problem(m).bound_batch(z) <= condnum._CLOSED_CUT
 
 
 def sweep_sizes(monkeypatch):
@@ -250,15 +284,18 @@ class TestMatrixProblem:
 
     def test_batch_independent_of_memory_order(self):
         # ||z||_F adds its squares first to last in either order: the
-        # bits a sampled F-ordered batch got from np.linalg.norm
+        # bits a sampled F-ordered batch got from np.linalg.norm, over
+        # the closed form's sigma_min, which serves every row here
         p = matrix_problem(3)
         z = pole_batch(9, 16384)
         assert z.flags.f_contiguous
         c = p.evaluate_batch(z)
         assert np.array_equal(p.evaluate_batch(np.ascontiguousarray(z)), c)
-        ref = np.linalg.norm(z, axis=1) / _jacobi_sigma_min(
-            z.reshape(-1, 3, 3))
-        assert np.array_equal(c, ref)
+        assert np.all(closed_route(z, 3))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            nrm, det, first = condnum._det_parts(z.T, 3)
+            s = condnum._closed_sigma_min(z.T, nrm, det, first)
+        assert np.array_equal(c, np.linalg.norm(z, axis=1) / s)
 
     def test_eckart_young_perturbation(self):
         # moving distance sigma_min along the right direction reaches a
@@ -349,19 +386,10 @@ class TestJacobiSigmaMin:
     def test_against_mpmath(self):
         # the 100 worst-conditioned rows of a pole-law batch against a
         # 40-digit SVD; the error allowed is eps C relative
-        p = matrix_problem(3)
         z = pole_batch(9, 16384)
-        batch = p.evaluate_batch(z)
-        worst = 0.0
-        with mpmath.workdps(40):
-            for i in np.argsort(batch)[-100:]:
-                a = mpmath.matrix(z[i].reshape(3, 3).tolist())
-                s = min(mpmath.svd_r(a, compute_uv=False))
-                fro = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2
-                                              for x in z[i]))
-                c = fro / s
-                rel = float(abs(mpmath.mpf(batch[i]) - c) / c)
-                worst = max(worst, rel / (EPS * float(c)))
+        batch = _norms(z.T) / _jacobi_sigma_min(z.reshape(-1, 3, 3))
+        worst = max(error_in_eps_c(batch[i], mp_condition(z[i], 3))
+                    for i in np.argsort(batch)[-100:])
         assert worst <= 1.0
 
     def test_batch_independence(self):
@@ -483,15 +511,145 @@ class TestJacobiReference:
 
     def test_threads_share_no_rows(self):
         # eight threads evaluate at once; each gets the bits of a
-        # sequential run, so no work row is shared between calls
-        p = matrix_problem(3)
+        # sequential run, so no work row is shared between calls: Jacobi
+        # alone, and evaluate_batch, whose pole-law rows take the closed
+        # form
         batches = [pole_batch(40 + i, 4096) for i in range(8)]
-        want = [p.evaluate_batch(z) for z in batches]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(p.evaluate_batch, batches * 4))
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want * 4))
+        for evaluate in (lambda z: _jacobi_sigma_min(z.reshape(-1, 3, 3)),
+                         matrix_problem(3).evaluate_batch):
+            want = [evaluate(z) for z in batches]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(evaluate, batches * 4))
+            finally:
+                sys.setswitchinterval(interval)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want * 4))
+
+
+class TestClosedForm:
+    """matrix:2 and matrix:3 evaluate_batch: sigma_min in closed form,
+    and from Jacobi on the rows whose determinant bound exceeds the
+    cut."""
+
+    @pytest.mark.parametrize("m,make", [
+        (2, lambda: pole_batch(9, 16384, 2)), (2, lambda: benchmark_batch(1, 2)),
+        (3, lambda: pole_batch(9, 16384)), (3, lambda: benchmark_batch(1))],
+        ids=["pole-2", "tabulated-2", "pole-3", "tabulated-3"])
+    def test_against_mpmath(self, m, make):
+        # TestJacobiSigmaMin's rule on the 100 worst-conditioned rows
+        z = make()
+        batch = matrix_problem(m).evaluate_batch(z)
+        worst = np.argsort(batch)[-100:]
+        assert np.count_nonzero(closed_route(z[worst], m)) >= 99
+        assert max(error_in_eps_c(batch[i], mp_condition(z[i], m))
+                   for i in worst) <= 1.0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_bound_rows(self, m):
+        # every row of the determinant bound's families, Gaussian rows
+        # aside, either meets the eps C rule or is the Jacobi route's C
+        # of that row alone.  Below C = 4 the rule asks less than the
+        # rounding of the norm, of the last division and of a few more
+        # operations: Jacobi itself is 3.3 eps off there on Gaussian
+        # rows, so C is held at least at 4
+        p = matrix_problem(m)
+        for name, z in bound_rows(rng(50 + m), m):
+            if name == "gaussian":
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                c = p.evaluate_batch(z)
+            closed = closed_route(z, m)
+            for i in np.flatnonzero(closed):
+                want = mp_condition(z[i], m)
+                assert (error_in_eps_c(c[i], want)
+                        <= max(float(want), 4.0)), (name, i)
+            for i in np.flatnonzero(~closed):
+                want = jacobi_alone(z[i], m)
+                assert c[i] == want or (c[i] != c[i] and want != want), \
+                    (name, i)
+            if name in ("singular", "rank_one"):
+                assert not closed.any()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_near_rank_one(self, m):
+        # Gaussian rank-one matrices 1e-1 ... 1e-10 away: the determinant
+        # and the minors cancel, and the closed form keeps its derived
+        # bound, 8 eps B relative with B the determinant bound, so at
+        # least sqrt(eps) below the cut (for m = 3 that is up to 11 eps C
+        # here, against Jacobi's eps C); past the cut Jacobi serves
+        p = matrix_problem(m)
+        g = rng(60 + m)
+        a = np.einsum("ni,nj->nij", g.standard_normal((400, m)),
+                      g.standard_normal((400, m))).reshape(-1, m * m)
+        size = 10.0 ** -np.repeat(np.arange(1, 11), 40)
+        z = a + size[:, None] * g.standard_normal(a.shape)
+        c, bound = p.evaluate_batch(z), p.bound_batch(z)
+        closed = closed_route(z, m)
+        assert 0 < np.count_nonzero(closed) < len(z)
+        for i in np.flatnonzero(closed):
+            want = mp_condition(z[i], m)
+            rel = error_in_eps_c(c[i], want) * EPS * float(want)
+            assert rel <= min(8.0 * EPS * bound[i], 2.0 ** -26), i
+        assert all(c[i] == jacobi_alone(z[i], m)
+                   for i in np.flatnonzero(~closed))
+
+    def test_top_pair_meets(self):
+        # sigma_2 = sigma_3 makes the two largest eigenvalues of the
+        # minors' Gram matrix meet, where the trigonometric formula alone
+        # kept half the digits (3.9e6 eps C); near the identity too
+        g = rng(14)
+        rows = []
+        for k in range(120):
+            u, _ = np.linalg.qr(g.standard_normal((3, 3)))
+            v, _ = np.linalg.qr(g.standard_normal((3, 3)))
+            gap = 10.0 ** -(k % 12)
+            s = ([2.0, 1.0, 1.0 + 1e-9 * k] if k < 60
+                 else [1.0 + gap, 1.0, 1.0 + 1e-3 * gap])
+            rows.append(((u * s) @ v.T).reshape(-1))
+        z = np.array(rows)
+        assert np.all(closed_route(z, 3))
+        c = matrix_problem(3).evaluate_batch(z)
+        for i in range(len(z)):
+            want = mp_condition(z[i], 3)
+            assert error_in_eps_c(c[i], want) <= max(float(want), 4.0)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_jacobi_serves_only_rows_past_the_cut(self, m, monkeypatch):
+        calls = []
+        jacobi = condnum._jacobi_sigma_min
+
+        def counted(a):
+            calls.append(len(a))
+            return jacobi(a)
+
+        monkeypatch.setattr(condnum, "_jacobi_sigma_min", counted)
+        p = matrix_problem(m)
+        z = pole_batch(11, 4096, m)
+        z[::97] = np.outer(np.arange(1.0, m + 1.0),
+                           np.arange(2.0, m + 2.0)).reshape(-1)
+        p.evaluate_batch(z)
+        assert calls == [np.count_nonzero(~closed_route(z, m))]
+        assert calls[0] >= len(z[::97])
+        calls.clear()
+        p.evaluate_batch(z[1:97])
+        assert calls == []
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_batch_independence(self, m):
+        # a batch that takes both routes: near-singular pole-law rows
+        # and rows 1e-12 from rank one
+        p = matrix_problem(m)
+        z = pole_batch(12, 4096, m)
+        g = rng(13)
+        a = np.einsum("ni,nj->nij", g.standard_normal((512, m)),
+                      g.standard_normal((512, m))).reshape(-1, m * m)
+        z[::8] = a + 1e-12 * g.standard_normal(a.shape)
+        closed = closed_route(z, m)
+        assert 0 < np.count_nonzero(~closed) < len(z) // 2
+        whole = p.evaluate_batch(z)
+        assert np.array_equal(p.evaluate_batch(z[::7]), whole[::7])
+        assert all(p.evaluate_batch(z[i:i + 1])[0] == whole[i]
+                   for i in range(0, len(z), 41))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capsmooth import bounds, montecarlo
+from capsmooth import bounds, condnum, montecarlo
 from capsmooth.condnum import ConicProblem, hyperplane_problem, matrix_problem
 from capsmooth.distributions import AdversarialLaw, Cap, normalize_profile
 from capsmooth.geometry import normalize
@@ -449,6 +449,33 @@ def unscreened(problem):
     return dataclasses.replace(problem, bound_batch=None)
 
 
+class TestMatrixWorkers:
+    """Criterion 14 on the matrix instances: tail and expectation reports
+    are byte-identical at one and two workers, on a law whose rows take
+    both routes to sigma_min (closed form, and Jacobi past the cut)."""
+
+    SAMPLES = 2 * montecarlo.BATCH_SIZE + 1000
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_reports_byte_identical(self, m):
+        # sigma = 1e-6 at the ill-posed centre: C from 1e6 up, and the
+        # rows nearest Sigma lie past the cut
+        problem = matrix_problem(m)
+        law = AdversarialLaw(Cap(problem.ill_posed, 1e-6), 0.0)
+        z = law.sample(montecarlo.stream_rng(5, 0), size=4096)
+        past = np.count_nonzero(~(problem.bound_batch(z)
+                                  <= condnum._CLOSED_CUT))
+        assert 0 < past < len(z) // 2
+        text = lambda rep: json.dumps(rep.to_json_dict(), sort_keys=True)
+        for estimate, grid in ((estimate_tail, [2e6, 5e6, 2e7]),
+                               (estimate_expectation, None)):
+            one, two = (estimate(ExperimentConfig(
+                problem, law, self.SAMPLES, seed=5, t_grid=grid,
+                scale="linear", workers=w)) for w in (1, 2))
+            assert one.to_csv() == two.to_csv()
+            assert text(one) == text(two)
+
+
 class TestTailScreen:
     """estimate_tail evaluates only rows whose bound reaches the cut,
     and its counts are those of evaluating every row."""
@@ -558,3 +585,31 @@ class TestTailScreen:
         # deterministic: the same bytes at one and two workers
         text = lambda rep: json.dumps(rep.to_json_dict(), sort_keys=True)
         assert text(estimate_tail(cfg(problem, 2))) == text(screened)
+
+    def test_n_infinite_serialized(self):
+        # rows with C = inf count as exceeding every threshold; the JSON
+        # report counts them, at any worker count, and the CSV and
+        # equality do not
+        def evaluate_batch(z):
+            c = np.linalg.norm(z, axis=1)
+            near = np.abs(z[:, 1]) < 0.02
+            c[~near] /= np.abs(z[~near, 1])
+            c[near] = math.inf
+            return c
+
+        prob = ConicProblem("fattened", 3, 1, None, evaluate_batch, e0(3))
+        cfg = lambda w: ExperimentConfig(
+            prob, uniform_law(3), montecarlo.BATCH_SIZE + 5000, seed=3,
+            t_grid=[2.0, 1e300], scale="linear", workers=w)
+        one, two = estimate_tail(cfg(1)), estimate_tail(cfg(2))
+        doc = one.to_json_dict()
+        assert doc["n_infinite"] == one.rows[-1].count > 0
+        text = lambda rep: json.dumps(rep.to_json_dict(), sort_keys=True)
+        assert text(one) == text(two)
+        assert one == dataclasses.replace(one, n_infinite=0)
+        assert "n_infinite" not in one.to_csv()
+        # none on a law off Sigma
+        rep = estimate_tail(ExperimentConfig(
+            hyperplane_problem(3), uniform_law(3), 3000, seed=4,
+            t_grid=[5.0, 10.0]))
+        assert rep.to_json_dict()["n_infinite"] == 0
