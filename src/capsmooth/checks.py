@@ -260,23 +260,26 @@ def _ks_radial(quick, seed, workers):
 
 
 def _sigma_min_eigen_oracle(quick, seed, workers):
-    # sigma_min by the scalar SVD and by the batched Jacobi of matrix
-    # batches, both against the eigenvalue route; the matrices are drawn
-    # one by one and each route runs once per stack of one size
+    # sigma_min by LAPACK's batched SVD and by matrix batches, as
+    # ||A||_F / C (the closed form for m = 2, 3), both against the
+    # eigenvalue route; the matrices are drawn one by one and each route
+    # runs once per stack of one size
     rng = montecarlo.stream_rng(seed, 7)
     by_size = {}
     for _ in range(1000):
         m = int(rng.integers(2, 9))
         by_size.setdefault(m, []).append(rng.standard_normal((m, m)))
     worst = 0.0
-    for mats in by_size.values():
+    for m, mats in by_size.items():
         stack = np.stack(mats)
         svd = np.linalg.svd(stack, compute_uv=False)[:, -1]
         gram = np.linalg.eigvalsh(np.swapaxes(stack, 1, 2) @ stack)[:, 0]
         eig = np.sqrt(np.maximum(gram, 0.0))
-        jac = condnum._jacobi_sigma_min(stack)
+        rows = stack.reshape(len(stack), -1)
+        batch = (np.linalg.norm(rows, axis=1)
+                 / condnum.matrix_problem(m).evaluate_batch(rows))
         worst = max(worst, float(np.max(np.abs(svd - eig))),
-                    float(np.max(np.abs(jac - eig))))
+                    float(np.max(np.abs(batch - eig))))
     yield ("sigma_min_eigen_oracle", "1000 random",
            CheckRow(worst, 1e-8, worst <= 1e-8))
 

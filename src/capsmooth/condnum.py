@@ -15,10 +15,10 @@ C-ordered rows pairwise), so a batch and its C-ordered copy get the
 same bits.  Matrix
 batches of m = 2 and 3 get sigma_min in closed form, elementwise, from
 the determinant, the 2x2 minors and ||A|| (_closed_sigma_min); rows
-near rank one, where those cancel, and m >= 4 get it from one-sided
-Jacobi run on the whole stack at once.  The scalar path stays on
-LAPACK's SVD and is the independent reference the batch path is tested
-against.
+near rank one, where those cancel, and m >= 4 get it from LAPACK's
+batched SVD, as the scalar path does.  The scalar path is the
+reference the closed form is tested against, and a 40-digit SVD the
+reference for both.
 
 A problem may also carry bound_batch, a cheap upper bound on C per row
 that is certified: never below the true C.  matrix:2 and matrix:3 take
@@ -27,9 +27,9 @@ it from the closed-form determinant, C <= ||A||^m / ((m-1)^((m-1)/2)
 determinant subtracted from |det A| first (_det_bound).  A tail
 estimate uses it to skip the rows that cannot reach its lowest
 threshold (see montecarlo), and evaluate_batch to send the rows whose
-bound exceeds _CLOSED_CUT to Jacobi.  Both read the norm and the
-determinant from one helper (_det_parts).  The other instances have
-none.
+bound exceeds _CLOSED_CUT, or 64 times the closed form's C, to the
+SVD.  Both read the determinant from one helper (_det_parts).  The
+other instances have none.
 """
 
 import math
@@ -80,13 +80,7 @@ def smallest_singular_value(a):
     return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
-# one-sided Jacobi: a cap on sweeps.  The 3x3 stacks of the sampled laws
-# stop after 5 sweeps, the last a check that no matrix rotates, run on
-# only the about 6% of matrices still active
-_JACOBI_SWEEPS = 30
 _EPS = np.finfo(float).eps
-# the sign bit of a float64, as an int64
-_SIGN_BIT = np.int64(-2 ** 63)
 
 
 def _sum_products(x, y, out, tmp):
@@ -100,184 +94,61 @@ def _sum_products(x, y, out, tmp):
     return out
 
 
-def _jacobi_sweep(cols, spare, floor, tol, rows, flags):
-    """One sweep of one-sided Jacobi over every column pair (p, q) of
-    the stack held as cols, a list of m (m, K) column arrays.  Every
-    step writes into the work rows, (8, K) floats and (3, K) bools; a
-    rotated column p is written into the (m, K) array spare, which then
-    takes its place in cols.  Returns the flag row of the matrices that
-    rotated some pair, and the array now spare."""
-    alpha, beta, gamma, zeta, t, c, s, tmp = rows
-    rot, mask, moved = flags
-    moved.fill(False)
-    m = len(cols)
-    for p in range(m - 1):
-        for q in range(p + 1, m):
-            cp, cq = cols[p], cols[q]
-            _sum_products(cp, cp, alpha, tmp)
-            _sum_products(cq, cq, beta, tmp)
-            _sum_products(cp, cq, gamma, tmp)
-            # rot: |gamma| > tol sqrt(alpha) sqrt(beta), and both
-            # columns above the floor
-            np.sqrt(alpha, out=tmp)
-            np.multiply(tol, tmp, out=tmp)
-            np.sqrt(beta, out=c)
-            np.multiply(tmp, c, out=tmp)
-            np.abs(gamma, out=c)
-            np.greater(c, tmp, out=rot)
-            np.greater(alpha, floor, out=mask)
-            rot &= mask
-            np.greater(beta, floor, out=mask)
-            rot &= mask
-            if not rot.any():
-                continue
-            # t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)),
-            # zeta = (beta - alpha) / (2 gamma); t = 0 where not rot
-            np.subtract(beta, alpha, out=zeta)
-            np.multiply(2.0, gamma, out=tmp)
-            np.divide(zeta, tmp, out=zeta)
-            np.multiply(zeta, zeta, out=t)
-            np.add(1.0, t, out=t)
-            np.sqrt(t, out=t)
-            np.abs(zeta, out=tmp)
-            np.add(tmp, t, out=t)
-            # the sign of zeta ORed into the positive 1 / (...): the
-            # bits of copysign(1, zeta) / (...), since -1/x == -(1/x)
-            np.divide(1.0, t, out=t)
-            np.bitwise_and(zeta.view(np.int64), _SIGN_BIT,
-                           out=tmp.view(np.int64))
-            np.bitwise_or(t.view(np.int64), tmp.view(np.int64),
-                          out=t.view(np.int64))
-            np.logical_not(rot, out=mask)
-            np.copyto(t, 0.0, where=mask)
-            # c = 1 / sqrt(1 + t^2), s = c t
-            np.multiply(t, t, out=c)
-            np.add(1.0, c, out=c)
-            np.sqrt(c, out=c)
-            np.divide(1.0, c, out=c)
-            np.multiply(c, t, out=s)
-            # (cp, cq) <- (c cp - s cq, s cp + c cq), a row at a time:
-            # whole (m, K) blocks leave the cache between steps
-            for new, x, y in zip(spare, cp, cq):
-                np.multiply(c, x, out=new)
-                np.multiply(s, y, out=tmp)
-                np.subtract(new, tmp, out=new)
-                np.multiply(s, x, out=tmp)
-                np.multiply(c, y, out=y)
-                np.add(tmp, y, out=y)
-            cols[p], spare = spare, cp
-            np.not_equal(t, 0.0, out=mask)
-            moved |= mask
-    return moved, spare
-
-
-def _column_min(cols, rows):
-    """sigma_min of each matrix of a converged stack: its smallest
-    column norm."""
-    low, sq, tmp = rows[0], rows[1], rows[2]
-    _sum_products(cols[0], cols[0], low, tmp)
-    for col in cols[1:]:
-        np.minimum(low, _sum_products(col, col, sq, tmp), out=low)
-    return np.sqrt(low)
-
-
-def _jacobi_sigma_min(a):
-    """sigma_min of each matrix in an (N, m, m) stack, by one-sided Jacobi.
-
-    Each sweep rotates every column pair (p, q) of every matrix so the
-    two columns become orthogonal; at convergence the singular values
-    are the column norms.  A matrix rotates a pair only while |gamma|
-    exceeds m eps sqrt(alpha) sqrt(beta) (the pair's Gram entries);
-    every other matrix gets t = 0, an exact no-op, so each result is
-    independent of the rest of the stack.  With a threshold of eps
-    alone, rounding kept a few m = 2, 4, 5 matrices rotating until the
-    cap.  As in Demmel and Veselic's analysis of Jacobi, small singular
-    values keep their relative accuracy.  Columns are squared, so a
-    column whose norm is below about 1e-154 counts as zero.
-
-    A pair stops rotating once either column's norm is at most
-    eps ||A||_F, the rounding residue of a column that has cancelled:
-    rotating that residue only shrinks it by about eps per sweep, so an
-    exactly rank-one matrix kept its whole batch sweeping until the
-    rotation underflowed (13 sweeps instead of 5, sigma_min 4.6e-160).
-    Such a matrix returns sigma_min <= eps ||A||_F, C >= 1/eps.
-
-    The stack is swept as a whole, every step writing into work rows
-    allocated once per call (none is shared between calls, so threads
-    may evaluate batches at once).  Gram entries and column norms add
-    their terms first to last whatever the stack size; np.einsum added
-    an (m, 1) column in another order, so a stack of one matrix got
-    other last bits than the same matrix in a larger stack.
-
-    Once a sweep rotates fewer than half of the active matrices, only
-    those that rotated stay active.  This is exact, by a fixed-point
-    argument: a matrix that rotated no pair in a sweep (t = 0 for each
-    pair, c = 1, s = 0) leaves it with the same columns, up to the sign
-    of a zero, which no Gram entry or decision sees; so the next sweep
-    repeats its decisions, and it never rotates again.  The result is
-    the same bits as sweeping the whole stack until no matrix rotates.
-    A pair that no matrix rotates is skipped for the same reason.
-    """
-    m, count = a.shape[-1], a.shape[0]
-    stack = a.transpose(2, 1, 0).copy()   # stack[j] is column j, (m, N)
-    tol = m * _EPS
-    cols = list(stack)
-    # work rows, allocated once; the active set uses their first columns
-    rows = np.empty((8, count))
-    flags = np.empty((3, count), dtype=bool)
-    spare = np.empty((m, count))
-    out = np.empty(count)
-    index = np.arange(count)    # where the active matrices sit in out
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # rotations keep ||A||_F, so the floor is fixed per matrix
-        floor = _EPS * _EPS * np.einsum("jik,jik->k", stack, stack)
-        for _ in range(_JACOBI_SWEEPS):
-            moved, spare = _jacobi_sweep(cols, spare, floor, tol, rows,
-                                         flags)
-            rotated = int(np.count_nonzero(moved))
-            if rotated == 0:
-                break
-            if 2 * rotated < len(index):
-                # a matrix that rotated no pair has the same columns
-                # next sweep, so it would rotate none ever again
-                out[index] = _column_min(cols, rows)
-                keep = np.flatnonzero(moved)
-                index, floor = index[keep], floor[keep]
-                cols = [col[:, keep] for col in cols]
-                rows, flags = rows[:, :len(keep)], flags[:, :len(keep)]
-                spare = spare[:, :len(keep)]
-        out[index] = _column_min(cols, rows)
-    return out
-
-
 # rows whose norm lies outside [2^-200, 2^200] get no determinant bound:
 # inside, ||A||^m neither overflows nor underflows, and the absolute
-# error of an underflowed product is far below eps ||A||^m
+# error of an underflowed product is far below eps ||A||^m.  evaluate
+# and evaluate_batch scale such rows into it first (_unit_scaled)
 _BOUND_NORMS = (2.0 ** -200, 2.0 ** 200)
-# rows whose determinant bound exceeds this take sigma_min from Jacobi
-# (derived in _closed_sigma_min)
+# rows whose determinant bound exceeds the cut, or the ratio times the
+# closed form's C, take sigma_min from the SVD (see _closed_sigma_min)
 _CLOSED_CUT = 2.0 ** 23
+_RANK_ONE_RATIO = 64.0
+
+
+def _unit_scaled(z):
+    """The rows of an (N, k) array, those whose norm lies outside
+    _BOUND_NORMS times the power of two that brings their largest entry
+    into [1/2, 1), and the rows' norms (geometry._norms).  C is scale
+    invariant, so nothing is undone after; other rows keep their bits.
+    Call it inside np.errstate: a far row's norm may overflow first."""
+    nrm = _norms(z.T)
+    far = np.flatnonzero((nrm < _BOUND_NORMS[0]) | (nrm > _BOUND_NORMS[1]))
+    if len(far):
+        _, exp = np.frexp(np.max(np.abs(z[far]), axis=1))
+        z = z.copy()
+        z[far] = np.ldexp(z[far], -exp[:, None])
+        nrm[far] = _norms(z[far].T)
+    return z, nrm
+
+
+def _svd_sigma_min(z, m):
+    """sigma_min of each row of an (N, m*m) array read as an m x m
+    matrix, by LAPACK's SVD (the same bits in any stack).  A row with a
+    NaN or inf entry gets NaN: it would make the whole stack raise."""
+    s = np.full(len(z), math.nan)
+    ok = np.flatnonzero(np.isfinite(z).all(axis=1))
+    s[ok] = np.linalg.svd(z[ok].reshape(-1, m, m), compute_uv=False)[:, -1]
+    return s
 
 
 def _det_parts(zt, m):
-    """||A||_F, det A and the minors of A's first row for each matrix
-    of a (m*m, N) coordinate-major stack (the rows of each matrix read
-    row by row), m = 2 or 3.  det is ad - bc, or the cofactor expansion
+    """det A and the minors of A's first row for each matrix of a
+    (m*m, N) coordinate-major stack (the rows of each matrix read row
+    by row), m = 2 or 3.  det is ad - bc, or the cofactor expansion
     along the first row, whose minors (e i - f h, d i - f g, d h - e g)
     come back for the closed-form sigma_min (an empty tuple for m = 2).
     """
-    nrm = _norms(zt)
     if m == 2:
         a, b, c, d = zt
-        return nrm, a * d - b * c, ()
+        return a * d - b * c, ()
     a, b, c, d, e, f, g, h, i = zt
     first = (e * i - f * h, d * i - f * g, d * h - e * g)
-    return nrm, a * first[0] - b * first[1] + c * first[2], first
+    return a * first[0] - b * first[1] + c * first[2], first
 
 
 def _det_bound(nrm, det, m):
     """A certified upper bound on C(A) = ||A||_F / sigma_min(A) per row
-    from _det_parts' norm and determinant, m = 2 or 3.
+    from its norm and _det_parts' determinant, m = 2 or 3.
 
     sigma_min = |det A| / (sigma_1 ... sigma_{m-1}), and by AM-GM the
     product is at most (||A||^2 / (m-1))^((m-1)/2), so
@@ -314,8 +185,8 @@ def _det_bound_batch(m):
     def bound_batch(z):
         zt = np.asarray(z, dtype=float).T
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            nrm, det, _ = _det_parts(zt, m)
-            return _det_bound(nrm, det, m)
+            det, _ = _det_parts(zt, m)
+            return _det_bound(_norms(zt), det, m)
 
     return bound_batch
 
@@ -382,8 +253,8 @@ def _top_eigenvalue(g11, g22, g33, g12, g13, g23):
 
 def _closed_sigma_min(zt, nrm, det, first):
     """sigma_min of each matrix of a (m*m, N) coordinate-major stack,
-    m = 2 or 3, in closed form from _det_parts' norm, determinant and
-    first-row minors.  Call it inside np.errstate.
+    m = 2 or 3, in closed form from its norm and _det_parts' determinant
+    and first-row minors.  Call it inside np.errstate.
 
     m = 2: sigma_min = 2 |det| / (h_1 + h_2), h_1 + h_2 = 2 sigma_max,
     with h_1, h_2 = sqrt(F^2 +- 2 det) (F = ||A||_F) evaluated without
@@ -403,9 +274,10 @@ def _closed_sigma_min(zt, nrm, det, first):
     operations add a few eps, and B >= 2.6 for m = 3.  In all about
     8 eps B: at most sqrt(eps) = 2^-26 for B <= _CLOSED_CUT = 2^23, so
     every row this route serves keeps at least half of a double's
-    digits, and the rows the cut sends to Jacobi are those near rank
-    one, where the determinant and the minors cancel.  Rows away from
-    rank one do far better: within about eps C, as Jacobi is.
+    digits.  Rows away from rank one do far better: within about eps C,
+    with B / C at most about 1.9 on the sampled laws.  Near rank one the
+    determinant and the minors cancel (10.9 eps C measured below the
+    cut), so rows with B > 64 C (_RANK_ONE_RATIO) take the SVD too.
     """
     if len(zt) == 4:
         a, b, c, d = zt
@@ -507,12 +379,13 @@ def matrix_problem(m):
     n = m^2 - 1, degree m (determinant).  evaluate takes sigma_min from
     LAPACK's SVD.  For m = 2 and 3, bound_batch bounds C from the
     closed-form determinant (see _det_bound), and evaluate_batch takes
-    sigma_min in closed form (see _closed_sigma_min) on every row whose
-    bound is at most _CLOSED_CUT, and from batched one-sided Jacobi on
-    the others, only those; each row's C is computed on its own, so it
-    does not depend on the rest of the batch.  For m >= 4 bound_batch
-    is None and Jacobi serves every row.  The zero matrix gets +inf,
-    as in evaluate.
+    sigma_min in closed form (see _closed_sigma_min), and from LAPACK's
+    batched SVD on the rows its bound places near rank one, only those;
+    each row's C is computed on its own, so it does not depend on the
+    rest of the batch.  For m >= 4 bound_batch is None and the SVD
+    serves every row.  Rows far from unit norm are scaled first
+    (_unit_scaled).  The zero matrix gets +inf, as in evaluate, and a
+    row with a NaN or inf entry gets NaN.
     """
     if int(m) != m or m < 2:
         raise ValueError("m must be an integer >= 2")
@@ -520,24 +393,25 @@ def matrix_problem(m):
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        a = x.reshape(m, m)
-        return _ratio(float(np.linalg.norm(x)), smallest_singular_value(a))
+        with np.errstate(over="ignore"):
+            a, _ = _unit_scaled(x.reshape(1, m * m))
+        return _ratio(float(np.linalg.norm(a)),
+                      smallest_singular_value(a.reshape(m, m)))
 
     def evaluate_batch(z):
         z = np.asarray(z, dtype=float)
-        zt = z.T
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            z, nrm = _unit_scaled(z)
             if m > 3:
-                nrm = _norms(zt)
-                s = _jacobi_sigma_min(z.reshape(-1, m, m))
+                s = _svd_sigma_min(z, m)
             else:
-                nrm, det, first = _det_parts(zt, m)
+                zt = z.T
+                det, first = _det_parts(zt, m)
                 s = _closed_sigma_min(zt, nrm, det, first)
-                # NaN never passes the cut
-                slow = np.flatnonzero(~(_det_bound(nrm, det, m)
-                                        <= _CLOSED_CUT))
-                if len(slow):
-                    s[slow] = _jacobi_sigma_min(z[slow].reshape(-1, m, m))
+                # a NaN bound or C never passes, so its row takes the SVD
+                cut = np.minimum(_CLOSED_CUT, _RANK_ONE_RATIO * nrm / s)
+                slow = np.flatnonzero(~(_det_bound(nrm, det, m) <= cut))
+                s[slow] = _svd_sigma_min(z[slow], m)
             c = nrm / s
         # the zero matrix's 0 / 0 is +inf, as in evaluate
         c[s == 0.0] = math.inf

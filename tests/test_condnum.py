@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from capsmooth import condnum
-from capsmooth.condnum import (_jacobi_sigma_min, hyperplane_problem,
-                               matrix_problem, smallest_singular_value,
+from capsmooth.condnum import (hyperplane_problem, matrix_problem,
+                               smallest_singular_value,
                                union_hyperplanes_problem)
 from capsmooth.distributions import (AdversarialLaw, Cap, normalize_profile,
                                      uniform_law)
@@ -33,39 +33,6 @@ def pole_batch(seed, size, m=3):
     p = matrix_problem(m)
     law = AdversarialLaw(Cap(p.ill_posed, 0.5), pole_beta(m))
     return law.sample(rng(seed), size=size)
-
-
-def _ref_jacobi_sigma_min(a):
-    # the whole-stack one-sided Jacobi that _jacobi_sigma_min must
-    # reproduce bit for bit: a fresh array per step, every matrix swept
-    # until none rotates
-    m = a.shape[-1]
-    cols = a.transpose(2, 1, 0).copy()
-    tol = m * EPS
-    floor = EPS * EPS * np.einsum("jik,jik->k", cols, cols)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(condnum._JACOBI_SWEEPS):
-            moved = np.zeros(cols.shape[2], dtype=bool)
-            for p in range(m - 1):
-                for q in range(p + 1, m):
-                    cp, cq = cols[p], cols[q]
-                    alpha = np.einsum("ij,ij->j", cp, cp)
-                    beta = np.einsum("ij,ij->j", cq, cq)
-                    gamma = np.einsum("ij,ij->j", cp, cq)
-                    zeta = (beta - alpha) / (2.0 * gamma)
-                    t = np.copysign(1.0, zeta) / (
-                        np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                    rot = ((np.abs(gamma)
-                            > tol * np.sqrt(alpha) * np.sqrt(beta))
-                           & (alpha > floor) & (beta > floor))
-                    t = np.where(rot, t, 0.0)
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = c * t
-                    cols[p], cols[q] = c * cp - s * cq, s * cp + c * cq
-                    moved |= t != 0.0
-            if not moved.any():
-                break
-    return np.sqrt(np.min(np.einsum("jik,jik->jk", cols, cols), axis=0))
 
 
 def benchmark_batch(seed, m=3):
@@ -93,30 +60,24 @@ def error_in_eps_c(c, want):
         return float(abs(mpmath.mpf(c) - want) / want) / (EPS * float(want))
 
 
-def jacobi_alone(row, m):
-    # C of one row as the Jacobi route computes it, on a stack of one
+def svd_alone(row, m):
+    # C of one row as the SVD route computes it, on a stack of one
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = _jacobi_sigma_min(row.reshape(1, m, m))[0]
-        return math.inf if s == 0.0 else _norms(row[:, None])[0] / s
+        a, nrm = condnum._unit_scaled(row[None])
+        s = np.linalg.svd(a.reshape(1, m, m), compute_uv=False)[0, -1]
+        return math.inf if s == 0.0 else nrm[0] / s
 
 
 def closed_route(z, m):
-    # which rows of z the closed form serves: bound within the cut
+    # which rows of z the closed form serves, once scaled: bound within
+    # the cut and within _RANK_ONE_RATIO times the closed form's C
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return matrix_problem(m).bound_batch(z) <= condnum._CLOSED_CUT
-
-
-def sweep_sizes(monkeypatch):
-    # the active-set size of every sweep _jacobi_sigma_min runs
-    sizes = []
-    sweep = condnum._jacobi_sweep
-
-    def counted(cols, *args):
-        sizes.append(cols[0].shape[1])
-        return sweep(cols, *args)
-
-    monkeypatch.setattr(condnum, "_jacobi_sweep", counted)
-    return sizes
+        z, nrm = condnum._unit_scaled(z)
+        det, first = condnum._det_parts(z.T, m)
+        c = nrm / condnum._closed_sigma_min(z.T, nrm, det, first)
+        return (condnum._det_bound(nrm, det, m)
+                <= np.minimum(condnum._CLOSED_CUT,
+                              condnum._RANK_ONE_RATIO * c))
 
 
 class TestSmallestSingularValue:
@@ -292,10 +253,11 @@ class TestMatrixProblem:
         c = p.evaluate_batch(z)
         assert np.array_equal(p.evaluate_batch(np.ascontiguousarray(z)), c)
         assert np.all(closed_route(z, 3))
+        nrm = np.linalg.norm(z, axis=1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            nrm, det, first = condnum._det_parts(z.T, 3)
+            det, first = condnum._det_parts(z.T, 3)
             s = condnum._closed_sigma_min(z.T, nrm, det, first)
-        assert np.array_equal(c, np.linalg.norm(z, axis=1) / s)
+        assert np.array_equal(c, nrm / s)
 
     def test_eckart_young_perturbation(self):
         # moving distance sigma_min along the right direction reaches a
@@ -381,29 +343,39 @@ class TestDeterminantBound:
 
 
 class TestJacobiSigmaMin:
-    """The batch path's one-sided Jacobi against independent references."""
+    """sigma_min where the closed form does not serve: LAPACK's batched
+    SVD, on every row for m >= 4, against independent references."""
 
     def test_against_mpmath(self):
-        # the 100 worst-conditioned rows of a pole-law batch against a
-        # 40-digit SVD; the error allowed is eps C relative
-        z = pole_batch(9, 16384)
-        batch = _norms(z.T) / _jacobi_sigma_min(z.reshape(-1, 3, 3))
-        worst = max(error_in_eps_c(batch[i], mp_condition(z[i], 3))
-                    for i in np.argsort(batch)[-100:])
-        assert worst <= 1.0
+        # the worst-conditioned rows against a 40-digit SVD: the 100
+        # worst of matrix:3 pole and benchmark batches sent through the
+        # SVD whole, and the 50 worst of a matrix:4 pole batch, which
+        # evaluate_batch sends there; the error allowed is eps C relative
+        for z, m, count in ((pole_batch(9, 16384), 3, 100),
+                            (benchmark_batch(1), 3, 100),
+                            (pole_batch(9, 16384, 4), 4, 50)):
+            batch = _norms(z.T) / condnum._svd_sigma_min(z, m)
+            if m == 4:
+                assert np.array_equal(matrix_problem(4).evaluate_batch(z),
+                                      batch)
+            worst = max(error_in_eps_c(batch[i], mp_condition(z[i], m))
+                        for i in np.argsort(batch)[-count:])
+            assert worst <= 1.0, m
 
     def test_batch_independence(self):
-        # a row's C does not depend on the rows that share its batch
+        # a row's C does not depend on the rows that share its batch,
+        # nor on the batch's memory order
         p = matrix_problem(3)
         z = pole_batch(10, 4096)
         whole = p.evaluate_batch(z)
         assert np.array_equal(p.evaluate_batch(z[::7]), whole[::7])
-        g = rng(10).standard_normal((1000, 4, 4))
-        whole = _jacobi_sigma_min(g)
-        assert np.array_equal(_jacobi_sigma_min(g[3::5]), whole[3::5])
-        # a stack of one matrix too: np.einsum summed an (m, 1) column
-        # in another order than an (m, N) one
-        assert all(_jacobi_sigma_min(g[i:i + 1])[0] == whole[i]
+        p = matrix_problem(4)
+        g = rng(10).standard_normal((1000, 16))
+        whole = p.evaluate_batch(g)
+        assert np.array_equal(p.evaluate_batch(g[3::5]), whole[3::5])
+        assert np.array_equal(p.evaluate_batch(np.asfortranarray(g)), whole)
+        # a stack of one matrix too
+        assert all(p.evaluate_batch(g[i:i + 1])[0] == whole[i]
                    for i in range(0, 1000, 25))
 
     def test_singular_inputs(self):
@@ -412,8 +384,7 @@ class TestJacobiSigmaMin:
         zero_col = g.standard_normal((3, 3))
         zero_col[:, 1] = 0.0
         # small-integer outer products are exactly rank one; rounding
-        # in the rotations leaves a residue of at most eps ||A|| (as in
-        # LAPACK), which further sweeps usually cancel to 0
+        # leaves LAPACK a residue of at most eps ||A||, often exactly 0
         u = g.integers(-9, 10, size=(200, 3)).astype(float)
         v = g.integers(1, 10, size=(200, 3)).astype(float)
         u[:, 0] = 1.0
@@ -426,97 +397,63 @@ class TestJacobiSigmaMin:
         assert np.all(c >= 1.0 / EPS)
         assert np.any(c == math.inf)
 
-    def test_rank_one_stops(self, monkeypatch):
-        # rotating the rounding residue of a cancelled column shrank it
-        # by about eps per sweep, so one exactly rank-one matrix kept its
-        # whole batch sweeping until the rotation underflowed
-        a = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-        assert _jacobi_sigma_min(a[None])[0] <= EPS * np.linalg.norm(a)
-        sizes = sweep_sizes(monkeypatch)
-        stack = rng(13).standard_normal((16384, 3, 3))
-        _jacobi_sigma_min(stack)
-        clean = len(sizes)
-        sizes.clear()
-        stack[100] = a
-        _jacobi_sigma_min(stack)
-        assert len(sizes) == clean
-
     @pytest.mark.parametrize("m", [2, 4, 5])
     def test_agrees_with_lapack(self, m):
-        a = rng(12 + m).standard_normal((500, m, m))
-        got = _jacobi_sigma_min(a)
-        want = np.array([smallest_singular_value(x) for x in a])
+        a = rng(12 + m).standard_normal((500, m * m))
+        got = _norms(a.T) / matrix_problem(m).evaluate_batch(a)
+        want = np.array([smallest_singular_value(x.reshape(m, m))
+                         for x in a])
         assert np.max(np.abs(got - want)) <= 1e-14
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_non_finite_rows(self, m):
+        # a NaN or inf entry gives its row NaN and skips the SVD, where
+        # it would raise for the whole stack; the other rows keep their
+        # bits.  A near rank-one row sends the matrix:3 batch to the SVD
+        p = matrix_problem(m)
+        z = pole_batch(14, 64, m)
+        z[5] = np.outer(np.arange(1.0, m + 1.0),
+                        np.arange(2.0, m + 2.0)).reshape(-1)
+        want = p.evaluate_batch(z)
+        bad = [0, 9, 17, 30, 41]
+        z[0, 0] = math.nan
+        z[9, 1] = math.inf
+        z[17, -1] = -math.inf
+        z[30] = math.inf
+        z[41, 2], z[41, 3] = math.nan, math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = p.evaluate_batch(z)
+        assert np.all(np.isnan(c[bad]))
+        keep = np.setdiff1d(np.arange(len(z)), bad)
+        assert np.array_equal(c[keep], want[keep])
+        assert c[5] == want[5] >= 1.0 / EPS
 
-class TestJacobiReference:
-    """_jacobi_sigma_min on reused rows and a shrinking active set gives
-    the bits of the whole-stack reference."""
-
-    @pytest.mark.parametrize("m", range(2, 9))
-    def test_gaussian(self, m):
-        a = rng(20 + m).standard_normal((2000, m, m))
-        assert np.array_equal(_jacobi_sigma_min(a), _ref_jacobi_sigma_min(a))
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_benchmark_law(self, seed):
-        a = benchmark_batch(seed).reshape(-1, 3, 3)
-        assert np.array_equal(_jacobi_sigma_min(a), _ref_jacobi_sigma_min(a))
-
-    def test_active_set_shrinks(self, monkeypatch):
-        # scaled permutation matrices have orthogonal columns and never
-        # rotate: the active set drops them after sweep 1, and drops the
-        # Gaussian matrices as they converge
-        g = rng(30)
-        perm = np.zeros((3000, 3, 3))
-        for k in range(3000):
-            perm[k, np.arange(3), g.permutation(3)] = g.standard_normal(3)
-        a = np.concatenate((perm, g.standard_normal((1000, 3, 3))))
-        a = a[g.permutation(len(a))]
-        sizes = sweep_sizes(monkeypatch)
-        got = _jacobi_sigma_min(a)
-        assert np.array_equal(got, _ref_jacobi_sigma_min(a))
-        assert sizes[:2] == [4000, 1000] and sizes[-1] < 1000
-
-    def test_sign_step_at_signed_zero(self):
-        # equal column norms make zeta = (beta - alpha) / (2 gamma) a
-        # signed zero, so t = +-1: the sign bit of zeta ORed into
-        # 1 / (|zeta| + sqrt(1 + zeta^2)) must give copysign's bits
-        g = rng(32)
-        x, y = g.standard_normal((2, 500))
-        a = np.empty((1000, 2, 2))
-        # columns (x, y) and +-(y, x): gamma = +-2xy
-        a[:, 0, 0], a[:, 1, 0] = np.tile(x, 2), np.tile(y, 2)
-        a[:500, 0, 1], a[:500, 1, 1] = y, x
-        a[500:, 0, 1], a[500:, 1, 1] = -y, -x
-        assert np.array_equal(_jacobi_sigma_min(a), _ref_jacobi_sigma_min(a))
-
-    def test_singular_and_single(self):
-        g = rng(31)
-        zero_col = g.standard_normal((50, 3, 3))
-        zero_col[:, :, 1] = 0.0
-        u = g.integers(-9, 10, size=(50, 4)).astype(float)
-        v = g.integers(1, 10, size=(50, 4)).astype(float)
-        rank_one = np.einsum("ni,nj->nij", u, v)
-        for a in (zero_col, rank_one):
-            assert np.array_equal(_jacobi_sigma_min(a),
-                                  _ref_jacobi_sigma_min(a))
-        # one matrix against the reference run on a stack: on an
-        # (m, 1) column the reference's einsum adds in another order
-        for m in (2, 3, 5):
-            a = g.standard_normal((40, m, m))
-            want = _ref_jacobi_sigma_min(a)
-            for i in range(40):
-                assert _jacobi_sigma_min(a[i:i + 1])[0] == want[i]
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_far_from_unit_norm(self, m):
+        # rows scaled by 1e-200 ... 1e200 against the unscaled row's
+        # 40-digit C, batch and scalar, without a warning: the eps C rule
+        # with C held at least at 4 (see TestClosedForm.test_bound_rows)
+        p = matrix_problem(m)
+        x = rng(70 + m).standard_normal((10, m * m))
+        for row in x:
+            want = mp_condition(row, m)
+            tol = max(1.0, 4.0 / float(want))
+            for scale in (1e-200, 1e-160, 1e160, 1e200):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = (p.evaluate(scale * row),
+                           p.evaluate_batch(scale * row[None])[0])
+                assert all(error_in_eps_c(c, want) <= tol for c in got), \
+                    (scale, got)
 
     def test_threads_share_no_rows(self):
         # eight threads evaluate at once; each gets the bits of a
-        # sequential run, so no work row is shared between calls: Jacobi
-        # alone, and evaluate_batch, whose pole-law rows take the closed
-        # form
-        batches = [pole_batch(40 + i, 4096) for i in range(8)]
-        for evaluate in (lambda z: _jacobi_sigma_min(z.reshape(-1, 3, 3)),
-                         matrix_problem(3).evaluate_batch):
+        # sequential run: matrix:3 pole-law rows take the closed form,
+        # matrix:4 rows the SVD
+        for m in (3, 4):
+            batches = [pole_batch(40 + i, 4096, m) for i in range(8)]
+            evaluate = matrix_problem(m).evaluate_batch
             want = [evaluate(z) for z in batches]
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
@@ -530,8 +467,8 @@ class TestJacobiReference:
 
 class TestClosedForm:
     """matrix:2 and matrix:3 evaluate_batch: sigma_min in closed form,
-    and from Jacobi on the rows whose determinant bound exceeds the
-    cut."""
+    and from the SVD on the rows whose determinant bound exceeds the
+    cut or 64 times the closed form's C."""
 
     @pytest.mark.parametrize("m,make", [
         (2, lambda: pole_batch(9, 16384, 2)), (2, lambda: benchmark_batch(1, 2)),
@@ -549,11 +486,10 @@ class TestClosedForm:
     @pytest.mark.parametrize("m", [2, 3])
     def test_bound_rows(self, m):
         # every row of the determinant bound's families, Gaussian rows
-        # aside, either meets the eps C rule or is the Jacobi route's C
-        # of that row alone.  Below C = 4 the rule asks less than the
+        # aside, either meets the eps C rule or is the SVD route's C of
+        # that row alone.  Below C = 4 the rule asks less than the
         # rounding of the norm, of the last division and of a few more
-        # operations: Jacobi itself is 3.3 eps off there on Gaussian
-        # rows, so C is held at least at 4
+        # operations, so C is held at least at 4
         p = matrix_problem(m)
         for name, z in bound_rows(rng(50 + m), m):
             if name == "gaussian":
@@ -567,7 +503,7 @@ class TestClosedForm:
                 assert (error_in_eps_c(c[i], want)
                         <= max(float(want), 4.0)), (name, i)
             for i in np.flatnonzero(~closed):
-                want = jacobi_alone(z[i], m)
+                want = svd_alone(z[i], m)
                 assert c[i] == want or (c[i] != c[i] and want != want), \
                     (name, i)
             if name in ("singular", "rank_one"):
@@ -576,25 +512,20 @@ class TestClosedForm:
     @pytest.mark.parametrize("m", [2, 3])
     def test_near_rank_one(self, m):
         # Gaussian rank-one matrices 1e-1 ... 1e-10 away: the determinant
-        # and the minors cancel, and the closed form keeps its derived
-        # bound, 8 eps B relative with B the determinant bound, so at
-        # least sqrt(eps) below the cut (for m = 3 that is up to 11 eps C
-        # here, against Jacobi's eps C); past the cut Jacobi serves
+        # and the minors cancel, and the closed form keeps only its
+        # derived bound, 8 eps B relative with B the determinant bound
+        # (for m = 3 that was up to 11 eps C here); rows with B > 64 C
+        # take the SVD, so every row meets the eps C rule
         p = matrix_problem(m)
         g = rng(60 + m)
         a = np.einsum("ni,nj->nij", g.standard_normal((400, m)),
                       g.standard_normal((400, m))).reshape(-1, m * m)
         size = 10.0 ** -np.repeat(np.arange(1, 11), 40)
         z = a + size[:, None] * g.standard_normal(a.shape)
-        c, bound = p.evaluate_batch(z), p.bound_batch(z)
-        closed = closed_route(z, m)
-        assert 0 < np.count_nonzero(closed) < len(z)
-        for i in np.flatnonzero(closed):
-            want = mp_condition(z[i], m)
-            rel = error_in_eps_c(c[i], want) * EPS * float(want)
-            assert rel <= min(8.0 * EPS * bound[i], 2.0 ** -26), i
-        assert all(c[i] == jacobi_alone(z[i], m)
-                   for i in np.flatnonzero(~closed))
+        c = p.evaluate_batch(z)
+        assert 0 < np.count_nonzero(closed_route(z, m)) < len(z)
+        for i in range(len(z)):
+            assert error_in_eps_c(c[i], mp_condition(z[i], m)) <= 1.0, i
 
     def test_top_pair_meets(self):
         # sigma_2 = sigma_3 makes the two largest eigenvalues of the
@@ -618,14 +549,15 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_jacobi_serves_only_rows_past_the_cut(self, m, monkeypatch):
+        # the SVD serves only the rows the closed form does not
         calls = []
-        jacobi = condnum._jacobi_sigma_min
+        svd = condnum._svd_sigma_min
 
-        def counted(a):
-            calls.append(len(a))
-            return jacobi(a)
+        def counted(z, m):
+            calls.append(len(z))
+            return svd(z, m)
 
-        monkeypatch.setattr(condnum, "_jacobi_sigma_min", counted)
+        monkeypatch.setattr(condnum, "_svd_sigma_min", counted)
         p = matrix_problem(m)
         z = pole_batch(11, 4096, m)
         z[::97] = np.outer(np.arange(1.0, m + 1.0),
@@ -635,7 +567,7 @@ class TestClosedForm:
         assert calls[0] >= len(z[::97])
         calls.clear()
         p.evaluate_batch(z[1:97])
-        assert calls == []
+        assert calls == [0]
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_batch_independence(self, m):
