@@ -17,8 +17,9 @@ keeps a flag's default.  --help prints each default; the seed's is the
 CAPSMOOTH_SEED environment variable when it is set, else 0.
 
 Exit codes: 0 success, 1 a checked bound or inequality was violated,
-2 invalid arguments.  All randomness is counter-based from the seed, so
-repeated runs with the same arguments produce identical output bytes.
+2 invalid arguments.  All randomness is drawn from per-batch streams
+of the seed, so repeated runs with the same arguments produce identical
+output bytes.
 """
 
 import argparse

@@ -9,10 +9,12 @@ reciprocal of that distance.  C is +inf exactly on Sigma.
 Three instances are provided: a single hyperplane, a finite union of
 hyperplanes, and square matrices with Sigma the singular ones, where
 dist_F(A, Sigma) = sigma_min(A) by the Eckart-Young theorem.  Every
-evaluate_batch takes ||z|| from geometry._norms, which adds the squares
-first to last whatever the memory order of z (np.linalg.norm sums
-C-ordered rows pairwise), so a batch and its C-ordered copy get the
-same bits.  Matrix
+instance scales a row whose norm lies outside [2^-200, 2^200] by a power
+of two first (_unit_scaled), so rows far from unit norm neither overflow
+nor lose digits; a unit row keeps its bits.  Every evaluate_batch takes
+||z|| from geometry._norms, which adds the squares first to last
+whatever the memory order of z (np.linalg.norm sums C-ordered rows
+pairwise), so a batch and its C-ordered copy get the same bits.  Matrix
 batches of m = 2 and 3 get sigma_min in closed form, elementwise, from
 the determinant, the 2x2 minors and ||A|| (_closed_sigma_min); rows
 near rank one, where those cancel, and m >= 4 get it from LAPACK's
@@ -112,7 +114,12 @@ def _unit_scaled(z):
     invariant, so nothing is undone after; other rows keep their bits.
     Call it inside np.errstate: a far row's norm may overflow first."""
     nrm = _norms(z.T)
-    far = np.flatnonzero((nrm < _BOUND_NORMS[0]) | (nrm > _BOUND_NORMS[1]))
+    low, high = _BOUND_NORMS
+    # two reductions clear a batch of unit rows (NaN fails them, and
+    # takes the row-wise test, which skips it)
+    if nrm.min(initial=low) >= low and nrm.max(initial=high) <= high:
+        return z, nrm
+    far = np.flatnonzero((nrm < low) | (nrm > high))
     if len(far):
         _, exp = np.frexp(np.max(np.abs(z[far]), axis=1))
         z = z.copy()
@@ -312,13 +319,14 @@ def hyperplane_problem(n):
     n = int(n)
 
     def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        return _ratio(float(np.linalg.norm(x)), abs(float(x[0])))
+        with np.errstate(over="ignore"):
+            z, nrm = _unit_scaled(np.asarray(x, dtype=float).reshape(1, -1))
+        return _ratio(float(nrm[0]), abs(float(z[0, 0])))
 
     def evaluate_batch(z):
-        z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
-            return _norms(z.T) / np.abs(z[:, 0])
+        with np.errstate(divide="ignore", over="ignore"):
+            z, nrm = _unit_scaled(np.asarray(z, dtype=float))
+            return nrm / np.abs(z[:, 0])
 
     ill = np.zeros(n + 1)
     ill[1] = 1.0
@@ -343,21 +351,21 @@ def union_hyperplanes_problem(normals):
     n = dim - 1
 
     def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        return _ratio(float(np.linalg.norm(x)),
-                      float(np.min(np.abs(u @ x))))
+        with np.errstate(over="ignore"):
+            z, nrm = _unit_scaled(np.asarray(x, dtype=float).reshape(1, -1))
+        return _ratio(float(nrm[0]), float(np.min(np.abs(u @ z[0]))))
 
     def evaluate_batch(z):
-        z = np.asarray(z, dtype=float)
-        # min over the k rows of the (k, N) view: the same exact minimum
-        # as a reduction over the k-wide inner axis, without its
-        # per-point overhead
-        dist = np.abs(z @ u.T).T
-        low = dist[0].copy()
-        for row in dist[1:]:
-            np.minimum(low, row, out=low)
-        with np.errstate(divide="ignore"):
-            return _norms(z.T) / low
+        with np.errstate(divide="ignore", over="ignore"):
+            z, nrm = _unit_scaled(np.asarray(z, dtype=float))
+            # min over the k rows of the (k, N) view: the same exact
+            # minimum as a reduction over the k-wide inner axis, without
+            # its per-point overhead
+            dist = np.abs(z @ u.T).T
+            low = dist[0].copy()
+            for row in dist[1:]:
+                np.minimum(low, row, out=low)
+            return nrm / low
 
     # unit vector orthogonal to the first normal lies on Sigma
     seed = np.zeros(dim)
@@ -384,8 +392,8 @@ def matrix_problem(m):
     each row's C is computed on its own, so it does not depend on the
     rest of the batch.  For m >= 4 bound_batch is None and the SVD
     serves every row.  Rows far from unit norm are scaled first
-    (_unit_scaled).  The zero matrix gets +inf, as in evaluate, and a
-    row with a NaN or inf entry gets NaN.
+    (_unit_scaled).  The zero matrix gets +inf, and a row with a NaN or
+    inf entry gets NaN, in evaluate and evaluate_batch alike.
     """
     if int(m) != m or m < 2:
         raise ValueError("m must be an integer >= 2")
@@ -393,6 +401,9 @@ def matrix_problem(m):
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            # LAPACK would raise; evaluate_batch gives such a row NaN
+            return math.nan
         with np.errstate(over="ignore"):
             a, _ = _unit_scaled(x.reshape(1, m * m))
         return _ratio(float(np.linalg.norm(a)),

@@ -23,9 +23,13 @@ enters, and its log carries the first segment in log space, so deep
 tails do not underflow.  Sampling is by inverse transform on the radial
 coordinate combined with a uniform tangent direction.  The inverse runs
 through a piecewise-Chebyshev inverse of the regularized incomplete
-beta function, fitted once per law on its first inversion to the
-inverse volumes._betaincinv_half and certified then: its start radius
-is the answer on segments where h is constant.  Where h is not, a
+beta function, fitted to the inverse volumes._betaincinv_half and
+certified on the first inversion of any law with its m = n - beta and
+its mass betainc(m/2, 1/2, sigma^2), then shared by all of them: its
+start radius is the answer on segments where h is constant.  Each fit
+keeps the lowest degree whose coefficient table still passes its
+certificate (2 to 4 for the kernels at sigma <= 1/2), so a point
+costs only the Clenshaw steps the certificate needs.  Where h is not, a
 per-segment Chebyshev fit in the start radius gives the answer; it is
 built on the first inversion too, from a safeguarded Newton iteration on
 the segment mass that serves as its oracle and certificate.  Every fit
@@ -63,6 +67,13 @@ _TINY = np.finfo(float).tiny
 _CHEB_DEGREE = 12
 _CHEB_PIECES = 32
 _CHEB_TOL = 64 * _EPS
+# a kernel's table keeps the shortest prefix whose relative error in x
+# stays within both _CHEB_TOL and _PREFIX_BUDGET / a (see
+# _certified_fit).  F magnifies that error by about a / sqrt(1 - r^2),
+# so the budget holds the radial residual below 1e-12 to sigma = 0.99
+# at every a that gets a fit; _CHEB_TOL alone would let m >= 500 pass
+# 1e-12 once the full degree's spare accuracy is cut
+_PREFIX_BUDGET = 1e-13
 # the largest a = m/2 that gets a kernel fit.  F magnifies the fit's
 # error by about m/2 near the top of the law, so the radial residual
 # max |F(r) - p| grows with m: at sigma = 0.5 it is 3.4e-13, 7.7e-13,
@@ -79,7 +90,8 @@ class _ChebyshevPieces:
     pieces of width 1 / scale[g], which occupy coefficient columns
     first[g] on; coef[j] holds the degree-j coefficient of every piece.
     The coefficients come from the discrete cosine sum of the values at
-    the nodes."""
+    the nodes; the table may keep only a prefix of them (a lower
+    degree, see _certified_fit)."""
 
     def __init__(self, lo, scale, first, pieces, coef=None):
         self.lo = lo
@@ -111,36 +123,71 @@ class _ChebyshevPieces:
 
     def __call__(self, v, interval=0):
         """Clenshaw's recurrence, one gathered coefficient per step; v
-        lies in the given interval (an index, or one per point)."""
+        lies in the given interval (an index, or one per point).  The
+        table may have any number of rows, one included."""
         u = (v - self.lo[interval]) * self.scale[interval]
         k = np.clip(u.astype(np.intp), 0, self.pieces - 1)
         t = 2.0 * (u - k) - 1.0
         k += self.first[interval]
+        coef = self.coef
+        if len(coef) == 1:
+            return coef[0].take(k)
         t2 = 2.0 * t
-        b1 = self.coef[-1].take(k)
-        b2 = np.zeros_like(t)
-        for c in self.coef[-2:0:-1]:
-            b1, b2 = t2 * b1 - b2 + c.take(k), b1
-        return t * b1 - b2 + self.coef[0].take(k)
+        # b_j = t2 b_{j+1} - b_{j+2} + c_j in three rotating buffers
+        b1, b2, b0 = coef[-1].take(k), np.zeros_like(t), np.empty_like(t)
+        for c in coef[-2:0:-1]:
+            np.multiply(t2, b1, out=b0)
+            b0 -= b2
+            b0 += c.take(k)
+            b1, b2, b0 = b0, b1, b2
+        b1 *= t
+        b1 -= b2
+        b1 += coef[0].take(k)
+        return b1
 
 
-def _certified_fit(solve, lo, hi, pieces, tol=_CHEB_TOL):
+def _certified_fit(solve, lo, hi, pieces, tol=_CHEB_TOL, prefix_tol=None):
     """Fit each interval [lo[g], hi[g]], cut into `pieces` pieces, and
     certify it at the points midway (in angle) between the nodes and at
     the ends of the pieces.  solve(nodes, between) gives, from one call,
     the values at the nodes and a function that maps the fit to its
     relative error at the points between; both point arrays have one
     column per piece.  Returns the fit and which of its intervals it
-    certifies: those whose error is at most tol."""
+    certifies: those whose error is at most tol.
+
+    The fit keeps the shortest prefix of its coefficient table, the
+    lowest degree, that passes the same certificate at the same points
+    on every interval the full table passes, there with an error of at
+    most the larger of prefix_tol (tol by default) and the full table's
+    own; so each evaluation runs only as many Clenshaw steps as the
+    certificate needs, and no node is solved again.  The coefficients
+    of a smooth inverse fall off geometrically, so the kernels of the
+    incomplete beta keep degree 2 to 4 at sigma <= 1/2; the degree
+    rises as sigma nears 1 and with m, to the full _CHEB_DEGREE at
+    sigma = 0.99 from m = 64 on."""
     n = _CHEB_DEGREE + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
     between = np.pi * np.arange(n) / n
     fit = _ChebyshevPieces.equal(lo, hi, pieces)
     values, error = solve(fit.points(theta), fit.points(between))
     fit.interpolate(values)
-    err = error(fit).reshape(n, len(lo), pieces).max(axis=(0, 2))
+
+    def errors():
+        return error(fit).reshape(n, len(lo), pieces).max(axis=(0, 2))
+
+    err = errors()
     # nan (an underflowed node) misses too
-    return fit, err <= tol
+    ok = err <= tol
+    if ok.any():
+        keep = np.maximum(err[ok], tol if prefix_tol is None else prefix_tol)
+        full = fit.coef
+        for size in range(1, n):
+            fit.coef = full[:size]
+            if np.all(errors()[ok] <= keep):
+                break
+        else:
+            fit.coef = full
+    return fit, ok
 
 
 class _BetaincInverse:
@@ -164,8 +211,10 @@ class _BetaincInverse:
     normal range: there psi comes from volumes._betaincinv_ratio, a
     fixed point on the same engine's log output.
 
-    Each branch is fitted once, at _CHEB_PIECES pieces.  A branch that
-    misses the certificate is None, and volumes._betaincinv_half itself
+    Each branch is fitted once, at _CHEB_PIECES pieces, and keeps the
+    shortest prefix of its coefficients whose error stays within the
+    certificate and within _PREFIX_BUDGET / a.  A branch that misses
+    the certificate is None, and volumes._betaincinv_half itself
     inverts it, in the complement 1 - y on the upper branch, as the
     certificate does: within about one ulp of x, at several times the
     cost of the fit per point.  At sigma = 1 the lower branch misses
@@ -199,10 +248,12 @@ class _BetaincInverse:
             values[under[:cut]] = _betaincinv_ratio(a, q[:cut][under[:cut]])
             q, y, ref, under = q[cut:], y[cut:], x[cut:], under[cut:]
             ref_psi = _betaincinv_ratio(a, q[under])
+            # the evaluation's q, once for every degree the fit tries
+            q_y = self._lower_q(y)
 
             def error(fit):
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    err = np.abs(self._lower_x(fit, y) - ref) / ref
+                    err = np.abs(q_y * fit(q_y) - ref) / ref
                 if ref_psi.size:
                     # no double y there: the fitted psi against the series
                     err[under] = np.abs(fit(q[under]) - ref_psi) / ref_psi
@@ -217,7 +268,8 @@ class _BetaincInverse:
             w = _betaincinv_half(a, np.concatenate((c, 1.0 - y)), upper=True)
             values = (w[:c.size] / (c * c)).reshape(nodes.shape)
             ref = 1.0 - w[c.size:]
-            return values, lambda fit: (np.abs(self._upper_x(fit, y) - ref)
+            w_y = np.square(1.0 - y)
+            return values, lambda fit: (np.abs(1.0 - w_y * fit(w_y) - ref)
                                         / ref)
 
         self._lower = self._upper = None
@@ -228,17 +280,18 @@ class _BetaincInverse:
             self._upper = self._branch(upper, (1.0 - top) ** 2,
                                        (1.0 - self.split) ** 2)
 
-    @staticmethod
-    def _branch(solve, lo, hi):
+    def _branch(self, solve, lo, hi):
         """The branch's fit on [lo, hi], or None if it misses."""
         fit, ok = _certified_fit(solve, np.array([lo]), np.array([hi]),
-                                 _CHEB_PIECES)
+                                 _CHEB_PIECES, _CHEB_TOL,
+                                 min(_CHEB_TOL, _PREFIX_BUDGET / self._a))
         return fit if ok[0] else None
 
     def _lower_q(self, y):
         q = y ** self._root
-        deep = (y < 2.0 ** -53) & (y > 0.0)
-        if self._root_lo and np.any(deep):
+        if self._root_lo:
+            deep = np.flatnonzero(y < 2.0 ** -53)
+            deep = deep[y[deep] > 0.0]
             q[deep] *= 1.0 + self._root_lo * np.log(y[deep])
         return q
 
@@ -265,6 +318,25 @@ class _BetaincInverse:
         x[low] = self._lower_x(self._lower, y[low])
         x[~low] = self._upper_x(self._upper, y[~low])
         return x
+
+
+# every _BetaincInverse built so far, by (a, top): laws with the same
+# m = n - beta and the same mass betainc(m/2, 1/2, sigma^2) share one
+_KERNELS = {}
+_KERNELS_LOCK = threading.Lock()
+
+
+def _kernel(a, top):
+    """The inverse of betainc(a, 1/2, .) on [0, top], built on the first
+    request for (a, top) and shared by every later one.  Builds run
+    under one lock, so threads that ask for the same kernel at once
+    build it once."""
+    key = (float(a), float(top))
+    with _KERNELS_LOCK:
+        kernel = _KERNELS.get(key)
+        if kernel is None:
+            kernel = _KERNELS[key] = _BetaincInverse(*key)
+    return kernel
 
 
 class Cap:
@@ -622,7 +694,9 @@ class AdversarialLaw:
         p_arr = np.asarray(p, dtype=float)
         scalar = p_arr.ndim == 0
         p_arr = np.atleast_1d(p_arr)
-        if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
+        # a NaN fails both comparisons
+        if not (p_arr.min(initial=0.0) >= 0.0
+                and p_arr.max(initial=1.0) <= 1.0):
             raise ValueError("p must lie in [0, 1]")
         self._require_mass("no radius can be inverted")
         r_nodes = self._r_nodes
@@ -654,6 +728,8 @@ class AdversarialLaw:
         when no interior node shares that bucket, one comparison does
         when one does, and a search only when more do."""
         inner = self._cdf_nodes[1:-1]
+        if not len(inner):
+            return np.zeros(len(target), dtype=np.intp)
         bucket = np.minimum((target * self._bucket_scale).astype(np.intp),
                             len(inner))
         idx = self._below[bucket]
@@ -666,11 +742,12 @@ class AdversarialLaw:
 
     def _build(self):
         """Build the law's inversion tables once: the inverse of
-        betainc(m/2, 1/2, .) (_BetaincInverse), then, where h is not
+        betainc(m/2, 1/2, .) (_BetaincInverse, shared with every law of
+        the same m and mass through _kernel), then, where h is not
         constant, the segment fits, which are certified through it."""
         with self._build_lock:
             if self._inverse is None:
-                self._inverse = _BetaincInverse(
+                self._inverse = _kernel(
                     0.5 * self._m,
                     _betainc_half(0.5 * self._m, self.cap.sigma ** 2))
             if self._sloped and self._fits is None:
@@ -779,8 +856,7 @@ class AdversarialLaw:
         first = np.zeros(count, dtype=np.intp)
         newton = np.zeros(count, dtype=bool)
         newton[sloped] = True
-        coef = np.zeros((n, 1))
-        coef[0] = 1.0
+        coef = np.ones((1, 1))
         if segs.size:
             with np.errstate(divide="ignore", invalid="ignore"):
                 fit, ok = _certified_fit(solve, self._r_nodes[segs],
@@ -789,6 +865,9 @@ class AdversarialLaw:
             lo[done], scale[done] = fit.lo[ok], fit.scale[ok]
             first[done] = fit.first[ok] + 1
             newton[done] = False
+            # column 0 keeps g = 1 at the fits' degree: zeros past c_0
+            coef = np.zeros((len(fit.coef), 1))
+            coef[0] = 1.0
             coef = np.concatenate((coef, fit.coef), axis=1)
         return _ChebyshevPieces(lo, scale, first, 1, coef), newton
 

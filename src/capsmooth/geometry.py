@@ -23,7 +23,10 @@ rows, because BLAS picks its summation order by layout, and a norm adds
 the k squares first to last.  That is the order of numpy's sum over one
 row when k < 8, so at k = 4 every point gets the bits of the row-major
 formulas; from k = 8 on numpy sums a row pairwise, and a norm can differ
-from that in the last bit.
+from that in the last bit.  tangent_direction draws and adds k - 1
+terms per point the same way, so up to k = 8 (at k = 4 in particular)
+its directions match the row-major formulas bit for bit, signed zeros
+aside; from k = 9 on they can differ in the last bit.
 """
 
 import numpy as np
@@ -106,29 +109,60 @@ def proj_distance(x, y):
 def tangent_direction(a, rng, size=None):
     """Uniformly random unit vectors orthogonal to a.
 
-    Draws standard gaussians, removes the component along a, and
-    normalizes; rotational invariance of the gaussian makes the result
-    uniform on the unit sphere of the tangent space at a.  With
-    size=None a single (k,) vector is returned, otherwise (size, k), an
-    F-ordered view.  The gaussians are drawn as one (size, k) array, so
-    the stream gives point i its coordinates in order before point i+1.
+    Draws k - 1 standard gaussians per point, a gaussian in the
+    hyperplane e_i^perp (i = argmax |a_i|) with coordinate i left out,
+    normalizes them to w, and maps w into a^perp by the Householder
+    reflector H = I - v v^T / (1 + |a_i|), v = a + s e_i, s the sign of
+    a_i, which is orthogonal and sends e_i to -s a.  Rotational
+    invariance of the gaussian makes the result uniform on the unit
+    sphere of the tangent space at a.  H w is w_j - a_j d / (1 + |a_i|)
+    off coordinate i and -s d on it, with d = sum_{j != i} a_j w_j
+    added first to last; no denominator is below 1, and no LAPACK call
+    is made.  A coordinate where a_j = 0 would add only a signed zero
+    to d and keeps w_j, so it is skipped: at the pole a = e_0 the map
+    is w itself.  A point whose gaussians have norm below 1e-12
+    (astronomically rare) is redrawn, in order, from the draws that
+    follow.
+
+    With size=None a single (k,) vector is returned, otherwise
+    (size, k), an F-ordered view.  The gaussians are drawn as one
+    (size, k - 1) array, so the stream gives point i its coordinates in
+    order before point i+1, and a point gets the same bits alone as in
+    a batch.
     """
     a = np.asarray(a, dtype=float)
     _check_unit(a, "a")
     k = a.shape[0]
+    if k < 2:
+        raise ValueError("a must have at least two coordinates")
     n_draw = 1 if size is None else int(size)
     if n_draw < 1:
         raise ValueError("size must be positive")
-    xt = _tangent_part(a, rng.standard_normal((n_draw, k)))
-    nrm = _norms(xt)
-    # A numerically zero residual is astronomically rare; redraw if hit.
+    i = int(np.argmax(np.abs(a)))
+    rest = [j for j in range(k) if j != i]
+    # the output first, so the gaussians it outlives are freed at the
+    # top of the heap, where the next batch array reuses them
+    xt = np.empty((k, n_draw))
+    y = rng.standard_normal((n_draw, k - 1))
+    nrm = _norms(y.T)
     bad = np.flatnonzero(nrm < 1e-12)
     while bad.size:
-        redrawn = _tangent_part(a, rng.standard_normal((bad.size, k)))
-        xt[:, bad] = redrawn
-        nrm[bad] = _norms(redrawn)
+        y[bad] = rng.standard_normal((bad.size, k - 1))
+        nrm[bad] = _norms(y[bad].T)
         bad = bad[nrm[bad] < 1e-12]
-    xt /= nrm
+    for row, j in enumerate(rest):
+        np.divide(y[:, row], nrm, out=xt[j])
+    del y, nrm  # d and its temporary reuse their memory
+    live = [j for j in rest if a[j] != 0.0]
+    d = np.zeros(n_draw)
+    if live:
+        np.multiply(xt[live[0]], a[live[0]], out=d)
+        tmp = np.empty_like(d)
+        for j in live[1:]:
+            d += np.multiply(xt[j], a[j], out=tmp)
+        for j in live:
+            xt[j] -= np.multiply(d, a[j] / (1.0 + abs(a[i])), out=tmp)
+    np.multiply(d, -1.0 if a[i] >= 0.0 else 1.0, out=xt[i])
     if size is None:
         return xt[:, 0]
     return xt.T

@@ -1,8 +1,9 @@
 """Monte Carlo verification of the tail and expectation bounds.
 
 Sampling is organized in fixed-size batches, each driven by its own
-counter-based stream: stream_rng(seed, index) is Philox keyed by
-(seed, index), and every random draw of capsmooth comes from such a
+stream: stream_rng(seed, index) is SFC64 seeded by
+SeedSequence(seed, spawn_key=(index,)), the index-th child of the
+seed's sequence, and every random draw of capsmooth comes from such a
 stream.  Batches are reduced in index order with integer counts and
 exact float sums (_exact_sum within a batch, math.fsum across
 batches), so results are bit-identical for a given seed
@@ -186,10 +187,13 @@ class ExperimentConfig:
 
 
 def stream_rng(seed, index):
-    """Generator of stream `index` under a 64-bit seed: Philox keyed by
-    (seed, index).  Batch i of an experiment draws from stream i."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator of stream `index` under a 64-bit seed: SFC64 seeded by
+    SeedSequence(seed, spawn_key=(index,)), which hashes the seed and
+    the index into the generator's state, so distinct indices give
+    independent streams.  Batch i of an experiment draws from stream i.
+    SFC64 draws gaussians about a quarter faster than Philox."""
+    seq = np.random.SeedSequence(seed, spawn_key=(index,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _exact_sum(x):

@@ -110,6 +110,26 @@ class TestSmallestSingularValue:
             smallest_singular_value(np.ones((2, 3)))
 
 
+def far_from_unit_norm(p, dist):
+    """p.evaluate and p.evaluate_batch on rows scaled by 1e-200 ...
+    1e200, without a warning, against the scaled row's C at 40 digits
+    (||x|| / dist(x), dist taking the row's entries as mpmath numbers):
+    the norm of four squares and one division, within 2 eps C."""
+    rows = np.concatenate(([[0.5, 1.0, -2.0, 0.3]],
+                           rng(60).standard_normal((10, 4))))
+    for row in rows:
+        for scale in (1e-200, 1e-160, 1.0, 1e160, 1e200):
+            x = scale * row
+            with mpmath.workdps(40):
+                xs = [mpmath.mpf(v) for v in x]
+                want = mpmath.sqrt(mpmath.fsum(v * v for v in xs)) / dist(xs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = (p.evaluate(x), p.evaluate_batch(x[None])[0])
+            assert all(error_in_eps_c(c, want) <= 2.0 for c in got), \
+                (scale, got)
+
+
 class TestHyperplane:
     def test_metadata(self):
         p = hyperplane_problem(3)
@@ -143,6 +163,9 @@ class TestHyperplane:
         z = g.standard_normal((100, 4))
         assert np.all(p.evaluate_batch(z) >= 1.0)
 
+    def test_far_from_unit_norm(self):
+        far_from_unit_norm(hyperplane_problem(3), lambda x: abs(x[0]))
+
 
 class TestUnionHyperplanes:
     def test_metadata_and_degree(self):
@@ -171,6 +194,13 @@ class TestUnionHyperplanes:
     def test_rejects_non_unit_normals(self):
         with pytest.raises(ValueError):
             union_hyperplanes_problem([[2.0, 0.0, 0.0]])
+
+    def test_far_from_unit_norm(self):
+        u = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.0, 0.8],
+                      [0.0, 0.0, 1.0, 0.0]])
+        far_from_unit_norm(union_hyperplanes_problem(u), lambda x: min(
+            abs(mpmath.fsum(mpmath.mpf(a) * b for a, b in zip(n, x)))
+            for n in u.tolist()))
 
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_batch_bits_match_inner_axis_min(self, k):
@@ -424,6 +454,8 @@ class TestJacobiSigmaMin:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             c = p.evaluate_batch(z)
+            # the scalar path agrees: NaN, where LAPACK would raise
+            assert all(math.isnan(p.evaluate(z[i])) for i in bad)
         assert np.all(np.isnan(c[bad]))
         keep = np.setdiff1d(np.arange(len(z)), bad)
         assert np.array_equal(c[keep], want[keep])

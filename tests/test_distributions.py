@@ -28,6 +28,17 @@ def e0(n):
     return v
 
 
+@pytest.fixture(autouse=True)
+def fresh_kernels():
+    """Laws share their betainc kernels through a process-wide cache;
+    each test here starts and ends with it empty, so a test that counts
+    builds, or patches the fit, builds its own kernels and leaves none
+    behind."""
+    distributions._KERNELS.clear()
+    yield
+    distributions._KERNELS.clear()
+
+
 class TestCap:
     def test_basic(self):
         cap = Cap(e0(3), 0.5)
@@ -511,6 +522,8 @@ class TestInverseCdf:
             law.inverse_radial_cdf(1.1)
         with pytest.raises(ValueError):
             law.inverse_radial_cdf(-0.01)
+        with pytest.raises(ValueError):
+            law.inverse_radial_cdf([0.5, math.nan])
 
 
 def _kernel_law(m, sigma):
@@ -720,6 +733,138 @@ class TestInverseKernel:
         calls.clear()
         law.sample(rng(2), size=BATCH_SIZE)
         assert calls == []
+
+
+class _Recording:
+    """Stands in for a Generator: forwards each draw to rng and records
+    its kind and shape."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def standard_normal(self, size=None):
+        self.calls.append(("standard_normal", size))
+        return self.rng.standard_normal(size)
+
+
+def _certificate_error(kernel, fit, upper):
+    """The relative error in x of a kernel branch's table `fit` at the
+    points its build certifies: midway in angle between the Chebyshev
+    nodes and at the ends of the pieces, against volumes'
+    _betaincinv_half (in the complement 1 - y on the upper branch)."""
+    deg = distributions._CHEB_DEGREE + 1
+    points = fit.points(np.pi * np.arange(deg) / deg).ravel()
+    a = kernel._a
+    if upper:
+        y = 1.0 - np.sqrt(points)
+        want = 1.0 - volumes._betaincinv_half(a, 1.0 - y, upper=True)
+        got = kernel._upper_x(fit, y)
+    else:
+        y = points ** a
+        # no certificate point of this grid needs the underflow series
+        assert np.all(y >= np.finfo(float).tiny)
+        want = volumes._betaincinv_half(a, y)
+        got = kernel._lower_x(fit, y)
+    return np.max(np.abs(got - want) / want)
+
+
+class TestCostGuard:
+    """What each sampled point costs, by counts rather than timings: the
+    draws one sample asks for, and the degree of every kernel branch."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: AdversarialLaw(Cap(e0(3), 0.5), 1.5),
+        RESIDUAL_LAWS["2 - r/sigma"],
+        lambda: uniform_law(Cap(normalize([1.0, -2.0, 0.5, 3.0, 1.0]), 1.0)),
+    ], ids=["pole k=4", "tabulated k=9", "off-axis k=5"])
+    def test_one_draw_of_each(self, make):
+        law = make()
+        k = law.cap.center.shape[0]
+        for size, count in ((None, 1), (1, 1), (BATCH_SIZE, BATCH_SIZE)):
+            g = _Recording(stream_rng(1, 0))
+            law.sample(g, size=size)
+            assert g.calls == [("random", count),
+                               ("standard_normal", (count, k - 1))]
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("m", KERNEL_M)
+    def test_shortest_certified_prefix(self, m, sigma):
+        # each stored branch keeps at most the fitted degree, holds the
+        # certificate at 10^4 fresh points, and one degree lower misses
+        # the bound its prefix was chosen by
+        a = 0.5 * m
+        kernel = distributions._kernel(a, volumes._betainc_half(a, sigma ** 2))
+        assert distributions._kernel(a, kernel.top) is kernel
+        y = (1.0 - np.random.default_rng(int(4 * m)).random(10 ** 4)) \
+            * kernel.top
+        want = volumes._betaincinv_half(a, y)
+        assert np.max(np.abs(kernel(y) - want) / want) \
+            <= distributions._CHEB_TOL
+        bound = min(distributions._CHEB_TOL, distributions._PREFIX_BUDGET / a)
+        branches = [(kernel._lower, False), (kernel._upper, True)]
+        branches = [(f, upper) for f, upper in branches if f is not None]
+        assert branches
+        for fit, upper in branches:
+            assert len(fit.coef) - 1 <= distributions._CHEB_DEGREE
+            assert _certificate_error(kernel, fit, upper) \
+                <= distributions._CHEB_TOL
+            if len(fit.coef) > 1:
+                lower = distributions._ChebyshevPieces(
+                    fit.lo, fit.scale, fit.first, fit.pieces, fit.coef[:-1])
+                assert _certificate_error(kernel, lower, upper) > bound
+
+
+class TestKernelCache:
+    def test_laws_share_a_kernel(self, monkeypatch):
+        # one kernel per (m / 2, betainc(m / 2, 1/2, sigma^2)): laws with
+        # the same m and sigma share it, whatever n and beta
+        kernel = distributions._BetaincInverse
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(distributions, "_BetaincInverse", counted)
+        laws = [AdversarialLaw(Cap(e0(3), 0.5), 1.5),
+                AdversarialLaw(Cap(normalize(np.ones(4)), 0.5), 1.5),
+                AdversarialLaw(Cap(e0(5), 0.5), 3.5),
+                AdversarialLaw(Cap(e0(3), 0.6), 1.5)]
+        for law in laws:
+            law.inverse_radial_cdf(0.5)
+        assert len(calls) == 2
+        assert laws[0]._inverse is laws[1]._inverse is laws[2]._inverse
+        assert laws[3]._inverse is not laws[0]._inverse
+
+    def test_threads_build_a_shared_kernel_once(self, monkeypatch):
+        # eight threads, each with its own law of the same m and sigma,
+        # ask for the kernel at once: one build, and the same radii
+        kernel = distributions._BetaincInverse
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            time.sleep(0.05)
+            return kernel(*args)
+
+        monkeypatch.setattr(distributions, "_BetaincInverse", counted)
+        laws = [AdversarialLaw(Cap(e0(3), 0.5), 1.5) for _ in range(8)]
+        p = _residual_points()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                radii = list(pool.map(lambda law: law.inverse_radial_cdf(p),
+                                      laws, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [1]
+        assert all(np.array_equal(r, radii[0]) for r in radii)
 
 
 class TestSegmentFits:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from capsmooth.condnum import hyperplane_problem
 from capsmooth.distributions import AdversarialLaw, Cap
@@ -118,19 +119,19 @@ class TestTangentDirection:
         u2 = tangent_direction(a, rng(9), size=5)
         np.testing.assert_array_equal(u1, u2)
 
-    # rows that are exact multiples of a leave a residual of 0, so they
+    # points whose k - 1 gaussians have norm below 1e-12 (zero, or tiny)
     # must be redrawn, in order, from the draws that follow
     @pytest.mark.parametrize("a", [np.eye(4)[1],
                                    np.array([0.0, 0.6, 0.8, 0.0])])
     def test_redraws_zero_residual_rows(self, a):
-        first = rng(12).standard_normal((5, 4))
-        first[1], first[3] = 2.0 * a, -3.0 * a
-        second = rng(13).standard_normal((2, 4))
-        second[0] = 0.5 * a
-        third = rng(14).standard_normal((1, 4))
+        first = rng(12).standard_normal((5, 3))
+        first[1], first[3] = 0.0, [1e-13, -2e-13, 3e-13]
+        second = rng(13).standard_normal((2, 3))
+        second[0] = [0.0, 9e-13, 0.0]
+        third = rng(14).standard_normal((1, 3))
         stub = _Scripted(first, second, third)
         u = tangent_direction(a, stub, size=5)
-        assert stub.shapes == [(5, 4), (2, 4), (1, 4)]
+        assert stub.shapes == [(5, 3), (2, 3), (1, 3)]
         expected = _ref_unit_tangent(
             a, np.stack([first[0], third[0], first[2], second[1],
                          first[4]]))
@@ -143,14 +144,61 @@ class TestTangentDirection:
 
     def test_redraws_zero_residual_single(self):
         a = np.eye(4)[0]
-        good = rng(15).standard_normal((1, 4))
-        stub = _Scripted(4.0 * a[None], -a[None], good)
+        good = rng(15).standard_normal((1, 3))
+        stub = _Scripted(np.zeros((1, 3)), np.full((1, 3), 4e-13), good)
         u = tangent_direction(a, stub)
-        assert stub.shapes == [(1, 4)] * 3
+        assert stub.shapes == [(1, 3)] * 3
         assert u.shape == (4,)
         np.testing.assert_array_equal(u, _ref_unit_tangent(a, good)[0])
         assert np.isclose(np.linalg.norm(u), 1.0, atol=1e-12)
         assert abs(u @ a) <= 1e-12
+
+    @pytest.mark.parametrize("a", [np.eye(2)[1], normalize([3.0, -4.0])])
+    def test_circle(self, a):
+        # k = 2: one gaussian per point, and the tangent line's two unit
+        # vectors, each drawn about half the time
+        u = tangent_direction(a, rng(17), size=4000)
+        perp = np.array([-a[1], a[0]])
+        np.testing.assert_allclose(np.abs(u @ perp), 1.0, atol=1e-15)
+        assert abs(np.mean(u @ perp > 0.0) - 0.5) < 0.03
+
+    def test_rejects_a_single_coordinate(self):
+        with pytest.raises(ValueError):
+            tangent_direction(np.ones(1), rng(18))
+
+
+class TestDirectionLaw:
+    """(w . u)^2 for a fixed unit w orthogonal to a, u uniform on the unit
+    sphere of a^perp (dimension k - 1), follows Beta(1/2, (k - 2) / 2).
+    The centres have their largest entry last, positive at k = 3 and 9
+    and negative at k = 4, so the reflector moves every coordinate."""
+
+    N = 100000
+
+    @staticmethod
+    def frame(k):
+        a = normalize([(-1.0) ** j * (j + 1.0) for j in range(k)])
+        v = np.eye(k)[0] + np.eye(k)[1]
+        w = normalize(v - (v @ a) * a)
+        return a, w
+
+    def statistic(self, a, w, k, seed):
+        u = tangent_direction(a, rng(seed), size=self.N)
+        return stats.kstest(np.square(u @ w), "beta",
+                            args=(0.5, 0.5 * (k - 2))).statistic
+
+    @pytest.mark.parametrize("k", [3, 4, 9])
+    def test_ks(self, k):
+        a, w = self.frame(k)
+        assert self.statistic(a, w, k, 20 + k) <= 1.63 / np.sqrt(self.N)
+
+    @pytest.mark.parametrize("k", [3, 4, 9])
+    def test_control_wrong_reflector(self, k):
+        # the reflector of b = (a + w) / sqrt(2) draws u uniform on b^perp,
+        # where (w . u)^2 is half the law's
+        a, w = self.frame(k)
+        b = normalize(a + w)
+        assert self.statistic(b, w, k, 20 + k) > 1.63 / np.sqrt(self.N)
 
 
 class TestGeodesicPoint:
@@ -235,27 +283,33 @@ class _Scripted:
         return block
 
 
-# Test-only reference: the row-major formulas the coordinate-major code
-# replaced.  Each reduces along the inner axis of an (N, k) array.
+# Test-only reference: the row-major formulas of the coordinate-major
+# code.  Each reduces along the inner axis of an (N, k) array.
 
-def _ref_unit_tangent(a, x):
-    x = x - np.multiply.outer(x @ a, a)
-    return x / np.linalg.norm(x, axis=1)[:, None]
+def _ref_unit_tangent(a, y):
+    """Rows of k - 1 gaussians, normalized and placed off coordinate
+    i = argmax |a_i|, then reflected into a^perp by the Householder map
+    that sends e_i to -sign(a_i) a."""
+    k = a.shape[0]
+    i = int(np.argmax(np.abs(a)))
+    rest = np.delete(np.arange(k), i)
+    w = y / np.linalg.norm(y, axis=1)[:, None]
+    d = (w * a[rest]).sum(axis=1)
+    u = np.empty((len(y), k))
+    u[:, rest] = w - np.multiply.outer(d, a[rest] / (1.0 + abs(a[i])))
+    u[:, i] = -np.sign(a[i]) * d
+    return u
 
 
 def _ref_tangent_direction(a, rng, size=None):
     k = a.shape[0]
-    x = rng.standard_normal((1 if size is None else size, k))
-    x -= np.multiply.outer(x @ a, a)
-    nrm = np.linalg.norm(x, axis=1)
-    bad = nrm < 1e-12
+    y = rng.standard_normal((1 if size is None else size, k - 1))
+    bad = np.linalg.norm(y, axis=1) < 1e-12
     while np.any(bad):
-        x[bad] = rng.standard_normal((int(np.count_nonzero(bad)), k))
-        x[bad] -= np.multiply.outer(x[bad] @ a, a)
-        nrm = np.linalg.norm(x, axis=1)
-        bad = nrm < 1e-12
-    x /= nrm[:, None]
-    return x[0] if size is None else x
+        y[bad] = rng.standard_normal((int(np.count_nonzero(bad)), k - 1))
+        bad = np.linalg.norm(y, axis=1) < 1e-12
+    u = _ref_unit_tangent(a, y)
+    return u[0] if size is None else u
 
 
 def _ref_geodesic_point(a, u, r):
@@ -327,8 +381,9 @@ class TestRowMajorReference:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_within_4_eps_at_k9(self, seed):
-        # the k squares of a norm are summed in order, where numpy's
-        # pairwise sum over a contiguous row of 8 or more pairs them
+        # the k squares of a norm, and the k - 1 terms of the direction's
+        # sums, are added in order, where numpy's pairwise sum over a
+        # contiguous row of 8 or more pairs them
         for name, (new, ref) in self._outputs(9, seed).items():
             assert new.shape == ref.shape, name
             tol = 4.0 * EPS * np.maximum(1.0, np.abs(ref))
@@ -363,6 +418,10 @@ class TestRowMajorReference:
         for i in (0, 17, 49):
             np.testing.assert_array_equal(geodesic_point(a, u[i], r[i]),
                                           z[i])
+        # a direction's bits do not depend on its batch either
+        np.testing.assert_array_equal(tangent_direction(a, rng(2)), u[0])
+        np.testing.assert_array_equal(tangent_direction(a, rng(2), size=1),
+                                      u[:1])
         np.testing.assert_array_equal(
             proj_distance(np.ascontiguousarray(z), a), proj_distance(z, a))
 

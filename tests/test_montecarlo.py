@@ -615,3 +615,53 @@ class TestTailScreen:
             hyperplane_problem(3), uniform_law(3), 3000, seed=4,
             t_grid=[5.0, 10.0]))
         assert rep.to_json_dict()["n_infinite"] == 0
+
+
+class TestExactLaw:
+    """The sampled law against an exact one.  At sigma = 1 the cap is all
+    of P^3, so the uniform law on it is the law of a normalized 2x2
+    Gaussian matrix, whatever the centre, and Edelman (1988) gives its
+    tail exactly: P(C >= t) = 2 sqrt(t^2 - 1) / t^2 for t >= 1.  The
+    centres take both forms of the direction map: the pole ill_posed =
+    e_0, and diag(1, 1) / sqrt(2), whose reflector mixes coordinates."""
+
+    T_GRID = [1.5, 2.0, 5.0, 20.0, 100.0]
+    SAMPLES = 10 ** 6
+    CENTRES = {"ill_posed": matrix_problem(2).ill_posed,
+               "diag": normalize([1.0, 0.0, 0.0, 1.0])}
+
+    def z_scores(self, centre, seed):
+        law = AdversarialLaw(Cap(centre, 1.0), 0.0)
+        report = estimate_tail(ExperimentConfig(
+            matrix_problem(2), law, self.SAMPLES, seed, t_grid=self.T_GRID))
+        n = self.SAMPLES
+        z = []
+        for row in report.rows:
+            p = 2.0 * math.sqrt(row.t ** 2 - 1.0) / row.t ** 2
+            z.append((row.count - n * p) / math.sqrt(n * p * (1.0 - p)))
+        return np.array(z)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("centre", sorted(CENTRES))
+    def test_edelman_tail(self, centre, seed):
+        assert np.max(np.abs(self.z_scores(self.CENTRES[centre], seed))) \
+            <= 4.0
+
+    @pytest.mark.parametrize("centre", sorted(CENTRES))
+    def test_control_wrong_sphere(self, monkeypatch, centre):
+        # directions from k normalized raw gaussians, on the unit sphere
+        # of R^k instead of that of the tangent space, and each point
+        # normalized after: the same radius law on the wrong points
+        from capsmooth import distributions
+
+        def raw_direction(a, rng, size=None):
+            u = rng.standard_normal((size, a.shape[0]))
+            return u / np.linalg.norm(u, axis=1)[:, None]
+
+        def point(a, u, r):
+            z = np.sqrt(1.0 - r * r)[:, None] * a + r[:, None] * u
+            return z / np.linalg.norm(z, axis=1)[:, None]
+
+        monkeypatch.setattr(distributions, "tangent_direction", raw_direction)
+        monkeypatch.setattr(distributions, "geodesic_point", point)
+        assert np.max(np.abs(self.z_scores(self.CENTRES[centre], 1))) > 4.0
