@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -156,11 +157,16 @@ def _with_t_grid(cfg, args):
     lo = t_min if args.t_min is None else args.t_min
     if cfg.scale == "linear":
         hi = args.t_max if args.t_max is not None else max(1e4, 100.0 * lo)
+    else:
+        hi = args.t_max if args.t_max is not None else lo + 8.0
+    # before the grid is spaced: NaN passes the order tests below
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("t_grid must hold finite thresholds")
+    if cfg.scale == "linear":
         if lo <= 0 or hi <= lo:
             raise ValueError("need 0 < t-min < t-max")
         grid = np.geomspace(lo, hi, args.t_steps)
     else:
-        hi = args.t_max if args.t_max is not None else lo + 8.0
         if hi <= lo:
             raise ValueError("need t-min < t-max")
         grid = np.linspace(lo, hi, args.t_steps)
@@ -297,7 +303,8 @@ def _build_parser():
     law.add_argument("--profile", metavar="FILE",
                      help="CSV of r,h rows for the radial factor")
     runs = parent()
-    runs.add_argument("--workers", type=int, default=1, help="processes")
+    runs.add_argument("--workers", type=int, default=1,
+                      help="worker threads")
     runs.add_argument("--format", choices=("csv", "json"), default="csv",
                       help="report format")
     mc = parent(parents=[law, seed, runs])

@@ -97,6 +97,8 @@ class _ChebyshevPieces:
         self.lo = lo
         self.scale = scale
         self.first = first
+        # a one-interval table starts at column 0 and needs no offset
+        self._offset = bool(np.any(first))
         self.pieces = pieces
         self.coef = coef
 
@@ -125,23 +127,35 @@ class _ChebyshevPieces:
         """Clenshaw's recurrence, one gathered coefficient per step; v
         lies in the given interval (an index, or one per point).  The
         table may have any number of rows, one included."""
-        u = (v - self.lo[interval]) * self.scale[interval]
-        k = np.clip(u.astype(np.intp), 0, self.pieces - 1)
-        t = 2.0 * (u - k) - 1.0
-        k += self.first[interval]
+        t = v - self.lo[interval]
+        t *= self.scale[interval]
+        k = np.clip(t.astype(np.intp), 0, self.pieces - 1)
+        # t = 2 (u - k) - 1 on the piece, in place
+        t -= k
+        t *= 2.0
+        t -= 1.0
+        if self._offset:
+            k += self.first[interval]
         coef = self.coef
+        b1 = coef[-1].take(k)
         if len(coef) == 1:
-            return coef[0].take(k)
-        t2 = 2.0 * t
-        # b_j = t2 b_{j+1} - b_{j+2} + c_j in three rotating buffers
-        b1, b2, b0 = coef[-1].take(k), np.zeros_like(t), np.empty_like(t)
-        for c in coef[-2:0:-1]:
-            np.multiply(t2, b1, out=b0)
-            b0 -= b2
-            b0 += c.take(k)
-            b1, b2, b0 = b0, b1, b2
-        b1 *= t
-        b1 -= b2
+            return b1
+        if len(coef) > 2:
+            # b_j = t2 b_{j+1} - b_{j+2} + c_j in three rotating buffers;
+            # the first step has b_{j+2} = 0, and subtracts nothing
+            t2 = 2.0 * t
+            b2, b1 = b1, t2 * b1
+            b1 += coef[-2].take(k)
+            b0 = np.empty_like(t)
+            for c in coef[-3:0:-1]:
+                np.multiply(t2, b1, out=b0)
+                b0 -= b2
+                b0 += c.take(k)
+                b1, b2, b0 = b0, b1, b2
+            b1 *= t
+            b1 -= b2
+        else:
+            b1 *= t
         b1 += coef[0].take(k)
         return b1
 
@@ -694,28 +708,31 @@ class AdversarialLaw:
         p_arr = np.asarray(p, dtype=float)
         scalar = p_arr.ndim == 0
         p_arr = np.atleast_1d(p_arr)
+        p_min, p_max = p_arr.min(initial=0.0), p_arr.max(initial=1.0)
         # a NaN fails both comparisons
-        if not (p_arr.min(initial=0.0) >= 0.0
-                and p_arr.max(initial=1.0) <= 1.0):
+        if not (p_min >= 0.0 and p_max <= 1.0):
             raise ValueError("p must lie in [0, 1]")
         self._require_mass("no radius can be inverted")
         r_nodes = self._r_nodes
         target = p_arr * self._cdf_total
         idx = self._segment_of(target)
         rem = target - self._cdf_nodes[idx]
-        lo = r_nodes[idx]
-        hi = r_nodes[idx + 1]
         self._build()
         r0 = self._start(idx, rem)
         if not self._sloped:
-            out = np.clip(r0, lo, hi)
+            out = np.clip(r0, r_nodes[idx], r_nodes[idx + 1])
         else:
+            # the Newton fallback updates its bracket point by point
+            idx = np.broadcast_to(idx, rem.shape)
+            lo, hi = r_nodes[idx], r_nodes[idx + 1]
             table, newton = self._fits
             out = np.clip(r0 * table(r0, idx), lo, hi)
             self._newton(idx, rem, out, lo, hi, np.flatnonzero(newton[idx]))
-        out[p_arr == 0.0] = 0.0
-        top = p_arr == 1.0
-        out[top] = r_nodes[idx[top] + 1]
+        if p_min == 0.0:
+            out[p_arr == 0.0] = 0.0
+        if p_max == 1.0:
+            top = p_arr == 1.0
+            out[top] = r_nodes[np.broadcast_to(idx, top.shape)[top] + 1]
         if scalar:
             return float(out[0])
         return out
@@ -726,10 +743,12 @@ class AdversarialLaw:
         side="left") - 1 clipped to the segments, so a zero-mass segment
         (h fallen to 0) is never chosen.  The target's bucket fixes it
         when no interior node shares that bucket, one comparison does
-        when one does, and a search only when more do."""
+        when one does, and a search only when more do.  A law of one
+        segment gets the scalar 0, which indexes its tables without a
+        gather per point."""
         inner = self._cdf_nodes[1:-1]
         if not len(inner):
-            return np.zeros(len(target), dtype=np.intp)
+            return 0
         bucket = np.minimum((target * self._bucket_scale).astype(np.intp),
                             len(inner))
         idx = self._below[bucket]
@@ -879,8 +898,11 @@ class AdversarialLaw:
         sqrt(1 - r^2) a + r u.  Returns (k,) for size=None, else
         (size, k): an F-ordered view of the (k, size) array the
         geometry builds coordinate-major.  Draw order is fixed: radius
-        uniforms before direction gaussians, each point's k gaussians
-        together.  The geometry is called through this module's names
+        uniforms before the direction's draws, which take each point's
+        draws together (see geometry.tangent_direction: k - 1 gaussians,
+        or at k = 4 uniform pairs until one lies in the unit disk).  A
+        law of one segment inverts every radius with scalar segment
+        constants.  The geometry is called through this module's names
         tangent_direction and geodesic_point, so rebinding them wraps
         every batch.
         """

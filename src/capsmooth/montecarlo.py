@@ -40,7 +40,10 @@ measured against a 40-digit SVD where LAPACK's SVD does (bound above
 the same bits whatever rows share its batch.  On the benchmark's
 matrix:3 law about 10 of 250,000 rows reach evaluate_batch.
 TailReport.n_evaluated counts them, and n_infinite those with
-C = inf, in the JSON report only.
+C = inf, in the JSON report only.  The thresholds are then counted
+only on the evaluated rows at or above the lowest one, t_grid[0] (the
+grid is finite), which no other row can reach: a pole law's batch
+keeps about 0.5% of its rows there on the benchmark's hyperplane grid.
 Expectation estimates evaluate every row.
 
 Empirical survival probabilities carry two-sided 95% Wilson score
@@ -163,6 +166,10 @@ class ExperimentConfig:
             grid = [float(t) for t in self.t_grid]
             if len(grid) == 0:
                 raise ValueError("t_grid must not be empty")
+            # NaN passes the increasing test below, as every comparison
+            # with it is false
+            if not all(math.isfinite(t) for t in grid):
+                raise ValueError("t_grid must hold finite thresholds")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError("t_grid must be strictly increasing")
             self.t_grid = grid
@@ -423,6 +430,9 @@ def estimate_tail(config):
         if log_scale:
             with np.errstate(divide="ignore"):
                 c = np.log(c)
+        # only a row at or above the lowest threshold can reach any:
+        # NaN reaches none, and inf (t_grid is finite) stays
+        c = c[c >= t_grid[0]]
         return ([len(z), int(np.count_nonzero(c == math.inf))]
                 + [int(np.count_nonzero(c >= t)) for t in t_grid])
 

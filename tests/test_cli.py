@@ -144,6 +144,16 @@ class TestTailAndExpect:
         assert out == ""
         assert err == "error: t_grid must not be empty\n"
 
+    @pytest.mark.parametrize("bounds", [("--t-min", "nan"),
+                                        ("--t-max", "inf")])
+    def test_non_finite_threshold(self, capsys, bounds):
+        code, out, err = run(capsys, "tail", "--problem", "hyperplane",
+                             "--n", "3", "--beta", "1.5", "--samples", "100",
+                             *bounds)
+        assert code == 2
+        assert out == ""
+        assert err == "error: t_grid must hold finite thresholds\n"
+
     def test_unknown_problem(self, capsys):
         code, _, err = run(capsys, "tail", "--problem", "sphere",
                            "--n", "3", "--samples", "100")

@@ -120,18 +120,19 @@ class TestTangentDirection:
         np.testing.assert_array_equal(u1, u2)
 
     # points whose k - 1 gaussians have norm below 1e-12 (zero, or tiny)
-    # must be redrawn, in order, from the draws that follow
-    @pytest.mark.parametrize("a", [np.eye(4)[1],
-                                   np.array([0.0, 0.6, 0.8, 0.0])])
+    # must be redrawn, in order, from the draws that follow; k = 4 draws
+    # no gaussians, so the redraw runs at k = 5
+    @pytest.mark.parametrize("a", [np.eye(5)[1],
+                                   np.array([0.0, 0.6, 0.8, 0.0, 0.0])])
     def test_redraws_zero_residual_rows(self, a):
-        first = rng(12).standard_normal((5, 3))
-        first[1], first[3] = 0.0, [1e-13, -2e-13, 3e-13]
-        second = rng(13).standard_normal((2, 3))
-        second[0] = [0.0, 9e-13, 0.0]
-        third = rng(14).standard_normal((1, 3))
+        first = rng(12).standard_normal((5, 4))
+        first[1], first[3] = 0.0, [1e-13, -2e-13, 3e-13, 0.0]
+        second = rng(13).standard_normal((2, 4))
+        second[0] = [0.0, 9e-13, 0.0, -1e-13]
+        third = rng(14).standard_normal((1, 4))
         stub = _Scripted(first, second, third)
         u = tangent_direction(a, stub, size=5)
-        assert stub.shapes == [(5, 3), (2, 3), (1, 3)]
+        assert stub.shapes == [(5, 4), (2, 4), (1, 4)]
         expected = _ref_unit_tangent(
             a, np.stack([first[0], third[0], first[2], second[1],
                          first[4]]))
@@ -143,12 +144,12 @@ class TestTangentDirection:
         np.testing.assert_allclose(u @ a, 0.0, atol=1e-12)
 
     def test_redraws_zero_residual_single(self):
-        a = np.eye(4)[0]
-        good = rng(15).standard_normal((1, 3))
-        stub = _Scripted(np.zeros((1, 3)), np.full((1, 3), 4e-13), good)
+        a = np.eye(5)[0]
+        good = rng(15).standard_normal((1, 4))
+        stub = _Scripted(np.zeros((1, 4)), np.full((1, 4), 4e-13), good)
         u = tangent_direction(a, stub)
-        assert stub.shapes == [(1, 3)] * 3
-        assert u.shape == (4,)
+        assert stub.shapes == [(1, 4)] * 3
+        assert u.shape == (5,)
         np.testing.assert_array_equal(u, _ref_unit_tangent(a, good)[0])
         assert np.isclose(np.linalg.norm(u), 1.0, atol=1e-12)
         assert abs(u @ a) <= 1e-12
@@ -199,6 +200,16 @@ class TestDirectionLaw:
         a, w = self.frame(k)
         b = normalize(a + w)
         assert self.statistic(b, w, k, 20 + k) > 1.63 / np.sqrt(self.N)
+
+    def test_control_disk_without_rejection(self):
+        # k = 4 maps a point of the unit disk onto the 2-sphere; square
+        # points pulled radially into the disk, (x, y) / max(1, sqrt(s)),
+        # are all kept, and crowd the rim, the sphere's far pole
+        a, w = self.frame(4)
+        u = tangent_direction(a, _PulledIntoDisk(rng(24)), size=self.N)
+        stat = stats.kstest(np.square(u @ w), "beta",
+                            args=(0.5, 1.0)).statistic
+        assert stat > 1.63 / np.sqrt(self.N)
 
 
 class TestGeodesicPoint:
@@ -283,27 +294,65 @@ class _Scripted:
         return block
 
 
+class _PulledIntoDisk:
+    """Stands in for a Generator whose uniform pairs, rescaled to
+    [-1, 1)^2, already lie in the unit disk: each is pulled radially in,
+    so the disk rejection keeps every one, and the disk is not covered
+    uniformly."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, shape):
+        xy = 2.0 * self.rng.random(shape) - 1.0
+        xy /= np.maximum(1.0, np.linalg.norm(xy, axis=1))[:, None]
+        return 0.5 * (xy + 1.0)
+
+
 # Test-only reference: the row-major formulas of the coordinate-major
 # code.  Each reduces along the inner axis of an (N, k) array.
 
-def _ref_unit_tangent(a, y):
-    """Rows of k - 1 gaussians, normalized and placed off coordinate
-    i = argmax |a_i|, then reflected into a^perp by the Householder map
+def _ref_reflect(a, w):
+    """Rows w of unit vectors in R^(k-1), placed off coordinate
+    i = argmax |a_i| and reflected into a^perp by the Householder map
     that sends e_i to -sign(a_i) a."""
     k = a.shape[0]
     i = int(np.argmax(np.abs(a)))
     rest = np.delete(np.arange(k), i)
-    w = y / np.linalg.norm(y, axis=1)[:, None]
     d = (w * a[rest]).sum(axis=1)
-    u = np.empty((len(y), k))
+    u = np.empty((len(w), k))
     u[:, rest] = w - np.multiply.outer(d, a[rest] / (1.0 + abs(a[i])))
     u[:, i] = -np.sign(a[i]) * d
     return u
 
 
+def _ref_unit_tangent(a, y):
+    """Rows of k - 1 gaussians, normalized and reflected."""
+    return _ref_reflect(a, y / np.linalg.norm(y, axis=1)[:, None])
+
+
+def _ref_disk_sphere(rng, n):
+    """n points of the 2-sphere by Marsaglia's map, from the kept pairs
+    of (n, 2) uniform blocks: the i-th pair in the disk gives point i,
+    whatever the blocks' size."""
+    w = np.empty((0, 3))
+    while len(w) < n:
+        x, y = (2.0 * rng.random((n, 2)) - 1.0).T
+        s = x * x + y * y
+        x, y, s = x[s < 1.0], y[s < 1.0], s[s < 1.0]
+        root = np.sqrt(1.0 - s)
+        w = np.concatenate((w, np.stack(
+            [2.0 * x * root, 2.0 * y * root, 1.0 - 2.0 * s], axis=1)))
+    return w[:n]
+
+
 def _ref_tangent_direction(a, rng, size=None):
     k = a.shape[0]
-    y = rng.standard_normal((1 if size is None else size, k - 1))
+    n = 1 if size is None else size
+    if k == 4:
+        u = _ref_reflect(a, _ref_disk_sphere(rng, n))
+        return u[0] if size is None else u
+    y = rng.standard_normal((n, k - 1))
     bad = np.linalg.norm(y, axis=1) < 1e-12
     while np.any(bad):
         y[bad] = rng.standard_normal((int(np.count_nonzero(bad)), k - 1))
@@ -427,9 +476,9 @@ class TestRowMajorReference:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_law_sample_bit_identical_at_k4(self, seed):
-        # a sample is the radius uniforms, then the direction gaussians,
-        # through the row-major formulas; its distances and condition
-        # numbers read the F-ordered batch
+        # a sample is the radius uniforms, then the direction's disk
+        # pairs, through the row-major formulas; its distances and
+        # condition numbers read the F-ordered batch
         law = AdversarialLaw(Cap(_center(4, seed), 0.5), 1.5)
         a = law.cap.center
         g = rng(seed)

@@ -2,6 +2,7 @@
 expectation estimators, the radial KS check, and report serialization."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import platform
@@ -101,6 +102,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(hyperplane_problem(3), uniform_law(3),
                              samples=1, seed=0, t_grid=[1.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("grid", [[math.nan], [math.nan, 1.0],
+                                      [1.0, math.nan], [2.0, math.inf]])
+    def test_t_grid_must_be_finite(self, grid):
+        # every comparison with NaN is false, so the increasing test
+        # alone passes a NaN
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(hyperplane_problem(3), uniform_law(3),
+                             samples=1, seed=0, t_grid=grid)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -615,6 +625,126 @@ class TestTailScreen:
             hyperplane_problem(3), uniform_law(3), 3000, seed=4,
             t_grid=[5.0, 10.0]))
         assert rep.to_json_dict()["n_infinite"] == 0
+
+
+class TestSurvivorCount:
+    """estimate_tail counts the thresholds only on the rows at or above
+    the lowest one; on scripted C values its counts, n_infinite and
+    n_evaluated are those of counting every row at every threshold."""
+
+    GRID = list(np.linspace(10.0, 34.0, 25))
+    REST = 700
+
+    @classmethod
+    def batches(cls):
+        """Rows (C, bound) of three batches: a mixed one; one whose C
+        all lie below the grid, with no bound to screen them; and one
+        the screen empties."""
+        g = np.random.default_rng(5)
+        n = montecarlo.BATCH_SIZE
+        c = g.uniform(1.0, 40.0, n)
+        c[:40] = math.inf
+        c[40:60] = math.nan
+        c[60:60 + 25] = cls.GRID
+        c[85:110] = np.nextafter(cls.GRID, 0.0)
+        bound = c.copy()
+        bound[110:400] = math.nan
+        bound[400:700] = math.inf
+        mixed = np.stack([c, bound], axis=1)
+        low = np.stack([g.uniform(1.0, 10.0, n), np.full(n, math.inf)],
+                       axis=1)
+        c = g.uniform(1.0, 4.9, cls.REST)
+        empty = np.stack([c, c], axis=1)
+        return [mixed, low, empty]
+
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_of_every_row(self, monkeypatch, scale, workers):
+        batches = self.batches()
+        grid = self.GRID if scale == "linear" else list(np.log(self.GRID))
+        # batch i draws from stream i: the scripted law hands it batch i
+        monkeypatch.setattr(montecarlo, "stream_rng",
+                            lambda seed, index: index)
+        law = AdversarialLaw(Cap(e0(1), 0.5), 0.0)
+        law.sample = lambda index, size=None: batches[index][:size]
+        cut = montecarlo._screen_cut(grid[0], scale == "log")
+        evaluated = []
+
+        def evaluate_batch(z):
+            evaluated.append(len(z))
+            return z[:, 0].copy()
+
+        problem = ConicProblem("scripted", 1, 1, None, evaluate_batch, e0(1),
+                               bound_batch=lambda z: z[:, 1])
+        samples = sum(map(len, batches))
+        rep = estimate_tail(ExperimentConfig(
+            problem, law, samples, seed=0, t_grid=grid, scale=scale,
+            workers=workers))
+        rows = np.concatenate(batches)
+        c = np.ascontiguousarray(rows[:, 0])
+        with np.errstate(divide="ignore"):
+            c = np.log(c) if scale == "log" else c
+        assert [r.count for r in rep.rows] == [
+            int(np.count_nonzero(c >= t)) for t in grid]
+        assert rep.n_infinite == int(np.count_nonzero(c == math.inf)) == 40
+        assert rep.n_evaluated == int(np.count_nonzero(
+            ~(rows[:, 1] < cut))) == sum(evaluated)
+        # the third batch reaches evaluate_batch with no row
+        assert sorted(evaluated)[0] == 0
+
+
+def _tabulated_matrix_law():
+    # the law of the benchmark's mc-matrix-tabulated workload: matrix:3
+    # (k = 9) at the pole, sigma = 0.5, beta = 4, profile 2 - r/sigma
+    problem = matrix_problem(3)
+    profile = normalize_profile(lambda r: 2.0 - r / 0.5, problem.n, 4.0,
+                                0.5, grid_points=1025)
+    return problem, AdversarialLaw(Cap(problem.ill_posed, 0.5), 4.0, profile)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestReportDigests:
+    """Reports whose bytes a speed-up that keeps the arithmetic must
+    keep: sha256 of the CSVs of a tabulated k = 9 law and of a k = 5
+    uniform law off the axes, which pass through the segment lookup,
+    the Clenshaw kernels, the gaussian directions, the geodesic map and
+    the threshold counts."""
+
+    SAMPLES = 20000
+
+    TABULATED = {
+        1: ("32dfee3e241d0ecf6773c44cdc7613c9a8d5a6a3db34dc0be78afb13e050fd93",
+            "391b5b367c0966ae8e4a9f9426555ca13bfff31dc3913b51535793e070153016"),
+        2: ("1d61be3006cb372733cbb9710653f638145149b0d61026f23c8939b0867f2f13",
+            "bb73706a47aa76947d628d9c74f945fe13172a1e8ff8a81021a7ccecf7e8f3b4"),
+    }
+    UNIFORM_K5 = {
+        1: "a15a2733669d00f60b0b5aaf94f0902bc87ca56ee6a149fd9123bb35b67ce2a5",
+        2: "967340334153d4b1a7b1481636954b23e6fb1fcb481db444bf3bccad116d2bab",
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_tabulated_k9(self, seed):
+        problem, law = _tabulated_matrix_law()
+        tail = estimate_tail(ExperimentConfig(
+            problem, law, self.SAMPLES, seed,
+            t_grid=list(np.linspace(1.0, 9.0, 25)), scale="log"))
+        expect = estimate_expectation(ExperimentConfig(
+            problem, law, self.SAMPLES, seed))
+        assert (_sha256(tail.to_csv()), _sha256(expect.to_csv())) \
+            == self.TABULATED[seed]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_uniform_k5(self, seed):
+        law = AdversarialLaw(
+            Cap(normalize([0.9, -0.3, 0.0, 0.25, 0.2]), 0.5), 0.0)
+        tail = estimate_tail(ExperimentConfig(
+            hyperplane_problem(4), law, self.SAMPLES, seed,
+            t_grid=list(np.linspace(1.05, 1.75, 12))))
+        assert _sha256(tail.to_csv()) == self.UNIFORM_K5[seed]
 
 
 class TestExactLaw:
