@@ -13,7 +13,7 @@ from .volumes import (cap_integral, cap_integral_bounds, cap_integral_series,
 from .distributions import (AdversarialLaw, Cap, RadialProfile,
                             constant_profile, normalize_profile, uniform_law)
 from .condnum import (ConicProblem, hyperplane_problem, matrix_problem,
-                      smallest_singular_value, union_hyperplanes_problem)
+                      union_hyperplanes_problem)
 from .bounds import (BoostParams, CheckRow, adversarial_expectation_bound,
                      adversarial_expectation_bound_proof_chain,
                      ball_maximizer_check, boosted_tail_bound,
@@ -35,7 +35,7 @@ __all__ = [
     "cap_integral_series", "cap_integral_bounds", "cap_measure",
     "Cap", "RadialProfile", "constant_profile", "normalize_profile",
     "AdversarialLaw", "uniform_law",
-    "ConicProblem", "smallest_singular_value", "hyperplane_problem",
+    "ConicProblem", "hyperplane_problem",
     "union_hyperplanes_problem", "matrix_problem",
     "t0", "t0_log", "uniform_tail_bound", "uniform_log_tail_bound",
     "uniform_expectation_bound", "smoothness_alpha", "smoothness_ratio",

@@ -271,6 +271,19 @@ def _cmd_verify(args):
     return 1 if hard_fail else 0
 
 
+def _count(text):
+    """The type of a flag that sets how many rows a sweep checks: an
+    integer of at least 1, since a sweep of no rows reports no failure."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r"
+                                         % (text,)) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _build_parser():
     """capsmooth's parser, and its subcommand parsers by name.  Flags
     that several subcommands share come from parent parsers, whose
@@ -341,7 +354,8 @@ def _build_parser():
     p.add_argument("--sigma", type=float, help="pin the cap radius axis")
     p.add_argument("--H", type=float, help="pin the profile sup axis")
     p.add_argument("--eps", type=float, help="pin the epsilon axis")
-    p.add_argument("--rho-steps", type=int, default=25, help="radii per point")
+    p.add_argument("--rho-steps", type=_count, default=25,
+                   help="radii per point")
 
     p = command("smoothness", _cmd_smoothness,
                 "mass ratio against the limit exponent", out)
@@ -354,7 +368,7 @@ def _build_parser():
     p = command("small-calc", _cmd_small_calc,
                 "the elementary n-inequality of the expectation proof", out)
     p.add_argument("--n-max", type=int, default=10 ** 6, help="largest n")
-    p.add_argument("--points", type=int, default=200, help="grid size")
+    p.add_argument("--points", type=_count, default=200, help="grid size")
 
     p = command("verify", _cmd_verify, "run the full checker battery",
                 seed, runs, out)
@@ -362,21 +376,23 @@ def _build_parser():
     return ap, sub.choices
 
 
-_KINDS = {bool: "a JSON boolean", int: "an integer", float: "a number"}
+_KINDS = {bool: "a JSON boolean", int: "an integer", float: "a number",
+          _count: "an integer of at least 1"}
 
 
 def _config_value(key, action, value):
     """A config file's value for action's flag, checked as the flag's
     type and choices check it; a switch takes only a JSON boolean, a
-    number flag no boolean, and an int flag no fraction."""
+    number flag no boolean, and an integer flag no fraction."""
     kind = bool if action.nargs == 0 else action.type or str
     try:
         if kind is not str and (isinstance(value, bool) != (kind is bool) or
-                                kind is int and isinstance(value, float)
+                                kind in (int, _count)
+                                and isinstance(value, float)
                                 and value % 1):
             raise ValueError
         value = kind(value)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ValueError("config key %r must be %s"
                          % (key, _KINDS[kind])) from None
     if action.choices is not None and value not in action.choices:

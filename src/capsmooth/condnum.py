@@ -8,19 +8,21 @@ reciprocal of that distance.  C is +inf exactly on Sigma.
 
 Three instances are provided: a single hyperplane, a finite union of
 hyperplanes, and square matrices with Sigma the singular ones, where
-dist_F(A, Sigma) = sigma_min(A) by the Eckart-Young theorem.  Every
-instance scales a row whose norm lies outside [2^-200, 2^200] by a power
-of two first (_unit_scaled), so rows far from unit norm neither overflow
-nor lose digits; a unit row keeps its bits.  Every evaluate_batch takes
-||z|| from geometry._norms, which adds the squares first to last
-whatever the memory order of z (np.linalg.norm sums C-ordered rows
-pairwise), so a batch and its C-ordered copy get the same bits.  Matrix
-batches of m = 2 and 3 get sigma_min in closed form, elementwise, from
-the determinant, the 2x2 minors and ||A|| (_closed_sigma_min); rows
-near rank one, where those cancel, and m >= 4 get it from LAPACK's
-batched SVD, as the scalar path does.  The scalar path is the
-reference the closed form is tested against, and a 40-digit SVD the
-reference for both.
+dist_F(A, Sigma) = sigma_min(A) by the Eckart-Young theorem.  Each
+instance has one evaluator, evaluate_batch; ConicProblem.evaluate is
+evaluate_batch on a batch of one row.  Every instance scales a row
+whose norm lies outside [2^-200, 2^200] by a power of two first
+(_unit_scaled), so rows far from unit norm neither overflow nor lose
+digits; a unit row keeps its bits.  The zero row, which lies on Sigma,
+gets +inf, and a row with a NaN or inf entry NaN, in every instance and
+without a warning.  Every evaluate_batch takes ||z|| from
+geometry._norms, which adds the squares first to last whatever the
+memory order of z (np.linalg.norm sums C-ordered rows pairwise), so a
+batch and its C-ordered copy get the same bits.  Matrix batches of
+m = 2 and 3 get sigma_min in closed form, elementwise, from the
+determinant, the 2x2 minors and ||A|| (_closed_sigma_min); rows near
+rank one, where those cancel, and m >= 4 get it from LAPACK's batched
+SVD.  The tests hold both routes to a 40-digit SVD.
 
 A problem may also carry bound_batch, a cheap upper bound on C per row
 that is certified: never below the true C.  matrix:2 and matrix:3 take
@@ -44,7 +46,6 @@ from .geometry import _norms
 
 __all__ = [
     "ConicProblem",
-    "smallest_singular_value",
     "hyperplane_problem",
     "union_hyperplanes_problem",
     "matrix_problem",
@@ -56,30 +57,25 @@ class ConicProblem:
     """A condition-number instance.
 
     n is the projective dimension (inputs live in R^{n+1}), degree is
-    the algebraic degree of Sigma.  evaluate maps one nonzero vector to
-    C(x) in [1, +inf]; evaluate_batch maps an (N, n+1) array to an (N,)
-    array and must agree with evaluate row by row.  ill_posed is one
-    unit vector lying on Sigma.  bound_batch, where given, maps an
-    (N, n+1) array to a cheap certified upper bound on C per row: never
-    below the true C (it may be +inf or NaN, which bound nothing).
+    the algebraic degree of Sigma.  evaluate_batch maps an (N, n+1)
+    array to C per row, an (N,) array in [1, +inf]; each row's C does
+    not depend on the rest of the batch.  ill_posed is one unit vector
+    lying on Sigma.  bound_batch, where given, maps an (N, n+1) array
+    to a cheap certified upper bound on C per row: never below the true
+    C (it may be +inf or NaN, which bound nothing).
     """
     name: str
     n: int
     degree: int
-    evaluate: Callable[[np.ndarray], float]
     evaluate_batch: Callable[[np.ndarray], np.ndarray]
     ill_posed: Optional[np.ndarray] = field(default=None, repr=False)
     bound_batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False)
 
-
-def smallest_singular_value(a):
-    """sigma_min of a square matrix, by SVD."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix, got shape %s"
-                         % (a.shape,))
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
+    def evaluate(self, x):
+        """C(x) of one vector: evaluate_batch on a batch of one row."""
+        return float(self.evaluate_batch(
+            np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 _EPS = np.finfo(float).eps
@@ -98,8 +94,8 @@ def _sum_products(x, y, out, tmp):
 
 # rows whose norm lies outside [2^-200, 2^200] get no determinant bound:
 # inside, ||A||^m neither overflows nor underflows, and the absolute
-# error of an underflowed product is far below eps ||A||^m.  evaluate
-# and evaluate_batch scale such rows into it first (_unit_scaled)
+# error of an underflowed product is far below eps ||A||^m.
+# evaluate_batch scales such rows into it first (_unit_scaled)
 _BOUND_NORMS = (2.0 ** -200, 2.0 ** 200)
 # rows whose determinant bound exceeds the cut, or the ratio times the
 # closed form's C, take sigma_min from the SVD (see _closed_sigma_min)
@@ -112,19 +108,26 @@ def _unit_scaled(z):
     _BOUND_NORMS times the power of two that brings their largest entry
     into [1/2, 1), and the rows' norms (geometry._norms).  C is scale
     invariant, so nothing is undone after; other rows keep their bits.
-    Call it inside np.errstate: a far row's norm may overflow first."""
+    A row with a NaN or inf entry becomes all NaN, with norm NaN, which
+    every instance carries to C = NaN without a warning; the zero row
+    keeps its entries and takes norm 1, so that its distance 0 to Sigma
+    gives C = +inf.  Call it inside np.errstate: a far row's norm may
+    overflow first."""
     nrm = _norms(z.T)
     low, high = _BOUND_NORMS
-    # two reductions clear a batch of unit rows (NaN fails them, and
-    # takes the row-wise test, which skips it)
+    # two reductions clear a batch of unit rows; zero, far and
+    # non-finite rows fail them (NaN fails every comparison)
     if nrm.min(initial=low) >= low and nrm.max(initial=high) <= high:
         return z, nrm
-    far = np.flatnonzero((nrm < low) | (nrm > high))
-    if len(far):
-        _, exp = np.frexp(np.max(np.abs(z[far]), axis=1))
-        z = z.copy()
-        z[far] = np.ldexp(z[far], -exp[:, None])
-        nrm[far] = _norms(z[far].T)
+    far = np.flatnonzero(~((nrm >= low) & (nrm <= high)))
+    top = np.max(np.abs(z[far]), axis=1)
+    _, exp = np.frexp(top)
+    scaled = np.ldexp(z[far], -exp[:, None])
+    scaled[~np.isfinite(top)] = math.nan
+    z = z.copy(order="K")
+    z[far] = scaled
+    nrm[far] = _norms(scaled.T)
+    nrm[far[top == 0.0]] = 1.0
     return z, nrm
 
 
@@ -306,22 +309,11 @@ def _closed_sigma_min(zt, nrm, det, first):
     return np.abs(det) / scale
 
 
-def _ratio(num, den):
-    if den == 0.0:
-        return math.inf
-    return num / den
-
-
 def hyperplane_problem(n):
     """Sigma = {x_0 = 0} in R^{n+1}; C(x) = ||x|| / |x_0|, degree 1."""
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
     n = int(n)
-
-    def evaluate(x):
-        with np.errstate(over="ignore"):
-            z, nrm = _unit_scaled(np.asarray(x, dtype=float).reshape(1, -1))
-        return _ratio(float(nrm[0]), abs(float(z[0, 0])))
 
     def evaluate_batch(z):
         with np.errstate(divide="ignore", over="ignore"):
@@ -330,7 +322,7 @@ def hyperplane_problem(n):
 
     ill = np.zeros(n + 1)
     ill[1] = 1.0
-    return ConicProblem("hyperplane", n, 1, evaluate, evaluate_batch, ill)
+    return ConicProblem("hyperplane", n, 1, evaluate_batch, ill)
 
 
 def union_hyperplanes_problem(normals):
@@ -344,16 +336,11 @@ def union_hyperplanes_problem(normals):
     if u.ndim != 2 or u.shape[0] < 1:
         raise ValueError("expected a (k, n+1) array of normals")
     nrm = np.linalg.norm(u, axis=1)
-    if np.max(np.abs(nrm - 1.0)) > 1e-8:
+    if not np.max(np.abs(nrm - 1.0)) <= 1e-8:
         raise ValueError("normals must be unit vectors")
     u = u / nrm[:, None]
     k, dim = u.shape
     n = dim - 1
-
-    def evaluate(x):
-        with np.errstate(over="ignore"):
-            z, nrm = _unit_scaled(np.asarray(x, dtype=float).reshape(1, -1))
-        return _ratio(float(nrm[0]), float(np.min(np.abs(u @ z[0]))))
 
     def evaluate_batch(z):
         with np.errstate(divide="ignore", over="ignore"):
@@ -375,7 +362,7 @@ def union_hyperplanes_problem(normals):
         seed[1] = 1.0
     ill = seed - (u[0] @ seed) * u[0]
     ill /= np.linalg.norm(ill)
-    return ConicProblem("union:%d" % k, n, k, evaluate, evaluate_batch, ill)
+    return ConicProblem("union:%d" % k, n, k, evaluate_batch, ill)
 
 
 def matrix_problem(m):
@@ -384,30 +371,19 @@ def matrix_problem(m):
     Vectors in R^{m^2} are read as matrices row by row.  By
     Eckart-Young, dist_F(A, Sigma) = sigma_min(A), so
     C(A) = ||A||_F / sigma_min(A), the scaled matrix condition number.
-    n = m^2 - 1, degree m (determinant).  evaluate takes sigma_min from
-    LAPACK's SVD.  For m = 2 and 3, bound_batch bounds C from the
-    closed-form determinant (see _det_bound), and evaluate_batch takes
-    sigma_min in closed form (see _closed_sigma_min), and from LAPACK's
-    batched SVD on the rows its bound places near rank one, only those;
-    each row's C is computed on its own, so it does not depend on the
-    rest of the batch.  For m >= 4 bound_batch is None and the SVD
-    serves every row.  Rows far from unit norm are scaled first
-    (_unit_scaled).  The zero matrix gets +inf, and a row with a NaN or
-    inf entry gets NaN, in evaluate and evaluate_batch alike.
+    n = m^2 - 1, degree m (determinant).  For m = 2 and 3, bound_batch
+    bounds C from the closed-form determinant (see _det_bound), and
+    evaluate_batch takes sigma_min in closed form (see
+    _closed_sigma_min), and from LAPACK's batched SVD on the rows its
+    bound places near rank one, only those; each row's C is computed on
+    its own, so it does not depend on the rest of the batch.  For
+    m >= 4 bound_batch is None and the SVD serves every row.  Rows far
+    from unit norm are scaled first (_unit_scaled).  The zero matrix
+    gets +inf, and a row with a NaN or inf entry gets NaN.
     """
     if int(m) != m or m < 2:
         raise ValueError("m must be an integer >= 2")
     m = int(m)
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            # LAPACK would raise; evaluate_batch gives such a row NaN
-            return math.nan
-        with np.errstate(over="ignore"):
-            a, _ = _unit_scaled(x.reshape(1, m * m))
-        return _ratio(float(np.linalg.norm(a)),
-                      smallest_singular_value(a.reshape(m, m)))
 
     def evaluate_batch(z):
         z = np.asarray(z, dtype=float)
@@ -423,15 +399,11 @@ def matrix_problem(m):
                 cut = np.minimum(_CLOSED_CUT, _RANK_ONE_RATIO * nrm / s)
                 slow = np.flatnonzero(~(_det_bound(nrm, det, m) <= cut))
                 s[slow] = _svd_sigma_min(z[slow], m)
-            c = nrm / s
-        # the zero matrix's 0 / 0 is +inf, as in evaluate
-        c[s == 0.0] = math.inf
-        return c
+            return nrm / s
 
     ill = np.zeros((m, m))
     for i in range(m - 1):
         ill[i, i] = 1.0
     ill = (ill / np.linalg.norm(ill)).reshape(-1)
-    return ConicProblem("matrix:%d" % m, m * m - 1, m,
-                        evaluate, evaluate_batch, ill,
+    return ConicProblem("matrix:%d" % m, m * m - 1, m, evaluate_batch, ill,
                         bound_batch=_det_bound_batch(m))

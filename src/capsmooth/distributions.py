@@ -361,7 +361,7 @@ class Cap:
         if center.ndim != 1 or center.shape[0] < 2:
             raise ValueError("center must be a vector in R^{n+1}, n >= 1")
         nrm = np.linalg.norm(center)
-        if abs(nrm - 1.0) > 1e-8:
+        if not abs(nrm - 1.0) <= 1e-8:
             raise ValueError("center must be a unit vector (||a|| = %.17g)"
                              % nrm)
         sigma = float(sigma)
@@ -396,9 +396,10 @@ class RadialProfile:
         h_grid = np.asarray(h_grid, dtype=float)
         if r_grid.ndim != 1 or r_grid.shape != h_grid.shape or len(r_grid) < 2:
             raise ValueError("profile needs matching 1-d node arrays")
-        if np.any(np.diff(r_grid) <= 0.0):
+        if not np.all(np.diff(r_grid) > 0.0):
             raise ValueError("profile nodes must be strictly increasing")
-        if abs(r_grid[0]) > 1e-12 or abs(r_grid[-1] - sigma) > 1e-12 * sigma:
+        if not (abs(r_grid[0]) <= 1e-12
+                and abs(r_grid[-1] - sigma) <= 1e-12 * sigma):
             raise ValueError("profile nodes must cover [0, sigma] exactly")
         if not np.all(np.isfinite(h_grid)):
             raise ValueError("profile values must be finite")
@@ -597,7 +598,8 @@ class AdversarialLaw:
         scalar = rho_arr.ndim == 0
         rho_arr = np.atleast_1d(rho_arr)
         sigma = self.cap.sigma
-        if np.any(rho_arr < 0.0) or np.any(rho_arr > sigma * (1.0 + 1e-12)):
+        if not (np.all(rho_arr >= 0.0)
+                and np.all(rho_arr <= sigma * (1.0 + 1e-12))):
             raise ValueError("rho must lie in [0, sigma]")
         self._require_mass("the CDF would be 0/0; log_radial_cdf serves "
                            "this law")

@@ -16,6 +16,15 @@ def test_all_names_resolve(module):
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
+def test_no_scalar_sigma_min():
+    # sigma_min is read from matrix_problem's evaluate_batch; the scalar
+    # LAPACK helper that only a second evaluator used is gone
+    for module in ("capsmooth", "capsmooth.condnum"):
+        mod = importlib.import_module(module)
+        assert "smallest_singular_value" not in mod.__all__
+        assert not hasattr(mod, "smallest_singular_value")
+
+
 def test_cli_import_skips_quadrature(tmp_path):
     # scipy.integrate loads scipy.optimize and costs about 0.2 s of CPU
     # and 24 MB; nothing in the package needs either.  mpmath serves

@@ -228,6 +228,17 @@ class TestTailAndExpect:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_nan_profile_node(self, capsys, tmp_path):
+        # a NaN node is invalid input (exit 2), not a failed bound (1)
+        profile = tmp_path / "profile.csv"
+        profile.write_text("0,1\nnan,1\n0.5,1\n")
+        code, out, err = run(capsys, "tail", "--problem", "hyperplane",
+                             "--n", "3", "--beta", "0", "--sigma", "0.5",
+                             "--profile", str(profile))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_boosted_center_pole(self, capsys):
         code, out, _ = run(capsys, "tail", "--problem", "hyperplane",
                            "--n", "3", "--beta", "1.5",
@@ -371,6 +382,19 @@ class TestParser:
         assert exc.value.code == 0
         assert "(default: " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ("small-calc", "--points", "0"),
+        ("boost-check", "--n", "3", "--rho-steps", "0")],
+        ids=["points", "rho-steps"])
+    def test_empty_sweep_rejected(self, argv, capsys):
+        # a sweep of no rows would report 0 failures and exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert argv[-2] in captured.err and "at least 1" in captured.err
+
     def test_choices_on_the_command_line(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--format", "xml"])
@@ -408,7 +432,8 @@ class TestConfigKeys:
     @pytest.mark.parametrize("command,key,value", [
         ("tail", "format", "xml"), ("verify", "format", "xml"),
         ("tail", "scale", "bogus"), ("verify", "quick", 1),
-        ("tail", "sigma", True), ("tail", "t-min", "nine")])
+        ("tail", "sigma", True), ("tail", "t-min", "nine"),
+        ("small-calc", "points", 0), ("boost-check", "rho-steps", 2.5)])
     def test_bad_value(self, command, key, value, tmp_path, capsys):
         path = write_config(tmp_path, {key: value})
         code, _, err = run(capsys, command, "--config", path)

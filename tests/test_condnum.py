@@ -9,7 +9,6 @@ import pytest
 
 from capsmooth import condnum
 from capsmooth.condnum import (hyperplane_problem, matrix_problem,
-                               smallest_singular_value,
                                union_hyperplanes_problem)
 from capsmooth.distributions import (AdversarialLaw, Cap, normalize_profile,
                                      uniform_law)
@@ -80,54 +79,28 @@ def closed_route(z, m):
                               condnum._RANK_ONE_RATIO * c))
 
 
-class TestSmallestSingularValue:
-    def test_diagonal(self):
-        assert smallest_singular_value(np.diag([3.0, 2.0, 1.0])) == 1.0
-
-    def test_singular(self):
-        a = np.outer([1.0, 2.0], [3.0, 4.0])
-        assert smallest_singular_value(a) <= 1e-12
-
-    def test_orthogonal_invariance(self):
-        g = rng(1)
-        a = g.standard_normal((4, 4))
-        q, _ = np.linalg.qr(g.standard_normal((4, 4)))
-        assert np.isclose(smallest_singular_value(q @ a),
-                          smallest_singular_value(a), rtol=1e-12)
-
-    def test_eigen_oracle(self):
-        # sigma_min^2 is the smallest eigenvalue of A^T A
-        g = rng(2)
-        for _ in range(200):
-            m = int(g.integers(2, 7))
-            a = g.standard_normal((m, m))
-            s = smallest_singular_value(a)
-            lam = float(np.linalg.eigvalsh(a.T @ a)[0])
-            assert abs(s - math.sqrt(max(lam, 0.0))) <= 1e-10
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            smallest_singular_value(np.ones((2, 3)))
-
-
 def far_from_unit_norm(p, dist):
-    """p.evaluate and p.evaluate_batch on rows scaled by 1e-200 ...
-    1e200, without a warning, against the scaled row's C at 40 digits
-    (||x|| / dist(x), dist taking the row's entries as mpmath numbers):
-    the norm of four squares and one division, within 2 eps C."""
+    """p.evaluate on rows scaled by 1e-200 ... 1e200, and p.evaluate_batch
+    on the five scaled copies of a row at once, without a warning,
+    against the scaled row's C at 40 digits (||x|| / dist(x), dist
+    taking the row's entries as mpmath numbers): the norm of four
+    squares and one division, within 2 eps C."""
     rows = np.concatenate(([[0.5, 1.0, -2.0, 0.3]],
                            rng(60).standard_normal((10, 4))))
     for row in rows:
-        for scale in (1e-200, 1e-160, 1.0, 1e160, 1e200):
-            x = scale * row
+        scaled = np.outer([1e-200, 1e-160, 1.0, 1e160, 1e200], row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = p.evaluate_batch(scaled)
+        for x, c in zip(scaled, batch):
             with mpmath.workdps(40):
                 xs = [mpmath.mpf(v) for v in x]
                 want = mpmath.sqrt(mpmath.fsum(v * v for v in xs)) / dist(xs)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = (p.evaluate(x), p.evaluate_batch(x[None])[0])
+                got = (p.evaluate(x), c)
             assert all(error_in_eps_c(c, want) <= 2.0 for c in got), \
-                (scale, got)
+                (x, got)
 
 
 class TestHyperplane:
@@ -194,6 +167,11 @@ class TestUnionHyperplanes:
     def test_rejects_non_unit_normals(self):
         with pytest.raises(ValueError):
             union_hyperplanes_problem([[2.0, 0.0, 0.0]])
+
+    def test_rejects_nan_normal(self):
+        # NaN fails the unit-norm test instead of a NaN ill_posed
+        with pytest.raises(ValueError, match="unit vectors"):
+            union_hyperplanes_problem([[1.0, 0.0, 0.0], [0.0, math.nan, 1.0]])
 
     def test_far_from_unit_norm(self):
         u = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.0, 0.8],
@@ -264,13 +242,13 @@ class TestMatrixProblem:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         batch = p.evaluate_batch(z)
         for row, c in zip(z, batch):
-            assert np.isclose(p.evaluate(row), c, rtol=1e-12)
-        # near-singular rows: both paths are accurate to O(eps C)
-        # relative, so they may differ by that much
+            assert np.isclose(svd_alone(row, 3), c, rtol=1e-12)
+        # near-singular rows: the closed form and the SVD are accurate
+        # to O(eps C) relative, so they may differ by that much
         z = pole_batch(6, 4096)
         batch = p.evaluate_batch(z)
         for i in np.argsort(batch)[-50:]:
-            c = p.evaluate(z[i])
+            c = svd_alone(z[i], 3)
             assert abs(batch[i] - c) <= 8.0 * EPS * c * c
 
     def test_batch_independent_of_memory_order(self):
@@ -297,7 +275,7 @@ class TestMatrixProblem:
         a = g.standard_normal((3, 3))
         u, s, vt = np.linalg.svd(a)
         drop = a - s[-1] * np.outer(u[:, -1], vt[-1])
-        assert smallest_singular_value(drop) <= 1e-12
+        assert np.linalg.norm(drop) / svd_alone(drop.reshape(-1), 3) <= 1e-12
         dist = np.linalg.norm(a - drop)
         assert np.isclose(dist, s[-1], rtol=1e-12)
 
@@ -349,8 +327,7 @@ class TestDeterminantBound:
         p = matrix_problem(m)
         for name, z in bound_rows(rng(50 + m), m):
             bound = p.bound_batch(z)
-            with np.errstate(over="ignore"):
-                c = np.array([p.evaluate(x) for x in z])
+            c = np.array([svd_alone(x, m) for x in z])
             assert np.all(bound >= c), name
             if name in ("singular", "rank_one"):
                 assert np.all(bound == math.inf), name
@@ -430,20 +407,31 @@ class TestJacobiSigmaMin:
     @pytest.mark.parametrize("m", [2, 4, 5])
     def test_agrees_with_lapack(self, m):
         a = rng(12 + m).standard_normal((500, m * m))
-        got = _norms(a.T) / matrix_problem(m).evaluate_batch(a)
-        want = np.array([smallest_singular_value(x.reshape(m, m))
-                         for x in a])
+        nrm = _norms(a.T)
+        got = nrm / matrix_problem(m).evaluate_batch(a)
+        want = nrm / np.array([svd_alone(x, m) for x in a])
         assert np.max(np.abs(got - want)) <= 1e-14
 
-    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("m", [3, 4, "hyperplane", "union"])
     def test_non_finite_rows(self, m):
-        # a NaN or inf entry gives its row NaN and skips the SVD, where
-        # it would raise for the whole stack; the other rows keep their
-        # bits.  A near rank-one row sends the matrix:3 batch to the SVD
-        p = matrix_problem(m)
-        z = pole_batch(14, 64, m)
-        z[5] = np.outer(np.arange(1.0, m + 1.0),
-                        np.arange(2.0, m + 2.0)).reshape(-1)
+        # a NaN or inf entry gives its row NaN, and the zero row, which
+        # lies on Sigma, +inf, in every instance and without a warning;
+        # the matrix SVD skips the NaN rows, where it would raise for the
+        # whole stack.  The other rows keep their bits.  A near rank-one
+        # row sends the matrix:3 batch to the SVD
+        if m == "hyperplane":
+            p = hyperplane_problem(3)
+        elif m == "union":
+            p = union_hyperplanes_problem(np.eye(4)[:3])
+        else:
+            p = matrix_problem(m)
+        if isinstance(m, int):
+            z = pole_batch(14, 64, m)
+            z[5] = np.outer(np.arange(1.0, m + 1.0),
+                            np.arange(2.0, m + 2.0)).reshape(-1)
+        else:
+            z = AdversarialLaw(Cap(p.ill_posed, 0.5), 1.5).sample(rng(14),
+                                                                  size=64)
         want = p.evaluate_batch(z)
         bad = [0, 9, 17, 30, 41]
         z[0, 0] = math.nan
@@ -451,15 +439,21 @@ class TestJacobiSigmaMin:
         z[17, -1] = -math.inf
         z[30] = math.inf
         z[41, 2], z[41, 3] = math.nan, math.inf
+        z[50] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             c = p.evaluate_batch(z)
-            # the scalar path agrees: NaN, where LAPACK would raise
+            # one row at a time too, and the batch's C-ordered copy
             assert all(math.isnan(p.evaluate(z[i])) for i in bad)
+            assert p.evaluate(z[50]) == math.inf
+            assert np.array_equal(p.evaluate_batch(np.ascontiguousarray(z)),
+                                  c, equal_nan=True)
         assert np.all(np.isnan(c[bad]))
-        keep = np.setdiff1d(np.arange(len(z)), bad)
+        assert c[50] == math.inf
+        keep = np.setdiff1d(np.arange(len(z)), bad + [50])
         assert np.array_equal(c[keep], want[keep])
-        assert c[5] == want[5] >= 1.0 / EPS
+        if isinstance(m, int):
+            assert c[5] == want[5] >= 1.0 / EPS
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_far_from_unit_norm(self, m):

@@ -54,6 +54,11 @@ class TestCap:
         with pytest.raises(ValueError):
             Cap(e0(2) * 1.5, 0.5)
 
+    def test_nan_center_rejected(self):
+        # NaN fails the unit-norm test instead of reaching the sampler
+        with pytest.raises(ValueError, match="unit vector"):
+            Cap(np.array([1.0, math.nan, 0.0]), 0.5)
+
     def test_sigma_range(self):
         Cap(e0(2), 1.0)
         for bad in (0.0, -0.5, 1.2):
@@ -92,6 +97,15 @@ class TestRadialProfile:
         with pytest.raises(ValueError):
             RadialProfile("mystery", r_grid=[0.0, 0.5], h_grid=[1.0, 1.0],
                           sigma=0.5)
+
+    def test_nan_node_or_radius_rejected(self):
+        # NaN fails the order and cover tests
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RadialProfile("tabulated", r_grid=[0.0, math.nan, 0.5],
+                          h_grid=[1.0, 1.0, 1.0], sigma=0.5)
+        with pytest.raises(ValueError, match="cover"):
+            RadialProfile("tabulated", r_grid=[0.0, 0.5],
+                          h_grid=[1.0, 1.0], sigma=math.nan)
 
 
 def _table_mass_error(prof, m):
@@ -252,6 +266,12 @@ class TestRadialCdf:
             law.radial_cdf(0.6)
         with pytest.raises(ValueError):
             law.radial_cdf(-0.1)
+
+    def test_nan_radius_rejected(self):
+        law = AdversarialLaw(Cap(e0(3), 0.5), 1.0)
+        for rho in (math.nan, [0.1, math.nan]):
+            with pytest.raises(ValueError, match="rho must lie"):
+                law.radial_cdf(rho)
 
     def test_tabulated_against_quadrature(self):
         n, beta, sigma = 4, 1.5, 0.6

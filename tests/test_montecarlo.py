@@ -190,7 +190,7 @@ class TestEstimateTail:
         def evaluate_batch(z):
             return np.full(len(z), 1e12)
 
-        prob = ConicProblem("constant", 3, 1, None, evaluate_batch, e0(3))
+        prob = ConicProblem("constant", 3, 1, evaluate_batch, e0(3))
         cfg = ExperimentConfig(prob, uniform_law(3), samples=1000, seed=0,
                                t_grid=[1.0, 100.0, 1e3, 1e4],
                                scale="linear")
@@ -232,12 +232,6 @@ class TestEstimateExpectation:
     def test_redraw_on_infinite_values(self):
         # a fattened ill-posed set makes exact infinities show up with
         # positive probability; the estimator must replace them all
-        def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            if abs(x[1]) < 0.02:
-                return math.inf
-            return float(np.linalg.norm(x)) / abs(float(x[1]))
-
         def evaluate_batch(z):
             z = np.asarray(z, dtype=float)
             with np.errstate(divide="ignore"):
@@ -247,8 +241,7 @@ class TestEstimateExpectation:
 
         ill = np.zeros(3)
         ill[0] = 1.0
-        prob = ConicProblem("fattened", 2, 1, evaluate, evaluate_batch,
-                            ill)
+        prob = ConicProblem("fattened", 2, 1, evaluate_batch, ill)
         law = AdversarialLaw(Cap(e0(2), 1.0), 0.0)
         cfg = ExperimentConfig(prob, law, samples=5000, seed=13)
         rep = estimate_expectation(cfg)
@@ -609,7 +602,7 @@ class TestTailScreen:
             c[near] = math.inf
             return c
 
-        prob = ConicProblem("fattened", 3, 1, None, evaluate_batch, e0(3))
+        prob = ConicProblem("fattened", 3, 1, evaluate_batch, e0(3))
         cfg = lambda w: ExperimentConfig(
             prob, uniform_law(3), montecarlo.BATCH_SIZE + 5000, seed=3,
             t_grid=[2.0, 1e300], scale="linear", workers=w)
@@ -674,7 +667,7 @@ class TestSurvivorCount:
             evaluated.append(len(z))
             return z[:, 0].copy()
 
-        problem = ConicProblem("scripted", 1, 1, None, evaluate_batch, e0(1),
+        problem = ConicProblem("scripted", 1, 1, evaluate_batch, e0(1),
                                bound_batch=lambda z: z[:, 1])
         samples = sum(map(len, batches))
         rep = estimate_tail(ExperimentConfig(
