@@ -18,10 +18,11 @@ from .bounds import (BoostParams, CheckRow, adversarial_expectation_bound,
                      adversarial_expectation_bound_proof_chain,
                      ball_maximizer_check, boosted_tail_bound,
                      boosting_check, default_grid, delta_eps,
-                     delta_eps_sandwich, expectation_bound_gap, rho_eps,
-                     small_calc_check, smoothness_alpha, smoothness_check,
-                     smoothness_ratio, t0, t0_log, t_eps, t_eps_exceeds_t0,
-                     tail_theorem, uniform_expectation_bound,
+                     delta_eps_sandwich, expectation_bound_gap,
+                     expectation_theorem, rho_eps, small_calc_check,
+                     smoothness_alpha, smoothness_check, smoothness_ratio,
+                     t0, t0_log, t_eps, t_eps_exceeds_t0, tail_theorem,
+                     uniform_covers, uniform_expectation_bound,
                      uniform_log_tail_bound, uniform_tail_bound)
 from .montecarlo import (ExperimentConfig, ExpectationReport, TailReport,
                          TailRow, estimate_expectation, estimate_tail,
@@ -39,8 +40,8 @@ __all__ = [
     "union_hyperplanes_problem", "matrix_problem",
     "t0", "t0_log", "uniform_tail_bound", "uniform_log_tail_bound",
     "uniform_expectation_bound", "smoothness_alpha", "smoothness_ratio",
-    "rho_eps", "delta_eps", "t_eps", "boosted_tail_bound", "tail_theorem",
-    "adversarial_expectation_bound",
+    "rho_eps", "delta_eps", "t_eps", "boosted_tail_bound", "uniform_covers",
+    "tail_theorem", "expectation_theorem", "adversarial_expectation_bound",
     "adversarial_expectation_bound_proof_chain", "expectation_bound_gap",
     "CheckRow", "boosting_check", "small_calc_check", "smoothness_check",
     "ball_maximizer_check",

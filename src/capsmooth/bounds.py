@@ -22,6 +22,11 @@ and eps is fixed to half of alpha.  The expectation bound becomes
     E[ln C] <= 2 ln n + ln d + ln(1/sigma) + ln(13 pi / 2)
                + (1/alpha) ln(2 e H^2 n / ln(pi n / 2)).
 
+A law c r^(-beta) h(r) falls under the uniform theorems only when
+beta = 0 and H <= 1, the constant profile (uniform_covers); every other
+law, a falling profile at beta = 0 among them, is held to the boosted
+ones.  tail_theorem and expectation_theorem apply that rule for a run.
+
 Everything here is a plain formula evaluator or a deterministic
 checker; nothing samples.  Evaluators raise on arguments outside their
 stated domain rather than clamping.
@@ -51,7 +56,9 @@ __all__ = [
     "adversarial_expectation_bound",
     "adversarial_expectation_bound_proof_chain",
     "expectation_bound_gap",
+    "uniform_covers",
     "tail_theorem",
+    "expectation_theorem",
     "SLACK",
     "CheckRow",
     "boosting_check",
@@ -299,25 +306,50 @@ def expectation_bound_gap(n, d, sigma):
             - uniform_expectation_bound(n, d, sigma))
 
 
+def _law_sup(H):
+    """The profile sup H of a law as the theorems read it.  A normalized
+    profile averages 1 against the pole law of its beta, so its sup is
+    at least 1, and 1 only for the constant profile; a computed sup
+    within SLACK of 1 is that profile up to rounding, and reads as 1."""
+    return 1.0 if abs(H - 1.0) <= SLACK else H
+
+
+def uniform_covers(beta, H):
+    """Whether the uniform-law theorems cover a law of pole exponent
+    beta and profile sup H: beta = 0 and H <= 1, up to rounding, which
+    after normalization only the constant profile meets.  Every other
+    law is held to the boosted theorems at its own H."""
+    return beta == 0.0 and _law_sup(H) <= 1.0
+
+
 def tail_theorem(n, d, sigma, beta, H, scale):
     """Which tail theorem covers a law, and where its range starts.
 
     Returns (t_min, bound): bound(t) bounds P(C >= t) on the "linear"
-    scale or P(ln C > t) on the "log" scale, for t >= t_min.  The log
-    scale uses the boosted theorem when beta > 0, with the threshold
-    t_eps of the law's own sup H.  On the linear scale only the uniform
-    theorem exists, so a pole law gets bound None; t_min is still t0.
+    scale or P(ln C > t) on the "log" scale, for t >= t_min.  A law
+    that uniform_covers is held to the uniform theorem; any other to
+    the boosted one, on the log scale, with the threshold t_eps of the
+    law's own sup H.  On the linear scale only the uniform theorem
+    exists, so such a law gets bound None; t_min is still t0.
     """
-    if scale == "linear":
-        if beta > 0.0:
-            return t0(n, d, sigma), None
-        return t0(n, d, sigma), partial(uniform_tail_bound, n, d, sigma)
-    if beta == 0.0:
+    if uniform_covers(beta, H):
+        if scale == "linear":
+            return t0(n, d, sigma), partial(uniform_tail_bound, n, d, sigma)
         return (t0_log(n, d, sigma),
                 partial(uniform_log_tail_bound, n, d, sigma))
-    alpha = 1.0 - beta / n
-    thr = t_eps(n, d, sigma, delta_eps(n, beta, sigma, H, 0.5 * alpha))
-    return thr, partial(boosted_tail_bound, n, d, sigma, beta)
+    if scale == "linear":
+        return t0(n, d, sigma), None
+    delta = delta_eps(n, beta, sigma, _law_sup(H), 0.5 * (1.0 - beta / n))
+    return (t_eps(n, d, sigma, delta),
+            partial(boosted_tail_bound, n, d, sigma, beta))
+
+
+def expectation_theorem(n, d, sigma, beta, H):
+    """The expectation bound that covers a law: the uniform one for a
+    law that uniform_covers, else the pole-law bound at the law's H."""
+    if uniform_covers(beta, H):
+        return uniform_expectation_bound(n, d, sigma)
+    return adversarial_expectation_bound(n, d, sigma, beta, _law_sup(H))
 
 
 @dataclass(frozen=True)
@@ -394,8 +426,10 @@ def smoothness_check(law, rho, tol):
     """smoothness_ratio(law, rho) against its limit alpha = 1 - beta/n.
 
     Returns a CheckRow(ratio, alpha) that passes when
-    |ratio - alpha| <= tol.
+    |ratio - alpha| <= tol, a finite number >= 0.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be a finite number >= 0, got %r" % (tol,))
     ratio = smoothness_ratio(law, rho)
     alpha = smoothness_alpha(law.cap.n, law.beta)
     return CheckRow(ratio, alpha, abs(ratio - alpha) <= tol)

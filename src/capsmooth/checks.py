@@ -42,6 +42,8 @@ _SIG_GRID = np.linspace(0.05, 1.0, 20)
 def grid_axes(n=None, beta=None, sigma=None):
     """(n, beta, sigma) over the default axes; an axis given a value
     collapses to it.  beta runs over the default fractions of n."""
+    if n is not None and not n >= 1:
+        raise ValueError("n must be a positive integer, got %r" % (n,))
     ns = [n] if n is not None else list(bounds.DEFAULT_N)
     sigmas = [sigma] if sigma is not None else list(bounds.DEFAULT_SIGMA)
     for k in ns:

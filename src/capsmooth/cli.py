@@ -152,8 +152,9 @@ def _with_t_grid(cfg, args):
                                        law.cap.sigma, law.beta, law.H,
                                        cfg.scale)
     if bound is None:
-        raise ValueError("no tail theorem covers beta > 0 on the linear "
-                         "scale; use --scale log")
+        raise ValueError("no tail theorem covers this law on the linear "
+                         "scale, which needs beta = 0 and a constant "
+                         "profile; use --scale log")
     lo = t_min if args.t_min is None else args.t_min
     if cfg.scale == "linear":
         hi = args.t_max if args.t_max is not None else max(1e4, 100.0 * lo)
@@ -272,8 +273,9 @@ def _cmd_verify(args):
 
 
 def _count(text):
-    """The type of a flag that sets how many rows a sweep checks: an
-    integer of at least 1, since a sweep of no rows reports no failure."""
+    """The type of a flag that sets how many rows a sweep checks, or
+    the largest n it reaches: an integer of at least 1, since a sweep of
+    no rows reports no failure."""
     try:
         value = int(text)
     except ValueError:
@@ -284,13 +286,22 @@ def _count(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors lead with "error:", as every
+    other invalid-argument error of capsmooth does; the usage follows,
+    and the exit code is 2."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n%s" % (message, self.format_usage()))
+
+
 def _build_parser():
     """capsmooth's parser, and its subcommand parsers by name.  Flags
     that several subcommands share come from parent parsers, whose
     actions are shared objects; set_defaults writes an action's default,
     so each call of main builds its own parser."""
     fmt = argparse.ArgumentDefaultsHelpFormatter
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="capsmooth", formatter_class=fmt,
         description="cap laws, conic condition numbers, and bound checks")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -367,7 +378,7 @@ def _build_parser():
 
     p = command("small-calc", _cmd_small_calc,
                 "the elementary n-inequality of the expectation proof", out)
-    p.add_argument("--n-max", type=int, default=10 ** 6, help="largest n")
+    p.add_argument("--n-max", type=_count, default=10 ** 6, help="largest n")
     p.add_argument("--points", type=_count, default=200, help="grid size")
 
     p = command("verify", _cmd_verify, "run the full checker battery",

@@ -28,12 +28,13 @@ A problem may also carry bound_batch, a cheap upper bound on C per row
 that is certified: never below the true C.  matrix:2 and matrix:3 take
 it from the closed-form determinant, C <= ||A||^m / ((m-1)^((m-1)/2)
 |det A|) by AM-GM on sigma_1 ... sigma_{m-1}, with the rounding of the
-determinant subtracted from |det A| first (_det_bound).  A tail
-estimate uses it to skip the rows that cannot reach its lowest
-threshold (see montecarlo), and evaluate_batch to send the rows whose
-bound exceeds _CLOSED_CUT, or 64 times the closed form's C, to the
-SVD.  Both read the determinant from one helper (_det_parts).  The
-other instances have none.
+determinant subtracted from |det A| first (_det_bound).
+ConicProblem.may_reach uses it to keep only the rows whose C may reach
+a threshold, which a tail estimate evaluates alone, and evaluate_batch
+to send the rows whose bound exceeds _CLOSED_CUT, or 64 times the
+closed form's C, to the SVD.  Both read the determinant from one helper
+(_det_parts).  The other instances have none, and may_reach keeps
+every row of theirs.
 """
 
 import math
@@ -77,6 +78,19 @@ class ConicProblem:
         return float(self.evaluate_batch(
             np.asarray(x, dtype=float).reshape(1, -1))[0])
 
+    def may_reach(self, z, t):
+        """The rows of the (N, n+1) array z whose computed C may reach
+        t: those whose bound is not below the cut min(t / 2,
+        _SCREEN_CEILING), a NaN bound included.  Without a bound_batch,
+        or where the cut is not above 1 (C >= 1, so no bound falls
+        below it) or is NaN, that is z itself, and bound_batch is not
+        called.  Every row left out has computed C below t (see
+        _SCREEN_CEILING)."""
+        cut = min(t / 2.0, _SCREEN_CEILING)
+        if self.bound_batch is None or not cut > 1.0:
+            return z
+        return z[~(self.bound_batch(z) < cut)]
+
 
 _EPS = np.finfo(float).eps
 
@@ -101,6 +115,16 @@ _BOUND_NORMS = (2.0 ** -200, 2.0 ** 200)
 # closed form's C, take sigma_min from the SVD (see _closed_sigma_min)
 _CLOSED_CUT = 2.0 ** 23
 _RANK_ONE_RATIO = 64.0
+# may_reach's cut never exceeds 2^40.  A row it leaves out has true C
+# below t / 2, and up to C = 2^40 evaluate_batch's C has a relative
+# error far below 2 (below 1e-4), so its computed C is below t too: at
+# most about 2^-26 where the closed form serves the row (bound at most
+# _CLOSED_CUT, _closed_sigma_min), and within 0.32 eps C measured
+# against a 40-digit SVD where LAPACK's SVD does (bound above
+# _CLOSED_CUT or _RANK_ONE_RATIO C, so C up to the bound).
+# evaluate_batch gives a row the same bits whatever rows share its
+# batch, so counting only the rows kept gives the counts of every row
+_SCREEN_CEILING = 2.0 ** 40
 
 
 def _unit_scaled(z):

@@ -24,20 +24,12 @@ batch, _run_batches sets glibc's mmap threshold to 32 batch rows
 the freed rows of one batch serve the next.  The setting is
 process-wide, and a no-op where the C library has no mallopt.
 
-Tail estimates screen rows before evaluating them.  Where the problem
-has a bound_batch (a certified upper bound on C per row, condnum),
-estimate_tail passes to evaluate_batch only the rows whose bound is not
-below the cut min(t_lo / 2, 2^40), t_lo being the lowest threshold on
-the C scale (exp of it on the log scale); a NaN bound is evaluated.
-Every other row counts as below every threshold, and the counts are
-exactly those of evaluating every row: a screened row has true C below
-t_lo / 2, and evaluate_batch's C has a relative error far below 2 up
-to C = 2^40, so its computed C is below t_lo too.  That error is at
-most about 2^-26 where the closed-form sigma_min serves a row (bound
-at most 2^23, condnum._closed_sigma_min), and within 0.32 eps C
-measured against a 40-digit SVD where LAPACK's SVD does (bound above
-2^23 or 64 C, so C up to the bound); and evaluate_batch gives a row
-the same bits whatever rows share its batch.  On the benchmark's
+Tail estimates screen rows before evaluating them: only the rows that
+ConicProblem.may_reach keeps for t_lo, the lowest threshold on the C
+scale (exp of it on the log scale), reach evaluate_batch.  condnum
+owns the cut and the argument that every other row's computed C lies
+below t_lo, so every other row counts as below every threshold and the
+counts are exactly those of evaluating every row.  On the benchmark's
 matrix:3 law about 10 of 250,000 rows reach evaluate_batch.
 TailReport.n_evaluated counts them, and n_infinite those with
 C = inf, in the JSON report only.  The thresholds are then counted
@@ -101,11 +93,6 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 * BATCH_SIZE * 8
 _TRIM_THRESHOLD = 128 * BATCH_SIZE * 8
-# the tail screen's cut never exceeds 2^40: up to there, evaluate_batch's
-# relative error in C is below 1e-4, at most 2^-26 on the closed-form
-# route (bound <= 2^23) and within 0.32 eps C measured on the SVD beyond
-# it
-_SCREEN_CEILING = 2.0 ** 40
 
 
 def wilson_interval(successes, trials, z=WILSON_Z):
@@ -133,7 +120,8 @@ class ExperimentConfig:
     """What to run: a problem, a law, sample count, thresholds, seed.
 
     scale "linear" tests P(C >= t); scale "log" tests P(ln C > t).
-    None picks "log" when the law has a pole (beta > 0), else "linear".
+    None picks "linear" when the uniform theorems cover the law
+    (bounds.uniform_covers), else "log".
     t_grid may be None for expectation experiments.
     """
     problem: ConicProblem
@@ -159,7 +147,8 @@ class ExperimentConfig:
             raise ValueError("workers must be a positive integer")
         self.workers = int(self.workers)
         if self.scale is None:
-            self.scale = "log" if self.law.beta > 0.0 else "linear"
+            self.scale = ("linear" if bounds.uniform_covers(
+                self.law.beta, self.law.H) else "log")
         if self.scale not in ("linear", "log"):
             raise ValueError("scale must be 'linear' or 'log'")
         if self.t_grid is not None:
@@ -390,42 +379,29 @@ def _tail_bound_column(config, t_grid):
             for t in t_grid]
 
 
-def _screen_cut(t_first, log_scale):
-    """The cut of the tail screen for a grid starting at t_first: half
-    the lowest threshold on the C scale, at most 2^40 (see the module
-    docstring).  On the log scale exp may overflow to inf, which is
-    right: every finite C has ln C <= 709.8 < t_first."""
-    if log_scale:
-        with np.errstate(over="ignore"):
-            t_first = float(np.exp(t_first))
-    return min(t_first / 2.0, _SCREEN_CEILING)
-
-
 def estimate_tail(config):
     """Estimate survival probabilities on the threshold grid and compare
     against the applicable theorem bound.  Returns a TailReport.
 
-    Where the problem has a bound_batch, only the rows whose bound is
-    not below _screen_cut reach evaluate_batch; the counts are those of
-    evaluating every row (see the module docstring)."""
+    Only the rows that the problem's may_reach keeps for the lowest
+    threshold reach evaluate_batch; the counts are those of evaluating
+    every row (see the module docstring)."""
     if config.t_grid is None:
         raise ValueError("tail estimation needs a t_grid")
     t_grid = np.asarray(config.t_grid, dtype=float)
     law = config.law
+    may_reach = config.problem.may_reach
     batch_eval = config.problem.evaluate_batch
     log_scale = config.scale == "log"
-    screen = config.problem.bound_batch
-    cut = _screen_cut(t_grid[0], log_scale)
-    if not cut > 1.0:
-        # C >= 1, so no bound falls below the cut
-        screen = None
+    # the lowest threshold on the C scale; exp may overflow to inf,
+    # which is right: every finite C has ln C <= 709.8 < t_grid[0]
+    with np.errstate(over="ignore"):
+        t_lo = np.exp(t_grid[0]) if log_scale else t_grid[0]
     start = time.monotonic()
 
     def job(index, count):
         rng = stream_rng(config.seed, index)
-        z = law.sample(rng, size=count)
-        if screen is not None:
-            z = z[~(screen(z) < cut)]
+        z = may_reach(law.sample(rng, size=count), t_lo)
         c = batch_eval(z)
         if log_scale:
             with np.errstate(divide="ignore"):
@@ -497,12 +473,8 @@ def estimate_expectation(config):
     var = max(0.0, (total_sq - n * mean * mean) / max(1, n - 1))
     stderr = math.sqrt(var / n)
 
-    n_, d, sigma = prob.n, prob.degree, law.cap.sigma
-    if law.beta == 0.0:
-        bound = bounds.uniform_expectation_bound(n_, d, sigma)
-    else:
-        bound = bounds.adversarial_expectation_bound(n_, d, sigma, law.beta,
-                                                     law.H)
+    bound = bounds.expectation_theorem(prob.n, prob.degree, law.cap.sigma,
+                                       law.beta, law.H)
     margin = bound - (mean + 3.0 * stderr)
     return ExpectationReport(
         config=config.echo(), mean_ln_c=mean, stderr=stderr,

@@ -217,6 +217,81 @@ class TestAdversarialExpectation:
             assert math.isfinite(a) and math.isfinite(b)
 
 
+def steep_sup():
+    # normalized sup of the beta = 0 profile with h = 1 on the first two
+    # of 201 nodes r_i = i / 400 and 0 after, at n = 3, sigma = 0.5
+    r = np.arange(201) / 400.0
+    h = (r <= 1.0 / 400.0).astype(float)
+    return normalize_profile(np.column_stack((r, h)), 3, 0.0, 0.5).H
+
+
+class TestTheoremChoice:
+    """bounds holds a law to the uniform theorems only when beta = 0 and
+    H <= 1, up to rounding."""
+
+    def test_uniform_covers(self):
+        one = 1.0
+        for H in (one, np.nextafter(one, 2.0), np.nextafter(one, 0.0),
+                  one - 2.0 ** -52):
+            assert bounds.uniform_covers(0.0, H)
+        assert not bounds.uniform_covers(0.0, 2.0)
+        assert not bounds.uniform_covers(0.0, 1.0 + 1e-9)
+        assert not bounds.uniform_covers(0.5, 1.0)
+
+    def test_falling_profile_boosted(self):
+        # beta = 0 with H = 2.3e6: the boosted theorem from t_eps on the
+        # log scale, none on the linear scale, and the pole-law
+        # expectation bound
+        H = steep_sup()
+        assert H == pytest.approx(2.319e6, rel=1e-3)
+        t_min, bound = bounds.tail_theorem(3, 1, 0.5, 0.0, H, "log")
+        delta = bounds.delta_eps(3, 0.0, 0.5, H, 0.5)
+        assert t_min == bounds.t_eps(3, 1, 0.5, delta)
+        assert t_min == pytest.approx(35.436, abs=1e-3)
+        assert bound(40.0) == bounds.boosted_tail_bound(3, 1, 0.5, 0.0, 40.0)
+        assert bounds.tail_theorem(3, 1, 0.5, 0.0, H, "linear") == (
+            bounds.t0(3, 1, 0.5), None)
+        assert bounds.expectation_theorem(3, 1, 0.5, 0.0, H) == (
+            bounds.adversarial_expectation_bound(3, 1, 0.5, 0.0, H))
+        assert bounds.expectation_theorem(3, 1, 0.5, 0.0, H) == (
+            pytest.approx(37.5736, abs=1e-4))
+
+    def test_uniform_law(self):
+        assert bounds.expectation_theorem(3, 1, 0.5, 0.0, 1.0) == (
+            bounds.uniform_expectation_bound(3, 1, 0.5))
+        t_min, bound = bounds.tail_theorem(3, 1, 0.5, 0.0, 1.0, "linear")
+        assert t_min == 18.0
+        assert bound(20.0) == bounds.uniform_tail_bound(3, 1, 0.5, 20.0)
+
+    def test_constant_tables_read_as_one(self):
+        # normalized constant tables come out with a sup of 1 - 1 ulp on
+        # 9 of these 108 points (1 + 1 ulp on others); the theorems read
+        # every one as H = 1, the sup a normalized profile cannot go below
+        below = 0
+        for n in (2, 3, 4, 8):
+            for beta in (0.5, 1.0, 1.5):
+                for sigma in (0.1, 0.5, 1.0):
+                    for g in (5, 65, 1025):
+                        H = normalize_profile(lambda r: 1.0, n, beta, sigma,
+                                              grid_points=g).H
+                        below += H < 1.0
+                        assert bounds.expectation_theorem(
+                            n, 1, sigma, beta, H) == (
+                            bounds.adversarial_expectation_bound(
+                                n, 1, sigma, beta, 1.0))
+                        assert (bounds.tail_theorem(n, 1, sigma, beta, H,
+                                                    "log")[0]
+                                == bounds.tail_theorem(n, 1, sigma, beta,
+                                                       1.0, "log")[0])
+        assert below == 9
+
+    def test_sup_below_one_beyond_rounding_rejected(self):
+        with pytest.raises(ValueError, match="H must be >= 1"):
+            bounds.expectation_theorem(3, 1, 0.5, 1.5, 0.5)
+        with pytest.raises(ValueError, match="H must be >= 1"):
+            bounds.tail_theorem(3, 1, 0.5, 1.5, 0.5, "log")
+
+
 class TestBoostingCheck:
     def test_trivial_beta_zero_H_one(self):
         # reduces to X <= X^{1-eps} for X <= 1

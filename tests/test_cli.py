@@ -7,6 +7,7 @@ subprocess test confirms the installed entry point works end to end.
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,61 @@ class TestTailAndExpect:
         assert out == ""
         assert err.startswith("error:")
 
+    @staticmethod
+    def steep_profile(tmp_path):
+        # beta = 0 with a falling profile: h = 1 on the first two of 201
+        # nodes r_i = i / 400 and 0 after, normalized sup H = 2.3e6
+        r = np.arange(201) / 400.0
+        path = tmp_path / "steep.csv"
+        np.savetxt(path, np.column_stack((r, (r <= 1 / 400).astype(float))),
+                   delimiter=",", fmt="%.17g")
+        return ("--problem", "hyperplane", "--n", "3", "--beta", "0",
+                "--sigma", "0.5", "--profile", str(path), "--samples",
+                "20000", "--seed", "1")
+
+    def test_falling_profile_boosted(self, capsys, tmp_path):
+        # held to the boosted theorem from t_eps = 35.44 on the log
+        # scale, not to the uniform one, which it violates
+        code, out, _ = run(capsys, "tail", *self.steep_profile(tmp_path),
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["scale"] == "log"
+        rows = doc["rows"]
+        assert len(rows) == 25
+        assert rows[0]["t"] == pytest.approx(35.436, abs=1e-3)
+        assert all(r["bound_applicable"] and not r["violation"]
+                   for r in rows)
+
+    def test_falling_profile_on_linear_scale_rejected(self, capsys,
+                                                      tmp_path):
+        code, out, err = run(capsys, "tail", *self.steep_profile(tmp_path),
+                             "--scale", "linear")
+        assert code == 2
+        assert out == ""
+        assert "no tail theorem" in err
+
+    def test_falling_profile_expectation(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "expect", *self.steep_profile(tmp_path),
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["bound"] == pytest.approx(37.5736, abs=1e-4)
+
+    @pytest.mark.parametrize("command", ["tail", "expect"])
+    def test_constant_table_sup_below_one(self, command, capsys, tmp_path):
+        # a 1025-node table h = 1 normalizes to H = 1 - 1 ulp here, which
+        # the theorems read as H = 1
+        r = np.linspace(0.0, 0.5, 1025)
+        path = tmp_path / "ones.csv"
+        np.savetxt(path, np.column_stack((r, np.ones_like(r))),
+                   delimiter=",", fmt="%.17g")
+        code, out, err = run(capsys, command, "--problem", "hyperplane",
+                             "--n", "4", "--beta", "0.5", "--sigma", "0.5",
+                             "--profile", str(path), "--samples", "5000",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["H"] < 1.0
+
     def test_boosted_center_pole(self, capsys):
         code, out, _ = run(capsys, "tail", "--problem", "hyperplane",
                            "--n", "3", "--beta", "1.5",
@@ -394,6 +450,29 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert argv[-2] in captured.err and "at least 1" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("boost-check", "--n", "0", "--rho-steps", "2"),
+        ("smoothness", "--n", "3", "--tol", "nan"),
+        ("smoothness", "--n", "3", "--tol", "-1"),
+        ("smoothness", "--n", "3", "--tol", "inf"),
+        ("small-calc", "--n-max", "-5", "--points", "3"),
+        ("small-calc", "--n-max", "0", "--points", "3")],
+        ids=["n-0", "tol-nan", "tol-negative", "tol-inf", "n-max-negative",
+             "n-max-0"])
+    def test_invalid_value_rejected(self, argv, capsys):
+        # invalid input exits 2 with an error line, never 1 (a failed
+        # check), a traceback or a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_choices_on_the_command_line(self, capsys):
         with pytest.raises(SystemExit) as exc:

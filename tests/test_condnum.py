@@ -349,6 +349,50 @@ class TestDeterminantBound:
         assert union_hyperplanes_problem(np.eye(4)[:2]).bound_batch is None
 
 
+def scripted_problem(bound):
+    """A one-dimensional problem whose bound_batch reads column 1."""
+    return condnum.ConicProblem("scripted", 1, 1, lambda z: z[:, 0],
+                                np.array([0.0, 1.0]),
+                                bound_batch=lambda z: bound(z[:, 1]))
+
+
+class TestMayReach:
+    """ConicProblem.may_reach keeps the rows whose bound is not below
+    min(t / 2, 2^40), and every row where that cut screens nothing."""
+
+    def test_cut(self):
+        rows = lambda b: np.column_stack((np.ones(len(b)), b))
+        p = scripted_problem(lambda b: b)
+        z = rows([49.0, 50.0, 51.0, math.inf])
+        assert p.may_reach(z, 100.0)[:, 1].tolist() == [50.0, 51.0, math.inf]
+        # the cut stops at 2^40, also for t = inf
+        z = rows([2.0 ** 40 - 1.0, 2.0 ** 40, 1e15])
+        for t in (1e20, math.inf):
+            assert p.may_reach(z, t)[:, 1].tolist() == [2.0 ** 40, 1e15]
+
+    def test_nan_bound_kept(self):
+        p = scripted_problem(lambda b: b)
+        z = np.array([[1.0, math.nan], [1.0, 3.0], [1.0, 30.0]])
+        assert np.array_equal(p.may_reach(z, 20.0), z[[0, 2]],
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("t", [2.0, 1.5, math.nan])
+    def test_cut_at_most_one_skips_the_bound(self, t):
+        # C >= 1, so a cut at or below 1 (or NaN) screens nothing
+        def refuse(b):
+            raise AssertionError("bound_batch called")
+
+        z = np.ones((4, 2))
+        assert scripted_problem(refuse).may_reach(z, t) is z
+
+    @pytest.mark.parametrize("problem", [hyperplane_problem(3),
+                                         matrix_problem(4)],
+                             ids=["hyperplane", "matrix:4"])
+    def test_no_bound_keeps_every_row(self, problem):
+        z = rng(3).standard_normal((50, problem.n + 1))
+        assert problem.may_reach(z, 1e9) is z
+
+
 class TestJacobiSigmaMin:
     """sigma_min where the closed form does not serve: LAPACK's batched
     SVD, on every row for m >= 4, against independent references."""

@@ -33,6 +33,16 @@ def uniform_law(n, sigma=0.5):
     return AdversarialLaw(Cap(e0(n), sigma), 0.0)
 
 
+def steep_law():
+    # beta = 0 with a falling profile on n = 3, sigma = 0.5: h = 1 on
+    # the first two of 201 nodes r_i = i / 400 and 0 after, so the
+    # normalized sup is H = 2.3e6 and the uniform theorems do not cover it
+    r = np.arange(201) / 400.0
+    h = (r <= 1.0 / 400.0).astype(float)
+    profile = normalize_profile(np.column_stack((r, h)), 3, 0.0, 0.5)
+    return AdversarialLaw(Cap(e0(3), 0.5), 0.0, profile)
+
+
 class TestWilson:
     def test_contains_point_estimate(self):
         for k, n in ((0, 10), (3, 10), (10, 10), (500, 1000)):
@@ -84,6 +94,12 @@ class TestExperimentConfig:
         poley = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
         cfg = ExperimentConfig(hyperplane_problem(3), poley,
                                samples=10, seed=0)
+        assert cfg.scale == "log"
+
+    def test_falling_profile_defaults_to_log(self):
+        law = steep_law()
+        assert law.beta == 0.0 and law.H > 1e6
+        cfg = ExperimentConfig(hyperplane_problem(3), law, samples=10, seed=0)
         assert cfg.scale == "log"
 
     def test_explicit_scale_kept(self):
@@ -228,6 +244,16 @@ class TestEstimateExpectation:
         assert rep.n_effective == 20000
         assert rep.n_redrawn == 0
         assert np.isclose(rep.bound, 8.583518938456109, rtol=1e-13)
+
+    def test_falling_profile_held_to_pole_bound(self):
+        # beta = 0 alone does not make the uniform bound 8.58 apply
+        law = steep_law()
+        rep = estimate_expectation(ExperimentConfig(
+            hyperplane_problem(3), law, samples=5000, seed=1))
+        assert rep.bound == bounds.adversarial_expectation_bound(
+            3, 1, 0.5, 0.0, law.H)
+        assert rep.bound == pytest.approx(37.5736, abs=1e-4)
+        assert not rep.has_violation
 
     def test_redraw_on_infinite_values(self):
         # a fattened ill-posed set makes exact infinities show up with
@@ -547,13 +573,15 @@ class TestTailScreen:
             20_000, seed=2, t_grid=[5.0, 10.0]))
         assert rep.n_evaluated == 20_000
 
-    def test_cut(self):
-        assert montecarlo._screen_cut(100.0, False) == 50.0
-        assert montecarlo._screen_cut(1e20, False) == 2.0 ** 40
-        assert montecarlo._screen_cut(math.log(100.0), True) == pytest.approx(
-            50.0, rel=1e-15)
-        # exp overflows: no finite C reaches the grid
-        assert montecarlo._screen_cut(800.0, True) == 2.0 ** 40
+    def test_log_grid_past_exp_range(self):
+        # exp of the lowest threshold overflows, without a warning: no
+        # finite C reaches the grid, and the screen still runs
+        problem = matrix_problem(3)
+        law = matrix_laws(3, 0.5)[1][1]
+        rep = estimate_tail(ExperimentConfig(
+            problem, law, 5000, seed=4, t_grid=[800.0, 900.0], scale="log"))
+        assert [r.count for r in rep.rows] == [0, 0]
+        assert rep.n_evaluated < 5000
 
     def test_low_grid_skips_the_bound(self):
         # a cut at or below 1 screens nothing, so the bound is not run
@@ -660,7 +688,8 @@ class TestSurvivorCount:
                             lambda seed, index: index)
         law = AdversarialLaw(Cap(e0(1), 0.5), 0.0)
         law.sample = lambda index, size=None: batches[index][:size]
-        cut = montecarlo._screen_cut(grid[0], scale == "log")
+        # condnum's cut: half the lowest threshold, 10 on the C scale
+        cut = self.GRID[0] / 2.0
         evaluated = []
 
         def evaluate_batch(z):
