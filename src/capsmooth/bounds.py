@@ -493,29 +493,31 @@ class BoostParams:
         _check_H(self.H)
         _check_eps(self.n, self.beta, self.eps)
 
-    @property
-    def alpha(self):
-        return 1.0 - self.beta / self.n
-
     def rho(self):
         return rho_eps(self.n, self.beta, self.sigma, self.H, self.eps)
 
-    def delta(self):
-        return delta_eps(self.n, self.beta, self.sigma, self.H, self.eps)
 
-
-def default_grid():
-    """The default boosting parameter grid, as a list of BoostParams."""
+def default_grid(n=None, beta=None, sigma=None, H=None, eps=None):
+    """The boosting parameter grid, as a list of BoostParams in
+    (n, beta, H, sigma, eps) order: the 648 points of the DEFAULT_*
+    axes, beta running over fractions of n and eps over fractions of
+    alpha = 1 - beta/n.  An axis given a value collapses to it.  n is
+    checked before the fractions divide by it; BoostParams checks every
+    point, so a pin outside its domain raises ValueError."""
+    ns = DEFAULT_N if n is None else (_check_n(n),)
+    hs = DEFAULT_H if H is None else (H,)
+    sigmas = DEFAULT_SIGMA if sigma is None else (sigma,)
     grid = []
-    for n in DEFAULT_N:
-        for bf in DEFAULT_BETA_FRACTIONS:
-            beta = bf * n
-            alpha = 1.0 - bf
-            for H in DEFAULT_H:
-                for sigma in DEFAULT_SIGMA:
-                    for ef in DEFAULT_EPS_FRACTIONS:
-                        grid.append(BoostParams(n=n, beta=beta, sigma=sigma,
-                                                H=H, eps=ef * alpha))
+    for k in ns:
+        for b in ([f * k for f in DEFAULT_BETA_FRACTIONS] if beta is None
+                  else (beta,)):
+            alpha = 1.0 - b / k
+            for h in hs:
+                for s in sigmas:
+                    for e in ([f * alpha for f in DEFAULT_EPS_FRACTIONS]
+                              if eps is None else (eps,)):
+                        grid.append(BoostParams(n=k, beta=b, sigma=s, H=h,
+                                                eps=e))
     return grid
 
 

@@ -7,13 +7,18 @@ that summarises a sweep reports CheckRow(failing rows, 0, none failing).
 The per-point sweeps behind the I_m sandwich, boosting and smoothness
 checks, and the grid of the small_calc entry, are public, so the checker
 subcommands and the acceptance tests run the same code on their own
-grids.  The boosting entry itself checks each grid point at rho_eps
-alone, which boosting_check's monotonicity lemma makes sufficient; the
-radius sweep of boosting_rows stays as the lemma's cross-check.
+grids.  Every parameter grid is a bounds.default_grid, pinned or not,
+in its (n, beta, H, sigma, eps) order; grid_points takes its distinct
+values on fewer axes, so the entries that never read eps check each of
+its 216 (n, beta, sigma, H) once.  The boosting entry itself checks
+each grid point at rho_eps alone, which boosting_check's monotonicity
+lemma makes sufficient; the radius sweep of boosting_rows stays as the
+lemma's cross-check.  The tail runs take their thresholds from
+montecarlo.threshold_grid, as the tail subcommand does.
 """
 
 import dataclasses
-import math
+import operator
 
 import numpy as np
 
@@ -25,8 +30,7 @@ from .geometry import normalize
 __all__ = [
     "BATTERY",
     "SOFT",
-    "grid_axes",
-    "boost_grid",
+    "grid_points",
     "sandwich_rows",
     "boosting_rows",
     "smoothness_rows",
@@ -37,34 +41,6 @@ SOFT = frozenset(("cap_integral_sandwich_upper", "stated_minus_proof_chain",
                   "expectation_bound_gap"))
 
 _SIG_GRID = np.linspace(0.05, 1.0, 20)
-
-
-def grid_axes(n=None, beta=None, sigma=None):
-    """(n, beta, sigma) over the default axes; an axis given a value
-    collapses to it.  beta runs over the default fractions of n."""
-    if n is not None and not n >= 1:
-        raise ValueError("n must be a positive integer, got %r" % (n,))
-    ns = [n] if n is not None else list(bounds.DEFAULT_N)
-    sigmas = [sigma] if sigma is not None else list(bounds.DEFAULT_SIGMA)
-    for k in ns:
-        betas = ([beta] if beta is not None
-                 else [f * k for f in bounds.DEFAULT_BETA_FRACTIONS])
-        for b in betas:
-            for s in sigmas:
-                yield k, b, s
-
-
-def boost_grid(n=None, beta=None, sigma=None, H=None, eps=None):
-    """BoostParams in (n, beta, sigma, H, eps) order, axes as in
-    grid_axes; eps runs over the default fractions of alpha."""
-    hs = [H] if H is not None else list(bounds.DEFAULT_H)
-    for k, b, s in grid_axes(n, beta, sigma):
-        alpha = 1.0 - b / k
-        eps_list = ([eps] if eps is not None
-                    else [f * alpha for f in bounds.DEFAULT_EPS_FRACTIONS])
-        for h in hs:
-            for e in eps_list:
-                yield bounds.BoostParams(n=k, beta=b, sigma=s, H=h, eps=e)
 
 
 def sandwich_rows(ms, sigmas):
@@ -90,6 +66,12 @@ def boosting_rows(grid, n_rho):
             rho = float(rho)
             yield p, rho, bounds.boosting_check(p.n, p.beta, p.sigma, p.H,
                                                 p.eps, rho)
+
+
+def grid_points(grid, *axes):
+    """The distinct tuples of the named BoostParams fields over grid, in
+    grid order, as the keys of a dict."""
+    return dict.fromkeys(map(operator.attrgetter(*axes), grid))
 
 
 def smoothness_rows(points, rho, tol):
@@ -182,14 +164,15 @@ def _boosting_inequality(quick, seed, workers):
         for p in bounds.default_grid()))
 
 
+def _eps_free_points():
+    """The 216 distinct (n, beta, sigma, H) of the default grid, in grid
+    order: the points of the entries that never read eps."""
+    return grid_points(bounds.default_grid(), "n", "beta", "sigma", "H")
+
+
 def _delta_eps_sandwich(quick, seed, workers):
     # one pair of rows per (n, beta, sigma, H)
-    seen = set()
-    for p in bounds.default_grid():
-        key = (p.n, p.beta, p.sigma, p.H)
-        if key in seen:
-            continue
-        seen.add(key)
+    for key in _eps_free_points():
         lower, upper = bounds.delta_eps_sandwich(*key)
         params = "n=%d beta=%g sigma=%g H=%g" % key
         yield "delta_eps_sandwich_lower", params, lower
@@ -198,27 +181,26 @@ def _delta_eps_sandwich(quick, seed, workers):
 
 def _t_eps_exceeds_t0(quick, seed, workers):
     yield ("t_eps_exceeds_t0", "grid x d in {1,2,5}", _failures(
-        bounds.t_eps_exceeds_t0(p.n, d, p.sigma, p.beta, p.H)
-        for p in bounds.default_grid() for d in (1, 2, 5)))
+        bounds.t_eps_exceeds_t0(n, d, sigma, beta, H)
+        for n, beta, sigma, H in _eps_free_points() for d in (1, 2, 5)))
 
 
 def _smoothness_ratio_limit(quick, seed, workers):
     # mass ratio approaches alpha at small radius
     sigma, tol = 0.5, 0.02
-    rows = smoothness_rows(grid_axes(sigma=sigma), 1e-6 * sigma, tol)
+    points = grid_points(bounds.default_grid(sigma=sigma), "n", "beta",
+                         "sigma")
+    rows = smoothness_rows(points, 1e-6 * sigma, tol)
     worst = max(abs(row.lhs - row.rhs) for *_, row in rows)
     yield ("smoothness_ratio_limit", "rho=1e-6 sigma",
            CheckRow(worst, tol, worst <= tol))
 
 
 def _stated_minus_proof_chain(quick, seed, workers):
-    worst = math.inf
-    for p in bounds.default_grid():
-        a = bounds.adversarial_expectation_bound(p.n, 1, p.sigma, p.beta,
-                                                 p.H)
-        b = bounds.adversarial_expectation_bound_proof_chain(
-            p.n, 1, p.sigma, p.beta, p.H)
-        worst = min(worst, a - b)
+    worst = min(bounds.adversarial_expectation_bound(n, 1, sigma, beta, H)
+                - bounds.adversarial_expectation_bound_proof_chain(
+                    n, 1, sigma, beta, H)
+                for n, beta, sigma, H in _eps_free_points())
     yield ("stated_minus_proof_chain", "grid, min gap",
            CheckRow(worst, 0.0, worst >= -1e-12))
 
@@ -313,12 +295,8 @@ def _tail_and_expectation(quick, seed, workers):
             row = CheckRow(rep.mean_ln_c + 3 * rep.stderr, rep.bound,
                            rep.margin >= 0.0)
         else:
-            lo, _ = bounds.tail_theorem(problem.n, problem.degree,
-                                        law.cap.sigma, law.beta, law.H,
-                                        scale)
-            cfg = dataclasses.replace(cfg, t_grid=(
-                np.geomspace(lo, 1e4 * lo, 12) if scale == "linear"
-                else np.linspace(lo, lo + 8.0, 12)))
+            cfg = dataclasses.replace(
+                cfg, t_grid=montecarlo.threshold_grid(cfg, 12))
             n_viol = sum(1 for r in montecarlo.estimate_tail(cfg).rows
                          if r.violation)
             row = CheckRow(float(n_viol), 0.0, n_viol == 0)

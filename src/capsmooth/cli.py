@@ -26,7 +26,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
@@ -144,40 +143,6 @@ def _cmd_sample(args):
     return 0
 
 
-def _with_t_grid(cfg, args):
-    """cfg with the threshold grid of a tail run; refuses a grid on which
-    no row would be checked against a theorem."""
-    law = cfg.law
-    t_min, bound = bounds.tail_theorem(cfg.problem.n, cfg.problem.degree,
-                                       law.cap.sigma, law.beta, law.H,
-                                       cfg.scale)
-    if bound is None:
-        raise ValueError("no tail theorem covers this law on the linear "
-                         "scale, which needs beta = 0 and a constant "
-                         "profile; use --scale log")
-    lo = t_min if args.t_min is None else args.t_min
-    if cfg.scale == "linear":
-        hi = args.t_max if args.t_max is not None else max(1e4, 100.0 * lo)
-    else:
-        hi = args.t_max if args.t_max is not None else lo + 8.0
-    # before the grid is spaced: NaN passes the order tests below
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("t_grid must hold finite thresholds")
-    if cfg.scale == "linear":
-        if lo <= 0 or hi <= lo:
-            raise ValueError("need 0 < t-min < t-max")
-        grid = np.geomspace(lo, hi, args.t_steps)
-    else:
-        if hi <= lo:
-            raise ValueError("need t-min < t-max")
-        grid = np.linspace(lo, hi, args.t_steps)
-    cfg = dataclasses.replace(cfg, t_grid=grid)
-    if cfg.t_grid[-1] < t_min:
-        raise ValueError("every threshold lies below t = %.17g, where the "
-                         "tail theorem's range starts" % t_min)
-    return cfg
-
-
 def _experiment_config(args, need_t_grid):
     problem = _parse_problem(args.problem, args.n)
     if args.d is not None and args.d != problem.degree:
@@ -189,7 +154,10 @@ def _experiment_config(args, need_t_grid):
         problem=problem, law=law, samples=args.samples, seed=args.seed,
         workers=args.workers,
         scale=None if not need_t_grid or args.scale == "auto" else args.scale)
-    return _with_t_grid(cfg, args) if need_t_grid else cfg
+    if not need_t_grid:
+        return cfg
+    return dataclasses.replace(cfg, t_grid=montecarlo.threshold_grid(
+        cfg, args.t_steps, args.t_min, args.t_max))
 
 
 def _cmd_tail(args):
@@ -217,7 +185,8 @@ def _emit_checked(columns, rows, out_path, summary):
 
 
 def _cmd_boost_check(args):
-    grid = checks.boost_grid(args.n, args.beta, args.sigma, args.H, args.eps)
+    grid = bounds.default_grid(args.n, args.beta, args.sigma, args.H,
+                               args.eps)
     rows = ((p.n, p.beta, p.sigma, p.H, p.eps, rho, row)
             for p, rho, row in checks.boosting_rows(grid, args.rho_steps))
     return _emit_checked("n,beta,sigma,H,eps,rho,lhs,rhs,pass", rows,
@@ -225,7 +194,9 @@ def _cmd_boost_check(args):
 
 
 def _cmd_smoothness(args):
-    points = checks.grid_axes(args.n, args.beta, args.sigma)
+    points = checks.grid_points(bounds.default_grid(args.n, args.beta,
+                                                    args.sigma),
+                                "n", "beta", "sigma")
     rows = ((n, beta, sigma, args.rho, row) for n, beta, sigma, row
             in checks.smoothness_rows(points, args.rho, args.tol))
     return _emit_checked("n,beta,sigma,rho,ratio,alpha,pass", rows,
@@ -273,9 +244,10 @@ def _cmd_verify(args):
 
 
 def _count(text):
-    """The type of a flag that sets how many rows a sweep checks, or
-    the largest n it reaches: an integer of at least 1, since a sweep of
-    no rows reports no failure."""
+    """The type of a flag that sets how many rows a sweep checks, the
+    largest n it reaches, or how many workers run: an integer of at
+    least 1, since a sweep of no rows reports no failure, and a run on
+    no workers would fail only once it reached a Monte Carlo check."""
     try:
         value = int(text)
     except ValueError:
@@ -327,7 +299,7 @@ def _build_parser():
     law.add_argument("--profile", metavar="FILE",
                      help="CSV of r,h rows for the radial factor")
     runs = parent()
-    runs.add_argument("--workers", type=int, default=1,
+    runs.add_argument("--workers", type=_count, default=1,
                       help="worker threads")
     runs.add_argument("--format", choices=("csv", "json"), default="csv",
                       help="report format")

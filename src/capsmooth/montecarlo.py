@@ -71,6 +71,7 @@ __all__ = [
     "csv_text",
     "wilson_interval",
     "ExperimentConfig",
+    "threshold_grid",
     "TailRow",
     "TailReport",
     "ExpectationReport",
@@ -377,6 +378,45 @@ def _tail_bound_column(config, t_grid):
                                        law.beta, law.H, config.scale)
     return [bound(t) if bound is not None and t >= t_min else math.nan
             for t in t_grid]
+
+
+def threshold_grid(config, steps, t_min=None, t_max=None):
+    """steps thresholds for a tail run of config, on its scale.
+
+    They run from t_min, by default the start of the tail theorem's
+    range, to t_max, by default 1e4 t_min on the linear scale and
+    t_min + 8 on the log scale: geometrically spaced on the linear
+    scale, evenly on the log scale.  Raises ValueError where no tail
+    theorem covers the law, where an end is not finite or the ends are
+    out of order, and where every threshold lies below the theorem's
+    range, since no row would then be checked against a theorem.
+    """
+    law, prob = config.law, config.problem
+    start, bound = bounds.tail_theorem(prob.n, prob.degree, law.cap.sigma,
+                                       law.beta, law.H, config.scale)
+    if bound is None:
+        raise ValueError("no tail theorem covers this law on the linear "
+                         "scale, which needs beta = 0 and a constant "
+                         "profile; use --scale log")
+    linear = config.scale == "linear"
+    lo = start if t_min is None else t_min
+    hi = t_max
+    if hi is None:
+        hi = 1e4 * lo if linear else lo + 8.0
+    # first, so that a NaN end reads as not finite, not as out of order
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("t_grid must hold finite thresholds")
+    if linear and not 0 < lo < hi:
+        raise ValueError("need 0 < t-min < t-max")
+    if not linear and not lo < hi:
+        raise ValueError("need t-min < t-max")
+    if steps < 1:
+        raise ValueError("t_grid must not be empty")
+    grid = (np.geomspace if linear else np.linspace)(lo, hi, steps)
+    if grid[-1] < start:
+        raise ValueError("every threshold lies below t = %.17g, where the "
+                         "tail theorem's range starts" % start)
+    return grid
 
 
 def estimate_tail(config):

@@ -25,7 +25,7 @@ def test_no_scalar_sigma_min():
         assert not hasattr(mod, "smallest_singular_value")
 
 
-def test_cli_import_skips_quadrature(tmp_path):
+def test_cli_import_skips_quadrature(tmp_path, child_env):
     # scipy.integrate loads scipy.optimize and costs about 0.2 s of CPU
     # and 24 MB; nothing in the package needs either.  mpmath serves
     # only the cap_integral_mpmath cross-check, imported on its first
@@ -41,11 +41,12 @@ def test_cli_import_skips_quadrature(tmp_path):
             "print(code, loaded(('scipy.integrate', 'scipy.optimize')))\n")
     proc = subprocess.run([sys.executable, "-c", code,
                            str(tmp_path / "verify.csv")],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True,
+                          env=child_env)
     assert proc.stdout.split("\n") == ["[]", "1 []", ""]
 
 
-def test_runs_without_scipy():
+def test_runs_without_scipy(child_env):
     # scipy is a test oracle only: importing the package and its CLI
     # loads none of it, and with every scipy import refused (so a lazy
     # one cannot come back) a pole law still samples, reads its radial
@@ -72,6 +73,6 @@ def test_runs_without_scipy():
         "r = tab.inverse_radial_cdf(np.linspace(0.0, 1.0, 101))\n"
         "print(z.shape, f[0], f[-1], r[-1], prof.kind)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=child_env)
     assert proc.stdout.split("\n") == ["[]", "(1000, 5) 0.0 1.0 0.5 tabulated",
                                        ""]

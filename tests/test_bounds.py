@@ -360,6 +360,10 @@ class TestDeltaSandwich:
                                                p.H).passed
 
 
+def pin_id(pin):
+    return ",".join("%s=%g" % item for item in pin.items())
+
+
 class TestGridAndParams:
     def test_default_grid_size(self):
         grid = bounds.default_grid()
@@ -371,10 +375,43 @@ class TestGridAndParams:
         with pytest.raises(ValueError):
             bounds.BoostParams(n=4, beta=1.0, sigma=0.5, H=0.5, eps=0.1)
         p = bounds.BoostParams(n=4, beta=1.0, sigma=0.5, H=2.0, eps=0.25)
-        assert p.alpha == 0.75
-        assert np.isclose(p.delta(),
-                          bounds.delta_eps(4, 1.0, 0.5, 2.0, 0.25),
-                          rtol=1e-15)
+        assert bounds.smoothness_alpha(p.n, p.beta) == 0.75
+        assert np.isclose(bounds.delta_eps(p.n, p.beta, p.sigma, p.H, p.eps),
+                          cap_integral(4, p.rho()) / cap_integral(4, 0.5),
+                          rtol=1e-12)
+
+    def test_default_grid_order(self):
+        # n, beta, H, sigma, eps: beta and eps as fractions of n and alpha
+        expected = [(n, bf * n, s, H, ef * (1.0 - bf))
+                    for n in (2, 3, 4, 8, 16, 32)
+                    for bf in (0.0, 0.25, 0.5, 0.75)
+                    for H in (1.0, 2.0, 10.0)
+                    for s in (0.1, 0.5, 1.0)
+                    for ef in (0.25, 0.5, 0.75)]
+        assert [(p.n, p.beta, p.sigma, p.H, p.eps)
+                for p in bounds.default_grid()] == expected
+
+    @pytest.mark.parametrize("pin", [
+        *({"n": n} for n in bounds.DEFAULT_N),
+        *({"sigma": s} for s in bounds.DEFAULT_SIGMA),
+        *({"H": H} for H in bounds.DEFAULT_H),
+        {"beta": 0.0}, {"beta": 0.0, "eps": 0.5}, {"n": 8, "beta": 6.0}],
+        ids=pin_id)
+    def test_pinned_axis_filters_the_grid(self, pin):
+        # beta and eps are fractions of n and of alpha, so only values
+        # that every other axis point reaches filter the grid
+        full = [p for p in bounds.default_grid()
+                if all(getattr(p, k) == v for k, v in pin.items())]
+        assert bounds.default_grid(**pin) == full
+
+    @pytest.mark.parametrize("pin", [
+        {"n": 0}, {"n": -3}, {"n": 2.5}, {"n": 2, "beta": 2.0},
+        {"beta": 2.0}, {"sigma": math.nan}, {"sigma": 1.5}, {"H": 0.5},
+        {"eps": 0.5}, {"eps": math.nan}], ids=pin_id)
+    def test_invalid_pin_rejected(self, pin):
+        # n is checked before beta and eps divide by it
+        with pytest.raises(ValueError):
+            bounds.default_grid(**pin)
 
 
 class TestBallMaximizer:

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from capsmooth import bounds, checks, montecarlo
 from capsmooth.cli import _build_parser, _parse_args, main
 
 
@@ -295,6 +296,15 @@ class TestTailAndExpect:
         assert (code, err) == (0, "")
         assert json.loads(out)["config"]["H"] < 1.0
 
+    def test_default_linear_span(self, capsys):
+        # from t0 = 18 for n = 3, d = 1, sigma = 0.5 up to 1e4 t0
+        code, out, _ = run(capsys, "tail", "--problem", "hyperplane",
+                           "--n", "3", "--samples", "1000", "--t-steps", "3")
+        assert code == 0
+        ts = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
+        assert (ts[0], ts[-1]) == (18.0, 18.0 * 1e4)
+        assert ts[1] == pytest.approx(18.0 * 1e2, rel=1e-15)
+
     def test_boosted_center_pole(self, capsys):
         code, out, _ = run(capsys, "tail", "--problem", "hyperplane",
                            "--n", "3", "--beta", "1.5",
@@ -317,6 +327,15 @@ class TestCheckers:
         assert lines[0] == "n,beta,sigma,H,eps,rho,lhs,rhs,pass"
         assert len(lines) == 11
         assert all(l.endswith(",true") for l in lines[1:])
+
+    def test_boost_check_rows_follow_the_grid(self, capsys):
+        code, out, _ = run(capsys, "boost-check", "--n", "4",
+                           "--rho-steps", "2")
+        assert code == 0
+        rows = [tuple(map(float, l.split(",")[:5]))
+                for l in out.strip().splitlines()[1::2]]
+        assert rows == [(p.n, p.beta, p.sigma, p.H, p.eps)
+                        for p in bounds.default_grid(n=4)]
 
     def test_smoothness_pinned(self, capsys):
         code, out, _ = run(capsys, "smoothness", "--n", "4",
@@ -457,9 +476,10 @@ class TestParser:
         ("smoothness", "--n", "3", "--tol", "-1"),
         ("smoothness", "--n", "3", "--tol", "inf"),
         ("small-calc", "--n-max", "-5", "--points", "3"),
-        ("small-calc", "--n-max", "0", "--points", "3")],
+        ("small-calc", "--n-max", "0", "--points", "3"),
+        ("verify", "--quick", "--workers", "0")],
         ids=["n-0", "tol-nan", "tol-negative", "tol-inf", "n-max-negative",
-             "n-max-0"])
+             "n-max-0", "workers-0"])
     def test_invalid_value_rejected(self, argv, capsys):
         # invalid input exits 2 with an error line, never 1 (a failed
         # check), a traceback or a numpy warning
@@ -473,6 +493,21 @@ class TestParser:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "--quick"),
+        ("tail", "--problem", "hyperplane", "--n", "3")])
+    def test_no_workers_rejected_before_any_run(self, command, capsys,
+                                                monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran with --workers 0")
+
+        monkeypatch.setattr(checks, "BATTERY", (refuse,))
+        monkeypatch.setattr(montecarlo, "estimate_tail", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--workers", "0"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_choices_on_the_command_line(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -576,11 +611,11 @@ class TestVerify:
         assert p1.read_bytes() == p3.read_bytes()
 
 
-def test_entry_point_subprocess(tmp_path):
+def test_entry_point_subprocess(tmp_path, child_env):
     out = tmp_path / "v.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "capsmooth", "volumes", "--n", "3",
          "--sigma", "0.5", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert out.read_text().count("\n") == 2

@@ -215,8 +215,21 @@ class TestAdversarialLawConstruction:
             "tabulated", r_grid=[0.0, a + 0.2 * s, a + 0.5 * s, a + 0.8 * s,
                                  0.5],
             h_grid=[1.0, 1.0, 3.0, 1.0, 1.0], sigma=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonincreasing"):
             AdversarialLaw(Cap(e0(3), 0.5), 0.0, prof)
+
+    @pytest.mark.parametrize("beta, prof, held", [
+        # a raw table: law.H would read 1.0, the uniform theorems' case
+        (0.0, RadialProfile("tabulated", [0.0, 0.25, 0.5], [1.0, 1.0, 0.0],
+                            0.5), 0.457),
+        # normalized for beta = 1, used at beta = 2
+        (2.0, normalize_profile(lambda r: 2.0 - r / 0.5, 3, 1.0, 0.5), 1.124)],
+        ids=["raw", "other-beta"])
+    def test_unnormalized_profile_rejected(self, beta, prof, held):
+        with pytest.raises(ValueError, match="not normalized") as exc:
+            AdversarialLaw(Cap(e0(3), 0.5), beta, prof)
+        ratio = str(exc.value).split(" holds ")[1].split()[0]
+        assert float(ratio) == pytest.approx(held, abs=5e-4)
 
     def test_pole_compensated_profile_accepted(self):
         # h grows like 1 + r but g = r^-1 (1 + r) still decreases

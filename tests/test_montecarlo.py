@@ -234,6 +234,55 @@ class TestEstimateTail:
         assert rep1 == rep4  # wall_time excluded from comparison
 
 
+class TestThresholdGrid:
+    @pytest.mark.parametrize("problem, law, scale", [
+        (hyperplane_problem(3),
+         AdversarialLaw(Cap(normalize(np.ones(4)), 0.5), 0.0), "linear"),
+        (hyperplane_problem(3), uniform_law(3), "linear"),
+        (hyperplane_problem(3), AdversarialLaw(Cap(e0(3), 0.5), 1.5), "log"),
+        (matrix_problem(3),
+         AdversarialLaw(Cap(matrix_problem(3).ill_posed, 0.5), 0.0),
+         "linear"),
+        (matrix_problem(3),
+         AdversarialLaw(Cap(matrix_problem(3).ill_posed, 0.5), 4.0), "log")],
+        ids=["uniform-center", "uniform-pole", "boosted-pole",
+             "matrix-uniform", "matrix-boosted"])
+    def test_verify_grids(self, problem, law, scale):
+        # the 12 thresholds of each tail run of verify, bit for bit
+        cfg = ExperimentConfig(problem, law, 10, 0, scale=scale)
+        lo, _ = bounds.tail_theorem(problem.n, problem.degree, 0.5,
+                                    law.beta, law.H, scale)
+        expected = (np.geomspace(lo, 1e4 * lo, 12) if scale == "linear"
+                    else np.linspace(lo, lo + 8.0, 12))
+        np.testing.assert_array_equal(montecarlo.threshold_grid(cfg, 12),
+                                      expected)
+
+    def test_pinned_ends(self):
+        cfg = ExperimentConfig(hyperplane_problem(3), uniform_law(3), 10, 0)
+        np.testing.assert_allclose(
+            montecarlo.threshold_grid(cfg, 3, 20.0, 2000.0),
+            [20.0, 200.0, 2000.0], rtol=1e-15)
+        np.testing.assert_array_equal(
+            montecarlo.threshold_grid(dataclasses.replace(cfg, scale="log"),
+                                      3, 1.0, 5.0),
+            [1.0, 3.0, 5.0])
+        # the default span runs from the given first threshold
+        assert montecarlo.threshold_grid(cfg, 2, 20.0)[-1] == 2e5
+
+    @pytest.mark.parametrize("law, scale, ends, message", [
+        (steep_law(), "linear", (None, None), "no tail theorem"),
+        (uniform_law(3), "linear", (math.nan, None), "finite"),
+        (uniform_law(3), "linear", (0.0, 10.0), "0 < t-min < t-max"),
+        (uniform_law(3), "log", (5.0, 4.0), "t-min < t-max"),
+        (uniform_law(3), "linear", (1.0, 2.0), "below")],
+        ids=["no-theorem", "nan", "nonpositive", "order", "below"])
+    def test_rejected(self, law, scale, ends, message):
+        cfg = ExperimentConfig(hyperplane_problem(3), law, 10, 0,
+                               scale=scale)
+        with pytest.raises(ValueError, match=message):
+            montecarlo.threshold_grid(cfg, 5, *ends)
+
+
 class TestEstimateExpectation:
     def test_margin_positive_on_easy_case(self):
         cfg = ExperimentConfig(hyperplane_problem(3), uniform_law(3),
@@ -341,12 +390,13 @@ print(json.dumps({"at_import": at_import, "after_run": len(looked_up),
 @pytest.mark.skipif(sys.platform != "linux"
                     or platform.libc_ver()[0] != "glibc",
                     reason="the heap policy is glibc's mallopt")
-def test_batches_do_not_refault_memory():
+def test_batches_do_not_refault_memory(child_env):
     # with glibc's default thresholds every batch gave its freed rows
     # back to the kernel and faulted them in again, 500 to 800 minor
     # faults per batch here; the pinned heap leaves a few in all
     proc = subprocess.run([sys.executable, "-c", _FAULTS_CODE],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True,
+                          env=child_env)
     got = json.loads(proc.stdout)
     assert got["at_import"] == 0
     assert got["after_run"] > 0
