@@ -38,6 +38,7 @@ from functools import partial
 
 import numpy as np
 
+from ._args import check_beta, check_sigma, integer
 from .distributions import uniform_law
 from .volumes import log_cap_integral
 
@@ -82,32 +83,6 @@ DEFAULT_EPS_FRACTIONS = (0.25, 0.5, 0.75)
 SLACK = 1e-12
 
 
-def _check_n(n):
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer, got %r" % (n,))
-    return int(n)
-
-
-def _check_d(d):
-    if int(d) != d or d < 1:
-        raise ValueError("degree d must be a positive integer, got %r" % (d,))
-    return int(d)
-
-
-def _check_sigma(sigma):
-    sigma = float(sigma)
-    if not (0.0 < sigma <= 1.0):
-        raise ValueError("sigma must lie in (0, 1], got %r" % (sigma,))
-    return sigma
-
-
-def _check_beta(n, beta):
-    beta = float(beta)
-    if not (0.0 <= beta < n):
-        raise ValueError("beta must lie in [0, n), got %r" % (beta,))
-    return beta
-
-
 def _check_H(H):
     H = float(H)
     if not (H >= 1.0):
@@ -126,25 +101,19 @@ def _check_eps(n, beta, eps):
 
 def t0(n, d, sigma):
     """Smallest t covered by the linear-scale uniform tail bound."""
-    n = _check_n(n)
-    d = _check_d(d)
-    sigma = _check_sigma(sigma)
+    n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
     return (2.0 * d + 1.0) * n / sigma
 
 
 def t0_log(n, d, sigma):
     """Smallest t covered by the exponential-form uniform tail bound."""
-    n = _check_n(n)
-    d = _check_d(d)
-    sigma = _check_sigma(sigma)
+    n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
     return math.log((1.0 + 2.0 * d) * n / sigma)
 
 
 def uniform_tail_bound(n, d, sigma, t):
     """13 d n / (sigma t); valid for t >= t0(n, d, sigma)."""
-    n = _check_n(n)
-    d = _check_d(d)
-    sigma = _check_sigma(sigma)
+    n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
     t = float(t)
     if t < t0(n, d, sigma):
         raise ValueError("tail bound requires t >= t0 = %g, got t = %g"
@@ -154,9 +123,7 @@ def uniform_tail_bound(n, d, sigma, t):
 
 def uniform_log_tail_bound(n, d, sigma, t):
     """(13 d n / sigma) e^(-t); valid for t >= t0_log(n, d, sigma)."""
-    n = _check_n(n)
-    d = _check_d(d)
-    sigma = _check_sigma(sigma)
+    n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
     t = float(t)
     if t < t0_log(n, d, sigma):
         raise ValueError("log tail bound requires t >= %g, got t = %g"
@@ -166,17 +133,15 @@ def uniform_log_tail_bound(n, d, sigma, t):
 
 def uniform_expectation_bound(n, d, sigma):
     """Upper bound on E[ln C] under the uniform cap law."""
-    n = _check_n(n)
-    d = _check_d(d)
-    sigma = _check_sigma(sigma)
+    n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
     return (2.0 * math.log(n) + 2.0 * math.log(d)
             + 2.0 * math.log(1.0 / sigma) + 5.0)
 
 
 def smoothness_alpha(n, beta):
     """Smoothness exponent alpha = 1 - beta/n of the pole law."""
-    n = _check_n(n)
-    beta = _check_beta(n, beta)
+    n = integer(n, "n")
+    beta = check_beta(n, beta)
     return 1.0 - beta / n
 
 
@@ -209,9 +174,8 @@ def rho_eps(n, beta, sigma, H, eps):
     with q = 2/(pi n) and lam = (1 - beta/n - eps)/(eps n).  Always lies
     strictly between 0 and sigma.
     """
-    n = _check_n(n)
-    beta = _check_beta(n, beta)
-    sigma = _check_sigma(sigma)
+    n = integer(n, "n")
+    beta, sigma = check_beta(n, beta), check_sigma(sigma)
     H = _check_H(H)
     eps = _check_eps(n, beta, eps)
     q = _q(n)
@@ -231,9 +195,7 @@ def delta_eps(n, beta, sigma, H, eps):
 
 def t_eps(n, d, sigma, delta_e):
     """Threshold ln(13 d n / (sigma delta_e)) of the boosted tail bound."""
-    n = _check_n(n)
-    d = _check_d(d)
-    sigma = _check_sigma(sigma)
+    n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
     delta_e = float(delta_e)
     if not (0.0 < delta_e < 1.0):
         raise ValueError("delta_e must lie in (0, 1), got %r" % (delta_e,))
@@ -248,10 +210,8 @@ def boosted_tail_bound(n, d, sigma, beta, t):
     guard here uses H = 1, the smallest admissible threshold; callers
     with H > 1 must check their own t_eps.
     """
-    n = _check_n(n)
-    d = _check_d(d)
-    sigma = _check_sigma(sigma)
-    beta = _check_beta(n, beta)
+    n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
+    beta = check_beta(n, beta)
     t = float(t)
     alpha = 1.0 - beta / n
     thr = t_eps(n, d, sigma, delta_eps(n, beta, sigma, 1.0, 0.5 * alpha))
@@ -263,10 +223,8 @@ def boosted_tail_bound(n, d, sigma, beta, t):
 
 def adversarial_expectation_bound(n, d, sigma, beta, H):
     """Stated upper bound on E[ln C] under the pole law."""
-    n = _check_n(n)
-    d = _check_d(d)
-    sigma = _check_sigma(sigma)
-    beta = _check_beta(n, beta)
+    n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
+    beta = check_beta(n, beta)
     H = _check_H(H)
     alpha = 1.0 - beta / n
     lead = (2.0 * math.log(n) + math.log(d) + math.log(1.0 / sigma)
@@ -282,10 +240,8 @@ def adversarial_expectation_bound_proof_chain(n, d, sigma, beta, H):
     the alpha-dependent term is kept as
     (2/alpha) (ln(H / sqrt(1 - q^(1/n))) + sqrt(1 - q^(1/n)) / H).
     """
-    n = _check_n(n)
-    d = _check_d(d)
-    sigma = _check_sigma(sigma)
-    beta = _check_beta(n, beta)
+    n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
+    beta = check_beta(n, beta)
     H = _check_H(H)
     alpha = 1.0 - beta / n
     q = _q(n)
@@ -390,9 +346,8 @@ def boosting_check(n, beta, sigma, H, eps, rho):
     term only widens as rho falls (|rhs| grows), so the verdict with
     its slack at rho_eps also carries over to every smaller radius.
     """
-    n = _check_n(n)
-    beta = _check_beta(n, beta)
-    sigma = _check_sigma(sigma)
+    n = integer(n, "n")
+    beta, sigma = check_beta(n, beta), check_sigma(sigma)
     H = _check_H(H)
     eps = _check_eps(n, beta, eps)
     rho = float(rho)
@@ -414,7 +369,7 @@ def small_calc_check(n):
     equivalent 1 - q^(1/n) >= ln(pi n / 2) / (2 n), in the stable expm1
     form.
     """
-    n = _check_n(n)
+    n = integer(n, "n")
     q = _q(n)
     one_minus = -math.expm1(math.log(q) / n)
     return CheckRow(one_minus ** -0.5,
@@ -446,9 +401,8 @@ def delta_eps_sandwich(n, beta, sigma, H):
     bound genuinely fails for sigma = 1 at small n, and callers decide
     how to treat that.
     """
-    n = _check_n(n)
-    beta = _check_beta(n, beta)
-    sigma = _check_sigma(sigma)
+    n = integer(n, "n")
+    beta, sigma = check_beta(n, beta), check_sigma(sigma)
     H = _check_H(H)
     alpha = 1.0 - beta / n
     eps = 0.5 * alpha
@@ -487,9 +441,9 @@ class BoostParams:
     eps: float
 
     def __post_init__(self):
-        _check_n(self.n)
-        _check_beta(self.n, self.beta)
-        _check_sigma(self.sigma)
+        integer(self.n, "n")
+        check_beta(self.n, self.beta)
+        check_sigma(self.sigma)
         _check_H(self.H)
         _check_eps(self.n, self.beta, self.eps)
 
@@ -504,7 +458,7 @@ def default_grid(n=None, beta=None, sigma=None, H=None, eps=None):
     alpha = 1 - beta/n.  An axis given a value collapses to it.  n is
     checked before the fractions divide by it; BoostParams checks every
     point, so a pin outside its domain raises ValueError."""
-    ns = DEFAULT_N if n is None else (_check_n(n),)
+    ns = DEFAULT_N if n is None else (integer(n, "n"),)
     hs = DEFAULT_H if H is None else (H,)
     sigmas = DEFAULT_SIGMA if sigma is None else (sigma,)
     grid = []

@@ -17,9 +17,10 @@ keeps a flag's default.  --help prints each default; the seed's is the
 CAPSMOOTH_SEED environment variable when it is set, else 0.
 
 Exit codes: 0 success, 1 a checked bound or inequality was violated,
-2 invalid arguments.  All randomness is drawn from per-batch streams
-of the seed, so repeated runs with the same arguments produce identical
-output bytes.
+2 invalid arguments, or a law that cannot be sampled because its radial
+mass is below the normal double range.  All randomness is drawn from
+per-batch streams of the seed, so repeated runs with the same arguments
+produce identical output bytes.
 """
 
 import argparse
@@ -413,7 +414,7 @@ def main(argv=None):
     try:
         args = _parse_args(argv)
         return args._func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -43,6 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._args import integer
 from .geometry import _norms
 
 __all__ = [
@@ -335,9 +336,7 @@ def _closed_sigma_min(zt, nrm, det, first):
 
 def hyperplane_problem(n):
     """Sigma = {x_0 = 0} in R^{n+1}; C(x) = ||x|| / |x_0|, degree 1."""
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
-    n = int(n)
+    n = integer(n, "n")
 
     def evaluate_batch(z):
         with np.errstate(divide="ignore", over="ignore"):
@@ -405,9 +404,7 @@ def matrix_problem(m):
     from unit norm are scaled first (_unit_scaled).  The zero matrix
     gets +inf, and a row with a NaN or inf entry gets NaN.
     """
-    if int(m) != m or m < 2:
-        raise ValueError("m must be an integer >= 2")
-    m = int(m)
+    m = integer(m, "m", least=2)
 
     def evaluate_batch(z):
         z = np.asarray(z, dtype=float)

@@ -44,6 +44,7 @@ import threading
 
 import numpy as np
 
+from ._args import check_beta, check_sigma, integer
 from .geometry import geodesic_point, proj_distance, tangent_direction
 from .volumes import (_beta_half, _betainc_half, _betaincinv_half,
                       _betaincinv_ratio, _vec_cap_integral, log_cap_integral)
@@ -364,11 +365,8 @@ class Cap:
         if not abs(nrm - 1.0) <= 1e-8:
             raise ValueError("center must be a unit vector (||a|| = %.17g)"
                              % nrm)
-        sigma = float(sigma)
-        if not (0.0 < sigma <= 1.0):
-            raise ValueError("sigma must lie in (0, 1], got %r" % (sigma,))
         self.center = center / nrm
-        self.sigma = sigma
+        self.sigma = check_sigma(sigma)
 
     @property
     def n(self):
@@ -428,6 +426,16 @@ def constant_profile(sigma):
     return RadialProfile("constant", [0.0, sigma], [1.0, 1.0], sigma)
 
 
+def _require_mass(total, m, sigma, consequence):
+    """Raise ArithmeticError when a radial mass total, in absolute I_m
+    units, is below the normal double range: there it underflows or
+    keeps too few bits to divide by."""
+    if not total >= _TINY:
+        raise ArithmeticError(
+            "the radial mass I_%g(%g) of the cap is below the normal double "
+            "range, so %s" % (m, sigma, consequence))
+
+
 def _segment_coeffs(r_grid, h_grid):
     """Per-segment alpha, gamma with h(r) = alpha_i + gamma_i r."""
     dr = np.diff(r_grid)
@@ -452,24 +460,22 @@ def normalize_profile(raw, n, beta, sigma, grid_points=1025):
     """Tabulate and rescale a raw radial factor into a valid profile.
 
     raw is either a callable r -> h(r) on [0, sigma], sampled on an
-    equispaced grid of grid_points nodes, or a (K, 2) array of
-    (r, h) rows whose nodes must already cover [0, sigma].  The raw
-    table must pass RadialProfile's checks.  The values are scaled by a
-    single constant so the weighted integral of the piecewise-linear
+    equispaced grid of grid_points nodes (an integer of at least 2; a
+    fraction raises ValueError, as a non-integral n does), or a (K, 2)
+    array of (r, h) rows whose nodes must already cover [0, sigma].  The
+    raw table must pass RadialProfile's checks.  The values are scaled
+    by a single constant so the weighted integral of the piecewise-linear
     interpolant equals I_{n-beta}(sigma) (piecewise closed form, no
     quadrature), up to the rounding of the double segment masses that
     set the scale; that is measured in the tests, against 30-digit
-    mpmath, not here.
+    mpmath, not here.  Raises ArithmeticError when I_{n-beta}(sigma)
+    is below the normal double range: the scale would lose its bits.
     """
-    n = int(n)
-    beta = float(beta)
-    sigma = float(sigma)
-    if not (0.0 <= beta < n):
-        raise ValueError("beta must lie in [0, n)")
-    if not (0.0 < sigma <= 1.0):
-        raise ValueError("sigma must lie in (0, 1]")
+    n = integer(n, "n")
+    beta, sigma = check_beta(n, beta), check_sigma(sigma)
     if callable(raw):
-        r_grid = np.linspace(0.0, sigma, int(grid_points))
+        r_grid = np.linspace(0.0, sigma,
+                             integer(grid_points, "grid_points", least=2))
         h_raw = np.asarray([float(raw(r)) for r in r_grid])
     else:
         table = np.asarray(raw, dtype=float)
@@ -482,13 +488,14 @@ def normalize_profile(raw, n, beta, sigma, grid_points=1025):
     r_grid[-1] = sigma
 
     m = n - beta
+    target = float(_vec_cap_integral(m, sigma))
+    _require_mass(target, m, sigma, "no profile can be normalized to it")
     im = _vec_cap_integral(m, r_grid)
     im1 = _vec_cap_integral(m + 1.0, r_grid)
     total = float(np.sum(_piecewise_weighted_integrals(r_grid, h_raw, im,
                                                        im1)))
     if not (total > 0.0):
         raise ValueError("raw profile integrates to zero")
-    target = float(_vec_cap_integral(m, sigma))
     scale = target / total
     return RadialProfile("tabulated", r_grid, h_raw * scale, sigma)
 
@@ -506,11 +513,8 @@ class AdversarialLaw:
     def __init__(self, cap, beta, profile=None):
         if profile is None:
             profile = constant_profile(cap.sigma)
-        beta = float(beta)
         n = cap.n
-        if not (0.0 <= beta < n):
-            raise ValueError("beta must lie in [0, n), got %r with n=%d"
-                             % (beta, n))
+        beta = check_beta(n, beta)
         if abs(profile.sigma - cap.sigma) > 1e-12 * cap.sigma:
             raise ValueError("profile radius %r does not match cap "
                              "radius %r" % (profile.sigma, cap.sigma))
@@ -533,13 +537,16 @@ class AdversarialLaw:
         self._cdf_nodes = cum
         self._cdf_total = float(cum[-1])
         # equal buckets of mass, one per segment: _below[b] interior nodes
-        # lie in the buckets before b
-        # (no table when the total underflows: inversion refuses that law)
+        # lie in the buckets before b.  The scale stays at most 2^1022,
+        # so a total near the bottom of the double range cannot overflow
+        # it: coarser buckets are still a monotone hint.  A total below
+        # the normal range gets a table that nothing reads, since
+        # inversion refuses that law
         count = len(seg)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._bucket_scale = np.float64(count) / self._cdf_total
-            bucket = np.minimum(
-                (cum[1:-1] * self._bucket_scale).astype(np.intp), count - 1)
+        self._bucket_scale = np.float64(count) / max(self._cdf_total,
+                                                     count * _TINY)
+        bucket = np.minimum((cum[1:-1] * self._bucket_scale).astype(np.intp),
+                            count - 1)
         self._below = np.searchsorted(bucket, np.arange(count + 1))
         self._alpha, self._gamma = _segment_coeffs(r_nodes, h_nodes)
         # I_m(r) = _beta_const * betainc(m/2, 1/2, r^2)
@@ -577,7 +584,7 @@ class AdversarialLaw:
         about 4300 laws with n up to 1000 and I_m(sigma) down to
         1e-302): the density's constant c, the sup H and the theorem a
         run is held to all read the table as normalized.  A law whose
-        I_m(sigma) is below the double range is not checked."""
+        I_m(sigma) is below the normal double range is not checked."""
         target = math.exp(self._log_i_m_sigma)
         if target >= _TINY and not (abs(self._cdf_total - target)
                                     <= 1e-12 * target):
@@ -609,7 +616,7 @@ class AdversarialLaw:
         """P(d(x, a) <= rho) for x drawn from the law; scalar or array.
 
         Raises ArithmeticError when the law's radial mass I_m(sigma) is
-        below the double range; log_radial_cdf serves such a law.
+        below the normal double range; log_radial_cdf serves such a law.
         """
         rho_arr = np.asarray(rho, dtype=float)
         scalar = rho_arr.ndim == 0
@@ -618,21 +625,14 @@ class AdversarialLaw:
         if not (np.all(rho_arr >= 0.0)
                 and np.all(rho_arr <= sigma * (1.0 + 1e-12))):
             raise ValueError("rho must lie in [0, sigma]")
-        self._require_mass("the CDF would be 0/0; log_radial_cdf serves "
-                           "this law")
+        _require_mass(self._cdf_total, self._m, sigma,
+                      "the CDF is no ratio of doubles; log_radial_cdf serves "
+                      "this law")
         rho_arr = np.minimum(rho_arr, sigma)
         out = self._radial_cdf_clipped(rho_arr)
         if scalar:
             return float(out[0])
         return out
-
-    def _require_mass(self, consequence):
-        """Raise ArithmeticError when the segment masses, held in
-        absolute I_m units, underflow to a total of 0."""
-        if not self._cdf_total > 0.0:
-            raise ArithmeticError(
-                "the radial mass I_%g(%g) of the cap is below the double "
-                "range, so %s" % (self._m, self.cap.sigma, consequence))
 
     def _segment_mass(self, idx, rho):
         """Mass of segment idx below rho (closed form, alpha and gamma
@@ -722,7 +722,7 @@ class AdversarialLaw:
         radius with the least residual.
 
         Raises ArithmeticError only when the law's radial mass is below
-        the double range (see radial_cdf).
+        the normal double range (see radial_cdf).
         """
         p_arr = np.asarray(p, dtype=float)
         scalar = p_arr.ndim == 0
@@ -731,7 +731,8 @@ class AdversarialLaw:
         # a NaN fails both comparisons
         if not (p_min >= 0.0 and p_max <= 1.0):
             raise ValueError("p must lie in [0, 1]")
-        self._require_mass("no radius can be inverted")
+        _require_mass(self._cdf_total, self._m, self.cap.sigma,
+                      "no radius can be inverted")
         r_nodes = self._r_nodes
         target = p_arr * self._cdf_total
         idx = self._segment_of(target)
@@ -925,9 +926,7 @@ class AdversarialLaw:
         tangent_direction and geodesic_point, so rebinding them wraps
         every batch.
         """
-        count = 1 if size is None else int(size)
-        if count < 1:
-            raise ValueError("size must be positive")
+        count = 1 if size is None else integer(size, "size")
         p = rng.random(count)
         r = self.inverse_radial_cdf(p)
         u = tangent_direction(self.cap.center, rng, size=count)

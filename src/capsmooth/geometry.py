@@ -37,6 +37,8 @@ import math
 
 import numpy as np
 
+from ._args import integer
+
 __all__ = [
     "normalize",
     "proj_distance",
@@ -201,9 +203,7 @@ def tangent_direction(a, rng, size=None):
     k = a.shape[0]
     if k < 2:
         raise ValueError("a must have at least two coordinates")
-    n_draw = 1 if size is None else int(size)
-    if n_draw < 1:
-        raise ValueError("size must be positive")
+    n_draw = 1 if size is None else integer(size, "size")
     i = int(np.argmax(np.abs(a)))
     rest = [j for j in range(k) if j != i]
     # the output first, so the draws it outlives are freed at the top of

@@ -59,6 +59,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from . import bounds
+from ._args import integer
 from .condnum import ConicProblem
 from .distributions import AdversarialLaw
 from .geometry import proj_distance
@@ -97,11 +98,10 @@ _TRIM_THRESHOLD = 128 * BATCH_SIZE * 8
 
 
 def wilson_interval(successes, trials, z=WILSON_Z):
-    """Two-sided Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not (0 <= successes <= trials):
-        raise ValueError("successes must lie in [0, trials]")
+    """Two-sided Wilson score interval for a binomial proportion of
+    integer counts, 0 <= successes <= trials and trials >= 1."""
+    trials = integer(trials, "trials")
+    successes = integer(successes, "successes", least=0, below=trials + 1)
     nt = float(trials)
     p = successes / nt
     z2 = z * z
@@ -123,7 +123,10 @@ class ExperimentConfig:
     scale "linear" tests P(C >= t); scale "log" tests P(ln C > t).
     None picks "linear" when the uniform theorems cover the law
     (bounds.uniform_covers), else "log".
-    t_grid may be None for expectation experiments.
+    t_grid may be None for expectation experiments.  samples and
+    workers are integers of at least 1 and seed an integer in
+    [0, 2^64); an integral float such as 3.0 passes, while NaN, inf
+    and a fraction raise ValueError, never a truncation.
     """
     problem: ConicProblem
     law: AdversarialLaw
@@ -138,15 +141,9 @@ class ExperimentConfig:
             raise ValueError("problem dimension %d does not match law "
                              "dimension %d" % (self.problem.n,
                                                self.law.cap.n))
-        if int(self.samples) != self.samples or self.samples < 1:
-            raise ValueError("samples must be a positive integer")
-        self.samples = int(self.samples)
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        self.seed = int(self.seed)
-        if int(self.workers) != self.workers or self.workers < 1:
-            raise ValueError("workers must be a positive integer")
-        self.workers = int(self.workers)
+        self.samples = integer(self.samples, "samples")
+        self.seed = integer(self.seed, "seed", least=0, below=2 ** 64)
+        self.workers = integer(self.workers, "workers")
         if self.scale is None:
             self.scale = ("linear" if bounds.uniform_covers(
                 self.law.beta, self.law.H) else "log")
@@ -529,11 +526,10 @@ def ks_radial_test(law, n_samples, seed, reference=None):
     different law gives a negative control.  Returns
     CheckRow(statistic, threshold, statistic <= threshold), the
     threshold 1.63 / sqrt(N) being the asymptotic 1% critical value.
+    n_samples is an integer of at least 1000, where that value holds;
+    a fraction raises ValueError rather than being truncated.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for the asymptotic "
-                         "critical value")
+    n_samples = integer(n_samples, "n_samples", least=1000)
     ref = law if reference is None else reference
     center = law.cap.center
 

@@ -30,6 +30,8 @@ import math
 
 import numpy as np
 
+from ._args import integer
+
 __all__ = [
     "sphere_volume",
     "cap_integral",
@@ -481,9 +483,7 @@ def cap_integral_series(m, sigma):
     sigma = float(sigma)
     _check_m_sigma(m, sigma)
     if sigma == 1.0:
-        if int(m) != m:
-            raise ValueError("the sigma = 1 ladder needs integer m")
-        k = int(m)
+        k = integer(m, "m (the sigma = 1 ladder)")
         val = 0.5 * math.pi if k % 2 == 1 else 1.0
         for j in range(3 if k % 2 == 1 else 4, k + 1, 2):
             val *= (j - 2.0) / (j - 1.0)
@@ -552,9 +552,7 @@ def sphere_volume(n):
     O_n = 2 pi^((n+1)/2) / Gamma((n+1)/2).  Satisfies
     O_{n-1} I_n(1) = O_n / 2 (half-sphere as a cap of full radius).
     """
-    if int(n) != n or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    n = int(n)
+    n = integer(n, "n", least=0)
     half = 0.5 * (n + 1)
     return math.exp(math.log(2.0) + half * math.log(math.pi)
                     - math.lgamma(half))
@@ -562,7 +560,6 @@ def sphere_volume(n):
 
 def cap_measure(n, sigma):
     """Volume of a cap of projective radius sigma in S^n: O_{n-1} I_n(sigma)."""
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
-    return sphere_volume(int(n) - 1) * cap_integral(n, sigma)
+    n = integer(n, "n")
+    return sphere_volume(n - 1) * cap_integral(n, sigma)
 

@@ -100,6 +100,22 @@ class TestSample:
         assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "300", "--sigma", "0.05", "--samples", "3"),
+    ("tail", "--problem", "hyperplane", "--n", "300", "--sigma", "0.05"),
+    ("expect", "--problem", "hyperplane", "--n", "300", "--sigma", "0.05",
+     "--samples", "10")], ids=["sample", "tail", "expect"])
+def test_unsampleable_law_exits_2(capsys, argv):
+    # I_300(0.05) ~ 1e-393 is no double, so no radius can be inverted:
+    # an error line and exit 2, not a traceback and the exit code of a
+    # violated bound
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the radial mass I_300(0.05)")
+    assert "double range" in err and err.count("\n") == 1
+
+
 class TestTailAndExpect:
     def test_tail_healthy(self, capsys):
         code, out, _ = run(capsys, "tail", "--problem", "hyperplane",

@@ -415,6 +415,50 @@ class TestRadialCdf:
         assert round(val, 2) == -153.25
         assert abs(val - ref) <= 8.0 * np.finfo(float).eps * abs(ref)
 
+    def test_subnormal_mass_refused_like_zero(self):
+        # I_128(0.0031623) = 7.8e-323 is a double, but a subnormal one:
+        # dividing by it overflowed the bucket scale, and p * total kept
+        # so few bits that 10,000 draws took 17 distinct radii.  The law
+        # now builds without a warning (the module runs with warnings as
+        # errors), refuses the CDF, inversion and sampling as an
+        # underflowed law does, and its log CDF still serves it
+        sigma = 0.0031623
+        law = uniform_law(Cap(e0(128), sigma))
+        assert law._cdf_total < np.finfo(float).tiny
+        for call in (lambda: law.radial_cdf(0.5 * sigma),
+                     lambda: law.inverse_radial_cdf(0.5),
+                     lambda: law.sample(rng(), size=10)):
+            with pytest.raises(ArithmeticError, match="double range"):
+                call()
+        with mpmath.workdps(50):
+            ref = float(mpmath.log(
+                mpmath.betainc(64, 0.5, 0, mpmath.mpf(0.5 * sigma) ** 2)
+                / mpmath.betainc(64, 0.5, 0, mpmath.mpf(sigma) ** 2)))
+        val = law.log_radial_cdf(0.5 * sigma)
+        assert abs(val - ref) <= 8.0 * np.finfo(float).eps * abs(ref)
+        # normalizing to that mass read H = 1.0, not 1.985, and its
+        # law's sampler died with an IndexError
+        with pytest.raises(ArithmeticError, match="double range"):
+            normalize_profile(lambda r: 2.0 - r / sigma, 128, 0.0, sigma,
+                              grid_points=5)
+
+    def test_tiny_normal_mass_samples(self):
+        # I_128(0.0042) = 2.4e-307 is normal, but count / total of its
+        # 1024 segments is not a double: the bucket scale overflowed to
+        # inf and inversion died with an IndexError.  The scale is held
+        # below 2^1022, and each target finds the segment a search finds
+        sigma = 0.0042
+        law = _tabulated_law(lambda r: 2.0 - r / sigma, 128, 0.0, sigma)
+        assert law._cdf_total < 1024 * np.finfo(float).tiny
+        p = rng(3).random(20000)
+        target = p * law._cdf_total
+        want = np.clip(np.searchsorted(law._cdf_nodes, target) - 1, 0,
+                       len(law._cdf_nodes) - 2)
+        np.testing.assert_array_equal(law._segment_of(target), want)
+        r = law.inverse_radial_cdf(p)
+        assert np.all((r > 0.0) & (r <= sigma))
+        assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
+
     def test_log_route_monotone_across_first_node(self):
         law = _tabulated_law(lambda r: 2.0 - r / 0.5, 210, 10.0, 0.5)
         r1 = law.profile.r_grid[1]
