@@ -23,6 +23,7 @@ import operator
 import numpy as np
 
 from . import bounds, condnum, montecarlo, volumes
+from ._args import integer
 from .bounds import CheckRow
 from .distributions import AdversarialLaw, Cap, uniform_law
 from .geometry import normalize
@@ -83,8 +84,10 @@ def smoothness_rows(points, rho, tol):
 
 
 def small_calc_grid(n_max, points):
-    """Distinct integers of a points-long log grid on [1, n_max]."""
-    return sorted({int(v) for v in np.geomspace(1, n_max, points)})
+    """Distinct integers of a points-long log grid on [1, n_max]; both
+    are integers of at least 1."""
+    return sorted({int(v) for v in np.geomspace(
+        1, integer(n_max, "n_max"), integer(points, "points"))})
 
 
 def _failures(rows):
@@ -141,11 +144,11 @@ def _cap_integral_sandwich(quick, seed, workers):
 
 
 def _cap_integral_monotone_m(quick, seed, workers):
-    # I_{m+1}(sigma) <= I_m(sigma), within 1e-12 relative
+    # I_{m+1}(sigma) <= I_m(sigma), within SLACK relative
     vals = [[volumes.cap_integral(m, s) for m in range(1, 51)]
             for s in _SIG_GRID]
     yield ("cap_integral_monotone_m", "m=1..50", _failures(
-        CheckRow(b, a * (1 + 1e-12), b <= a * (1 + 1e-12))
+        CheckRow(b, a * (1 + bounds.SLACK), b <= a * (1 + bounds.SLACK))
         for row in vals for a, b in zip(row, row[1:])))
 
 
@@ -202,7 +205,7 @@ def _stated_minus_proof_chain(quick, seed, workers):
                     n, 1, sigma, beta, H)
                 for n, beta, sigma, H in _eps_free_points())
     yield ("stated_minus_proof_chain", "grid, min gap",
-           CheckRow(worst, 0.0, worst >= -1e-12))
+           CheckRow(worst, 0.0, worst >= -bounds.SLACK))
 
 
 def _expectation_bound_gap(quick, seed, workers):

@@ -20,25 +20,30 @@ the constant one is the single segment h = 1 on [0, sigma].  That table
 is the only source of a law's radial mass: the radial CDF is a
 closed-form sum of cap-integral increments over it, so no quadrature
 enters, and its log carries the first segment in log space, so deep
-tails do not underflow.  Sampling is by inverse transform on the radial
-coordinate combined with a uniform tangent direction.  The inverse runs
-through a piecewise-Chebyshev inverse of the regularized incomplete
-beta function, fitted to the inverse volumes._betaincinv_half and
-certified on the first inversion of any law with its m = n - beta and
-its mass betainc(m/2, 1/2, sigma^2), then shared by all of them: its
-start radius is the answer on segments where h is constant.  Each fit
-keeps the lowest degree whose coefficient table still passes its
-certificate (2 to 4 for the kernels at sigma <= 1/2), so a point
-costs only the Clenshaw steps the certificate needs.  Where h is not, a
-per-segment Chebyshev fit in the start radius gives the answer; it is
-built on the first inversion too, from a safeguarded Newton iteration on
-the segment mass that serves as its oracle and certificate.  Every fit
-is made once: a kernel branch or a segment whose fit misses its bound
-is inverted by the oracle it was certified against, and so is every
-point of a law with n - beta above 2 _FIT_MAX_A, where no kernel is
-fitted.
+tails do not underflow.  Sampling draws the radius, then a uniform
+tangent direction.  Radii come from one kernel per law: a
+piecewise-Chebyshev inverse of the regularized incomplete beta
+function, fitted to the inverse volumes._betaincinv_half and certified
+on the first use of any law with its m = n - beta and its mass
+betainc(m/2, 1/2, sigma^2), then shared by all of them.  Each fit keeps
+the lowest degree whose coefficient table still passes its certificate
+(2 to 4 for the kernels at sigma <= 1/2), so a point costs only the
+Clenshaw steps the certificate needs; a branch whose fit misses, and
+every point of a law with n - beta above 2 _FIT_MAX_A, where no kernel
+is fitted, is inverted by the oracle it was certified against.
+
+Where h is constant on a segment, the segment's mass is a cap-integral
+increment, which the kernel inverts directly: a law of constant profile
+is sampled by inverse transform.  Where h is not, the law on the segment
+is the kernel's law r^(m-1) (1 - r^2)^(-1/2) reweighted by a linear h,
+so the sampler draws a radius from the kernel on the segment and keeps
+it with probability h(r) / max h over the segment (von Neumann's
+rejection method), which samples the law exactly.  The inverse of the
+radial CDF refines the kernel's radius there by a safeguarded Newton
+iteration on the segment mass.
 """
 
+import functools
 import math
 import threading
 
@@ -70,10 +75,11 @@ _CHEB_PIECES = 32
 _CHEB_TOL = 64 * _EPS
 # a kernel's table keeps the shortest prefix whose relative error in x
 # stays within both _CHEB_TOL and _PREFIX_BUDGET / a (see
-# _certified_fit).  F magnifies that error by about a / sqrt(1 - r^2),
-# so the budget holds the radial residual below 1e-12 to sigma = 0.99
-# at every a that gets a fit; _CHEB_TOL alone would let m >= 500 pass
-# 1e-12 once the full degree's spare accuracy is cut
+# _BetaincInverse._branch).  F magnifies that error by about
+# a / sqrt(1 - r^2), so the budget holds the radial residual below
+# 1e-12 to sigma = 0.99 at every a that gets a fit; _CHEB_TOL alone
+# would let m >= 500 pass 1e-12 once the full degree's spare accuracy
+# is cut
 _PREFIX_BUDGET = 1e-13
 # the largest a = m/2 that gets a kernel fit.  F magnifies the fit's
 # error by about m/2 near the top of the law, so the radial residual
@@ -85,38 +91,25 @@ _FIT_MAX_A = 320.0
 
 
 class _ChebyshevPieces:
-    """Piecewise Chebyshev interpolant on one or more intervals, of
-    degree _CHEB_DEGREE through the Chebyshev points of the first kind
-    on every piece.  Interval g starts at lo[g] and is cut into `pieces`
-    pieces of width 1 / scale[g], which occupy coefficient columns
-    first[g] on; coef[j] holds the degree-j coefficient of every piece.
-    The coefficients come from the discrete cosine sum of the values at
-    the nodes; the table may keep only a prefix of them (a lower
-    degree, see _certified_fit)."""
+    """Piecewise Chebyshev interpolant on [lo, hi], cut into `pieces`
+    equal pieces, of degree _CHEB_DEGREE through the Chebyshev points of
+    the first kind on every piece; coef[j] holds the degree-j
+    coefficient of every piece.  The coefficients come from the discrete
+    cosine sum of the values at the nodes; the table may keep only a
+    prefix of them (a lower degree, see _BetaincInverse._branch)."""
 
-    def __init__(self, lo, scale, first, pieces, coef=None):
+    def __init__(self, lo, hi, pieces):
         self.lo = lo
-        self.scale = scale
-        self.first = first
-        # a one-interval table starts at column 0 and needs no offset
-        self._offset = bool(np.any(first))
+        self.scale = pieces / (hi - lo)
         self.pieces = pieces
-        self.coef = coef
-
-    @classmethod
-    def equal(cls, lo, hi, pieces):
-        """Intervals [lo[g], hi[g]], each cut into `pieces` equal pieces;
-        no coefficients yet."""
-        return cls(lo, pieces / (hi - lo), pieces * np.arange(len(lo)),
-                   pieces)
+        self.coef = None
 
     def points(self, theta):
         """The points at angles theta on every piece, (len(theta),
-        columns)."""
+        pieces)."""
         offset = (np.arange(self.pieces)
                   + 0.5 * (1.0 + np.cos(theta))[:, None])
-        return (self.lo[:, None] + offset[:, None, :] / self.scale[:, None]
-                ).reshape(len(theta), -1)
+        return self.lo + offset / self.scale
 
     def interpolate(self, values):
         n = _CHEB_DEGREE + 1
@@ -124,19 +117,16 @@ class _ChebyshevPieces:
         self.coef = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ values
         self.coef[0] *= 0.5
 
-    def __call__(self, v, interval=0):
-        """Clenshaw's recurrence, one gathered coefficient per step; v
-        lies in the given interval (an index, or one per point).  The
+    def __call__(self, v):
+        """Clenshaw's recurrence, one gathered coefficient per step.  The
         table may have any number of rows, one included."""
-        t = v - self.lo[interval]
-        t *= self.scale[interval]
+        t = v - self.lo
+        t *= self.scale
         k = np.clip(t.astype(np.intp), 0, self.pieces - 1)
         # t = 2 (u - k) - 1 on the piece, in place
         t -= k
         t *= 2.0
         t -= 1.0
-        if self._offset:
-            k += self.first[interval]
         coef = self.coef
         b1 = coef[-1].take(k)
         if len(coef) == 1:
@@ -159,50 +149,6 @@ class _ChebyshevPieces:
             b1 *= t
         b1 += coef[0].take(k)
         return b1
-
-
-def _certified_fit(solve, lo, hi, pieces, tol=_CHEB_TOL, prefix_tol=None):
-    """Fit each interval [lo[g], hi[g]], cut into `pieces` pieces, and
-    certify it at the points midway (in angle) between the nodes and at
-    the ends of the pieces.  solve(nodes, between) gives, from one call,
-    the values at the nodes and a function that maps the fit to its
-    relative error at the points between; both point arrays have one
-    column per piece.  Returns the fit and which of its intervals it
-    certifies: those whose error is at most tol.
-
-    The fit keeps the shortest prefix of its coefficient table, the
-    lowest degree, that passes the same certificate at the same points
-    on every interval the full table passes, there with an error of at
-    most the larger of prefix_tol (tol by default) and the full table's
-    own; so each evaluation runs only as many Clenshaw steps as the
-    certificate needs, and no node is solved again.  The coefficients
-    of a smooth inverse fall off geometrically, so the kernels of the
-    incomplete beta keep degree 2 to 4 at sigma <= 1/2; the degree
-    rises as sigma nears 1 and with m, to the full _CHEB_DEGREE at
-    sigma = 0.99 from m = 64 on."""
-    n = _CHEB_DEGREE + 1
-    theta = np.pi * (np.arange(n) + 0.5) / n
-    between = np.pi * np.arange(n) / n
-    fit = _ChebyshevPieces.equal(lo, hi, pieces)
-    values, error = solve(fit.points(theta), fit.points(between))
-    fit.interpolate(values)
-
-    def errors():
-        return error(fit).reshape(n, len(lo), pieces).max(axis=(0, 2))
-
-    err = errors()
-    # nan (an underflowed node) misses too
-    ok = err <= tol
-    if ok.any():
-        keep = np.maximum(err[ok], tol if prefix_tol is None else prefix_tol)
-        full = fit.coef
-        for size in range(1, n):
-            fit.coef = full[:size]
-            if np.all(errors()[ok] <= keep):
-                break
-        else:
-            fit.coef = full
-    return fit, ok
 
 
 class _BetaincInverse:
@@ -296,11 +242,42 @@ class _BetaincInverse:
                                        (1.0 - self.split) ** 2)
 
     def _branch(self, solve, lo, hi):
-        """The branch's fit on [lo, hi], or None if it misses."""
-        fit, ok = _certified_fit(solve, np.array([lo]), np.array([hi]),
-                                 _CHEB_PIECES, _CHEB_TOL,
-                                 min(_CHEB_TOL, _PREFIX_BUDGET / self._a))
-        return fit if ok[0] else None
+        """The branch's fit on [lo, hi], cut into _CHEB_PIECES pieces, or
+        None if it misses its certificate: a relative error in x above
+        _CHEB_TOL at the points midway (in angle) between the nodes and
+        at the ends of the pieces.  solve(nodes, between) gives, from
+        one call, the values at the nodes and a function that maps the
+        fit to its relative error at the points between; both point
+        arrays have one column per piece.
+
+        The fit keeps the shortest prefix of its coefficient table, the
+        lowest degree, that passes the same certificate at the same
+        points with an error of at most the larger of _PREFIX_BUDGET / a
+        (capped at _CHEB_TOL) and the full table's own; so each
+        evaluation runs only as many Clenshaw steps as the certificate
+        needs, and no node is solved again.  The coefficients of a
+        smooth inverse fall off geometrically, so the kernels keep
+        degree 2 to 4 at sigma <= 1/2; the degree rises as sigma nears 1
+        and with m, to the full _CHEB_DEGREE at sigma = 0.99 from m = 64
+        on."""
+        n = _CHEB_DEGREE + 1
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        between = np.pi * np.arange(n) / n
+        fit = _ChebyshevPieces(lo, hi, _CHEB_PIECES)
+        values, error = solve(fit.points(theta), fit.points(between))
+        fit.interpolate(values)
+        err = error(fit).max()
+        # nan (an underflowed node) misses too
+        if not err <= _CHEB_TOL:
+            return None
+        keep = max(err, min(_CHEB_TOL, _PREFIX_BUDGET / self._a))
+        full = fit.coef
+        for size in range(1, n):
+            fit.coef = full[:size]
+            if error(fit).max() <= keep:
+                return fit
+        fit.coef = full
+        return fit
 
     def _lower_q(self, y):
         q = y ** self._root
@@ -554,15 +531,18 @@ class AdversarialLaw:
         self._check_weight_monotone()
         self._check_mass()
         self._sloped = bool(np.any(self._gamma != 0.0))
-        # built on the first inversion by _build; the lock keeps threads
-        # sampling one law from building them twice
-        self._inverse = None
-        self._fits = None
-        self._build_lock = threading.Lock()
 
     @property
     def H(self):
         return self.profile.H
+
+    @functools.cached_property
+    def _inverse(self):
+        """The inverse of betainc(m/2, 1/2, .) on the law's mass, built
+        on first use and shared, through _kernel, with every law of the
+        same m and mass."""
+        a = 0.5 * self._m
+        return _kernel(a, _betainc_half(a, self.cap.sigma ** 2))
 
     def _check_weight_monotone(self):
         """Exact for piecewise-linear h = alpha_i + gamma_i r: the
@@ -694,18 +674,15 @@ class AdversarialLaw:
         the segment mass a cap-integral increment, which the law's
         Chebyshev inverse of betainc(m/2, 1/2, .) inverts directly (see
         _BetaincInverse; the first call builds it).  That start radius
-        r0 is the answer when h is constant on the segment.  Otherwise
-        the answer is r0 g(r0), with g the segment's Chebyshev fit (see
-        _fit_segments; the first call builds the fits of every segment
-        where h is not constant).  Each fit is made once, and certified
-        when it is built against _solve, a safeguarded Newton iteration
-        on the segment mass from r0 that falls back to bisection of its
-        bracket whenever a step leaves it or lands on one of its ends.
-        On a segment whose fit misses its bound that iteration is the
-        inverse, as volumes._betaincinv_half is on a kernel branch that
-        misses its own.  Every point is solved on its own, so results do
-        not depend on the batch.  Endpoints are exact: p = 0 gives 0, and
-        p = 1 gives the end of the support (sigma unless h falls to 0).
+        is the answer when h is constant on the segment.  Otherwise
+        _solve refines it by a safeguarded Newton iteration on the
+        segment mass, which falls back to bisection of its bracket
+        whenever a step leaves it or lands on one of its ends.  Every
+        point is solved on its own, so results do not depend on the
+        batch.  Endpoints are exact: p = 0 gives 0, and p = 1 gives the
+        end of the support (sigma unless h falls to 0).  The sampler
+        calls this method only for laws of constant profile; see
+        sample.
 
         Deep tails keep their accuracy.  The inverse works in x = r^2,
         so radii below about 1.5e-154 underflow; a uniform p from
@@ -737,17 +714,16 @@ class AdversarialLaw:
         target = p_arr * self._cdf_total
         idx = self._segment_of(target)
         rem = target - self._cdf_nodes[idx]
-        self._build()
-        r0 = self._start(idx, rem)
         if not self._sloped:
-            out = np.clip(r0, r_nodes[idx], r_nodes[idx + 1])
+            out = np.clip(self._start(idx, rem), r_nodes[idx],
+                          r_nodes[idx + 1])
         else:
-            # the Newton fallback updates its bracket point by point
+            # the endpoints are set below; p = 0 would cost Newton its
+            # every step at r = 0
             idx = np.broadcast_to(idx, rem.shape)
-            lo, hi = r_nodes[idx], r_nodes[idx + 1]
-            table, newton = self._fits
-            out = np.clip(r0 * table(r0, idx), lo, hi)
-            self._newton(idx, rem, out, lo, hi, np.flatnonzero(newton[idx]))
+            inner = np.flatnonzero((p_arr > 0.0) & (p_arr < 1.0))
+            out = np.empty_like(p_arr)
+            out[inner] = self._solve(idx[inner], rem[inner])
         if p_min == 0.0:
             out[p_arr == 0.0] = 0.0
         if p_max == 1.0:
@@ -779,19 +755,6 @@ class AdversarialLaw:
         idx[many] = np.searchsorted(inner, target[many], side="left")
         return idx
 
-    def _build(self):
-        """Build the law's inversion tables once: the inverse of
-        betainc(m/2, 1/2, .) (_BetaincInverse, shared with every law of
-        the same m and mass through _kernel), then, where h is not
-        constant, the segment fits, which are certified through it."""
-        with self._build_lock:
-            if self._inverse is None:
-                self._inverse = _kernel(
-                    0.5 * self._m,
-                    _betainc_half(0.5 * self._m, self.cap.sigma ** 2))
-            if self._sloped and self._fits is None:
-                self._fits = self._fit_segments()
-
     def _start_x(self, idx, rem):
         """betainc(m/2, 1/2, r0^2) for the start radius r0 of _start."""
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -802,13 +765,15 @@ class AdversarialLaw:
         """Radius at which segment idx holds mass rem when h keeps its
         value at the segment's left node; not clipped to the segment,
         but at most sigma."""
-        x = self._start_x(idx, rem)
+        return self._kernel_radius(self._start_x(idx, rem))
+
+    def _kernel_radius(self, x):
+        """r with betainc(m/2, 1/2, r^2) = x, by the law's kernel."""
         return np.sqrt(self._inverse(np.clip(x, 0.0, 1.0)))
 
     def _solve(self, idx, rem):
         """Radius at which segment idx holds mass rem, by safeguarded
-        Newton from the start radius wherever h is not constant: the
-        oracle of the segment fits, and their fallback."""
+        Newton from the start radius wherever h is not constant."""
         lo = self._r_nodes[idx]
         hi = self._r_nodes[idx + 1]
         out = np.clip(self._start(idx, rem), lo, hi)
@@ -846,89 +811,86 @@ class AdversarialLaw:
                 | (hi - lo <= 2.0 * _EPS * hi))
         return new, lo, hi, done
 
-    def _fit_segments(self):
-        """Inverse on the segments where h is not constant: r = r0 g(r0),
-        r0 the start radius, on r0 from the segment's left node to the
-        start at the segment's whole mass.  g is one Chebyshev piece per
-        segment; it is smooth where the profile is, the pole r^(m-1)
-        being divided out with r0.  Node values and the certificate,
-        relative error in r at most _CHEB_TOL / 2 (the kernel's bound in
-        r^2), come from one call of _solve, at radii fixed by the law
-        alone.  Returns the fits as one interpolant with an interval per
-        segment, and which segments keep the Newton iteration: those
-        whose fit misses, and those with no fit."""
+    def _radii(self, rng, count):
+        """count radii drawn from the law: the draws of sample before
+        the directions.
+
+        A law of constant profile inverts one uniform per point,
+        inverse_radial_cdf(rng.random(count)).  Otherwise a round draws
+        a uniform pair (p, v) per point, rng.random((2, count)).  p
+        picks the segment k as inverse_radial_cdf does, and its place u
+        in that segment's mass gives a radius r from the kernel's law
+        r^(m-1) (1 - r^2)^(-1/2) on the segment: I_m(r) = I_m(r_k) + u
+        (I_m(r_k+1) - I_m(r_k)), inverted by the kernel and clipped to
+        the segment.  r is kept when v max(h(r_k), h(r_k+1)) <= h(r);
+        the law on the segment is the kernel's reweighted by h, so that
+        is von Neumann's rejection method, exact whatever the slope.
+        Each rejected point keeps its segment and draws a fresh pair
+        (u, v) in the next round, rng.random((2, rejected)).  Rounds
+        repeat until every point is kept; on the benchmark's table, a
+        round keeps all but about one point in a thousand.
+        """
+        if not self._sloped:
+            return self.inverse_radial_cdf(rng.random(count))
+        _require_mass(self._cdf_total, self._m, self.cap.sigma,
+                      "no radius can be drawn")
+        x_lo, x_step, x_per_mass, keep_a, keep_g = self._rejection_tables
+        r_lo, r_hi = self._r_nodes[:-1], self._r_nodes[1:]
+
+        def draw(k, x, v):
+            # the kernel's radius at x on segment k, and which to redraw
+            rk = np.clip(self._kernel_radius(x), r_lo[k], r_hi[k])
+            return rk, np.flatnonzero(v > keep_a[k] + keep_g[k] * rk)
+
+        p, v = rng.random((2, count))
+        p *= self._cdf_total
+        seg = np.broadcast_to(self._segment_of(p), (count,))
+        p -= self._cdf_nodes[seg]
+        r, todo = draw(seg, x_lo[seg] + p * x_per_mass[seg], v)
+        while todo.size:
+            k = seg[todo]
+            u, v = rng.random((2, todo.size))
+            r[todo], miss = draw(k, x_lo[k] + u * x_step[k], v)
+            todo = todo[miss]
+        return r
+
+    @functools.cached_property
+    def _rejection_tables(self):
+        """The per-segment constants of _radii: x = betainc(m/2, 1/2,
+        r^2) at the left node, its step over the segment, that step per
+        unit of the segment's mass (0 on a segment of no mass), and the
+        acceptance h(r) / max h over the segment as a + g r."""
+        x = self._im_nodes / self._beta_const
+        step = np.diff(x)
         mass = np.diff(self._cdf_nodes)
-        sloped = np.flatnonzero((self._gamma != 0.0) & (mass > 0.0))
-        # a segment whose start passes sigma (h rising) before its mass
-        # is reached has no one-to-one start, and keeps Newton
-        ends = self._start(sloped, mass[sloped])
-        fittable = ((self._start_x(sloped, mass[sloped]) < self._inverse.top)
-                    & (ends > self._r_nodes[sloped]))
-        segs = sloped[fittable]
-        n = _CHEB_DEGREE + 1
-
-        def solve(nodes, between):
-            r0 = np.concatenate((nodes, between))
-            rem = self._h_nodes[segs] * (_vec_cap_integral(self._m, r0)
-                                         - self._im_nodes[segs])
-            # the far end of a segment's interval is the start at the
-            # segment's whole mass, whose radius is the right node
-            r = np.full_like(r0, np.nan)
-            r[n] = self._r_nodes[segs + 1]
-            rem[n] = mass[segs]
-            idx = np.broadcast_to(segs, r0.shape).ravel()
-            rem, r = rem.ravel(), r.ravel()
-            inner = np.flatnonzero(np.isnan(r))
-            r[inner] = self._solve(idx[inner], rem[inner])
-            cut = nodes.size
-            start = self._start(idx[cut:], rem[cut:])
-            want, at = r[cut:], np.tile(np.arange(segs.size), n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                values = r[:cut].reshape(nodes.shape) / nodes
-            return values, lambda fit: np.abs(start * fit(start, at)
-                                              - want) / want
-
-        # every segment without a certified fit reads column 0, g = 1
-        # exactly: the start itself, for constant h and as Newton's start
-        count = len(mass)
-        lo, scale = np.zeros(count), np.zeros(count)
-        first = np.zeros(count, dtype=np.intp)
-        newton = np.zeros(count, dtype=bool)
-        newton[sloped] = True
-        coef = np.ones((1, 1))
-        if segs.size:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fit, ok = _certified_fit(solve, self._r_nodes[segs],
-                                         ends[fittable], 1, _CHEB_TOL / 2)
-            done = segs[ok]
-            lo[done], scale[done] = fit.lo[ok], fit.scale[ok]
-            first[done] = fit.first[ok] + 1
-            newton[done] = False
-            # column 0 keeps g = 1 at the fits' degree: zeros past c_0
-            coef = np.zeros((len(fit.coef), 1))
-            coef[0] = 1.0
-            coef = np.concatenate((coef, fit.coef), axis=1)
-        return _ChebyshevPieces(lo, scale, first, 1, coef), newton
+        h = self._h_nodes
+        top = np.maximum(h[:-1], h[1:])
+        # a segment whose h is 0 at both ends has no mass, and is never
+        # drawn
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (x[:-1], step, np.where(mass > 0.0, step / mass, 0.0),
+                    self._alpha / top, self._gamma / top)
 
     def sample(self, rng, size=None):
         """Draw points from the law as unit vectors.
 
-        Inverse-transform radius first (one uniform per point), then an
-        independent uniform tangent direction; the point is
-        sqrt(1 - r^2) a + r u.  Returns (k,) for size=None, else
-        (size, k): an F-ordered view of the (k, size) array the
-        geometry builds coordinate-major.  Draw order is fixed: radius
-        uniforms before the direction's draws, which take each point's
-        draws together (see geometry.tangent_direction: k - 1 gaussians,
-        or at k = 4 uniform pairs until one lies in the unit disk).  A
-        law of one segment inverts every radius with scalar segment
-        constants.  The geometry is called through this module's names
-        tangent_direction and geodesic_point, so rebinding them wraps
-        every batch.
+        The radius first, from the draws _radii describes: one uniform
+        per point by inverse transform for a law of constant profile,
+        uniform pairs by rejection from the law's kernel where h has a
+        slope.  Then an independent uniform tangent direction; the
+        point is sqrt(1 - r^2) a + r u.  Returns (k,) for size=None,
+        else (size, k): an F-ordered view of the (k, size) array the
+        geometry builds coordinate-major.  Draw order is fixed: every
+        radius draw before the direction's draws, which take each
+        point's draws together (see geometry.tangent_direction: k - 1
+        gaussians, or at k = 4 uniform pairs until one lies in the unit
+        disk).  A law of one segment inverts every radius with scalar
+        segment constants.  The geometry is called through this
+        module's names tangent_direction and geodesic_point, so
+        rebinding them wraps every batch.
         """
         count = 1 if size is None else integer(size, "size")
-        p = rng.random(count)
-        r = self.inverse_radial_cdf(p)
+        r = self._radii(rng, count)
         u = tangent_direction(self.cap.center, rng, size=count)
         z = geodesic_point(self.cap.center, u, r)
         if size is None:

@@ -142,7 +142,7 @@ class ExperimentConfig:
                              "dimension %d" % (self.problem.n,
                                                self.law.cap.n))
         self.samples = integer(self.samples, "samples")
-        self.seed = integer(self.seed, "seed", least=0, below=2 ** 64)
+        self.seed = _check_seed(self.seed)
         self.workers = integer(self.workers, "workers")
         if self.scale is None:
             self.scale = ("linear" if bounds.uniform_covers(
@@ -180,13 +180,19 @@ class ExperimentConfig:
         }
 
 
+def _check_seed(seed):
+    """The one seed rule: seed as an int in [0, 2^64)."""
+    return integer(seed, "seed", least=0, below=2 ** 64)
+
+
 def stream_rng(seed, index):
     """Generator of stream `index` under a 64-bit seed: SFC64 seeded by
     SeedSequence(seed, spawn_key=(index,)), which hashes the seed and
     the index into the generator's state, so distinct indices give
     independent streams.  Batch i of an experiment draws from stream i.
-    SFC64 draws gaussians about a quarter faster than Philox."""
-    seq = np.random.SeedSequence(seed, spawn_key=(index,))
+    SFC64 draws gaussians about a quarter faster than Philox.  seed is
+    an integer in [0, 2^64); anything else raises ValueError."""
+    seq = np.random.SeedSequence(_check_seed(seed), spawn_key=(index,))
     return np.random.Generator(np.random.SFC64(seq))
 
 
@@ -385,8 +391,9 @@ def threshold_grid(config, steps, t_min=None, t_max=None):
     t_min + 8 on the log scale: geometrically spaced on the linear
     scale, evenly on the log scale.  Raises ValueError where no tail
     theorem covers the law, where an end is not finite or the ends are
-    out of order, and where every threshold lies below the theorem's
-    range, since no row would then be checked against a theorem.
+    out of order, where steps is not a positive integer, and where
+    every threshold lies below the theorem's range, since no row would
+    then be checked against a theorem.
     """
     law, prob = config.law, config.problem
     start, bound = bounds.tail_theorem(prob.n, prob.degree, law.cap.sigma,
@@ -407,7 +414,8 @@ def threshold_grid(config, steps, t_min=None, t_max=None):
         raise ValueError("need 0 < t-min < t-max")
     if not linear and not lo < hi:
         raise ValueError("need t-min < t-max")
-    if steps < 1:
+    steps = integer(steps, "steps", least=0)
+    if steps == 0:
         raise ValueError("t_grid must not be empty")
     grid = (np.geomspace if linear else np.linspace)(lo, hi, steps)
     if grid[-1] < start:

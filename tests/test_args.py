@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from capsmooth import bounds, condnum, montecarlo, volumes
+from capsmooth import bounds, checks, condnum, montecarlo, volumes
 from capsmooth._args import integer
 from capsmooth.distributions import (AdversarialLaw, Cap, normalize_profile,
                                      uniform_law)
@@ -44,6 +44,12 @@ def _config(**kwargs):
     args.update(kwargs)
     cfg = montecarlo.ExperimentConfig(**args)
     return cfg.echo(), cfg.workers
+
+
+def _grid(steps):
+    cfg = montecarlo.ExperimentConfig(condnum.hyperplane_problem(3),
+                                      uniform_law(Cap(E0, 0.5)), 10, 0)
+    return montecarlo.threshold_grid(cfg, steps).tolist()
 
 
 def _raw(r):
@@ -129,6 +135,16 @@ INTEGERS = [
     ("ExperimentConfig-seed", lambda v: _config(seed=v), "seed", 0, 3),
     ("ExperimentConfig-workers", lambda v: _config(workers=v), "workers",
      1, 3),
+    ("stream_rng-seed", lambda v: montecarlo.stream_rng(v, 0).random(),
+     "seed", 0, 3),
+    ("ks_radial_test-seed",
+     lambda v: montecarlo.ks_radial_test(uniform_law(Cap(E0, 0.5)), 1000, v),
+     "seed", 0, 3),
+    ("threshold_grid-steps", _grid, "steps", 0, 3),
+    ("small_calc_grid-n_max", lambda v: checks.small_calc_grid(v, 5),
+     "n_max", 1, 3),
+    ("small_calc_grid-points", lambda v: checks.small_calc_grid(100, v),
+     "points", 1, 3),
     ("ks_radial_test-n_samples",
      lambda v: montecarlo.ks_radial_test(uniform_law(Cap(E0, 0.5)), v, 0),
      "n_samples", 1000, 1000),
@@ -173,11 +189,23 @@ def test_integer_accepts(call, name, least, good):
 
 
 def test_seed_below_two_to_the_64():
+    # one rule for every seed: the config's, and the stream's that every
+    # draw passes through
     assert _config(seed=2 ** 64 - 1)[0]["seed"] == 2 ** 64 - 1
-    with pytest.raises(ValueError, match="^seed"):
-        _config(seed=2 ** 64)
-    with pytest.raises(ValueError, match="^seed"):
-        _config(seed=2.0 ** 64)
+    montecarlo.stream_rng(2 ** 64 - 1, 0)
+    law = uniform_law(Cap(E0, 0.5))
+    for call in (lambda seed: _config(seed=seed),
+                 lambda seed: montecarlo.stream_rng(seed, 0),
+                 lambda seed: montecarlo.ks_radial_test(law, 1000, seed)):
+        for seed in (2 ** 64, 2.0 ** 64):
+            with pytest.raises(ValueError, match="^seed"):
+                call(seed)
+
+
+def test_empty_threshold_grid():
+    # zero steps is a count, but no grid
+    with pytest.raises(ValueError, match="^t_grid must not be empty$"):
+        _grid(0)
 
 
 def test_successes_at_most_trials():

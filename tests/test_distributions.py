@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 import time
@@ -774,9 +775,8 @@ class TestInverseKernel:
         kernel = distributions._BetaincInverse(
             a, volumes._betainc_half(a, 0.25))
         deg = distributions._CHEB_DEGREE + 1
-        fit = distributions._ChebyshevPieces.equal(
-            np.array([0.0]), np.array([kernel.split ** kernel._root]),
-            distributions._CHEB_PIECES)
+        fit = distributions._ChebyshevPieces(
+            0.0, kernel.split ** kernel._root, distributions._CHEB_PIECES)
         q = fit.points(np.pi * (np.arange(deg) + 0.5) / deg).ravel()
         q = q[q ** a < np.finfo(float).tiny]
         assert q.size > 100
@@ -862,19 +862,34 @@ class TestCostGuard:
         lambda: uniform_law(Cap(normalize([1.0, -2.0, 0.5, 3.0, 1.0]), 1.0)),
     ], ids=["pole k=4", "tabulated k=9", "off-axis k=5"])
     def test_one_draw_of_each(self, make):
-        # the radius uniforms, then one gaussian block, or at k = 4 the
+        # the radius draws, then one gaussian block, or at k = 4 the
         # disk's uniform pairs: 4/pi = 1.27 pairs per point on average,
-        # from blocks of 1.3 pairs per point still wanted, plus two
+        # from blocks of 1.3 pairs per point still wanted, plus two.  A
+        # constant profile draws one uniform per radius; the sloped
+        # table a uniform pair (p, v) per point, then one pair per
+        # point it rejected, round by round, each round no larger than
+        # the last, and about one point in a thousand redrawn
         law = make()
         k = law.cap.center.shape[0]
         for size, count in ((None, 1), (1, 1), (BATCH_SIZE, BATCH_SIZE)):
             g = _Recording(stream_rng(1, 0))
             law.sample(g, size=size)
-            assert g.calls[0] == ("random", count)
+            calls = g.calls
+            if law._sloped:
+                rounds = []
+                while calls[0][0] == "random":
+                    shape = calls.pop(0)[1]
+                    assert len(shape) == 2 and shape[0] == 2
+                    rounds.append(shape[1])
+                assert rounds[0] == count
+                assert all(0 < b <= a for a, b in zip(rounds, rounds[1:]))
+                assert sum(rounds[1:]) <= 0.002 * count
+            else:
+                assert calls.pop(0) == ("random", count)
             if k != 4:
-                assert g.calls[1:] == [("standard_normal", (count, k - 1))]
+                assert calls == [("standard_normal", (count, k - 1))]
                 continue
-            kinds, shapes = zip(*g.calls[1:])
+            kinds, shapes = zip(*calls)
             assert set(kinds) == {"random"}
             assert all(len(s) == 2 and s[1] == 2 for s in shapes)
             assert 2 * sum(s[0] for s in shapes) <= 2.6 * count + 4
@@ -902,8 +917,8 @@ class TestCostGuard:
             assert _certificate_error(kernel, fit, upper) \
                 <= distributions._CHEB_TOL
             if len(fit.coef) > 1:
-                lower = distributions._ChebyshevPieces(
-                    fit.lo, fit.scale, fit.first, fit.pieces, fit.coef[:-1])
+                lower = copy.copy(fit)
+                lower.coef = fit.coef[:-1]
                 assert _certificate_error(kernel, lower, upper) > bound
 
 
@@ -956,47 +971,28 @@ class TestKernelCache:
 
 
 class TestSegmentFits:
-    """The per-segment inverse of laws whose h is not constant."""
-
-    def test_certificate_falls_back(self, monkeypatch):
-        # with the kernel built, a degree too low for the bound leaves
-        # (nearly) every segment on the Newton oracle, which still solves
-        law = RESIDUAL_LAWS["2 - r/sigma"]()
-        ref = law.inverse_radial_cdf(_residual_points())
-        law = RESIDUAL_LAWS["2 - r/sigma"]()
-        fit = law._fit_segments
-
-        def low_degree():
-            # the build makes the kernel first, at the full degree
-            monkeypatch.setattr(distributions, "_CHEB_DEGREE", 2)
-            return fit()
-
-        monkeypatch.setattr(law, "_fit_segments", low_degree)
-        p = _residual_points()
-        r = law.inverse_radial_cdf(p)
-        _, newton = law._fits
-        assert np.count_nonzero(newton) > 0.9 * newton.size
-        assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
-        assert np.max(np.abs(r - ref) / np.maximum(ref, 1e-300)) \
-            <= distributions._CHEB_TOL
+    """The inverse on segments where h is not constant: the kernel's
+    start radius, refined by safeguarded Newton on the segment mass."""
 
     def test_missed_kernel_branch_falls_back(self, monkeypatch):
-        # the kernel and the segment fits all miss at degree 2: the
-        # Halley inverse gives the starts, and Newton the radii
+        # the kernel misses at degree 2: the Halley inverse gives the
+        # starts, and Newton the radii
         monkeypatch.setattr(distributions, "_CHEB_DEGREE", 2)
         law = RESIDUAL_LAWS["2 - r/sigma"]()
         p = _residual_points()
         r = law.inverse_radial_cdf(p)
         assert law._inverse._lower is None
-        assert np.all(law._fits[1][law._gamma != 0.0])
         assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
         assert np.array_equal(law.inverse_radial_cdf(p[::7]), r[::7])
 
     @pytest.mark.parametrize("name", ["2 - r/sigma", "zero tail",
                                       "rising 1 + r"])
     def test_against_oracle(self, name):
-        # the fitted radius agrees with the Newton oracle to the bound
-        # the fit was certified to, between its certificate points too
+        # Newton's radius agrees with a bisection of the closed-form
+        # segment mass, run until its bracket stops shrinking, to a few
+        # ulps times H / h(r): the slope of the mass is h(r) r^(m-1) /
+        # sqrt(1 - r^2), so where h nears 0 ("zero tail" at r = 1/4) the
+        # rounding of the mass moves its root further
         law = RESIDUAL_LAWS[name]()
         p = np.concatenate((_residual_points()[2:],
                             np.geomspace(2.0 ** -53, 1e-3, 200)))
@@ -1004,58 +1000,26 @@ class TestSegmentFits:
         target = p * law._cdf_total
         idx = np.clip(np.searchsorted(law._cdf_nodes, target, side="left")
                       - 1, 0, len(law._r_nodes) - 2)
-        want = law._solve(idx, target - law._cdf_nodes[idx])
-        assert np.max(np.abs(r - want) / want) \
-            <= 0.5 * distributions._CHEB_TOL
-
-    @pytest.mark.parametrize("name,uncertified", [
-        ("2 - r/sigma", [1]), ("zero tail", [1, 2, 28, 29, 30, 31]),
-        ("rising 1 + r", [1, 1023])])
-    def test_newton_only_off_the_fits(self, monkeypatch, name, uncertified):
-        # after the build, Newton runs only on points of segments whose
-        # one-piece fit missed: segments next to r = 0 (1, and 2 in "zero
-        # tail"), those where h falls to 0 (28-31), and the last segment,
-        # where the start passes sigma while h rises
-        law = RESIDUAL_LAWS[name]()
-        law.inverse_radial_cdf(0.5)
-        _, newton = law._fits
-        assert list(np.flatnonzero(newton)) == uncertified
-        step = law._newton_step
-        seen = []
-
-        def counted(idx, *args):
-            seen.extend(idx)
-            return step(idx, *args)
-
-        monkeypatch.setattr(law, "_newton_step", counted)
-        # two points inside each uncertified segment, whatever the draw
-        inside = (law._cdf_nodes[uncertified][:, None] + [0.25, 0.75]
-                  * np.diff(law._cdf_nodes)[uncertified][:, None])
-        p = np.concatenate((_residual_points(),
-                            inside.ravel() / law._cdf_total))
-        law.inverse_radial_cdf(p)
-        assert set(seen) == set(uncertified)
+        rem = target - law._cdf_nodes[idx]
+        lo, hi = law._r_nodes[idx], law._r_nodes[idx + 1]
+        for _ in range(1100):
+            mid = 0.5 * (lo + hi)
+            below = law._segment_mass(idx, mid) < rem
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        want = 0.5 * (lo + hi)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(r - want) / want
+                      <= 4.0 * eps * law.H / law.profile(want))
 
     def test_no_fittable_segment(self):
-        # one segment whose h rises: its start passes sigma before the
-        # segment's mass is reached, so nothing is fitted and Newton solves
+        # one segment whose h rises: the start passes sigma before the
+        # segment's mass is reached, and Newton still solves
         n, beta, sigma = 3, 1.0, 0.5
         prof = normalize_profile(lambda r: 1.0 + r, n, beta, sigma, 2)
         law = AdversarialLaw(Cap(e0(n), sigma), beta, prof)
         p = _residual_points()
         r = law.inverse_radial_cdf(p)
-        assert list(law._fits[1]) == [True]
         assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
-
-    def test_build_independent_of_trigger(self):
-        first = RESIDUAL_LAWS["2 - r/sigma"]()
-        first.inverse_radial_cdf(0.3)
-        second = RESIDUAL_LAWS["2 - r/sigma"]()
-        second.inverse_radial_cdf(_residual_points()[::-1])
-        (a, newton_a), (b, newton_b) = first._fits, second._fits
-        for name in ("lo", "scale", "first", "pieces", "coef"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert np.array_equal(newton_a, newton_b)
 
     @staticmethod
     def radii_from_threads(law):
@@ -1073,24 +1037,9 @@ class TestSegmentFits:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(r, radii[0]) for r in radii)
 
-    def test_threads_build_once(self, monkeypatch):
-        # threads sampling one law share its lazy build: one build, and
-        # every thread gets the same radii
-        law = RESIDUAL_LAWS["2 - r/sigma"]()
-        build = law._fit_segments
-        calls = []
-
-        def counted():
-            calls.append(1)
-            return build()
-
-        monkeypatch.setattr(law, "_fit_segments", counted)
-        self.radii_from_threads(law)
-        assert calls == [1]
-
-    def test_threads_build_kernel_once(self, monkeypatch):
-        # the betainc kernel is built under the same lock as the fits;
-        # a slow build holds every other thread at that lock
+    @staticmethod
+    def slow_kernel_builds(monkeypatch):
+        """The kernel builds from here on, each held 50 ms."""
         kernel = distributions._BetaincInverse
         calls = []
 
@@ -1100,13 +1049,112 @@ class TestSegmentFits:
             return kernel(*args)
 
         monkeypatch.setattr(distributions, "_BetaincInverse", counted)
+        return calls
+
+    def test_threads_build_once(self, monkeypatch):
+        # threads inverting one sloped law build its kernel once, under
+        # the kernel cache's lock, and get the same radii
+        calls = self.slow_kernel_builds(monkeypatch)
+        self.radii_from_threads(RESIDUAL_LAWS["2 - r/sigma"]())
+        assert calls == [1]
+
+    def test_threads_build_kernel_once(self, monkeypatch):
+        # the same for a constant profile: a slow build holds every other
+        # thread at that lock
+        calls = self.slow_kernel_builds(monkeypatch)
         self.radii_from_threads(AdversarialLaw(Cap(e0(3), 0.5), 1.5))
         assert calls == [1]
 
-    def test_constant_profile_builds_nothing(self):
+    def test_constant_profile_builds_nothing(self, monkeypatch):
+        # a constant profile inverts and samples by its kernel alone: no
+        # Newton step, and no rejection tables
         law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
+
+        def no_step(*args):
+            raise AssertionError("Newton stepped on a constant profile")
+
+        monkeypatch.setattr(law, "_newton_step", no_step)
         law.inverse_radial_cdf(_residual_points())
-        assert law._fits is None
+        law.sample(rng(1), size=1000)
+        assert "_rejection_tables" not in vars(law)
+
+
+def _ks(u):
+    """sqrt(N) times the KS distance of the sample u from the uniform law
+    on [0, 1]."""
+    u = np.sort(u)
+    i = np.arange(1, u.size + 1) / u.size
+    return math.sqrt(u.size) * max(np.max(i - u),
+                                   np.max(u - (i - 1.0 / u.size)))
+
+
+class _NoAcceptance:
+    """Stands in for a Generator whose second row of every uniform pair,
+    the sampler's acceptance draw v, is 0: every proposal is kept."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, size):
+        out = self.rng.random(size)
+        out[1] = 0.0
+        return out
+
+
+class TestRejectionSampler:
+    """Radii of laws whose h has a slope, drawn by rejection from the
+    kernel's law on each segment.  10^6 radii per table and seed: the
+    KS statistic of F(r), and that of r's place in the mass of its
+    segment, which sees the law within segments, where the benchmark's
+    1024 of them leave F blind, both at most the 0.1% value 1.95."""
+
+    TABLES = {
+        **{name: RESIDUAL_LAWS[name] for name in (
+            "2 - r/sigma", "rising 1 + r", "zero tail", "m = 200")},
+        "3 nodes": lambda: _tabulated_law(lambda r: 2.0 - r / 0.5, 3, 1.0,
+                                          0.5, 3),
+        "sigma = 1": lambda: _tabulated_law(lambda r: 2.0 - r, 5, 1.0, 1.0,
+                                            33),
+    }
+    N = 10 ** 6
+    KS = 1.95
+
+    def statistics(self, law, rng):
+        """The two KS statistics of N radii from law._radii."""
+        r = law._radii(rng, self.N)
+        assert np.all((r >= 0.0) & (r <= law.cap.sigma))
+        f = law.radial_cdf(r)
+        nodes = law._cdf_nodes / law._cdf_total
+        # a radius on a node belongs to the segment that ends there, so
+        # none lies in a segment of no mass
+        k = np.clip(np.searchsorted(law._r_nodes, r, side="left") - 1, 0,
+                    len(nodes) - 2)
+        return _ks(f), _ks((f - nodes[k]) / (nodes[k + 1] - nodes[k]))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_ks(self, name, seed):
+        law = self.TABLES[name]()
+        assert law._sloped
+        stat_f, stat_within = self.statistics(law, stream_rng(seed, 0))
+        assert stat_f <= self.KS and stat_within <= self.KS
+
+    @pytest.mark.parametrize("name", ["3 nodes", "zero tail", "sigma = 1"])
+    def test_control_no_acceptance(self, name):
+        # every kernel proposal kept: the right mass per segment, but
+        # the kernel's law within each, as if h were flat there; the
+        # within-segment statistic sees it where h varies enough
+        stat_f, stat_within = self.statistics(
+            self.TABLES[name](), _NoAcceptance(stream_rng(1, 0)))
+        assert max(stat_f, stat_within) > self.KS
+
+    def test_sample_draws_these_radii(self):
+        # sample's radii are _radii's, drawn before the directions
+        law = RESIDUAL_LAWS["zero tail"]()
+        z = law.sample(stream_rng(3, 0), size=BATCH_SIZE)
+        want = law._radii(stream_rng(3, 0), BATCH_SIZE)
+        np.testing.assert_allclose(proj_distance(z, law.cap.center), want,
+                                   rtol=1e-12, atol=1e-15)
 
 
 class TestSampling:

@@ -782,16 +782,16 @@ class TestReportDigests:
     """Reports whose bytes a speed-up that keeps the arithmetic must
     keep: sha256 of the CSVs of a tabulated k = 9 law and of a k = 5
     uniform law off the axes, which pass through the segment lookup,
-    the Clenshaw kernels, the gaussian directions, the geodesic map and
-    the threshold counts."""
+    the Clenshaw kernels, the sloped profile's rejection step, the
+    gaussian directions, the geodesic map and the threshold counts."""
 
     SAMPLES = 20000
 
     TABULATED = {
-        1: ("32dfee3e241d0ecf6773c44cdc7613c9a8d5a6a3db34dc0be78afb13e050fd93",
-            "391b5b367c0966ae8e4a9f9426555ca13bfff31dc3913b51535793e070153016"),
-        2: ("1d61be3006cb372733cbb9710653f638145149b0d61026f23c8939b0867f2f13",
-            "bb73706a47aa76947d628d9c74f945fe13172a1e8ff8a81021a7ccecf7e8f3b4"),
+        1: ("3f9f67aef1a7df12220f6052bf7790b0f3aaaca9006bd80356f20556d7ed2f9a",
+            "6e18e865ca0066dfa7587d5653170b24c7da5a83c37a7a0c9cddfacdef12bcd2"),
+        2: ("f99747d4d42f38ed33309b50ea94d8f23310502fb0086a0e82a238f519d112c3",
+            "12cf847f4aa727932c222599f12dfc7cd4095a3e790e4f042fa42a5bd3271b5e"),
     }
     UNIFORM_K5 = {
         1: "a15a2733669d00f60b0b5aaf94f0902bc87ca56ee6a149fd9123bb35b67ce2a5",
