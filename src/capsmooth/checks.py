@@ -60,10 +60,12 @@ def sandwich_rows(ms, sigmas):
 
 def boosting_rows(grid, n_rho):
     """(p, rho, CheckRow) of the boosting inequality for each p in grid,
-    at n_rho radii log-spaced from 1e-8 rho_eps up to rho_eps."""
+    at n_rho radii log-spaced from 1e-8 rho_eps up to rho_eps; one
+    radius is rho_eps itself, where the log margin is smallest."""
     for p in grid:
         rmax = p.rho()
-        for rho in np.geomspace(rmax * 1e-8, rmax, n_rho):
+        for rho in np.geomspace(rmax * 1e-8 if n_rho > 1 else rmax, rmax,
+                                n_rho):
             rho = float(rho)
             yield p, rho, bounds.boosting_check(p.n, p.beta, p.sigma, p.H,
                                                 p.eps, rho)

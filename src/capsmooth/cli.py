@@ -33,6 +33,7 @@ import sys
 import numpy as np
 
 from . import bounds, checks, condnum, montecarlo, volumes
+from ._args import integer
 from .distributions import AdversarialLaw, Cap, normalize_profile
 from .geometry import normalize, proj_distance
 
@@ -61,6 +62,15 @@ def _resolve_center(spec, n, seed, problem=None):
                      "coords:<c0,c1,...>, got %r" % (spec,))
 
 
+def _problem_size(spec, form):
+    """The integer k of --problem union:k, or m of matrix:m."""
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise ValueError("--problem must be %s with an integer %s, got %r"
+                         % (form, form[-1], spec)) from None
+
+
 def _parse_problem(spec, n):
     if spec is None:
         raise ValueError("tail and expect need --problem")
@@ -71,13 +81,13 @@ def _parse_problem(spec, n):
     if spec.startswith("union:"):
         if n is None:
             raise ValueError("--problem union:k needs --n")
-        k = int(spec.split(":", 1)[1])
+        k = _problem_size(spec, "union:k")
         if k < 1 or k > n + 1:
             raise ValueError("union:k needs 1 <= k <= n+1 "
                              "(standard-basis normals)")
         return condnum.union_hyperplanes_problem(np.eye(n + 1)[:k])
     if spec.startswith("matrix:"):
-        m = int(spec.split(":", 1)[1])
+        m = _problem_size(spec, "matrix:m")
         if n is not None and n != m * m - 1:
             raise ValueError("--n %d does not match matrix:%d, whose "
                              "dimension is m^2 - 1 = %d" % (n, m, m * m - 1))
@@ -115,7 +125,7 @@ def _report_text(report, fmt):
 def _cmd_volumes(args):
     if args.n is None:
         raise ValueError("volumes needs --n")
-    n = args.n
+    n = integer(args.n, "n")
     sigmas = [float(s) for s in args.sigma.split(",")]
     o_n = volumes.sphere_volume(n)
     half = 0.5 * o_n

@@ -32,15 +32,16 @@ Clenshaw steps the certificate needs; a branch whose fit misses, and
 every point of a law with n - beta above 2 _FIT_MAX_A, where no kernel
 is fitted, is inverted by the oracle it was certified against.
 
-Where h is constant on a segment, the segment's mass is a cap-integral
-increment, which the kernel inverts directly: a law of constant profile
-is sampled by inverse transform.  Where h is not, the law on the segment
-is the kernel's law r^(m-1) (1 - r^2)^(-1/2) reweighted by a linear h,
-so the sampler draws a radius from the kernel on the segment and keeps
-it with probability h(r) / max h over the segment (von Neumann's
-rejection method), which samples the law exactly.  The inverse of the
-radial CDF refines the kernel's radius there by a safeguarded Newton
-iteration on the segment mass.
+One map takes a mass to a radius on a segment: holding h at its mean
+over the segment makes the segment's mass a cap-integral increment,
+which the kernel inverts, and the radius is clipped to the segment.
+Where h is flat that is the exact inverse, so a law of constant profile
+is sampled by inverse transform.  Where h slopes, the same map spreads
+the kernel's law r^(m-1) (1 - r^2)^(-1/2) over the segment, so the
+sampler draws a radius from it and keeps it with probability
+h(r) / max h over the segment (von Neumann's rejection method), which
+samples the law exactly; and the inverse of the radial CDF refines the
+map's radius by a safeguarded Newton iteration on the segment mass.
 """
 
 import functools
@@ -300,8 +301,8 @@ class _BetaincInverse:
         return 1.0 - w * fit(w)
 
     def __call__(self, y):
-        # a start above top (a tabulated segment's h held at its left
-        # node, or rounding at p = 1) is clipped to its segment anyway
+        # a y above top (rounding at the end of a segment) gives a
+        # radius that is clipped to its segment anyway
         y = np.minimum(y, self.top)
         if self.top <= self.split:
             return self._lower_x(self._lower, y)
@@ -414,23 +415,14 @@ def _require_mass(total, m, sigma, consequence):
 
 
 def _segment_coeffs(r_grid, h_grid):
-    """Per-segment alpha, gamma with h(r) = alpha_i + gamma_i r."""
+    """Per-segment alpha, gamma with h(r) = alpha_i + gamma_i r.  Segment
+    i then holds alpha_i dI_m + gamma_i dI_{m+1} of the integral of
+    h(r) r^(m-1) (1-r^2)^(-1/2), in increments of the cap integrals over
+    it: exact up to roundoff."""
     dr = np.diff(r_grid)
     gamma = np.diff(h_grid) / dr
     alpha = h_grid[:-1] - gamma * r_grid[:-1]
     return alpha, gamma
-
-
-def _piecewise_weighted_integrals(r_grid, h_grid, im, im1):
-    """Exact integrals of h(r) r^(m-1) (1-r^2)^(-1/2) over each segment,
-    given im = I_m and im1 = I_{m+1} at the nodes.
-
-    For piecewise-linear h = alpha + gamma r the segment integral is
-    alpha * dI_m + gamma * dI_{m+1} in terms of cap-integral increments,
-    so the result is exact up to roundoff.
-    """
-    alpha, gamma = _segment_coeffs(r_grid, h_grid)
-    return alpha * np.diff(im) + gamma * np.diff(im1)
 
 
 def normalize_profile(raw, n, beta, sigma, grid_points=1025):
@@ -467,10 +459,10 @@ def normalize_profile(raw, n, beta, sigma, grid_points=1025):
     m = n - beta
     target = float(_vec_cap_integral(m, sigma))
     _require_mass(target, m, sigma, "no profile can be normalized to it")
-    im = _vec_cap_integral(m, r_grid)
-    im1 = _vec_cap_integral(m + 1.0, r_grid)
-    total = float(np.sum(_piecewise_weighted_integrals(r_grid, h_raw, im,
-                                                       im1)))
+    alpha, gamma = _segment_coeffs(r_grid, h_raw)
+    total = float(np.sum(alpha * np.diff(_vec_cap_integral(m, r_grid))
+                         + gamma * np.diff(_vec_cap_integral(m + 1.0,
+                                                             r_grid))))
     if not (total > 0.0):
         raise ValueError("raw profile integrates to zero")
     scale = target / total
@@ -505,11 +497,16 @@ class AdversarialLaw:
 
         r_nodes, h_nodes = profile.r_grid, profile.h_grid
         self._r_nodes = r_nodes
-        self._h_nodes = h_nodes
         self._im_nodes = _vec_cap_integral(self._m, r_nodes)
         self._im1_nodes = _vec_cap_integral(self._m + 1.0, r_nodes)
-        seg = _piecewise_weighted_integrals(r_nodes, h_nodes, self._im_nodes,
-                                            self._im1_nodes)
+        self._alpha, self._gamma = _segment_coeffs(r_nodes, h_nodes)
+        d_im = np.diff(self._im_nodes)
+        seg = self._alpha * d_im + self._gamma * np.diff(self._im1_nodes)
+        # dI_m per unit of each segment's mass: 1/h where h is flat, and
+        # 0 on a segment of no mass, which is never drawn
+        self._im_per_mass = np.divide(d_im, seg, out=np.zeros_like(seg),
+                                      where=seg > 0.0)
+        self._mass = seg
         cum = np.concatenate(([0.0], np.cumsum(seg)))
         self._cdf_nodes = cum
         self._cdf_total = float(cum[-1])
@@ -525,7 +522,6 @@ class AdversarialLaw:
         bucket = np.minimum((cum[1:-1] * self._bucket_scale).astype(np.intp),
                             count - 1)
         self._below = np.searchsorted(bucket, np.arange(count + 1))
-        self._alpha, self._gamma = _segment_coeffs(r_nodes, h_nodes)
         # I_m(r) = _beta_const * betainc(m/2, 1/2, r^2)
         self._beta_const = float(_beta_half(0.5 * self._m) / 2)
         self._check_weight_monotone()
@@ -670,19 +666,17 @@ class AdversarialLaw:
         """Radius at which the radial CDF reaches p; scalar or array.
 
         The target mass p * total falls in one segment of the profile
-        table.  Holding h at its value at the segment's left node makes
-        the segment mass a cap-integral increment, which the law's
-        Chebyshev inverse of betainc(m/2, 1/2, .) inverts directly (see
-        _BetaincInverse; the first call builds it).  That start radius
-        is the answer when h is constant on the segment.  Otherwise
-        _solve refines it by a safeguarded Newton iteration on the
-        segment mass, which falls back to bisection of its bracket
-        whenever a step leaves it or lands on one of its ends.  Every
-        point is solved on its own, so results do not depend on the
-        batch.  Endpoints are exact: p = 0 gives 0, and p = 1 gives the
-        end of the support (sigma unless h falls to 0).  The sampler
-        calls this method only for laws of constant profile; see
-        sample.
+        table, and _radius maps its mass in that segment to a radius
+        through the law's Chebyshev inverse of betainc(m/2, 1/2, .) (see
+        _BetaincInverse; the first call builds it).  That radius is the
+        answer where h is flat.  Where h slopes, _newton refines it by a
+        safeguarded Newton iteration on the segment mass, which falls
+        back to bisection of its bracket whenever a step leaves it or
+        lands on one of its ends.  Every point is solved on its own, so
+        results do not depend on the batch.  Endpoints are exact: p = 0
+        gives 0, and p = 1 gives the end of the support (sigma unless h
+        falls to 0).  The sampler calls this method only for laws of
+        constant profile; see sample.
 
         Deep tails keep their accuracy.  The inverse works in x = r^2,
         so radii below about 1.5e-154 underflow; a uniform p from
@@ -710,25 +704,21 @@ class AdversarialLaw:
             raise ValueError("p must lie in [0, 1]")
         _require_mass(self._cdf_total, self._m, self.cap.sigma,
                       "no radius can be inverted")
-        r_nodes = self._r_nodes
         target = p_arr * self._cdf_total
         idx = self._segment_of(target)
         rem = target - self._cdf_nodes[idx]
-        if not self._sloped:
-            out = np.clip(self._start(idx, rem), r_nodes[idx],
-                          r_nodes[idx + 1])
-        else:
+        out = self._radius(idx, rem)
+        idx = np.broadcast_to(idx, rem.shape)
+        if self._sloped:
             # the endpoints are set below; p = 0 would cost Newton its
             # every step at r = 0
-            idx = np.broadcast_to(idx, rem.shape)
-            inner = np.flatnonzero((p_arr > 0.0) & (p_arr < 1.0))
-            out = np.empty_like(p_arr)
-            out[inner] = self._solve(idx[inner], rem[inner])
+            self._newton(idx, rem, out, np.flatnonzero(
+                (p_arr > 0.0) & (p_arr < 1.0) & (self._gamma[idx] != 0.0)))
         if p_min == 0.0:
             out[p_arr == 0.0] = 0.0
         if p_max == 1.0:
             top = p_arr == 1.0
-            out[top] = r_nodes[np.broadcast_to(idx, top.shape)[top] + 1]
+            out[top] = self._r_nodes[idx[top] + 1]
         if scalar:
             return float(out[0])
         return out
@@ -755,61 +745,42 @@ class AdversarialLaw:
         idx[many] = np.searchsorted(inner, target[many], side="left")
         return idx
 
-    def _start_x(self, idx, rem):
-        """betainc(m/2, 1/2, r0^2) for the start radius r0 of _start."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (self._im_nodes[idx] + rem / self._h_nodes[idx]) \
-                / self._beta_const
+    def _radius(self, idx, rem):
+        """The radius at which segment idx holds mass rem when h is held
+        at its mean over the segment, clipped to the segment: there
+        I_m(r) = I_m(r_k) + rem dI_m / mass, which the law's kernel
+        inverts.  Exact where h is flat; where h slopes, a draw of the
+        kernel's law on the segment when rem is uniform on its mass."""
+        x = (self._im_nodes[idx] + rem * self._im_per_mass[idx]) \
+            / self._beta_const
+        return np.clip(np.sqrt(self._inverse(x)), self._r_nodes[idx],
+                       self._r_nodes[idx + 1])
 
-    def _start(self, idx, rem):
-        """Radius at which segment idx holds mass rem when h keeps its
-        value at the segment's left node; not clipped to the segment,
-        but at most sigma."""
-        return self._kernel_radius(self._start_x(idx, rem))
-
-    def _kernel_radius(self, x):
-        """r with betainc(m/2, 1/2, r^2) = x, by the law's kernel."""
-        return np.sqrt(self._inverse(np.clip(x, 0.0, 1.0)))
-
-    def _solve(self, idx, rem):
-        """Radius at which segment idx holds mass rem, by safeguarded
-        Newton from the start radius wherever h is not constant."""
-        lo = self._r_nodes[idx]
-        hi = self._r_nodes[idx + 1]
-        out = np.clip(self._start(idx, rem), lo, hi)
-        self._newton(idx, rem, out, lo, hi,
-                     np.flatnonzero(self._gamma[idx] != 0.0))
-        return out
-
-    def _newton(self, idx, rem, r, lo, hi, active):
-        """Iterate _newton_step on the points `active` until each stops
-        moving, updating r and its bracket [lo, hi] in place."""
+    def _newton(self, idx, rem, out, todo):
+        """Safeguarded Newton on the segment residual mass(r) - rem, whose
+        derivative is h(r) r^(m-1) / sqrt(1 - r^2), in place on out[todo].
+        Each point keeps a bracket, its segment at first, and leaves once
+        it stops moving."""
+        lo, hi = self._r_nodes[idx[todo]], self._r_nodes[idx[todo] + 1]
         for _ in range(_NEWTON_ITERS):
-            if active.size == 0:
+            if todo.size == 0:
                 break
-            r[active], lo[active], hi[active], done = self._newton_step(
-                idx[active], rem[active], r[active], lo[active], hi[active])
-            active = active[~done]
-
-    def _newton_step(self, idx, rem, r, lo, hi):
-        """One safeguarded Newton step on the segment residual
-        mass(r) - rem, whose derivative is h(r) r^(m-1) / sqrt(1 - r^2).
-        Returns the new radius, the updated bracket, and which points
-        no longer move."""
-        f = self._segment_mass(idx, r) - rem
-        lo = np.where(f < 0.0, r, lo)
-        hi = np.where(f > 0.0, r, hi)
-        h = self._alpha[idx] + self._gamma[idx] * r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = r - f * np.sqrt(1.0 - r * r) / (h * r ** (self._m - 1.0))
-        # a step onto a bracket end bisects instead: in a bracket of a
-        # few ulps the step can hop between its two ends for ever.  At
-        # a root the step is r itself and stands, even on an end.
-        inside = ((lo < step) & (step < hi)) | (step == r)
-        new = np.where(inside, step, 0.5 * (lo + hi))
-        done = ((np.abs(new - r) <= 2.0 * _EPS * r)
-                | (hi - lo <= 2.0 * _EPS * hi))
-        return new, lo, hi, done
+            k, r = idx[todo], out[todo]
+            f = self._segment_mass(k, r) - rem[todo]
+            lo = np.where(f < 0.0, r, lo)
+            hi = np.where(f > 0.0, r, hi)
+            h = self._alpha[k] + self._gamma[k] * r
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = h * r ** (self._m - 1.0)
+                step = r - f * np.sqrt(1.0 - r * r) / slope
+            # a step onto a bracket end bisects instead: in a bracket of a
+            # few ulps the step can hop between its two ends for ever.  At
+            # a root the step is r itself and stands, even on an end.
+            inside = ((lo < step) & (step < hi)) | (step == r)
+            out[todo] = new = np.where(inside, step, 0.5 * (lo + hi))
+            done = ((np.abs(new - r) <= 2.0 * _EPS * r)
+                    | (hi - lo <= 2.0 * _EPS * hi))
+            todo, lo, hi = todo[~done], lo[~done], hi[~done]
 
     def _radii(self, rng, count):
         """count radii drawn from the law: the draws of sample before
@@ -818,58 +789,50 @@ class AdversarialLaw:
         A law of constant profile inverts one uniform per point,
         inverse_radial_cdf(rng.random(count)).  Otherwise a round draws
         a uniform pair (p, v) per point, rng.random((2, count)).  p
-        picks the segment k as inverse_radial_cdf does, and its place u
-        in that segment's mass gives a radius r from the kernel's law
-        r^(m-1) (1 - r^2)^(-1/2) on the segment: I_m(r) = I_m(r_k) + u
-        (I_m(r_k+1) - I_m(r_k)), inverted by the kernel and clipped to
-        the segment.  r is kept when v max(h(r_k), h(r_k+1)) <= h(r);
-        the law on the segment is the kernel's reweighted by h, so that
-        is von Neumann's rejection method, exact whatever the slope.
-        Each rejected point keeps its segment and draws a fresh pair
-        (u, v) in the next round, rng.random((2, rejected)).  Rounds
-        repeat until every point is kept; on the benchmark's table, a
-        round keeps all but about one point in a thousand.
+        picks the segment k as inverse_radial_cdf does, and _radius maps
+        its place in that segment's mass to a radius r from the kernel's
+        law r^(m-1) (1 - r^2)^(-1/2) on the segment.  r is kept when
+        v max(h(r_k), h(r_k+1)) <= h(r); the law on the segment is the
+        kernel's reweighted by h, so that is von Neumann's rejection
+        method, exact whatever the slope.  Each rejected point keeps its
+        segment and draws a fresh pair (u, v) in the next round,
+        rng.random((2, rejected)), whose u is its place in the mass.
+        Rounds repeat until every point is kept; on the benchmark's
+        table, a round keeps all but about one point in a thousand.
         """
         if not self._sloped:
             return self.inverse_radial_cdf(rng.random(count))
         _require_mass(self._cdf_total, self._m, self.cap.sigma,
                       "no radius can be drawn")
-        x_lo, x_step, x_per_mass, keep_a, keep_g = self._rejection_tables
-        r_lo, r_hi = self._r_nodes[:-1], self._r_nodes[1:]
+        keep_a, keep_g = self._acceptance
 
-        def draw(k, x, v):
-            # the kernel's radius at x on segment k, and which to redraw
-            rk = np.clip(self._kernel_radius(x), r_lo[k], r_hi[k])
+        def draw(k, rem, v):
+            # the map's radius for mass rem on segment k, and which to
+            # redraw
+            rk = self._radius(k, rem)
             return rk, np.flatnonzero(v > keep_a[k] + keep_g[k] * rk)
 
         p, v = rng.random((2, count))
         p *= self._cdf_total
         seg = np.broadcast_to(self._segment_of(p), (count,))
         p -= self._cdf_nodes[seg]
-        r, todo = draw(seg, x_lo[seg] + p * x_per_mass[seg], v)
+        r, todo = draw(seg, p, v)
         while todo.size:
             k = seg[todo]
             u, v = rng.random((2, todo.size))
-            r[todo], miss = draw(k, x_lo[k] + u * x_step[k], v)
+            r[todo], miss = draw(k, u * self._mass[k], v)
             todo = todo[miss]
         return r
 
     @functools.cached_property
-    def _rejection_tables(self):
-        """The per-segment constants of _radii: x = betainc(m/2, 1/2,
-        r^2) at the left node, its step over the segment, that step per
-        unit of the segment's mass (0 on a segment of no mass), and the
-        acceptance h(r) / max h over the segment as a + g r."""
-        x = self._im_nodes / self._beta_const
-        step = np.diff(x)
-        mass = np.diff(self._cdf_nodes)
-        h = self._h_nodes
+    def _acceptance(self):
+        """The acceptance h(r) / max h over each segment, as a + g r."""
+        h = self.profile.h_grid
         top = np.maximum(h[:-1], h[1:])
         # a segment whose h is 0 at both ends has no mass, and is never
         # drawn
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (x[:-1], step, np.where(mass > 0.0, step / mass, 0.0),
-                    self._alpha / top, self._gamma / top)
+            return self._alpha / top, self._gamma / top
 
     def sample(self, rng, size=None):
         """Draw points from the law as unit vectors.

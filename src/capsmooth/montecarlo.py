@@ -7,8 +7,7 @@ seed's sequence, and every random draw of capsmooth comes from such a
 stream.  Batches are reduced in index order with integer counts and
 exact float sums (_exact_sum within a batch, math.fsum across
 batches), so results are bit-identical for a given seed
-regardless of how many worker threads execute the batches.  Wall-clock
-time is kept on the report object but never serialized.
+regardless of how many worker threads execute the batches.
 
 Report bytes follow one rule as well: csv_text writes every CSV that
 capsmooth prints, with floats as %.17g (nan for NaN) and booleans as
@@ -47,7 +46,6 @@ violation is statistically meaningful rather than sampling noise.
 import ctypes
 import math
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Optional, Sequence
@@ -321,7 +319,6 @@ class TailReport:
     # them, but not the CSV nor equality
     n_evaluated: int = field(default=0, compare=False)
     n_infinite: int = field(default=0, compare=False)
-    wall_time: float = field(default=0.0, compare=False)
 
     @property
     def has_violation(self):
@@ -352,7 +349,6 @@ class ExpectationReport:
     n_redrawn: int
     bound: float
     margin: float
-    wall_time: float = field(default=0.0, compare=False)
 
     COLUMNS = ("n_samples", "n_effective", "n_redrawn", "mean_ln_c",
                "stderr", "bound", "margin")
@@ -442,7 +438,6 @@ def estimate_tail(config):
     # which is right: every finite C has ln C <= 709.8 < t_grid[0]
     with np.errstate(over="ignore"):
         t_lo = np.exp(t_grid[0]) if log_scale else t_grid[0]
-    start = time.monotonic()
 
     def job(index, count):
         rng = stream_rng(config.seed, index)
@@ -476,8 +471,7 @@ def estimate_tail(config):
         ))
     return TailReport(config=config.echo(), scale=config.scale, rows=rows,
                       n_samples=config.samples, n_evaluated=n_evaluated,
-                      n_infinite=n_infinite,
-                      wall_time=time.monotonic() - start)
+                      n_infinite=n_infinite)
 
 
 def estimate_expectation(config):
@@ -490,7 +484,6 @@ def estimate_expectation(config):
     law = config.law
     prob = config.problem
     batch_eval = prob.evaluate_batch
-    start = time.monotonic()
 
     def job(index, count):
         rng = stream_rng(config.seed, index)
@@ -524,7 +517,7 @@ def estimate_expectation(config):
     return ExpectationReport(
         config=config.echo(), mean_ln_c=mean, stderr=stderr,
         n_samples=config.samples, n_effective=n, n_redrawn=redrawn,
-        bound=bound, margin=margin, wall_time=time.monotonic() - start)
+        bound=bound, margin=margin)
 
 
 def ks_radial_test(law, n_samples, seed, reference=None):

@@ -39,6 +39,12 @@ class TestVolumes:
         assert code == 2
         assert "error:" in err
 
+    def test_n_below_one_names_n(self, capsys):
+        # checked as the dimension n, not left to the cap integral
+        code, out, err = run(capsys, "volumes", "--n", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: n must be an integer in [1, inf), got 0\n"
+
 
 class TestSample:
     def test_reproducible(self, capsys):
@@ -177,6 +183,15 @@ class TestTailAndExpect:
                            "--n", "3", "--samples", "100")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("spec,form", [("matrix:2.5", "matrix:m"),
+                                           ("union:x", "union:k")])
+    def test_problem_size_not_an_integer(self, spec, form, capsys):
+        code, out, err = run(capsys, "tail", "--problem", spec, "--n", "3",
+                             "--samples", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --problem must be %s with an integer"
+                              % form)
 
     def test_missing_problem(self, capsys):
         for cmd in ("tail", "expect"):
@@ -352,6 +367,23 @@ class TestCheckers:
                 for l in out.strip().splitlines()[1::2]]
         assert rows == [(p.n, p.beta, p.sigma, p.H, p.eps)
                         for p in bounds.default_grid(n=4)]
+
+    def test_one_radius_is_rho_eps(self, capsys, monkeypatch):
+        # the log margin is smallest at rho_eps (0.2068 over the grid), so
+        # a lhs shifted by 0.25 must fail a one-radius sweep
+        check = bounds.boosting_check
+
+        def shifted(*args):
+            row = check(*args)
+            lhs = row.lhs + 0.25
+            return bounds.CheckRow(lhs, row.rhs, lhs <= row.rhs + 1e-12
+                                   * max(1.0, abs(row.rhs)))
+
+        monkeypatch.setattr(bounds, "boosting_check", shifted)
+        code, out, _ = run(capsys, "boost-check", "--rho-steps", "1")
+        assert code == 1
+        rhos = [float(l.split(",")[5]) for l in out.strip().splitlines()[1:]]
+        assert rhos == [p.rho() for p in bounds.default_grid()]
 
     def test_smoothness_pinned(self, capsys):
         code, out, _ = run(capsys, "smoothness", "--n", "4",

@@ -495,6 +495,9 @@ RESIDUAL_LAWS = {
     # segment fit fall below their interval
     "m = 200": lambda: _tabulated_law(lambda r: 2.0 - r / 0.5, 210, 10.0,
                                       0.5),
+    # flat on many segments, but scaled: dI_m per unit of mass is not
+    # exactly 1
+    "flat 65 nodes": lambda: _tabulated_law(lambda r: 1.0, 3, 1.5, 0.5, 65),
 }
 
 
@@ -575,16 +578,17 @@ class TestInverseCdf:
     def test_newton_stops(self, monkeypatch):
         # on the benchmark's law at seed 1, a point whose Newton step
         # hopped between the two ends of a few-ulp bracket kept 8 of
-        # these 16 batches iterating for all 60 steps
+        # these 16 batches iterating for all 60 steps.  Each step
+        # evaluates the segment mass once
         law = RESIDUAL_LAWS["2 - r/sigma"]()
-        step = law._newton_step
+        mass = law._segment_mass
         calls = []
 
         def counted(*args):
             calls.append(1)
-            return step(*args)
+            return mass(*args)
 
-        monkeypatch.setattr(law, "_newton_step", counted)
+        monkeypatch.setattr(law, "_segment_mass", counted)
         for index in range(16):
             calls.clear()
             p = stream_rng(1, index).random(BATCH_SIZE)
@@ -733,8 +737,10 @@ class TestInverseKernel:
             down = law.radial_cdf(np.maximum(np.nextafter(r, -1.0), 0.0))
             step = np.maximum(up - f, f - down)
             assert np.all(np.abs(f - p) <= np.maximum(1e-12, step))
-        idx = np.zeros(p.size, dtype=np.intp)
-        start = np.minimum(law._start_x(idx, p * law._cdf_total), kernel.top)
+        # the x that _radius hands the kernel on the law's one segment
+        rem = p * law._cdf_total
+        start = np.minimum((law._im_nodes[0] + rem * law._im_per_mass[0])
+                           / law._beta_const, kernel.top)
         inner = (p > 0.0) & (p < 1.0)
         low = start <= kernel.split
         want = np.empty_like(start)
@@ -1067,16 +1073,16 @@ class TestSegmentFits:
 
     def test_constant_profile_builds_nothing(self, monkeypatch):
         # a constant profile inverts and samples by its kernel alone: no
-        # Newton step, and no rejection tables
+        # Newton loop, and no acceptance table
         law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
 
-        def no_step(*args):
-            raise AssertionError("Newton stepped on a constant profile")
+        def no_newton(*args):
+            raise AssertionError("Newton ran on a constant profile")
 
-        monkeypatch.setattr(law, "_newton_step", no_step)
+        monkeypatch.setattr(law, "_newton", no_newton)
         law.inverse_radial_cdf(_residual_points())
         law.sample(rng(1), size=1000)
-        assert "_rejection_tables" not in vars(law)
+        assert "_acceptance" not in vars(law)
 
 
 def _ks(u):

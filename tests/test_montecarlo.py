@@ -231,7 +231,7 @@ class TestEstimateTail:
         rep1 = estimate_tail(mk(1))
         rep4 = estimate_tail(mk(4))
         assert rep1.to_csv() == rep4.to_csv()
-        assert rep1 == rep4  # wall_time excluded from comparison
+        assert rep1 == rep4
 
 
 class TestThresholdGrid:
