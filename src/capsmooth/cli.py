@@ -38,6 +38,19 @@ from .distributions import AdversarialLaw, Cap, normalize_profile
 from .geometry import normalize, proj_distance
 
 
+def _floats(text, flag):
+    """The comma-separated numbers of a flag's value; an entry that is
+    no number raises ValueError naming the flag and the entry."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ValueError("%s expects comma-separated numbers, got %r"
+                             % (flag, entry)) from None
+    return values
+
+
 def _resolve_center(spec, n, seed, problem=None):
     if spec == "pole":
         if problem is None:
@@ -48,12 +61,7 @@ def _resolve_center(spec, n, seed, problem=None):
         rng = montecarlo.stream_rng(seed, montecarlo.CENTER_STREAM)
         return normalize(rng.standard_normal(n + 1))
     if spec.startswith("coords:"):
-        try:
-            vec = np.array([float(v)
-                            for v in spec[len("coords:"):].split(",")])
-        except ValueError:
-            raise ValueError("coords: expects comma-separated numbers, "
-                             "got %r" % (spec,)) from None
+        vec = np.array(_floats(spec[len("coords:"):], "--center coords:"))
         if vec.shape[0] != n + 1:
             raise ValueError("--center has %d coordinates, expected %d"
                              % (vec.shape[0], n + 1))
@@ -126,7 +134,7 @@ def _cmd_volumes(args):
     if args.n is None:
         raise ValueError("volumes needs --n")
     n = integer(args.n, "n")
-    sigmas = [float(s) for s in args.sigma.split(",")]
+    sigmas = _floats(args.sigma, "--sigma")
     o_n = volumes.sphere_volume(n)
     half = 0.5 * o_n
     rows = []
@@ -144,11 +152,12 @@ def _cmd_volumes(args):
 def _cmd_sample(args):
     if args.n is None:
         raise ValueError("sample needs --n")
-    center = _resolve_center(args.center, args.n, args.seed)
-    law = _build_law(center, args.n, args.sigma, args.beta, args.profile)
+    n = integer(args.n, "n")
+    center = _resolve_center(args.center, n, args.seed)
+    law = _build_law(center, n, args.sigma, args.beta, args.profile)
     z = law.sample(montecarlo.stream_rng(args.seed, 0), size=args.samples)
     radii = np.atleast_1d(proj_distance(z, law.cap.center))
-    columns = ["x%d" % i for i in range(args.n + 1)] + ["radius"]
+    columns = ["x%d" % i for i in range(n + 1)] + ["radius"]
     _emit(montecarlo.csv_text(columns, ((*row, r) for row, r
                                         in zip(z, radii))), args.out)
     return 0

@@ -15,16 +15,18 @@ and c = I_n(sigma) / I_{n-beta}(sigma).  The full radial weight
 g(r) = c r^(-beta) h(r) is required to be nonincreasing.  beta = 0 with
 h identically one is exactly the uniform law on the cap.
 
-Every profile is a table of linear segments h = alpha_i + gamma_i r;
-the constant one is the single segment h = 1 on [0, sigma].  That table
-is the only source of a law's radial mass: the radial CDF is a
-closed-form sum of cap-integral increments over it, so no quadrature
-enters, and its log carries the first segment in log space, so deep
-tails do not underflow.  Sampling draws the radius, then a uniform
-tangent direction.  Radii come from one kernel per law: a
-piecewise-Chebyshev inverse of the regularized incomplete beta
-function, fitted to the inverse volumes._betaincinv_half and certified
-on the first use of any law with its m = n - beta and its mass
+Every profile is a table of linear segments h = alpha_i + gamma_i r; the
+constant one is the single segment h = 1 on [0, sigma], and a profile's
+report label, constant or tabulated, is read off its table.  That table
+is the only source of a law's radial mass, and _segment_masses alone
+turns it into segment masses, for normalize_profile and the law alike:
+the radial CDF is a closed-form sum of cap-integral increments over it,
+so no quadrature enters, and its log carries the first segment in log
+space, so deep tails do not underflow.  Sampling draws the radius, then
+a uniform tangent direction.  Radii come from one kernel per law: a
+piecewise-Chebyshev inverse of the regularized incomplete beta function,
+fitted to the inverse volumes._betaincinv_half and certified on the
+first use of any law with its m = n - beta and its mass
 betainc(m/2, 1/2, sigma^2), then shared by all of them.  Each fit keeps
 the lowest degree whose coefficient table still passes its certificate
 (2 to 4 for the kernels at sigma <= 1/2), so a point costs only the
@@ -32,16 +34,20 @@ Clenshaw steps the certificate needs; a branch whose fit misses, and
 every point of a law with n - beta above 2 _FIT_MAX_A, where no kernel
 is fitted, is inverted by the oracle it was certified against.
 
-One map takes a mass to a radius on a segment: holding h at its mean
-over the segment makes the segment's mass a cap-integral increment,
-which the kernel inverts, and the radius is clipped to the segment.
-Where h is flat that is the exact inverse, so a law of constant profile
-is sampled by inverse transform.  Where h slopes, the same map spreads
-the kernel's law r^(m-1) (1 - r^2)^(-1/2) over the segment, so the
-sampler draws a radius from it and keeps it with probability
-h(r) / max h over the segment (von Neumann's rejection method), which
-samples the law exactly; and the inverse of the radial CDF refines the
-map's radius by a safeguarded Newton iteration on the segment mass.
+One locator, AdversarialLaw._locate, takes a probability p to the
+segment that holds the mass p times the total and to the mass left in
+that segment, for the inverse of the radial CDF and the sampler alike.
+One map then takes that mass to a radius on the segment: holding h at
+its mean over the segment makes the segment's mass a cap-integral
+increment, which the kernel inverts, and the radius is clipped to the
+segment.  Where h is flat that is the exact inverse, so a law of
+constant profile is sampled by inverse transform.  Where h slopes, the
+same map spreads the kernel's law r^(m-1) (1 - r^2)^(-1/2) over the
+segment, so the sampler draws a radius from it and keeps it with
+probability h(r) / max h over the segment (von Neumann's rejection
+method), which samples the law exactly; and the inverse of the radial
+CDF refines the map's radius by a safeguarded Newton iteration on the
+segment mass.
 """
 
 import functools
@@ -78,9 +84,13 @@ _CHEB_TOL = 64 * _EPS
 # stays within both _CHEB_TOL and _PREFIX_BUDGET / a (see
 # _BetaincInverse._branch).  F magnifies that error by about
 # a / sqrt(1 - r^2), so the budget holds the radial residual below
-# 1e-12 to sigma = 0.99 at every a that gets a fit; _CHEB_TOL alone
-# would let m >= 500 pass 1e-12 once the full degree's spare accuracy
-# is cut
+# 1e-12 wherever a prefix shorter than the full table passes it;
+# _CHEB_TOL alone would let m >= 500 pass 1e-12 once the full degree's
+# spare accuracy is cut.  A full table passes whatever its error below
+# _CHEB_TOL, so the budget does not bound it: at sigma = 0.99, beta = 0
+# the largest residual over 16384 uniforms is 9.5e-14, 3.2e-13 and
+# 6.7e-13 at n = 64, 100 and 128, and 1.13e-12 at n = 150, until the
+# branch misses the certificate (n = 170) and Halley serves every point
 _PREFIX_BUDGET = 1e-13
 # the largest a = m/2 that gets a kernel fit.  F magnifies the fit's
 # error by about m/2 near the top of the law, so the radial residual
@@ -166,9 +176,11 @@ class _BetaincInverse:
     which keeps 1 - x accurate where the slope of the radial CDF blows
     up at sigma = 1.  The lower branch runs up to y = 1/2, or further if
     x is still below 1/2 there; the upper branch exists only when top
-    lies beyond that split.  Node values and the build-time certificate
-    come from volumes._betaincinv_half, a bracketed Halley iteration on
-    the in-house incomplete beta that is solved for the nodes and the
+    lies beyond that split.  The build-time certificate evaluates a fit
+    through _lower_x and _upper_x, the maps the kernel runs.  Node
+    values and the certificate's reference values come from
+    volumes._betaincinv_half, a bracketed Halley iteration on the
+    in-house incomplete beta that is solved for the nodes and the
     certificate points in one call, except where q^a is below the
     normal range: there psi comes from volumes._betaincinv_ratio, a
     fixed point on the same engine's log output.
@@ -210,12 +222,10 @@ class _BetaincInverse:
             values[under[:cut]] = _betaincinv_ratio(a, q[:cut][under[:cut]])
             q, y, ref, under = q[cut:], y[cut:], x[cut:], under[cut:]
             ref_psi = _betaincinv_ratio(a, q[under])
-            # the evaluation's q, once for every degree the fit tries
-            q_y = self._lower_q(y)
 
             def error(fit):
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    err = np.abs(q_y * fit(q_y) - ref) / ref
+                    err = np.abs(self._lower_x(fit, y) - ref) / ref
                 if ref_psi.size:
                     # no double y there: the fitted psi against the series
                     err[under] = np.abs(fit(q[under]) - ref_psi) / ref_psi
@@ -230,8 +240,7 @@ class _BetaincInverse:
             w = _betaincinv_half(a, np.concatenate((c, 1.0 - y)), upper=True)
             values = (w[:c.size] / (c * c)).reshape(nodes.shape)
             ref = 1.0 - w[c.size:]
-            w_y = np.square(1.0 - y)
-            return values, lambda fit: (np.abs(1.0 - w_y * fit(w_y) - ref)
+            return values, lambda fit: (np.abs(self._upper_x(fit, y) - ref)
                                         / ref)
 
         self._lower = self._upper = None
@@ -272,13 +281,12 @@ class _BetaincInverse:
         if not err <= _CHEB_TOL:
             return None
         keep = max(err, min(_CHEB_TOL, _PREFIX_BUDGET / self._a))
+        # the full table meets keep, which is at least its own error
         full = fit.coef
-        for size in range(1, n):
+        for size in range(1, n + 1):
             fit.coef = full[:size]
             if error(fit).max() <= keep:
                 return fit
-        fit.coef = full
-        return fit
 
     def _lower_q(self, y):
         q = y ** self._root
@@ -357,17 +365,12 @@ class Cap:
 
 class RadialProfile:
     """Radial factor h of a cap law: piecewise linear between nodes
-    r_grid that cover [0, sigma], with values h_grid.
-
-    kind is a label for reports, "constant" for the one-segment table
-    h = 1 that constant_profile builds and "tabulated" for any other
-    table; no computation depends on it.  H is the sup of h, attained
-    at a node.
+    r_grid that cover [0, sigma], with values h_grid.  H is the sup of
+    h, attained at a node; kind, a label for reports, is read off the
+    table (see below).
     """
 
-    def __init__(self, kind, r_grid, h_grid, sigma):
-        if kind not in ("constant", "tabulated"):
-            raise ValueError("unknown profile kind %r" % (kind,))
+    def __init__(self, r_grid, h_grid, sigma):
         r_grid = np.asarray(r_grid, dtype=float)
         h_grid = np.asarray(h_grid, dtype=float)
         if r_grid.ndim != 1 or r_grid.shape != h_grid.shape or len(r_grid) < 2:
@@ -383,11 +386,18 @@ class RadialProfile:
             raise ValueError("profile values must be nonnegative")
         if h_grid[0] <= 0.0:
             raise ValueError("profile must be positive at r = 0")
-        self.kind = kind
         self.sigma = sigma
         self.r_grid = r_grid
         self.h_grid = h_grid
         self.H = float(np.max(h_grid))
+
+    @property
+    def kind(self):
+        """"constant" for the table constant_profile builds, one segment
+        with h = 1 at both ends, and "tabulated" for any other; no
+        computation reads it."""
+        return ("constant" if self.h_grid.tolist() == [1.0, 1.0]
+                else "tabulated")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -401,7 +411,7 @@ def constant_profile(sigma):
     """The profile h identically equal to one on [0, sigma] (already
     normalized): the single segment from (0, 1) to (sigma, 1)."""
     sigma = float(sigma)
-    return RadialProfile("constant", [0.0, sigma], [1.0, 1.0], sigma)
+    return RadialProfile([0.0, sigma], [1.0, 1.0], sigma)
 
 
 def _require_mass(total, m, sigma, consequence):
@@ -414,15 +424,18 @@ def _require_mass(total, m, sigma, consequence):
             "range, so %s" % (m, sigma, consequence))
 
 
-def _segment_coeffs(r_grid, h_grid):
-    """Per-segment alpha, gamma with h(r) = alpha_i + gamma_i r.  Segment
-    i then holds alpha_i dI_m + gamma_i dI_{m+1} of the integral of
-    h(r) r^(m-1) (1-r^2)^(-1/2), in increments of the cap integrals over
+def _segment_masses(m, r_grid, h_grid):
+    """The segment table of a profile for the exponent m: the cap
+    integrals I_m and I_{m+1} at the nodes, the per-segment alpha, gamma
+    with h(r) = alpha_i + gamma_i r, and the mass of each segment,
+    alpha_i dI_m + gamma_i dI_{m+1}, its share of the integral of
+    h(r) r^(m-1) (1-r^2)^(-1/2) in increments of the cap integrals over
     it: exact up to roundoff."""
-    dr = np.diff(r_grid)
-    gamma = np.diff(h_grid) / dr
+    im = _vec_cap_integral(m, r_grid)
+    im1 = _vec_cap_integral(m + 1.0, r_grid)
+    gamma = np.diff(h_grid) / np.diff(r_grid)
     alpha = h_grid[:-1] - gamma * r_grid[:-1]
-    return alpha, gamma
+    return im, im1, alpha, gamma, alpha * np.diff(im) + gamma * np.diff(im1)
 
 
 def normalize_profile(raw, n, beta, sigma, grid_points=1025):
@@ -452,21 +465,17 @@ def normalize_profile(raw, n, beta, sigma, grid_points=1025):
             raise ValueError("expected a (K, 2) array of (r, h) rows")
         r_grid = table[:, 0].copy()
         h_raw = table[:, 1].copy()
-    RadialProfile("tabulated", r_grid, h_raw, sigma)  # validates raw
+    RadialProfile(r_grid, h_raw, sigma)  # validates raw
     r_grid[0] = 0.0
     r_grid[-1] = sigma
 
     m = n - beta
     target = float(_vec_cap_integral(m, sigma))
     _require_mass(target, m, sigma, "no profile can be normalized to it")
-    alpha, gamma = _segment_coeffs(r_grid, h_raw)
-    total = float(np.sum(alpha * np.diff(_vec_cap_integral(m, r_grid))
-                         + gamma * np.diff(_vec_cap_integral(m + 1.0,
-                                                             r_grid))))
+    total = float(np.sum(_segment_masses(m, r_grid, h_raw)[-1]))
     if not (total > 0.0):
         raise ValueError("raw profile integrates to zero")
-    scale = target / total
-    return RadialProfile("tabulated", r_grid, h_raw * scale, sigma)
+    return RadialProfile(r_grid, h_raw * (target / total), sigma)
 
 
 class AdversarialLaw:
@@ -495,17 +504,13 @@ class AdversarialLaw:
         self._log_i_m_sigma = log_cap_integral(self._m, cap.sigma)
         self.c = math.exp(self._log_i_n_sigma - self._log_i_m_sigma)
 
-        r_nodes, h_nodes = profile.r_grid, profile.h_grid
-        self._r_nodes = r_nodes
-        self._im_nodes = _vec_cap_integral(self._m, r_nodes)
-        self._im1_nodes = _vec_cap_integral(self._m + 1.0, r_nodes)
-        self._alpha, self._gamma = _segment_coeffs(r_nodes, h_nodes)
-        d_im = np.diff(self._im_nodes)
-        seg = self._alpha * d_im + self._gamma * np.diff(self._im1_nodes)
+        self._r_nodes = profile.r_grid
+        (self._im_nodes, self._im1_nodes, self._alpha, self._gamma,
+         seg) = _segment_masses(self._m, profile.r_grid, profile.h_grid)
         # dI_m per unit of each segment's mass: 1/h where h is flat, and
         # 0 on a segment of no mass, which is never drawn
-        self._im_per_mass = np.divide(d_im, seg, out=np.zeros_like(seg),
-                                      where=seg > 0.0)
+        self._im_per_mass = np.divide(np.diff(self._im_nodes), seg,
+                                      out=np.zeros_like(seg), where=seg > 0.0)
         self._mass = seg
         cum = np.concatenate(([0.0], np.cumsum(seg)))
         self._cdf_nodes = cum
@@ -665,18 +670,19 @@ class AdversarialLaw:
     def inverse_radial_cdf(self, p):
         """Radius at which the radial CDF reaches p; scalar or array.
 
-        The target mass p * total falls in one segment of the profile
-        table, and _radius maps its mass in that segment to a radius
-        through the law's Chebyshev inverse of betainc(m/2, 1/2, .) (see
-        _BetaincInverse; the first call builds it).  That radius is the
-        answer where h is flat.  Where h slopes, _newton refines it by a
-        safeguarded Newton iteration on the segment mass, which falls
-        back to bisection of its bracket whenever a step leaves it or
-        lands on one of its ends.  Every point is solved on its own, so
-        results do not depend on the batch.  Endpoints are exact: p = 0
-        gives 0, and p = 1 gives the end of the support (sigma unless h
-        falls to 0).  The sampler calls this method only for laws of
-        constant profile; see sample.
+        _locate finds the segment of the profile table that holds the
+        target mass p * total, and _radius maps its mass in that segment
+        to a radius through the law's Chebyshev inverse of
+        betainc(m/2, 1/2, .) (see _BetaincInverse; the first call builds
+        it).  That radius is the answer where h is flat.  Where h slopes,
+        _newton refines it by a safeguarded Newton iteration on the
+        segment mass, which falls back to bisection of its bracket
+        whenever a step leaves it or lands on one of its ends.  Every
+        point is solved on its own, so results do not depend on the
+        batch.
+        Endpoints are exact: p = 0 gives 0, and p = 1 gives the end of
+        the support (sigma unless h falls to 0).  The sampler calls this
+        method only for laws of constant profile; see sample.
 
         Deep tails keep their accuracy.  The inverse works in x = r^2,
         so radii below about 1.5e-154 underflow; a uniform p from
@@ -698,15 +704,11 @@ class AdversarialLaw:
         p_arr = np.asarray(p, dtype=float)
         scalar = p_arr.ndim == 0
         p_arr = np.atleast_1d(p_arr)
-        p_min, p_max = p_arr.min(initial=0.0), p_arr.max(initial=1.0)
         # a NaN fails both comparisons
-        if not (p_min >= 0.0 and p_max <= 1.0):
+        if not (p_arr.min(initial=0.0) >= 0.0
+                and p_arr.max(initial=1.0) <= 1.0):
             raise ValueError("p must lie in [0, 1]")
-        _require_mass(self._cdf_total, self._m, self.cap.sigma,
-                      "no radius can be inverted")
-        target = p_arr * self._cdf_total
-        idx = self._segment_of(target)
-        rem = target - self._cdf_nodes[idx]
+        idx, rem = self._locate(p_arr, "no radius can be inverted")
         out = self._radius(idx, rem)
         idx = np.broadcast_to(idx, rem.shape)
         if self._sloped:
@@ -714,14 +716,22 @@ class AdversarialLaw:
             # every step at r = 0
             self._newton(idx, rem, out, np.flatnonzero(
                 (p_arr > 0.0) & (p_arr < 1.0) & (self._gamma[idx] != 0.0)))
-        if p_min == 0.0:
-            out[p_arr == 0.0] = 0.0
-        if p_max == 1.0:
-            top = p_arr == 1.0
-            out[top] = self._r_nodes[idx[top] + 1]
+        out[p_arr == 0.0] = 0.0
+        top = p_arr == 1.0
+        out[top] = self._r_nodes[idx[top] + 1]
         if scalar:
             return float(out[0])
         return out
+
+    def _locate(self, p, consequence):
+        """The segment that holds the mass p * total for each p in
+        [0, 1], and the mass rem of that segment below it.  Raises
+        ArithmeticError, saying the consequence, when the law's radial
+        mass is below the normal double range."""
+        _require_mass(self._cdf_total, self._m, self.cap.sigma, consequence)
+        target = p * self._cdf_total
+        idx = self._segment_of(target)
+        return idx, target - self._cdf_nodes[idx]
 
     def _segment_of(self, target):
         """The segment that holds each target mass: the number of
@@ -789,21 +799,20 @@ class AdversarialLaw:
         A law of constant profile inverts one uniform per point,
         inverse_radial_cdf(rng.random(count)).  Otherwise a round draws
         a uniform pair (p, v) per point, rng.random((2, count)).  p
-        picks the segment k as inverse_radial_cdf does, and _radius maps
-        its place in that segment's mass to a radius r from the kernel's
-        law r^(m-1) (1 - r^2)^(-1/2) on the segment.  r is kept when
-        v max(h(r_k), h(r_k+1)) <= h(r); the law on the segment is the
-        kernel's reweighted by h, so that is von Neumann's rejection
-        method, exact whatever the slope.  Each rejected point keeps its
-        segment and draws a fresh pair (u, v) in the next round,
-        rng.random((2, rejected)), whose u is its place in the mass.
+        picks the segment k through _locate, as inverse_radial_cdf does,
+        and _radius maps its place in that segment's mass to a radius r
+        from the kernel's law r^(m-1) (1 - r^2)^(-1/2) on the segment.
+        r is kept when v max(h(r_k), h(r_k+1)) <= h(r); the law on the
+        segment is the kernel's reweighted by h, so that is von
+        Neumann's rejection method, exact whatever the slope.  Each
+        rejected point keeps its segment and draws a fresh pair (u, v)
+        in the next round, rng.random((2, rejected)), whose u is its
+        place in the mass.
         Rounds repeat until every point is kept; on the benchmark's
         table, a round keeps all but about one point in a thousand.
         """
         if not self._sloped:
             return self.inverse_radial_cdf(rng.random(count))
-        _require_mass(self._cdf_total, self._m, self.cap.sigma,
-                      "no radius can be drawn")
         keep_a, keep_g = self._acceptance
 
         def draw(k, rem, v):
@@ -813,10 +822,9 @@ class AdversarialLaw:
             return rk, np.flatnonzero(v > keep_a[k] + keep_g[k] * rk)
 
         p, v = rng.random((2, count))
-        p *= self._cdf_total
-        seg = np.broadcast_to(self._segment_of(p), (count,))
-        p -= self._cdf_nodes[seg]
-        r, todo = draw(seg, p, v)
+        seg, rem = self._locate(p, "no radius can be drawn")
+        seg = np.broadcast_to(seg, (count,))
+        r, todo = draw(seg, rem, v)
         while todo.size:
             k = seg[todo]
             u, v = rng.random((2, todo.size))

@@ -95,13 +95,14 @@ _MMAP_THRESHOLD = 32 * BATCH_SIZE * 8
 _TRIM_THRESHOLD = 128 * BATCH_SIZE * 8
 
 
-def wilson_interval(successes, trials, z=WILSON_Z):
+def wilson_interval(successes, trials):
     """Two-sided Wilson score interval for a binomial proportion of
     integer counts, 0 <= successes <= trials and trials >= 1."""
     trials = integer(trials, "trials")
     successes = integer(successes, "successes", least=0, below=trials + 1)
     nt = float(trials)
     p = successes / nt
+    z = WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / nt
     center = (p + z2 / (2.0 * nt)) / denom
@@ -310,9 +311,7 @@ def _json_value(x):
 @dataclass
 class TailReport:
     config: dict
-    scale: str
     rows: list
-    n_samples: int
     # rows that reached evaluate_batch, and those of them with C = inf
     # (on Sigma to machine precision), which count as exceeding every
     # threshold: the same at any worker count, so the JSON report holds
@@ -469,9 +468,8 @@ def estimate_tail(config):
             bound=b, bound_applicable=applicable,
             violation=bool(applicable and lo > b),
         ))
-    return TailReport(config=config.echo(), scale=config.scale, rows=rows,
-                      n_samples=config.samples, n_evaluated=n_evaluated,
-                      n_infinite=n_infinite)
+    return TailReport(config=config.echo(), rows=rows,
+                      n_evaluated=n_evaluated, n_infinite=n_infinite)
 
 
 def estimate_expectation(config):

@@ -459,3 +459,10 @@ class TestBallMaximizer:
     def test_outside_cap_rejected(self):
         with pytest.raises(ValueError):
             bounds.ball_maximizer_check(self.law(3, 1.0), [(0.5, 0.9)])
+
+
+def test_smoothness_ratio_one_ulp_below_sigma_rejected():
+    # the law's log mass at the last double below sigma rounds to 0
+    law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
+    with pytest.raises(ValueError, match="rho too close to sigma"):
+        bounds.smoothness_ratio(law, np.nextafter(0.5, 0.0))

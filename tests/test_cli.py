@@ -45,6 +45,14 @@ class TestVolumes:
         assert (code, out) == (2, "")
         assert err == "error: n must be an integer in [1, inf), got 0\n"
 
+    @pytest.mark.parametrize("sigma,entry", [("0.5,x", "x"), ("0.5,,1", ""),
+                                             ("", "")])
+    def test_bad_sigma_entry_names_sigma(self, sigma, entry, capsys):
+        code, out, err = run(capsys, "volumes", "--n", "3", "--sigma", sigma)
+        assert (code, out) == (2, "")
+        assert err == ("error: --sigma expects comma-separated numbers, "
+                       "got %r\n" % entry)
+
 
 class TestSample:
     def test_reproducible(self, capsys):
@@ -104,6 +112,38 @@ class TestSample:
                            "--center", "coords:1,0")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("n", ["0", "-1", "-3"])
+    def test_n_below_one_names_n(self, n, capsys):
+        # checked before the center is resolved
+        code, out, err = run(capsys, "sample", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == "error: n must be an integer in [1, inf), got %s\n" % n
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("sample", "--n", "1", "--center", "coords:1,x"), "--center coords:"),
+    (("sample", "--n", "3", "--center", "bogus"), "--center"),
+    (("tail", "--problem", "hyperplane"), "--n"),
+    (("tail", "--problem", "union:2"), "--n"),
+    (("sample",), "--n"),
+    (("boost-check", "--rho-steps", "x"), "--rho-steps"),
+    (("volumes", "--config", "{config}"), "config file")],
+    ids=["coords-entry", "center", "hyperplane-n", "union-n", "sample-n",
+         "rho-steps", "config-list"])
+def test_invalid_argument_named(argv, name, capsys, tmp_path):
+    # each error line leads with "error:" and names the argument; argparse
+    # exits itself
+    config = tmp_path / "list.json"
+    config.write_text("[1, 2]")
+    try:
+        code = main([a.format(config=config) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert name in err.splitlines()[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -655,3 +655,8 @@ class TestClosedForm:
         assert np.array_equal(p.evaluate_batch(z[::7]), whole[::7])
         assert all(p.evaluate_batch(z[i:i + 1])[0] == whole[i]
                    for i in range(0, len(z), 41))
+
+
+def test_union_needs_a_2d_array_of_normals():
+    with pytest.raises(ValueError, match="array of normals"):
+        union_hyperplanes_problem(np.ones(4))

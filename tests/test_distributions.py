@@ -75,7 +75,7 @@ class TestRadialProfile:
         assert h(0.3) == 1.0
 
     def test_tabulated_interp(self):
-        h = RadialProfile("tabulated", r_grid=[0.0, 0.25, 0.5],
+        h = RadialProfile(r_grid=[0.0, 0.25, 0.5],
                           h_grid=[2.0, 1.0, 1.0], sigma=0.5)
         assert h.H == 2.0
         assert h(0.0) == 2.0
@@ -84,28 +84,33 @@ class TestRadialProfile:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RadialProfile("tabulated", r_grid=[0.1, 0.5],
+            RadialProfile(r_grid=[0.1, 0.5],
                           h_grid=[1.0, 1.0], sigma=0.5)  # misses r=0
         with pytest.raises(ValueError):
-            RadialProfile("tabulated", r_grid=[0.0, 0.4],
+            RadialProfile(r_grid=[0.0, 0.4],
                           h_grid=[1.0, 1.0], sigma=0.5)  # misses sigma
         with pytest.raises(ValueError):
-            RadialProfile("tabulated", r_grid=[0.0, 0.5],
+            RadialProfile(r_grid=[0.0, 0.5],
                           h_grid=[1.0, -0.1], sigma=0.5)
         with pytest.raises(ValueError):
-            RadialProfile("tabulated", r_grid=[0.0, 0.5],
+            RadialProfile(r_grid=[0.0, 0.5],
                           h_grid=[0.0, 1.0], sigma=0.5)  # zero at center
-        with pytest.raises(ValueError):
-            RadialProfile("mystery", r_grid=[0.0, 0.5], h_grid=[1.0, 1.0],
-                          sigma=0.5)
+
+    @pytest.mark.parametrize("r_grid,h_grid,kind", [
+        ([0.0, 0.5], [1.0, 1.0], "constant"),
+        ([0.0, 0.5], [2.0, 2.0], "tabulated"),
+        ([0.0, 0.5], [1.0, 0.5], "tabulated"),
+        ([0.0, 0.25, 0.5], [1.0, 1.0, 1.0], "tabulated")])
+    def test_kind_read_off_the_table(self, r_grid, h_grid, kind):
+        assert RadialProfile(r_grid, h_grid, 0.5).kind == kind
 
     def test_nan_node_or_radius_rejected(self):
         # NaN fails the order and cover tests
         with pytest.raises(ValueError, match="strictly increasing"):
-            RadialProfile("tabulated", r_grid=[0.0, math.nan, 0.5],
+            RadialProfile(r_grid=[0.0, math.nan, 0.5],
                           h_grid=[1.0, 1.0, 1.0], sigma=0.5)
         with pytest.raises(ValueError, match="cover"):
-            RadialProfile("tabulated", r_grid=[0.0, 0.5],
+            RadialProfile(r_grid=[0.0, 0.5],
                           h_grid=[1.0, 1.0], sigma=math.nan)
 
 
@@ -154,6 +159,13 @@ class TestNormalizeProfile:
             lambda r: prof(r) * r ** (m - 1.0) / math.sqrt(1.0 - r * r),
             0.0, sigma, epsabs=1e-14, epsrel=1e-12)
         assert np.isclose(val, cap_integral(m, sigma), rtol=1e-10)
+
+    def test_flat_two_node_table_reads_constant(self):
+        # a flat table already holds I_m(sigma), so its scale is 1 and
+        # the normalized table is constant_profile's, as reports say
+        prof = normalize_profile([[0.0, 1.0], [0.5, 1.0]], 3, 1.0, 0.5)
+        assert prof.h_grid.tolist() == [1.0, 1.0]
+        assert prof.kind == "constant"
 
     def test_normalized_mass_at_large_m(self):
         # m = 200, where the masses come from the engine's series at
@@ -213,15 +225,14 @@ class TestAdversarialLawConstruction:
         s = 0.5 / 4096
         a = 100 * s
         prof = RadialProfile(
-            "tabulated", r_grid=[0.0, a + 0.2 * s, a + 0.5 * s, a + 0.8 * s,
-                                 0.5],
+            r_grid=[0.0, a + 0.2 * s, a + 0.5 * s, a + 0.8 * s, 0.5],
             h_grid=[1.0, 1.0, 3.0, 1.0, 1.0], sigma=0.5)
         with pytest.raises(ValueError, match="nonincreasing"):
             AdversarialLaw(Cap(e0(3), 0.5), 0.0, prof)
 
     @pytest.mark.parametrize("beta, prof, held", [
         # a raw table: law.H would read 1.0, the uniform theorems' case
-        (0.0, RadialProfile("tabulated", [0.0, 0.25, 0.5], [1.0, 1.0, 0.0],
+        (0.0, RadialProfile([0.0, 0.25, 0.5], [1.0, 1.0, 0.0],
                             0.5), 0.457),
         # normalized for beta = 1, used at beta = 2
         (2.0, normalize_profile(lambda r: 2.0 - r / 0.5, 3, 1.0, 0.5), 1.124)],
@@ -498,6 +509,9 @@ RESIDUAL_LAWS = {
     # flat on many segments, but scaled: dI_m per unit of mass is not
     # exactly 1
     "flat 65 nodes": lambda: _tabulated_law(lambda r: 1.0, 3, 1.5, 0.5, 65),
+    # the kernel keeps all 13 coefficients: the last prefix its
+    # certificate tries (residual 9.8e-14)
+    "full-degree kernel": lambda: AdversarialLaw(Cap(e0(64), 0.99), 0.0),
 }
 
 
@@ -1226,3 +1240,22 @@ class TestSampling:
         z = law.sample(rng(7), size=8000)
         tangent_mean = np.mean(z[:, 1:], axis=0)
         assert np.all(np.abs(tangent_mean) < 0.02)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: Cap([1.0], 0.5), "center must be a vector"),
+    (lambda: RadialProfile([0.0, 0.25, 0.5], [1.0, 1.0], 0.5),
+     "profile needs matching"),
+    (lambda: RadialProfile([0.0, 0.5], [1.0, math.inf], 0.5),
+     "profile values must be finite"),
+    (lambda: normalize_profile([[0, 1], [1e-10, 0], [0.5, 0]], 40, 0.0, 0.5),
+     "raw profile integrates to zero"),
+    (lambda: uniform_law(Cap(e0(3), 0.5)).log_radial_cdf(0.0),
+     r"rho must lie in \(0, sigma\]"),
+    (lambda: uniform_law(Cap(e0(3), 0.5)).log_radial_cdf(1.0),
+     r"rho must lie in \(0, sigma\]")],
+    ids=["short-center", "unmatched-arrays", "infinite-h", "zero-mass",
+         "log-cdf-at-0", "log-cdf-at-2-sigma"])
+def test_input_check_names_its_argument(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -490,3 +490,14 @@ class TestRowMajorReference:
                                       _ref_proj_distance(ref, a))
         np.testing.assert_array_equal(hyperplane_problem(3).evaluate_batch(z),
                                       _ref_hyperplane_evaluate(ref))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: proj_distance(np.eye(3)[0], np.eye(3)), "y must be a single"),
+    (lambda: proj_distance(np.eye(3)[0], np.eye(4)[0]), "dimension mismatch"),
+    (lambda: geodesic_point(np.eye(3)[0], np.eye(3)[1],
+                            np.array([0.1, 0.2])), "scalar r")],
+    ids=["2-d-y", "mismatched-dimensions", "one-direction-many-r"])
+def test_input_check_names_its_argument(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -193,7 +193,7 @@ class TestEstimateTail:
         cfg = ExperimentConfig(hyperplane_problem(3), law, samples=1000,
                                seed=5, t_grid=grid)
         rep = estimate_tail(cfg)
-        assert rep.scale == "log"
+        assert rep.config["scale"] == "log"
         assert not rep.rows[0].bound_applicable
         assert rep.rows[1].bound_applicable
         assert np.isclose(rep.rows[1].bound,

@@ -429,3 +429,7 @@ class TestBetaincinvHalf:
             == [0.0, 1.0]
         assert volumes._betaincinv_half(2.0, np.zeros((2, 3))).shape \
             == (2, 3)
+
+
+def test_series_at_zero_radius():
+    assert cap_integral_series(3, 0.0) == 0.0
