@@ -9,8 +9,8 @@ reciprocal of that distance.  C is +inf exactly on Sigma.
 Three instances are provided: a single hyperplane, a finite union of
 hyperplanes, and square matrices with Sigma the singular ones, where
 dist_F(A, Sigma) = sigma_min(A) by the Eckart-Young theorem.  Each
-instance has one evaluator, evaluate_batch; ConicProblem.evaluate is
-evaluate_batch on a batch of one row.  Every instance scales a row
+instance has one evaluator, evaluate_batch, which takes a batch of
+rows; one vector is a batch of one row.  Every instance scales a row
 whose norm lies outside [2^-200, 2^200] by a power of two first
 (_unit_scaled), so rows far from unit norm neither overflow nor lose
 digits; a unit row keeps its bits.  The zero row, which lies on Sigma,
@@ -73,11 +73,6 @@ class ConicProblem:
     ill_posed: Optional[np.ndarray] = field(default=None, repr=False)
     bound_batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False)
-
-    def evaluate(self, x):
-        """C(x) of one vector: evaluate_batch on a batch of one row."""
-        return float(self.evaluate_batch(
-            np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def may_reach(self, z, t):
         """The rows of the (N, n+1) array z whose computed C may reach

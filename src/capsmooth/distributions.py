@@ -40,14 +40,13 @@ that segment, for the inverse of the radial CDF and the sampler alike.
 One map then takes that mass to a radius on the segment: holding h at
 its mean over the segment makes the segment's mass a cap-integral
 increment, which the kernel inverts, and the radius is clipped to the
-segment.  Where h is flat that is the exact inverse, so a law of
-constant profile is sampled by inverse transform.  Where h slopes, the
-same map spreads the kernel's law r^(m-1) (1 - r^2)^(-1/2) over the
-segment, so the sampler draws a radius from it and keeps it with
-probability h(r) / max h over the segment (von Neumann's rejection
-method), which samples the law exactly; and the inverse of the radial
-CDF refines the map's radius by a safeguarded Newton iteration on the
-segment mass.
+segment.  Where h is flat that is the exact inverse, so a law of flat
+profile is sampled by inverse transform.  Where h slopes, the same map
+spreads the kernel's law r^(m-1) (1 - r^2)^(-1/2) over the segment, so
+the sampler draws a radius from it and keeps it with probability
+h(r) / max h over the segment (von Neumann's rejection method), which
+samples the law exactly.  The inverse of the radial CDF
+is that map, so it serves laws of flat profile only.
 """
 
 import functools
@@ -57,7 +56,7 @@ import threading
 import numpy as np
 
 from ._args import check_beta, check_sigma, integer
-from .geometry import geodesic_point, proj_distance, tangent_direction
+from .geometry import geodesic_point, tangent_direction
 from .volumes import (_beta_half, _betainc_half, _betaincinv_half,
                       _betaincinv_ratio, _vec_cap_integral, log_cap_integral)
 
@@ -70,8 +69,6 @@ __all__ = [
     "uniform_law",
 ]
 
-# Newton iterations on a segment; points that stop moving leave early
-_NEWTON_ITERS = 60
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -399,13 +396,6 @@ class RadialProfile:
         return ("constant" if self.h_grid.tolist() == [1.0, 1.0]
                 else "tabulated")
 
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.interp(r, self.r_grid, self.h_grid)
-        if r.ndim == 0:
-            return float(out)
-        return out
-
 
 def constant_profile(sigma):
     """The profile h identically equal to one on [0, sigma] (already
@@ -484,8 +474,7 @@ class AdversarialLaw:
     Construction validates the pole exponent (0 <= beta < n), profile
     compatibility, that the full radial weight g(r) = r^(-beta) h(r)
     is nonincreasing, exactly on each linear segment of the profile, and
-    that the profile is normalized for this beta.  The normalization
-    constant c = I_n(sigma) / I_{n-beta}(sigma) is computed in log space.
+    that the profile is normalized for this beta.
     """
 
     def __init__(self, cap, beta, profile=None):
@@ -500,9 +489,7 @@ class AdversarialLaw:
         self.beta = beta
         self.profile = profile
         self._m = n - beta
-        self._log_i_n_sigma = log_cap_integral(n, cap.sigma)
         self._log_i_m_sigma = log_cap_integral(self._m, cap.sigma)
-        self.c = math.exp(self._log_i_n_sigma - self._log_i_m_sigma)
 
         self._r_nodes = profile.r_grid
         (self._im_nodes, self._im1_nodes, self._alpha, self._gamma,
@@ -563,9 +550,9 @@ class AdversarialLaw:
         """The table must hold I_m(sigma), m = n - beta, within 1e-12
         relative, as normalize_profile leaves it (within 1.6e-13 over
         about 4300 laws with n up to 1000 and I_m(sigma) down to
-        1e-302): the density's constant c, the sup H and the theorem a
-        run is held to all read the table as normalized.  A law whose
-        I_m(sigma) is below the normal double range is not checked."""
+        1e-302): the sup H and the theorem a run is held to both read
+        the table as normalized.  A law whose I_m(sigma) is below the
+        normal double range is not checked."""
         target = math.exp(self._log_i_m_sigma)
         if target >= _TINY and not (abs(self._cdf_total - target)
                                     <= 1e-12 * target):
@@ -574,24 +561,6 @@ class AdversarialLaw:
                 "%.6g times I_%g(%g); build it with normalize_profile"
                 % (self.beta, self._cdf_total / target, self._m,
                    self.cap.sigma))
-
-    def density(self, x):
-        """Density at x relative to the uniform law on the cap.
-
-        x is a unit vector (or an (N, k) batch).  Raises for points
-        outside the cap; returns +inf at the center when beta > 0.
-        """
-        r = proj_distance(x, self.cap.center)
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(r_arr > self.cap.sigma * (1.0 + 1e-12)):
-            raise ValueError("point lies outside the cap")
-        with np.errstate(divide="ignore"):
-            pole = np.power(r_arr, -self.beta) if self.beta > 0.0 \
-                else np.ones_like(r_arr)
-        out = self.c * pole * self.profile(r_arr)
-        if np.isscalar(r):
-            return float(out[0])
-        return out
 
     def radial_cdf(self, rho):
         """P(d(x, a) <= rho) for x drawn from the law; scalar or array.
@@ -674,15 +643,13 @@ class AdversarialLaw:
         target mass p * total, and _radius maps its mass in that segment
         to a radius through the law's Chebyshev inverse of
         betainc(m/2, 1/2, .) (see _BetaincInverse; the first call builds
-        it).  That radius is the answer where h is flat.  Where h slopes,
-        _newton refines it by a safeguarded Newton iteration on the
-        segment mass, which falls back to bisection of its bracket
-        whenever a step leaves it or lands on one of its ends.  Every
-        point is solved on its own, so results do not depend on the
-        batch.
-        Endpoints are exact: p = 0 gives 0, and p = 1 gives the end of
-        the support (sigma unless h falls to 0).  The sampler calls this
-        method only for laws of constant profile; see sample.
+        it), which is exact where h is flat.  So the inverse serves laws
+        of flat profile only, and raises ValueError on a law whose h
+        slopes anywhere, before it reads p: sample draws such a law by
+        rejection (see _radii).  Every point is solved on its own, so
+        results do not depend on the batch.
+        Endpoints are exact: p = 0 gives 0, and p = 1 gives sigma.  The
+        sampler calls this method for every law of flat profile.
 
         Deep tails keep their accuracy.  The inverse works in x = r^2,
         so radii below about 1.5e-154 underflow; a uniform p from
@@ -701,6 +668,10 @@ class AdversarialLaw:
         Raises ArithmeticError only when the law's radial mass is below
         the normal double range (see radial_cdf).
         """
+        if self._sloped:
+            raise ValueError("inverse_radial_cdf serves laws of flat "
+                             "profile only; sample draws a law whose "
+                             "profile slopes by rejection")
         p_arr = np.asarray(p, dtype=float)
         scalar = p_arr.ndim == 0
         p_arr = np.atleast_1d(p_arr)
@@ -710,15 +681,8 @@ class AdversarialLaw:
             raise ValueError("p must lie in [0, 1]")
         idx, rem = self._locate(p_arr, "no radius can be inverted")
         out = self._radius(idx, rem)
-        idx = np.broadcast_to(idx, rem.shape)
-        if self._sloped:
-            # the endpoints are set below; p = 0 would cost Newton its
-            # every step at r = 0
-            self._newton(idx, rem, out, np.flatnonzero(
-                (p_arr > 0.0) & (p_arr < 1.0) & (self._gamma[idx] != 0.0)))
         out[p_arr == 0.0] = 0.0
-        top = p_arr == 1.0
-        out[top] = self._r_nodes[idx[top] + 1]
+        out[p_arr == 1.0] = self._r_nodes[-1]
         if scalar:
             return float(out[0])
         return out
@@ -766,42 +730,18 @@ class AdversarialLaw:
         return np.clip(np.sqrt(self._inverse(x)), self._r_nodes[idx],
                        self._r_nodes[idx + 1])
 
-    def _newton(self, idx, rem, out, todo):
-        """Safeguarded Newton on the segment residual mass(r) - rem, whose
-        derivative is h(r) r^(m-1) / sqrt(1 - r^2), in place on out[todo].
-        Each point keeps a bracket, its segment at first, and leaves once
-        it stops moving."""
-        lo, hi = self._r_nodes[idx[todo]], self._r_nodes[idx[todo] + 1]
-        for _ in range(_NEWTON_ITERS):
-            if todo.size == 0:
-                break
-            k, r = idx[todo], out[todo]
-            f = self._segment_mass(k, r) - rem[todo]
-            lo = np.where(f < 0.0, r, lo)
-            hi = np.where(f > 0.0, r, hi)
-            h = self._alpha[k] + self._gamma[k] * r
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = h * r ** (self._m - 1.0)
-                step = r - f * np.sqrt(1.0 - r * r) / slope
-            # a step onto a bracket end bisects instead: in a bracket of a
-            # few ulps the step can hop between its two ends for ever.  At
-            # a root the step is r itself and stands, even on an end.
-            inside = ((lo < step) & (step < hi)) | (step == r)
-            out[todo] = new = np.where(inside, step, 0.5 * (lo + hi))
-            done = ((np.abs(new - r) <= 2.0 * _EPS * r)
-                    | (hi - lo <= 2.0 * _EPS * hi))
-            todo, lo, hi = todo[~done], lo[~done], hi[~done]
-
     def _radii(self, rng, count):
         """count radii drawn from the law: the draws of sample before
         the directions.
 
-        A law of constant profile inverts one uniform per point,
-        inverse_radial_cdf(rng.random(count)).  Otherwise a round draws
-        a uniform pair (p, v) per point, rng.random((2, count)).  p
-        picks the segment k through _locate, as inverse_radial_cdf does,
-        and _radius maps its place in that segment's mass to a radius r
-        from the kernel's law r^(m-1) (1 - r^2)^(-1/2) on the segment.
+        A law of flat profile inverts one uniform per point,
+        inverse_radial_cdf(rng.random(count)), through the method's
+        name, so rebinding it wraps every batch.  A law whose h slopes
+        is drawn by rejection: a round draws a uniform pair (p, v) per
+        point, rng.random((2, count)).  p picks the segment k through
+        _locate, as inverse_radial_cdf does on a flat profile, and
+        _radius maps its place in that segment's mass to a radius r from
+        the kernel's law r^(m-1) (1 - r^2)^(-1/2) on the segment.
         r is kept when v max(h(r_k), h(r_k+1)) <= h(r); the law on the
         segment is the kernel's reweighted by h, so that is von
         Neumann's rejection method, exact whatever the slope.  Each
@@ -846,7 +786,7 @@ class AdversarialLaw:
         """Draw points from the law as unit vectors.
 
         The radius first, from the draws _radii describes: one uniform
-        per point by inverse transform for a law of constant profile,
+        per point by inverse transform for a law of flat profile,
         uniform pairs by rejection from the law's kernel where h has a
         slope.  Then an independent uniform tangent direction; the
         point is sqrt(1 - r^2) a + r u.  Returns (k,) for size=None,

@@ -104,7 +104,8 @@ def proj_distance(x, y):
     if y.ndim != 1:
         raise ValueError("y must be a single vector")
     if x.shape[-1] != y.shape[0]:
-        raise ValueError("dimension mismatch: %s vs %s" % (x.shape, y.shape))
+        raise ValueError("x has dimension %d but y has dimension %d"
+                         % (x.shape[-1], y.shape[0]))
     # BLAS sums <x, y> in an order that depends on the memory order of x,
     # so the rows are made row-major first: a point's distance does not
     # depend on the layout of its batch.

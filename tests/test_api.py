@@ -50,7 +50,7 @@ def test_runs_without_scipy(child_env):
     # scipy is a test oracle only: importing the package and its CLI
     # loads none of it, and with every scipy import refused (so a lazy
     # one cannot come back) a pole law still samples, reads its radial
-    # CDF and normalizes a tabulated profile
+    # CDF, and normalizes and samples a tabulated profile
     code = (
         "import sys\n"
         "import capsmooth, capsmooth.cli\n"
@@ -70,9 +70,9 @@ def test_runs_without_scipy(child_env):
         "f = law.radial_cdf(np.linspace(0.0, 1.0, 11))\n"
         "prof = normalize_profile(lambda r: 2.0 - r / 0.5, 4, 1.0, 0.5)\n"
         "tab = AdversarialLaw(Cap(center, 0.5), 1.0, prof)\n"
-        "r = tab.inverse_radial_cdf(np.linspace(0.0, 1.0, 101))\n"
-        "print(z.shape, f[0], f[-1], r[-1], prof.kind)\n")
+        "t = tab.sample(stream_rng(2, 0), size=101)\n"
+        "print(z.shape, f[0], f[-1], t.shape, prof.kind)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=child_env)
-    assert proc.stdout.split("\n") == ["[]", "(1000, 5) 0.0 1.0 0.5 tabulated",
-                                       ""]
+    assert proc.stdout.split("\n") == [
+        "[]", "(1000, 5) 0.0 1.0 (101, 5) tabulated", ""]

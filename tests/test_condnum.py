@@ -22,6 +22,12 @@ def rng(seed=0):
                                                              dtype=np.uint64)))
 
 
+def evaluate_one(problem, x):
+    """C(x) of one vector: evaluate_batch on a batch of one row."""
+    return float(problem.evaluate_batch(
+        np.asarray(x, dtype=float).reshape(1, -1))[0])
+
+
 def pole_beta(m):
     return 4.0 if m == 3 else 1.5
 
@@ -98,7 +104,7 @@ def far_from_unit_norm(p, dist):
                 want = mpmath.sqrt(mpmath.fsum(v * v for v in xs)) / dist(xs)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = (p.evaluate(x), c)
+                got = (evaluate_one(p, x), c)
             assert all(error_in_eps_c(c, want) <= 2.0 for c in got), \
                 (x, got)
 
@@ -111,15 +117,16 @@ class TestHyperplane:
 
     def test_values(self):
         p = hyperplane_problem(2)
-        assert p.evaluate(np.array([1.0, 0.0, 0.0])) == 1.0
+        assert evaluate_one(p, np.array([1.0, 0.0, 0.0])) == 1.0
         x = normalize(np.array([1.0, 1.0, 0.0]))
-        assert np.isclose(p.evaluate(x), math.sqrt(2.0), rtol=1e-14)
-        assert p.evaluate(p.ill_posed) == math.inf
+        assert np.isclose(evaluate_one(p, x), math.sqrt(2.0), rtol=1e-14)
+        assert evaluate_one(p, p.ill_posed) == math.inf
 
     def test_scale_invariance(self):
         p = hyperplane_problem(2)
         x = np.array([0.3, 1.0, -2.0])
-        assert np.isclose(p.evaluate(x), p.evaluate(7.5 * x), rtol=1e-14)
+        assert np.isclose(evaluate_one(p, x), evaluate_one(p, 7.5 * x),
+                          rtol=1e-14)
 
     def test_batch_agrees(self):
         p = hyperplane_problem(4)
@@ -128,7 +135,7 @@ class TestHyperplane:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         batch = p.evaluate_batch(z)
         for row, c in zip(z, batch):
-            assert np.isclose(p.evaluate(row), c, rtol=1e-13)
+            assert np.isclose(evaluate_one(p, row), c, rtol=1e-13)
 
     def test_c_at_least_one(self):
         p = hyperplane_problem(3)
@@ -149,12 +156,12 @@ class TestUnionHyperplanes:
         p = union_hyperplanes_problem(np.eye(3)[:2])
         v = np.array([0.6, 0.1, 0.79])
         expected = np.linalg.norm(v) / 0.1
-        assert np.isclose(p.evaluate(v), expected, rtol=1e-12)
-        assert np.isclose(p.evaluate(normalize(v)), expected, rtol=1e-12)
+        assert np.isclose(evaluate_one(p, v), expected, rtol=1e-12)
+        assert np.isclose(evaluate_one(p, normalize(v)), expected, rtol=1e-12)
 
     def test_ill_posed_on_sigma(self):
         p = union_hyperplanes_problem(np.eye(5)[:4])
-        assert p.evaluate(p.ill_posed) == math.inf
+        assert evaluate_one(p, p.ill_posed) == math.inf
 
     def test_batch_agrees(self):
         p = union_hyperplanes_problem(np.eye(4)[:2])
@@ -162,7 +169,7 @@ class TestUnionHyperplanes:
         z = g.standard_normal((30, 4))
         batch = p.evaluate_batch(z)
         for row, c in zip(z, batch):
-            assert np.isclose(p.evaluate(row), c, rtol=1e-13)
+            assert np.isclose(evaluate_one(p, row), c, rtol=1e-13)
 
     def test_rejects_non_unit_normals(self):
         with pytest.raises(ValueError):
@@ -221,18 +228,18 @@ class TestMatrixProblem:
 
     def test_ill_posed_is_singular(self):
         p = matrix_problem(3)
-        assert p.evaluate(p.ill_posed) == math.inf
+        assert evaluate_one(p, p.ill_posed) == math.inf
 
     def test_identity_matrix(self):
         # C(I) = ||I||_F / sigma_min = sqrt(m)
         p = matrix_problem(3)
-        assert np.isclose(p.evaluate(np.eye(3).reshape(-1)),
+        assert np.isclose(evaluate_one(p, np.eye(3).reshape(-1)),
                           math.sqrt(3.0), rtol=1e-14)
 
     def test_known_matrix(self):
         a = np.diag([4.0, 2.0, 1.0])
         p = matrix_problem(3)
-        c = p.evaluate(a.reshape(-1))
+        c = evaluate_one(p, a.reshape(-1))
         assert np.isclose(c, math.sqrt(16 + 4 + 1) / 1.0, rtol=1e-14)
 
     def test_batch_agrees(self):
@@ -488,8 +495,8 @@ class TestJacobiSigmaMin:
             warnings.simplefilter("error")
             c = p.evaluate_batch(z)
             # one row at a time too, and the batch's C-ordered copy
-            assert all(math.isnan(p.evaluate(z[i])) for i in bad)
-            assert p.evaluate(z[50]) == math.inf
+            assert all(math.isnan(evaluate_one(p, z[i])) for i in bad)
+            assert evaluate_one(p, z[50]) == math.inf
             assert np.array_equal(p.evaluate_batch(np.ascontiguousarray(z)),
                                   c, equal_nan=True)
         assert np.all(np.isnan(c[bad]))
@@ -512,7 +519,7 @@ class TestJacobiSigmaMin:
             for scale in (1e-200, 1e-160, 1e160, 1e200):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    got = (p.evaluate(scale * row),
+                    got = (evaluate_one(p, scale * row),
                            p.evaluate_batch(scale * row[None])[0])
                 assert all(error_in_eps_c(c, want) <= tol for c in got), \
                     (scale, got)

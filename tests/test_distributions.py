@@ -29,6 +29,11 @@ def e0(n):
     return v
 
 
+def _h(prof, r):
+    """The profile's h at r, the linear interpolant of its nodes."""
+    return float(np.interp(r, prof.r_grid, prof.h_grid))
+
+
 @pytest.fixture(autouse=True)
 def fresh_kernels():
     """Laws share their betainc kernels through a process-wide cache;
@@ -72,15 +77,20 @@ class TestRadialProfile:
         h = constant_profile(0.5)
         assert h.kind == "constant"
         assert h.H == 1.0
-        assert h(0.3) == 1.0
 
     def test_tabulated_interp(self):
+        # the segment table's h = alpha_i + gamma_i r is the linear
+        # interpolant of the nodes
         h = RadialProfile(r_grid=[0.0, 0.25, 0.5],
                           h_grid=[2.0, 1.0, 1.0], sigma=0.5)
         assert h.H == 2.0
-        assert h(0.0) == 2.0
-        assert np.isclose(h(0.125), 1.5)
-        np.testing.assert_allclose(h(np.array([0.25, 0.5])), [1.0, 1.0])
+        _, _, alpha, gamma, _ = distributions._segment_masses(
+            3.0, h.r_grid, h.h_grid)
+        for ends, values in ((h.r_grid[:-1], h.h_grid[:-1]),
+                             (h.r_grid[1:], h.h_grid[1:])):
+            np.testing.assert_allclose(alpha + gamma * ends, values,
+                                       rtol=1e-15)
+        assert np.isclose(alpha[0] + gamma[0] * 0.125, 1.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -156,7 +166,7 @@ class TestNormalizeProfile:
         # independent check: weighted integral equals I_{n-beta}(sigma)
         m = n - beta
         val, _ = integrate.quad(
-            lambda r: prof(r) * r ** (m - 1.0) / math.sqrt(1.0 - r * r),
+            lambda r: _h(prof, r) * r ** (m - 1.0) / math.sqrt(1.0 - r * r),
             0.0, sigma, epsabs=1e-14, epsrel=1e-12)
         assert np.isclose(val, cap_integral(m, sigma), rtol=1e-10)
 
@@ -177,7 +187,7 @@ class TestNormalizeProfile:
         table = np.array([[0.0, 1.0], [0.3, 1.0], [0.6, 0.5]])
         prof = normalize_profile(table, 3, 0.0, 0.6)
         val, _ = integrate.quad(
-            lambda r: prof(r) * r ** 2 / math.sqrt(1.0 - r * r),
+            lambda r: _h(prof, r) * r ** 2 / math.sqrt(1.0 - r * r),
             0.0, 0.6, epsabs=1e-14, epsrel=1e-12)
         assert np.isclose(val, cap_integral(3, 0.6), rtol=1e-10)
 
@@ -194,9 +204,9 @@ class TestNormalizeProfile:
 
 class TestAdversarialLawConstruction:
     def test_normalization_constant(self):
+        # the constant profile holds I_{n-beta}(sigma) as it stands
         law = AdversarialLaw(Cap(e0(4), 0.5), 2.0)
-        expected = cap_integral(4, 0.5) / cap_integral(2, 0.5)
-        assert np.isclose(law.c, expected, rtol=1e-13)
+        assert np.isclose(law._cdf_total, cap_integral(2, 0.5), rtol=1e-13)
         assert law.H == 1.0
 
     def test_beta_domain(self):
@@ -249,31 +259,6 @@ class TestAdversarialLawConstruction:
         AdversarialLaw(Cap(e0(3), 0.5), 1.0, prof)
 
 
-class TestDensity:
-    def test_uniform_is_one(self):
-        law = uniform_law(Cap(e0(3), 0.5))
-        g = rng(1)
-        z = law.sample(g, size=50)
-        np.testing.assert_allclose(law.density(z), np.ones(50), rtol=1e-12)
-
-    def test_pole_at_center(self):
-        law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
-        assert law.density(e0(3)) == math.inf
-
-    def test_outside_cap_rejected(self):
-        law = AdversarialLaw(Cap(e0(3), 0.5), 1.0)
-        outside = normalize(np.array([0.1, 1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            law.density(outside)
-
-    def test_value_on_circle(self):
-        # at radius r the density is c r^-beta h(r)
-        law = AdversarialLaw(Cap(e0(2), 0.8), 1.0)
-        r = 0.3
-        x = math.sqrt(1 - r * r) * e0(2) + r * np.array([0.0, 1.0, 0.0])
-        assert np.isclose(law.density(x), law.c / r, rtol=1e-10)
-
-
 class TestRadialCdf:
     def test_constant_profile_closed_form(self):
         n, beta, sigma = 5, 2.0, 0.7
@@ -304,11 +289,12 @@ class TestRadialCdf:
         law = AdversarialLaw(Cap(e0(n), sigma), beta, prof)
         m = n - beta
         norm, _ = integrate.quad(
-            lambda r: prof(r) * r ** (m - 1.0) / math.sqrt(1.0 - r * r),
+            lambda r: _h(prof, r) * r ** (m - 1.0) / math.sqrt(1.0 - r * r),
             0.0, sigma, epsabs=1e-14, epsrel=1e-12)
         for rho in (0.05, 0.2, 0.45, 0.6):
             val, _ = integrate.quad(
-                lambda r: prof(r) * r ** (m - 1.0) / math.sqrt(1.0 - r * r),
+                lambda r: (_h(prof, r) * r ** (m - 1.0)
+                           / math.sqrt(1.0 - r * r)),
                 0.0, rho, epsabs=1e-14, epsrel=1e-12)
             assert np.isclose(law.radial_cdf(rho), val / norm, rtol=1e-9)
 
@@ -467,9 +453,10 @@ class TestRadialCdf:
         want = np.clip(np.searchsorted(law._cdf_nodes, target) - 1, 0,
                        len(law._cdf_nodes) - 2)
         np.testing.assert_array_equal(law._segment_of(target), want)
-        r = law.inverse_radial_cdf(p)
+        # and the sampler's draws follow the law
+        r = law._radii(rng(4), 20000)
         assert np.all((r > 0.0) & (r <= sigma))
-        assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
+        assert _ks(law.radial_cdf(r)) <= TestRejectionSampler.KS
 
     def test_log_route_monotone_across_first_node(self):
         law = _tabulated_law(lambda r: 2.0 - r / 0.5, 210, 10.0, 0.5)
@@ -513,6 +500,10 @@ RESIDUAL_LAWS = {
     # certificate tries (residual 9.8e-14)
     "full-degree kernel": lambda: AdversarialLaw(Cap(e0(64), 0.99), 0.0),
 }
+# the laws whose h slopes, which the sampler draws by rejection and
+# inverse_radial_cdf refuses
+SLOPED_LAWS = ("2 - r/sigma", "rising 1 + r", "zero tail", "m = 200")
+FLAT_LAWS = sorted(set(RESIDUAL_LAWS) - set(SLOPED_LAWS))
 
 
 class TestInverseCdf:
@@ -524,8 +515,10 @@ class TestInverseCdf:
     def test_roundtrip(self, beta, profile):
         n, sigma = 4, 0.6
         if beta == "tab":
+            # a flat table of 1024 segments
             beta = 1.0
-            profile = normalize_profile(lambda r: 2.0 - r, n, beta, sigma)
+            profile = normalize_profile(lambda r: 1.0, n, beta, sigma)
+            assert profile.kind == "tabulated"
         law = AdversarialLaw(Cap(e0(n), sigma), beta, profile)
         p = np.linspace(0.0, 1.0, 41)
         r = law.inverse_radial_cdf(p)
@@ -533,16 +526,31 @@ class TestInverseCdf:
         back = law.radial_cdf(r)
         np.testing.assert_allclose(back, p, atol=5e-14)
 
-    @pytest.mark.parametrize("name", sorted(RESIDUAL_LAWS))
+    @pytest.mark.parametrize("name", FLAT_LAWS)
     def test_cdf_residual(self, name):
-        # every sampled radius reproduces its uniform to 1e-12, and none
-        # lands where h = 0
+        # every sampled radius reproduces its uniform to 1e-12
         law = RESIDUAL_LAWS[name]()
+        assert not law._sloped
         p = _residual_points()
         r = law.inverse_radial_cdf(p)
         assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
-        inner = (p > 0.0) & (p < 1.0)
-        assert np.all(law.profile(r[inner]) > 0.0)
+
+    def test_top_is_end_of_support(self):
+        # h vanishes on [sigma/2, sigma], so F reaches 1 at sigma/2, and
+        # no draw lies beyond it
+        law = RESIDUAL_LAWS["zero tail"]()
+        assert law.radial_cdf(0.25) == 1.0
+        assert law._radii(stream_rng(1, 0), BATCH_SIZE).max() <= 0.25
+
+    @pytest.mark.parametrize("name", SLOPED_LAWS)
+    def test_sloped_law_refuses_inverse(self, name):
+        # the inverse is exact only where h is flat, and a sloped law is
+        # sampled by rejection; the refusal comes before p is read
+        law = RESIDUAL_LAWS[name]()
+        assert law._sloped
+        for p in (0.5, _residual_points(), 1.1):
+            with pytest.raises(ValueError, match="flat profile only"):
+                law.inverse_radial_cdf(p)
 
     @pytest.mark.parametrize("name", sorted(RESIDUAL_LAWS))
     def test_segment_lookup(self, name):
@@ -559,11 +567,6 @@ class TestInverseCdf:
         # (a law of one segment gets one index for every target)
         got = np.broadcast_to(law._segment_of(target), want.shape)
         assert np.array_equal(got, want)
-
-    def test_top_is_end_of_support(self):
-        # h vanishes on [sigma/2, sigma], so F reaches 1 at sigma/2
-        law = RESIDUAL_LAWS["zero tail"]()
-        assert law.inverse_radial_cdf(1.0) == 0.25
 
     @pytest.mark.parametrize("n,beta", [(32, 0.0), (3, 1.5), (16, 4.0),
                                         (3, 2.5), (3, 0.0), (4, 0.0)])
@@ -588,26 +591,6 @@ class TestInverseCdf:
         law = AdversarialLaw(Cap(e0(3), 0.5), 2.5)
         back = law.log_radial_cdf(law.inverse_radial_cdf(p))
         assert np.isclose(back, math.log(p), rtol=1e-12, atol=0.0)
-
-    def test_newton_stops(self, monkeypatch):
-        # on the benchmark's law at seed 1, a point whose Newton step
-        # hopped between the two ends of a few-ulp bracket kept 8 of
-        # these 16 batches iterating for all 60 steps.  Each step
-        # evaluates the segment mass once
-        law = RESIDUAL_LAWS["2 - r/sigma"]()
-        mass = law._segment_mass
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return mass(*args)
-
-        monkeypatch.setattr(law, "_segment_mass", counted)
-        for index in range(16):
-            calls.clear()
-            p = stream_rng(1, index).random(BATCH_SIZE)
-            law.inverse_radial_cdf(p)
-            assert len(calls) <= 8, index
 
     def test_monotone(self):
         law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
@@ -805,7 +788,7 @@ class TestInverseKernel:
         assert np.array_equal(volumes._betaincinv_ratio(a, q), alone)
 
     @pytest.mark.parametrize("make", [
-        RESIDUAL_LAWS["constant beta 1.5"], RESIDUAL_LAWS["2 - r/sigma"],
+        RESIDUAL_LAWS["constant beta 1.5"], RESIDUAL_LAWS["flat 65 nodes"],
         lambda: AdversarialLaw(Cap(e0(16), 1.0), 4.0)],
         ids=["pole", "tabulated", "full cap"])
     def test_batch_independence(self, make):
@@ -991,68 +974,35 @@ class TestKernelCache:
 
 
 class TestSegmentFits:
-    """The inverse on segments where h is not constant: the kernel's
-    start radius, refined by safeguarded Newton on the segment mass."""
+    """Radii on segments where h is not constant, drawn by rejection
+    from the law's kernel, and the kernel builds they share with laws of
+    constant profile."""
 
     def test_missed_kernel_branch_falls_back(self, monkeypatch):
-        # the kernel misses at degree 2: the Halley inverse gives the
-        # starts, and Newton the radii
+        # the kernel misses at degree 2, so the Halley inverse maps every
+        # proposal; it draws the radii the fitted kernel draws, to the
+        # kernel's accuracy, since no acceptance lies that close
+        want = RESIDUAL_LAWS["2 - r/sigma"]()._radii(stream_rng(1, 0),
+                                                     BATCH_SIZE)
+        distributions._KERNELS.clear()
         monkeypatch.setattr(distributions, "_CHEB_DEGREE", 2)
         law = RESIDUAL_LAWS["2 - r/sigma"]()
-        p = _residual_points()
-        r = law.inverse_radial_cdf(p)
+        r = law._radii(stream_rng(1, 0), BATCH_SIZE)
         assert law._inverse._lower is None
-        assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
-        assert np.array_equal(law.inverse_radial_cdf(p[::7]), r[::7])
-
-    @pytest.mark.parametrize("name", ["2 - r/sigma", "zero tail",
-                                      "rising 1 + r"])
-    def test_against_oracle(self, name):
-        # Newton's radius agrees with a bisection of the closed-form
-        # segment mass, run until its bracket stops shrinking, to a few
-        # ulps times H / h(r): the slope of the mass is h(r) r^(m-1) /
-        # sqrt(1 - r^2), so where h nears 0 ("zero tail" at r = 1/4) the
-        # rounding of the mass moves its root further
-        law = RESIDUAL_LAWS[name]()
-        p = np.concatenate((_residual_points()[2:],
-                            np.geomspace(2.0 ** -53, 1e-3, 200)))
-        r = law.inverse_radial_cdf(p)
-        target = p * law._cdf_total
-        idx = np.clip(np.searchsorted(law._cdf_nodes, target, side="left")
-                      - 1, 0, len(law._r_nodes) - 2)
-        rem = target - law._cdf_nodes[idx]
-        lo, hi = law._r_nodes[idx], law._r_nodes[idx + 1]
-        for _ in range(1100):
-            mid = 0.5 * (lo + hi)
-            below = law._segment_mass(idx, mid) < rem
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        want = 0.5 * (lo + hi)
-        eps = np.finfo(float).eps
-        assert np.all(np.abs(r - want) / want
-                      <= 4.0 * eps * law.H / law.profile(want))
-
-    def test_no_fittable_segment(self):
-        # one segment whose h rises: the start passes sigma before the
-        # segment's mass is reached, and Newton still solves
-        n, beta, sigma = 3, 1.0, 0.5
-        prof = normalize_profile(lambda r: 1.0 + r, n, beta, sigma, 2)
-        law = AdversarialLaw(Cap(e0(n), sigma), beta, prof)
-        p = _residual_points()
-        r = law.inverse_radial_cdf(p)
-        assert np.max(np.abs(law.radial_cdf(r) - p)) <= 1e-12
+        np.testing.assert_allclose(r, want, rtol=1e-13, atol=0.0)
 
     @staticmethod
     def radii_from_threads(law):
-        """law's inverse at _residual_points from 8 threads at once,
+        """law's radii at stream_rng(1, 0) from 8 threads at once,
         switching every microsecond; asserts every thread got the same
         radii."""
-        p = _residual_points()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                radii = list(pool.map(law.inverse_radial_cdf, [p] * 8,
-                                      timeout=120))
+                radii = list(pool.map(
+                    lambda _: law._radii(stream_rng(1, 0), BATCH_SIZE),
+                    range(8), timeout=120))
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(r, radii[0]) for r in radii)
@@ -1072,7 +1022,7 @@ class TestSegmentFits:
         return calls
 
     def test_threads_build_once(self, monkeypatch):
-        # threads inverting one sloped law build its kernel once, under
+        # threads sampling one sloped law build its kernel once, under
         # the kernel cache's lock, and get the same radii
         calls = self.slow_kernel_builds(monkeypatch)
         self.radii_from_threads(RESIDUAL_LAWS["2 - r/sigma"]())
@@ -1085,15 +1035,10 @@ class TestSegmentFits:
         self.radii_from_threads(AdversarialLaw(Cap(e0(3), 0.5), 1.5))
         assert calls == [1]
 
-    def test_constant_profile_builds_nothing(self, monkeypatch):
-        # a constant profile inverts and samples by its kernel alone: no
-        # Newton loop, and no acceptance table
+    def test_constant_profile_builds_nothing(self):
+        # a constant profile inverts and samples by its kernel alone, with
+        # no acceptance table
         law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
-
-        def no_newton(*args):
-            raise AssertionError("Newton ran on a constant profile")
-
-        monkeypatch.setattr(law, "_newton", no_newton)
         law.inverse_radial_cdf(_residual_points())
         law.sample(rng(1), size=1000)
         assert "_acceptance" not in vars(law)
@@ -1129,10 +1074,12 @@ class TestRejectionSampler:
     1024 of them leave F blind, both at most the 0.1% value 1.95."""
 
     TABLES = {
-        **{name: RESIDUAL_LAWS[name] for name in (
-            "2 - r/sigma", "rising 1 + r", "zero tail", "m = 200")},
+        **{name: RESIDUAL_LAWS[name] for name in SLOPED_LAWS},
         "3 nodes": lambda: _tabulated_law(lambda r: 2.0 - r / 0.5, 3, 1.0,
                                           0.5, 3),
+        # one segment, whose h rises: every draw shares its constants
+        "one segment 1 + r": lambda: _tabulated_law(lambda r: 1.0 + r, 3,
+                                                    1.0, 0.5, 2),
         "sigma = 1": lambda: _tabulated_law(lambda r: 2.0 - r, 5, 1.0, 1.0,
                                             33),
     }
@@ -1140,9 +1087,11 @@ class TestRejectionSampler:
     KS = 1.95
 
     def statistics(self, law, rng):
-        """The two KS statistics of N radii from law._radii."""
+        """The two KS statistics of N radii from law._radii, which all
+        lie on the cap where h > 0."""
         r = law._radii(rng, self.N)
         assert np.all((r >= 0.0) & (r <= law.cap.sigma))
+        assert np.all(np.interp(r, law._r_nodes, law.profile.h_grid) > 0.0)
         f = law.radial_cdf(r)
         nodes = law._cdf_nodes / law._cdf_total
         # a radius on a node belongs to the segment that ends there, so

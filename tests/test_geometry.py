@@ -494,7 +494,8 @@ class TestRowMajorReference:
 
 @pytest.mark.parametrize("call,match", [
     (lambda: proj_distance(np.eye(3)[0], np.eye(3)), "y must be a single"),
-    (lambda: proj_distance(np.eye(3)[0], np.eye(4)[0]), "dimension mismatch"),
+    (lambda: proj_distance(np.eye(3)[0], np.eye(4)[0]),
+     "x has dimension 3 but y has dimension 4"),
     (lambda: geodesic_point(np.eye(3)[0], np.eye(3)[1],
                             np.array([0.1, 0.2])), "scalar r")],
     ids=["2-d-y", "mismatched-dimensions", "one-direction-many-r"])

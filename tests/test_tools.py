@@ -1,6 +1,7 @@
 """tools/code_lines.py, the code-line count that changes are measured by,
-and tools/line_coverage.py, which lists the lines a run never executes.
-The scripts are no modules of the package, so they are loaded or run by
+tools/line_coverage.py, which lists the lines a run never executes, and
+tools/cli_tour.py, the run of every subcommand that it traces.  The
+scripts are no modules of the package, so they are loaded or run by
 their paths."""
 
 import importlib.util
@@ -10,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+
+from capsmooth import cli
 
 _SCRIPT = (pathlib.Path(__file__).resolve().parents[1] / "tools"
            / "code_lines.py")
@@ -34,12 +37,17 @@ def f(x):
 '''
 
 
-@pytest.fixture(scope="module")
-def code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", _SCRIPT)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, _SCRIPT.with_name(name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def code_lines():
+    return _load("code_lines")
 
 
 def test_count(code_lines):
@@ -97,3 +105,15 @@ def test_line_coverage_lists_the_untaken_branch(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 3, done.stderr
     assert done.stdout == "pkg/mod.py:6: return 5\n"
+
+
+def test_cli_tour_runs_every_subcommand(tmp_path):
+    # the tour names each subcommand the parser registers, and none of
+    # its runs is refused as invalid input (exit 2); verify exits 1 on
+    # the failures it reports
+    tour = _load("cli_tour")
+    _, commands = cli._build_parser()
+    assert sorted(run[0] for run in tour.RUNS) == sorted(commands)
+    done = tour.tour(str(tmp_path))
+    assert [argv[0] for argv, _ in done] == [run[0] for run in tour.RUNS]
+    assert all(status in (0, 1) for _, status in done), done
