@@ -65,7 +65,10 @@ def _resolve_center(spec, n, seed, problem=None):
         if vec.shape[0] != n + 1:
             raise ValueError("--center has %d coordinates, expected %d"
                              % (vec.shape[0], n + 1))
-        return normalize(vec)
+        try:
+            return normalize(vec)
+        except ValueError as exc:
+            raise ValueError("--center coords: %s" % exc) from None
     raise ValueError("--center must be pole, random, or "
                      "coords:<c0,c1,...>, got %r" % (spec,))
 
@@ -107,7 +110,13 @@ def _parse_problem(spec, n):
 def _build_law(center, n, sigma, beta, profile_path):
     profile = None
     if profile_path is not None:
-        table = np.loadtxt(profile_path, delimiter=",", ndmin=2)
+        try:
+            table = np.loadtxt(profile_path, delimiter=",", ndmin=2)
+        except ValueError:
+            table = None
+        if table is None or table.shape[1] != 2:
+            raise ValueError("--profile %s must hold rows r,h of two comma-"
+                             "separated numbers" % profile_path)
         profile = normalize_profile(table, n, beta, sigma)
     return AdversarialLaw(Cap(center, sigma), beta, profile)
 
@@ -153,9 +162,10 @@ def _cmd_sample(args):
     if args.n is None:
         raise ValueError("sample needs --n")
     n = integer(args.n, "n")
+    samples = integer(args.samples, "samples")
     center = _resolve_center(args.center, n, args.seed)
     law = _build_law(center, n, args.sigma, args.beta, args.profile)
-    z = law.sample(montecarlo.stream_rng(args.seed, 0), size=args.samples)
+    z = law.sample(montecarlo.stream_rng(args.seed, 0), size=samples)
     radii = np.atleast_1d(proj_distance(z, law.cap.center))
     columns = ["x%d" % i for i in range(n + 1)] + ["radius"]
     _emit(montecarlo.csv_text(columns, ((*row, r) for row, r

@@ -27,12 +27,12 @@ a uniform tangent direction.  Radii come from one kernel per law: a
 piecewise-Chebyshev inverse of the regularized incomplete beta function,
 fitted to the inverse volumes._betaincinv_half and certified on the
 first use of any law with its m = n - beta and its mass
-betainc(m/2, 1/2, sigma^2), then shared by all of them.  Each fit keeps
-the lowest degree whose coefficient table still passes its certificate
-(2 to 4 for the kernels at sigma <= 1/2), so a point costs only the
-Clenshaw steps the certificate needs; a branch whose fit misses, and
-every point of a law with n - beta above 2 _FIT_MAX_A, where no kernel
-is fitted, is inverted by the oracle it was certified against.
+betainc(m/2, 1/2, sigma^2), then shared by all of them.  The
+certificate bounds the error in r^2 and the residual |F(r) - p| it
+leaves; each fit keeps the lowest degree whose coefficient table still
+passes it (degree 1 to 4 at sigma <= 1/2), so a point costs only the
+Clenshaw steps the certificate needs, and a branch whose full table
+misses is inverted by the oracle it was certified against.
 
 One locator, AdversarialLaw._locate, takes a probability p to the
 segment that holds the mass p times the total and to the mass left in
@@ -58,7 +58,8 @@ import numpy as np
 from ._args import check_beta, check_sigma, integer
 from .geometry import geodesic_point, tangent_direction
 from .volumes import (_beta_half, _betainc_half, _betaincinv_half,
-                      _betaincinv_ratio, _vec_cap_integral, log_cap_integral)
+                      _betaincinv_ratio, _log_beta_half, _vec_cap_integral,
+                      log_cap_integral)
 
 __all__ = [
     "Cap",
@@ -73,29 +74,15 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 # Chebyshev kernel for the inverse of betainc(a, 1/2, .): the degree, the
-# piece count and the certificate's bound on the relative error in x
+# piece count, and the certificate's two bounds: on the relative error in
+# x, and on the residual in p that the error in x leaves.  The latter is
+# a quarter of the 1e-12 that sampling asks, since draws between the
+# certificate's points leave up to 1.6 times its largest residual
+# (4.1e-13 at m = 650-1000, sigma = 0.8-0.9)
 _CHEB_DEGREE = 12
 _CHEB_PIECES = 32
 _CHEB_TOL = 64 * _EPS
-# a kernel's table keeps the shortest prefix whose relative error in x
-# stays within both _CHEB_TOL and _PREFIX_BUDGET / a (see
-# _BetaincInverse._branch).  F magnifies that error by about
-# a / sqrt(1 - r^2), so the budget holds the radial residual below
-# 1e-12 wherever a prefix shorter than the full table passes it;
-# _CHEB_TOL alone would let m >= 500 pass 1e-12 once the full degree's
-# spare accuracy is cut.  A full table passes whatever its error below
-# _CHEB_TOL, so the budget does not bound it: at sigma = 0.99, beta = 0
-# the largest residual over 16384 uniforms is 9.5e-14, 3.2e-13 and
-# 6.7e-13 at n = 64, 100 and 128, and 1.13e-12 at n = 150, until the
-# branch misses the certificate (n = 170) and Halley serves every point
-_PREFIX_BUDGET = 1e-13
-# the largest a = m/2 that gets a kernel fit.  F magnifies the fit's
-# error by about m/2 near the top of the law, so the radial residual
-# max |F(r) - p| grows with m: at sigma = 0.5 it is 3.4e-13, 7.7e-13,
-# 9.6e-13 and 1.15e-12 at m = 300, 600, 700 and 1000, against the 1e-12
-# that sampling asks.  Above the cut Halley inverts every point (below
-# 1e-13 there, at about twice the kernel's cost per point)
-_FIT_MAX_A = 320.0
+_RESIDUAL_TOL = 2.5e-13
 
 
 class _ChebyshevPieces:
@@ -183,15 +170,16 @@ class _BetaincInverse:
     fixed point on the same engine's log output.
 
     Each branch is fitted once, at _CHEB_PIECES pieces, and keeps the
-    shortest prefix of its coefficients whose error stays within the
-    certificate and within _PREFIX_BUDGET / a.  A branch that misses
-    the certificate is None, and volumes._betaincinv_half itself
-    inverts it, in the complement 1 - y on the upper branch, as the
-    certificate does: within about one ulp of x, at several times the
-    cost of the fit per point.  At sigma = 1 the lower branch misses
-    from a = 32 on.  Above a = _FIT_MAX_A no branch is fitted: the
-    certified 64 eps in x is then too coarse for the radial CDF, and
-    Halley inverts every point.
+    shortest prefix of its coefficients that passes the certificate: a
+    relative error in x within _CHEB_TOL, and a residual in p = y / top
+    within _RESIDUAL_TOL, which keeps the residual |F(r) - p| of a
+    sampled radius within the 1e-12 that sampling asks.  A branch whose full table misses is None, and
+    volumes._betaincinv_half itself inverts it, in the complement 1 - y
+    on the upper branch, as the certificate does: within about one ulp
+    of x, at several times the cost of the fit per point.  The lower
+    branch misses for large m = 2a near sigma = 1: from m = 58 on at
+    sigma = 1, from m = 95 on at sigma = 0.99, and at some m above 500
+    from sigma = 0.9 on.
     """
 
     def __init__(self, a, top):
@@ -204,6 +192,18 @@ class _BetaincInverse:
         num_a, den_a = float(a).as_integer_ratio()
         num_r, den_r = root.as_integer_ratio()
         self._root_lo = (den_a * den_r - num_r * num_a) / (num_a * den_r)
+        log_scale = _log_beta_half(a) + math.log(top)
+
+        def errors(x, ref, w):
+            # the relative error of x against ref = 1 - w, and the residual
+            # in p it leaves, |x - ref| ref^(a-1) w^(-1/2) / (B(a, 1/2) top),
+            # in logs.  The slope is taken at w, the complement the oracle
+            # solved for, not at 1 - ref: w > 0 at every certificate
+            # point, so x == ref leaves a residual of 0, never 0 * inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dx = np.abs(x - ref)
+                return dx / ref, np.exp(np.log(dx) + (a - 1.0) * np.log(ref)
+                                        - 0.5 * np.log(w) - log_scale)
 
         def lower(nodes, between):
             # one inverse for the nodes and the points between, where q^a
@@ -221,12 +221,13 @@ class _BetaincInverse:
             ref_psi = _betaincinv_ratio(a, q[under])
 
             def error(fit):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    err = np.abs(self._lower_x(fit, y) - ref) / ref
+                err, res = errors(self._lower_x(fit, y), ref, 1.0 - ref)
                 if ref_psi.size:
-                    # no double y there: the fitted psi against the series
+                    # no double y there: the fitted psi against the
+                    # series, and a residual below q^a < 2.2e-308
                     err[under] = np.abs(fit(q[under]) - ref_psi) / ref_psi
-                return err
+                    res[under] = 0.0
+                return err, res
             return values.reshape(nodes.shape), error
 
         def upper(nodes, between):
@@ -236,54 +237,47 @@ class _BetaincInverse:
             y = 1.0 - np.sqrt(between.ravel())
             w = _betaincinv_half(a, np.concatenate((c, 1.0 - y)), upper=True)
             values = (w[:c.size] / (c * c)).reshape(nodes.shape)
-            ref = 1.0 - w[c.size:]
-            return values, lambda fit: (np.abs(self._upper_x(fit, y) - ref)
-                                        / ref)
+            w = w[c.size:]
+            return values, lambda fit: errors(self._upper_x(fit, y), 1.0 - w,
+                                              w)
 
-        self._lower = self._upper = None
-        if a > _FIT_MAX_A:
-            return
         self._lower = self._branch(lower, 0.0, self.split ** root)
+        self._upper = None
         if top > self.split:
             self._upper = self._branch(upper, (1.0 - top) ** 2,
                                        (1.0 - self.split) ** 2)
 
     def _branch(self, solve, lo, hi):
-        """The branch's fit on [lo, hi], cut into _CHEB_PIECES pieces, or
-        None if it misses its certificate: a relative error in x above
-        _CHEB_TOL at the points midway (in angle) between the nodes and
-        at the ends of the pieces.  solve(nodes, between) gives, from
-        one call, the values at the nodes and a function that maps the
-        fit to its relative error at the points between; both point
-        arrays have one column per piece.
+        """The branch's fit on [lo, hi], cut into _CHEB_PIECES pieces, as
+        the shortest prefix of its coefficient table, the lowest degree,
+        that passes the certificate, or None if the full table misses it.
+        The certificate holds the relative error in x within _CHEB_TOL
+        and the residual |betainc(a, 1/2, x) - y| / top it leaves, in
+        p = y / top, within _RESIDUAL_TOL, at the points midway (in
+        angle) between the nodes and at the ends of the pieces.
+        solve(nodes, between) gives, from one call, the values at the
+        nodes and a function that maps a fit to both errors at the
+        points between; both point arrays have one column per piece.
 
-        The fit keeps the shortest prefix of its coefficient table, the
-        lowest degree, that passes the same certificate at the same
-        points with an error of at most the larger of _PREFIX_BUDGET / a
-        (capped at _CHEB_TOL) and the full table's own; so each
-        evaluation runs only as many Clenshaw steps as the certificate
-        needs, and no node is solved again.  The coefficients of a
-        smooth inverse fall off geometrically, so the kernels keep
-        degree 2 to 4 at sigma <= 1/2; the degree rises as sigma nears 1
-        and with m, to the full _CHEB_DEGREE at sigma = 0.99 from m = 64
-        on."""
+        So each evaluation runs only as many Clenshaw steps as the
+        certificate needs, and no node is solved again.  The
+        coefficients of a smooth inverse fall off geometrically, so the
+        kernels keep degree 1 to 4 at sigma <= 1/2 (1 at m = 2, where
+        psi(q) = 2 - q); the degree rises as sigma nears 1 and with m."""
         n = _CHEB_DEGREE + 1
         theta = np.pi * (np.arange(n) + 0.5) / n
         between = np.pi * np.arange(n) / n
         fit = _ChebyshevPieces(lo, hi, _CHEB_PIECES)
         values, error = solve(fit.points(theta), fit.points(between))
         fit.interpolate(values)
-        err = error(fit).max()
-        # nan (an underflowed node) misses too
-        if not err <= _CHEB_TOL:
-            return None
-        keep = max(err, min(_CHEB_TOL, _PREFIX_BUDGET / self._a))
-        # the full table meets keep, which is at least its own error
         full = fit.coef
         for size in range(1, n + 1):
             fit.coef = full[:size]
-            if error(fit).max() <= keep:
+            err, res = error(fit)
+            # nan (an underflowed node) misses
+            if err.max() <= _CHEB_TOL and res.max() <= _RESIDUAL_TOL:
                 return fit
+        return None
 
     def _lower_q(self, y):
         q = y ** self._root

@@ -128,16 +128,29 @@ class TestSample:
     (("tail", "--problem", "union:2"), "--n"),
     (("sample",), "--n"),
     (("boost-check", "--rho-steps", "x"), "--rho-steps"),
-    (("volumes", "--config", "{config}"), "config file")],
+    (("volumes", "--config", "{config}"), "config file"),
+    (("sample", "--n", "3", "--samples", "0"), "samples"),
+    (("sample", "--n", "3", "--profile", "{header}"), "--profile"),
+    (("sample", "--n", "3", "--profile", "{ragged}"), "--profile"),
+    (("sample", "--n", "3", "--profile", "{semicolons}"), "--profile"),
+    (("sample", "--n", "3", "--profile", "{column}"), "--profile"),
+    (("sample", "--n", "3", "--center", "coords:0,0,0,0"),
+     "--center coords:")],
     ids=["coords-entry", "center", "hyperplane-n", "union-n", "sample-n",
-         "rho-steps", "config-list"])
+         "rho-steps", "config-list", "samples", "profile-header",
+         "profile-ragged", "profile-semicolons", "profile-column",
+         "coords-zero"])
 def test_invalid_argument_named(argv, name, capsys, tmp_path):
     # each error line leads with "error:" and names the argument; argparse
     # exits itself
-    config = tmp_path / "list.json"
-    config.write_text("[1, 2]")
+    files = {"config": "[1, 2]", "header": "r,h\n0,2\n0.5,1\n",
+             "ragged": "0,2\n0.25,1.5,7\n0.5,1\n",
+             "semicolons": "0;2\n0.5;1\n", "column": "0\n0.5\n"}
+    for key, text in files.items():
+        files[key] = tmp_path / key
+        files[key].write_text(text)
     try:
-        code = main([a.format(config=config) for a in argv])
+        code = main([a.format(**files) for a in argv])
     except SystemExit as exc:
         code = exc.code
     out, err = capsys.readouterr()

@@ -7,9 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
-from capsmooth import distributions, volumes
+from capsmooth import cli, distributions, volumes
 from capsmooth.distributions import (AdversarialLaw, Cap, RadialProfile,
                                      constant_profile, normalize_profile,
                                      uniform_law)
@@ -497,8 +497,14 @@ RESIDUAL_LAWS = {
     # exactly 1
     "flat 65 nodes": lambda: _tabulated_law(lambda r: 1.0, 3, 1.5, 0.5, 65),
     # the kernel keeps all 13 coefficients: the last prefix its
-    # certificate tries (residual 9.8e-14)
-    "full-degree kernel": lambda: AdversarialLaw(Cap(e0(64), 0.99), 0.0),
+    # certificate tries (residual 1.5e-13)
+    "full-degree kernel": lambda: AdversarialLaw(Cap(e0(80), 0.99), 0.0),
+    # the full table leaves 1.1e-12 here, so the lower branch misses the
+    # certificate's residual bound and Halley inverts every point
+    "n = 150, sigma = 0.99": lambda: AdversarialLaw(Cap(e0(150), 0.99),
+                                                    0.0),
+    # fitted at degree 4, within 2.2e-13
+    "n = 1000, sigma = 0.5": lambda: AdversarialLaw(Cap(e0(1000), 0.5), 0.0),
 }
 # the laws whose h slopes, which the sampler draws by rejection and
 # inverse_radial_cdf refuses
@@ -673,10 +679,10 @@ class TestInverseKernel:
         (600, 1.0), (1000, 0.5), (1000, 1.0)])
     def test_large_m_builds(self, n, sigma):
         # q^(m/2) underflows at the lowest nodes of the lower branch from
-        # m = 136 on; there psi comes from the series.  At sigma = 1 the
-        # lower branch misses its certificate from m = 64 on, and the
-        # Halley inverse serves it.  Above m = 2 _FIT_MAX_A no branch is
-        # fitted: at n = 1000, sigma = 0.5 the fit left 1.15e-12
+        # m = 136 on; there psi comes from the series.  Every stored
+        # branch passes its certificate, in x and in p.  At sigma = 1 the
+        # lower branch misses it from m = 58 on, and the Halley inverse
+        # serves it; below sigma = 1 every law here is fitted
         law = AdversarialLaw(Cap(e0(n), sigma), 0.0)
         p = _residual_points()
         if n == 300 and sigma == 0.05:
@@ -685,8 +691,12 @@ class TestInverseKernel:
                 law.inverse_radial_cdf(p)
             return
         r = law.inverse_radial_cdf(p)
-        fitted = n <= 2.0 * distributions._FIT_MAX_A
-        assert (law._inverse._lower is not None) == (fitted and sigma < 1.0)
+        kernel = law._inverse
+        assert (kernel._lower is not None) == (sigma < 1.0)
+        assert (kernel._upper is not None) == (sigma == 1.0)
+        for fit, upper in _branches(kernel):
+            assert _certificate_passes(*_certificate_errors(kernel, fit,
+                                                            upper))
         f = law.radial_cdf(r)
         if sigma < 1.0:
             assert np.max(np.abs(f - p)) <= 1e-12
@@ -714,12 +724,18 @@ class TestInverseKernel:
             rel = abs((x - xr) / xr)
         assert rel <= distributions._CHEB_TOL
 
-    @pytest.mark.parametrize("sigma", [0.5, 1.0])
-    def test_missed_branch_inverts_by_halley(self, monkeypatch, sigma):
+    @pytest.mark.parametrize("sigma,name,value", [
+        (0.5, "_CHEB_DEGREE", 2), (1.0, "_CHEB_DEGREE", 2),
+        (0.5, "_RESIDUAL_TOL", 1e-30), (1.0, "_RESIDUAL_TOL", 1e-30)],
+        ids=["0.5", "1.0", "residual-0.5", "residual-1.0"])
+    def test_missed_branch_inverts_by_halley(self, monkeypatch, sigma, name,
+                                             value):
         # a fit too coarse for its bound is dropped, and the Halley
         # inverse it was certified against inverts that branch instead:
-        # in the complement on the upper branch, which sigma = 1 needs
-        monkeypatch.setattr(distributions, "_CHEB_DEGREE", 2)
+        # in the complement on the upper branch, which sigma = 1 needs.
+        # A degree-2 table misses the bound in x; with the residual
+        # bound below what any fit meets, the full table misses in p
+        monkeypatch.setattr(distributions, name, value)
         law = AdversarialLaw(Cap(e0(3), sigma), 1.5)
         p = _residual_points()
         r = law.inverse_radial_cdf(p)
@@ -834,25 +850,50 @@ class _Recording:
         return self.rng.standard_normal(size)
 
 
-def _certificate_error(kernel, fit, upper):
-    """The relative error in x of a kernel branch's table `fit` at the
-    points its build certifies: midway in angle between the Chebyshev
-    nodes and at the ends of the pieces, against volumes'
-    _betaincinv_half (in the complement 1 - y on the upper branch)."""
+def _branches(kernel):
+    """The stored branches of a kernel, each with whether it is the
+    upper one."""
+    return [(fit, upper) for fit, upper in ((kernel._lower, False),
+                                            (kernel._upper, True))
+            if fit is not None]
+
+
+def _certificate_errors(kernel, fit, upper):
+    """The largest relative error in x and residual in p = y / top of a
+    kernel branch's table `fit` at the points its build certifies:
+    midway in angle between the Chebyshev nodes and at the ends of the
+    pieces, against volumes' _betaincinv_half (in the complement 1 - y
+    on the upper branch).  The residual is the error in x times the
+    slope x^(a-1) (1-x)^(-1/2) / (B(a, 1/2) top) of p; where q^a
+    underflows, the fitted psi is held to the series and the residual is
+    below the double range."""
     deg = distributions._CHEB_DEGREE + 1
     points = fit.points(np.pi * np.arange(deg) / deg).ravel()
     a = kernel._a
+    psi_err = np.zeros(0)
     if upper:
         y = 1.0 - np.sqrt(points)
-        want = 1.0 - volumes._betaincinv_half(a, 1.0 - y, upper=True)
+        w = volumes._betaincinv_half(a, 1.0 - y, upper=True)
+        want = 1.0 - w
         got = kernel._upper_x(fit, y)
     else:
         y = points ** a
-        # no certificate point of this grid needs the underflow series
-        assert np.all(y >= np.finfo(float).tiny)
-        want = volumes._betaincinv_half(a, y)
-        got = kernel._lower_x(fit, y)
-    return np.max(np.abs(got - want) / want)
+        keep = y >= np.finfo(float).tiny
+        psi = volumes._betaincinv_ratio(a, points[~keep])
+        psi_err = np.abs(fit(points[~keep]) - psi) / psi
+        want = volumes._betaincinv_half(a, y[keep])
+        w = 1.0 - want
+        got = kernel._lower_x(fit, y[keep])
+    dx = np.abs(got - want)
+    with np.errstate(divide="ignore"):
+        res = np.exp(np.log(dx) + (a - 1.0) * np.log(want) - 0.5 * np.log(w)
+                     - special.betaln(a, 0.5) - math.log(kernel.top))
+    return max(np.max(dx / want), np.max(psi_err, initial=0.0)), np.max(res)
+
+
+def _certificate_passes(err, res):
+    return (err <= distributions._CHEB_TOL
+            and res <= distributions._RESIDUAL_TOL)
 
 
 class TestCostGuard:
@@ -901,8 +942,8 @@ class TestCostGuard:
     @pytest.mark.parametrize("m", KERNEL_M)
     def test_shortest_certified_prefix(self, m, sigma):
         # each stored branch keeps at most the fitted degree, holds the
-        # certificate at 10^4 fresh points, and one degree lower misses
-        # the bound its prefix was chosen by
+        # bound in x at 10^4 fresh points, passes its certificate, and
+        # one degree lower misses it
         a = 0.5 * m
         kernel = distributions._kernel(a, volumes._betainc_half(a, sigma ** 2))
         assert distributions._kernel(a, kernel.top) is kernel
@@ -911,18 +952,43 @@ class TestCostGuard:
         want = volumes._betaincinv_half(a, y)
         assert np.max(np.abs(kernel(y) - want) / want) \
             <= distributions._CHEB_TOL
-        bound = min(distributions._CHEB_TOL, distributions._PREFIX_BUDGET / a)
-        branches = [(kernel._lower, False), (kernel._upper, True)]
-        branches = [(f, upper) for f, upper in branches if f is not None]
+        branches = _branches(kernel)
         assert branches
         for fit, upper in branches:
             assert len(fit.coef) - 1 <= distributions._CHEB_DEGREE
-            assert _certificate_error(kernel, fit, upper) \
-                <= distributions._CHEB_TOL
+            assert _certificate_passes(*_certificate_errors(kernel, fit,
+                                                            upper))
             if len(fit.coef) > 1:
                 lower = copy.copy(fit)
                 lower.coef = fit.coef[:-1]
-                assert _certificate_error(kernel, lower, upper) > bound
+                assert not _certificate_passes(
+                    *_certificate_errors(kernel, lower, upper))
+
+    # the kernels that verify --quick builds, as (m, sigma) with the
+    # coefficient counts of their (lower, upper) branches; the mc-*
+    # benchmark laws draw through two of them (m = 1.5 and 4 at
+    # sigma = 0.5).  A table that changes moves report bytes
+    VERIFY_KERNELS = [
+        (1.5, 0.5, (4, None)), (1.5, 1.0, (5, 5)), (2.0, 0.5, (2, None)),
+        (2.0, 1.0, (2, 1)), (3.0, 0.5, (5, None)), (3.0, 0.8, (5, None)),
+        (3.0, 1.0, (6, 5)), (4.0, 0.5, (5, None)), (5.0, 0.5, (5, None)),
+        (5.0, 1.0, (7, 5)), (8.0, 0.5, (5, None)), (10.0, 0.8, (6, None))]
+
+    @pytest.mark.parametrize("m,sigma,sizes", VERIFY_KERNELS)
+    def test_verify_kernel_table(self, m, sigma, sizes):
+        a = 0.5 * m
+        kernel = distributions._kernel(a, volumes._betainc_half(a, sigma ** 2))
+        assert tuple(None if fit is None else len(fit.coef)
+                     for fit in (kernel._lower, kernel._upper)) == sizes
+
+    def test_verify_builds_these_kernels(self, tmp_path, capsys):
+        # the list above is every kernel verify --quick builds
+        assert cli.main(["verify", "--quick", "--seed", "3",
+                         "--out", str(tmp_path / "verify.csv")]) == 1
+        capsys.readouterr()
+        assert set(distributions._KERNELS) == {
+            (0.5 * m, float(volumes._betainc_half(0.5 * m, sigma ** 2)))
+            for m, sigma, _ in self.VERIFY_KERNELS}
 
 
 class TestKernelCache:
