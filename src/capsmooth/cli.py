@@ -29,6 +29,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -111,7 +112,11 @@ def _build_law(center, n, sigma, beta, profile_path):
     profile = None
     if profile_path is not None:
         try:
-            table = np.loadtxt(profile_path, delimiter=",", ndmin=2)
+            # an empty file gives a (0, 1) table, refused below, and a
+            # warning that would print ahead of the error line
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(profile_path, delimiter=",", ndmin=2)
         except ValueError:
             table = None
         if table is None or table.shape[1] != 2:

@@ -28,7 +28,10 @@ A problem may also carry bound_batch, a cheap upper bound on C per row
 that is certified: never below the true C.  matrix:2 and matrix:3 take
 it from the closed-form determinant, C <= ||A||^m / ((m-1)^((m-1)/2)
 |det A|) by AM-GM on sigma_1 ... sigma_{m-1}, with the rounding of the
-determinant subtracted from |det A| first (_det_bound).
+determinant subtracted from |det A| first (_det_bound).  Their
+bound_batch scales rows by _unit_scaled first, as evaluate_batch does,
+so a far row gets the bound of its scaled copy, which is bit for bit
+that of the unit row it is a power-of-two multiple of.
 ConicProblem.may_reach uses it to keep only the rows whose C may reach
 a threshold, which a tail estimate evaluates alone, and evaluate_batch
 to send the rows whose bound exceeds _CLOSED_CUT, or 64 times the
@@ -91,21 +94,10 @@ class ConicProblem:
 _EPS = np.finfo(float).eps
 
 
-def _sum_products(x, y, out, tmp):
-    """sum_i x[i] * y[i] over the rows of two (m, N) arrays, added
-    first to last into the (N,) row out (the order np.einsum's
-    "ij,ij->j" adds in for N > 1)."""
-    np.multiply(x[0], y[0], out=out)
-    for i in range(1, len(x)):
-        np.multiply(x[i], y[i], out=tmp)
-        np.add(out, tmp, out=out)
-    return out
-
-
-# rows whose norm lies outside [2^-200, 2^200] get no determinant bound:
-# inside, ||A||^m neither overflows nor underflows, and the absolute
-# error of an underflowed product is far below eps ||A||^m.
-# evaluate_batch scales such rows into it first (_unit_scaled)
+# the norms that _unit_scaled leaves alone, so that a unit row keeps its
+# bits.  Inside the range ||A||^m neither overflows nor underflows
+# (_det_bound), and the absolute error of an underflowed product is far
+# below eps ||A||^m
 _BOUND_NORMS = (2.0 ** -200, 2.0 ** 200)
 # rows whose determinant bound exceeds the cut, or the ratio times the
 # closed form's C, take sigma_min from the SVD (see _closed_sigma_min)
@@ -188,10 +180,11 @@ def _det_bound(nrm, det, m):
     (the permanent is at most the product of the row 1-norms, hence at
     most ||A||^3), and eps ||A||^2 / 2 for m = 2.  The bound divides
     by low = |det_fl| - 8 eps ||A||^m <= |det A|, and is +inf where low
-    is not positive (singular and rank-one rows among them) and where
-    ||A|| lies outside _BOUND_NORMS.  Its own rounding is below
-    25 eps relative.  Call it inside np.errstate: rows outside
-    _BOUND_NORMS may overflow before they get +inf.
+    is not positive (singular and rank-one rows among them) or NaN.
+    Its own rounding is below 25 eps relative.  nrm and det are those of
+    rows that _unit_scaled returned, so that ||A||^m neither overflows
+    nor underflows (_BOUND_NORMS).  Call it inside np.errstate: low may
+    be 0 before its row gets +inf.
     """
     num = nrm * nrm
     if m == 3:
@@ -199,26 +192,8 @@ def _det_bound(nrm, det, m):
     low = np.abs(det)
     low -= 8.0 * _EPS * num
     out = num / (float(m - 1) ** ((m - 1) / 2.0) * low)
-    ok = low > 0.0
-    ok &= nrm > _BOUND_NORMS[0]
-    ok &= nrm < _BOUND_NORMS[1]
-    out[~ok] = math.inf
+    out[~(low > 0.0)] = math.inf
     return out
-
-
-def _det_bound_batch(m):
-    """matrix:m's bound_batch, _det_bound on the rows of an (N, m*m)
-    array, for m = 2 and 3 (None otherwise)."""
-    if m not in (2, 3):
-        return None
-
-    def bound_batch(z):
-        zt = np.asarray(z, dtype=float).T
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            det, _ = _det_parts(zt, m)
-            return _det_bound(_norms(zt), det, m)
-
-    return bound_batch
 
 
 def _top_eigenvalue(g11, g22, g33, g12, g13, g23):
@@ -320,11 +295,10 @@ def _closed_sigma_min(zt, nrm, det, first):
             (b * f - c * e, a * f - c * d, a * e - b * d))
     scale = nrm * nrm
     inv = 1.0 / (scale * scale)
-    tmp = np.empty_like(nrm)
     gram = []
     for j, k in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
-        gram.append(_sum_products(rows[j], rows[k], np.empty_like(nrm), tmp))
-        gram[-1] *= inv
+        (x0, x1, x2), (y0, y1, y2) = rows[j], rows[k]
+        gram.append((x0 * y0 + x1 * y1 + x2 * y2) * inv)
     scale *= np.sqrt(_top_eigenvalue(*gram))
     return np.abs(det) / scale
 
@@ -396,15 +370,15 @@ def matrix_problem(m):
     bound places near rank one, only those; each row's C is computed on
     its own, so it does not depend on the rest of the batch.  For
     m >= 4 bound_batch is None and the SVD serves every row.  Rows far
-    from unit norm are scaled first (_unit_scaled).  The zero matrix
-    gets +inf, and a row with a NaN or inf entry gets NaN.
+    from unit norm are scaled first (_unit_scaled), before the bound as
+    before C.  The zero matrix gets +inf, and a row with a NaN or inf
+    entry gets NaN (and the bound +inf).
     """
     m = integer(m, "m", least=2)
 
     def evaluate_batch(z):
-        z = np.asarray(z, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            z, nrm = _unit_scaled(z)
+            z, nrm = _unit_scaled(np.asarray(z, dtype=float))
             if m > 3:
                 s = _svd_sigma_min(z, m)
             else:
@@ -417,9 +391,15 @@ def matrix_problem(m):
                 s[slow] = _svd_sigma_min(z[slow], m)
             return nrm / s
 
+    def bound_batch(z):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            z, nrm = _unit_scaled(np.asarray(z, dtype=float))
+            det, _ = _det_parts(z.T, m)
+            return _det_bound(nrm, det, m)
+
     ill = np.zeros((m, m))
     for i in range(m - 1):
         ill[i, i] = 1.0
     ill = (ill / np.linalg.norm(ill)).reshape(-1)
     return ConicProblem("matrix:%d" % m, m * m - 1, m, evaluate_batch, ill,
-                        bound_batch=_det_bound_batch(m))
+                        bound_batch=bound_batch if m <= 3 else None)

@@ -134,18 +134,21 @@ class TestSample:
     (("sample", "--n", "3", "--profile", "{ragged}"), "--profile"),
     (("sample", "--n", "3", "--profile", "{semicolons}"), "--profile"),
     (("sample", "--n", "3", "--profile", "{column}"), "--profile"),
+    (("sample", "--n", "3", "--profile", "{empty}"), "--profile"),
+    (("sample", "--n", "3", "--profile", "{comment}"), "--profile"),
     (("sample", "--n", "3", "--center", "coords:0,0,0,0"),
      "--center coords:")],
     ids=["coords-entry", "center", "hyperplane-n", "union-n", "sample-n",
          "rho-steps", "config-list", "samples", "profile-header",
          "profile-ragged", "profile-semicolons", "profile-column",
-         "coords-zero"])
+         "profile-empty", "profile-comment", "coords-zero"])
 def test_invalid_argument_named(argv, name, capsys, tmp_path):
     # each error line leads with "error:" and names the argument; argparse
     # exits itself
     files = {"config": "[1, 2]", "header": "r,h\n0,2\n0.5,1\n",
              "ragged": "0,2\n0.25,1.5,7\n0.5,1\n",
-             "semicolons": "0;2\n0.5;1\n", "column": "0\n0.5\n"}
+             "semicolons": "0;2\n0.5;1\n", "column": "0\n0.5\n",
+             "empty": "", "comment": "# r,h\n"}
     for key, text in files.items():
         files[key] = tmp_path / key
         files[key].write_text(text)

@@ -315,11 +315,11 @@ def bound_rows(g, m):
     b = g.integers(1, 10, size=(200, m)).astype(float)
     rank_one = np.einsum("ni,nj->nij", a, b).reshape(-1, k)
     # non-unit rows from 1e-300 to 1e300: outside 2^-200 ... 2^200 the
-    # bound is +inf
+    # bound is that of the row scaled by a power of two (_unit_scaled)
     scaled = (g.standard_normal((600, k))
               * 10.0 ** g.integers(-300, 301, size=600)[:, None])
     # singular rows scaled so that their products underflow: without
-    # the norm range, rounding leaves det nonzero on 8 of the m = 3 rows
+    # the scaling, rounding leaves det nonzero on 8 of the m = 3 rows
     singular = singular.reshape(-1, k)
     return [("gaussian", gauss), ("near", near), ("spectral", spectral),
             ("singular", singular), ("rank_one", rank_one),
@@ -349,6 +349,29 @@ class TestDeterminantBound:
         ratio = p.bound_batch(z) / p.evaluate_batch(z)
         assert np.all(ratio >= 1.0)
         assert np.median(ratio) < 10.0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_far_rows(self, m):
+        # a row scaled by 2^s gets the bound of the row itself, bit for
+        # bit, as C does, so may_reach keeps the same rows; the zero row
+        # and a row with a NaN or inf entry still get +inf
+        p = matrix_problem(m)
+        z = pole_batch(70 + m, 4096, m)
+        bound = p.bound_batch(z)
+        assert np.all(np.isfinite(bound))
+        t = 2.0 * np.median(bound)
+        kept = p.may_reach(z, t)
+        assert 0 < len(kept) < len(z)
+        for s in (-1000, -300, 300, 1000):
+            far = np.ldexp(z, s)
+            # the scaling is exact: no entry turns subnormal
+            assert np.array_equal(np.ldexp(far, -s), z)
+            assert np.array_equal(p.bound_batch(far), bound), s
+            assert np.array_equal(np.ldexp(p.may_reach(far, t), -s), kept), s
+        special = np.zeros((3, m * m))
+        special[1, 0] = math.nan
+        special[2, -1] = math.inf
+        assert p.bound_batch(special).tolist() == [math.inf] * 3
 
     def test_only_closed_form_sizes(self):
         assert matrix_problem(4).bound_batch is None

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsmooth import bounds, condnum, montecarlo
+from capsmooth.cli import main
 from capsmooth.condnum import ConicProblem, hyperplane_problem, matrix_problem
 from capsmooth.distributions import AdversarialLaw, Cap, normalize_profile
 from capsmooth.geometry import normalize
@@ -783,7 +784,9 @@ class TestReportDigests:
     keep: sha256 of the CSVs of a tabulated k = 9 law and of a k = 5
     uniform law off the axes, which pass through the segment lookup,
     the Clenshaw kernels, the sloped profile's rejection step, the
-    gaussian directions, the geodesic map and the threshold counts."""
+    gaussian directions, the geodesic map and the threshold counts;
+    and the rows of verify --quick, one digest per check, so that a
+    change to one family of rows re-pins that family alone."""
 
     SAMPLES = 20000
 
@@ -817,6 +820,84 @@ class TestReportDigests:
             hyperplane_problem(4), law, self.SAMPLES, seed,
             t_grid=list(np.linspace(1.05, 1.75, 12))))
         assert _sha256(tail.to_csv()) == self.UNIFORM_K5[seed]
+
+    # verify --quick: sha256 over each check's CSV lines, header left out.
+    # The checks that read no seed give the same lines at every seed;
+    # the others are pinned at seeds 3 and 7, in that order
+    VERIFY_UNSEEDED = {
+        "cap_integral_closed_form":
+            "455b9c4e8a3dacd314d8c8f6264298f55d1a4f5116f0cd70765cde16b7ef721a",
+        "cap_integral_mpmath":
+            "2b261d418fdab4a541834635a3375f6c9641efa11e28bec0ad4337c65b7da4b7",
+        "half_sphere_identity":
+            "0e824df93b20cfd664035d20cb1e0301731ebfbf8a2c0efc6ddbe6cc620d63a6",
+        "cap_integral_sandwich_lower":
+            "3a2511049cde7722bc4313aea3a76d5275b0625ce93a08b568f5f5723b2cc553",
+        "cap_integral_sandwich_upper":
+            "8840da4b610c5e3d1e3551f365781fea82b1da2870b74aca24609c6a5d409838",
+        "cap_integral_monotone_m":
+            "184fc4095c5d6cc6daa4bf26e28ceb56acf0c94c74ad1b4e221db865d609de0e",
+        "small_calc":
+            "3c0dc0ce5e84d9b5b67a376d8a2352691348684177e598ba2306126ce6edd266",
+        "boosting_inequality":
+            "ef006adf08916b0792e9211342a4fd6d51e1f4867304fb86b056cb06c48f1b41",
+        "delta_eps_sandwich_lower":
+            "4a07d1cbaf6227d05788d3b03674594dc0aee9aa3c3081757e8a225122e002de",
+        "delta_eps_sandwich_upper":
+            "58c03fdca75cb62063f90c0a7e14828069af4b9f9000605acf577d6ebac6b98e",
+        "t_eps_exceeds_t0":
+            "528355f1200749e096a4fe9b9d2871a42dbbe8064587282a93974902234002e2",
+        "smoothness_ratio_limit":
+            "7b09b9f28854415bf2131a704b06488dc85a8a825e83d8da69830b44dc654228",
+        "stated_minus_proof_chain":
+            "f143201ec84e3ad2b5574fd89c75586b745766b69a7fba40ace3aebebc3ba547",
+        "expectation_bound_gap":
+            "6f73eb0d0e31fad9858a1954b95af56b0c939d6ad7b50c45da39e0d7087d61d2",
+        "ball_maximizer":
+            "9604c6c3a56803372c006a0e9f0d08b80ef802b8ab8403cd7a56aebd886b11f0",
+        "tail_uniform_center":
+            "91063807db96ee9b4321cd1557f5341823ba2f131940f7ddd490662e2d8484a0",
+        "tail_uniform_pole":
+            "c10cf69b4f0c613d727d97a9eb074e2e2e4885379c93138e581ea2ac6f5bd751",
+        "tail_boosted_pole":
+            "4ea5a1bf212a8a87069514c911f11c58019ee365b4857488edb98db1f0e12ca9",
+        "tail_matrix_uniform":
+            "27eec0bedaee0ded5f8ee024af330f3e8e2a91fd8b3d95deb2f663822d4105ee",
+        "tail_matrix_boosted":
+            "24068cb6c7c8c33c86cda4ee8803cae66b158ba4e9647a11a3dc51b5b4ff3d3a",
+    }
+    VERIFY_SEEDED = {
+        "ks_radial": (
+            "c5cbea8161edb21d2cfed9b3d3579fce9757cd8c8579e912924ab908aa36e14a",
+            "d7f573fe731d1062f3892f21ed0011e0fff2afec966112ebe385799e61829e28"),
+        "ks_negative_control": (
+            "2df090f80546565cf619ed64025446c975a11c6ea021eed13d5f637648614c0c",
+            "e721d1a641c1385731f5a299ba20bca61c269a791fa370e37d9d52b7741db109"),
+        "sigma_min_eigen_oracle": (
+            "3d29fc6b98fe96736b56f13bc2766284b68f6c030f2e5fbd694e3c8b4bfeb1ad",
+            "7cb4e5298ccddf2e79de45aed1ee250e22e22391226474d44df1f6d5672e7edf"),
+        "expect_uniform": (
+            "6d9d8ff9bd082d80a2de97f843814f06300add25a9d9db49493a02ca0f2cb5a8",
+            "810c3b702a57bfac0ab91b66589280a8d6036f9f1a3b3c7aa689a4c8ef720269"),
+        "expect_adversarial": (
+            "0bdad6c81bf687d78120e1af4ad40489362b5d3d31588bdd5b01b165ddce1ad1",
+            "d9557143668715f22e58ccfcf9e402d46c32eec648e27f0925c8e641cef13d21"),
+    }
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_verify_quick(self, seed, tmp_path):
+        path = tmp_path / "verify.csv"
+        main(["verify", "--quick", "--seed", str(seed), "--out", str(path)])
+        header, *lines = path.read_text().splitlines(keepends=True)
+        assert header == "check,params,lhs,rhs,passed,hard\n"
+        rows = {}
+        for line in lines:
+            rows.setdefault(line.split(",", 1)[0], []).append(line)
+        want = dict(self.VERIFY_UNSEEDED)
+        for check, pins in self.VERIFY_SEEDED.items():
+            want[check] = pins[[3, 7].index(seed)]
+        assert {check: _sha256("".join(r)) for check, r in rows.items()} \
+            == want
 
 
 class TestExactLaw:
