@@ -9,16 +9,18 @@ capsmooth, so any module of it may import this one.
 def integer(value, name, least=1, below=None):
     """value as an int, when it is a whole number in [least, below):
     an int, a numpy integer or an integral float (3.0).  NaN, an
-    infinity, a fraction and a value out of range raise ValueError;
-    nothing is truncated."""
+    infinity, a fraction, a value out of range and a value that is no
+    number at all (None, a list) raise ValueError; nothing is
+    truncated."""
     whole = value
     # a plain int needs no conversion: the common case, at its cost
     if type(value) is not int:
         try:
             whole = int(value)
-        except (ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError):
             whole = None
-    if whole != value or whole < least or below is not None and whole >= below:
+    if (whole is None or whole != value or whole < least
+            or below is not None and whole >= below):
         raise ValueError("%s must be an integer in [%d, %s), got %r"
                          % (name, least, "inf" if below is None else below,
                             value))

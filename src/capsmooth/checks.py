@@ -124,7 +124,7 @@ def _half_sphere_identity(quick, seed, workers):
     # O_{n-1} I_n(1) = O_n / 2
     worst = 0.0
     for n in range(1, 101):
-        lhs = volumes.sphere_volume(n - 1) * volumes.cap_integral(n, 1.0)
+        lhs = volumes.cap_measure(n, 1.0)
         rhs = 0.5 * volumes.sphere_volume(n)
         worst = max(worst, abs(lhs - rhs) / rhs)
     yield ("half_sphere_identity", "n=1..100",
@@ -165,8 +165,7 @@ def _boosting_inequality(quick, seed, workers):
     # lhs - rhs increases in rho (boosting_check), so the inequality
     # holds on (0, rho_eps] iff it holds at rho_eps
     yield ("boosting_inequality", "grid at rho_eps", _failures(
-        bounds.boosting_check(p.n, p.beta, p.sigma, p.H, p.eps, p.rho())
-        for p in bounds.default_grid()))
+        row for *_, row in boosting_rows(bounds.default_grid(), 1)))
 
 
 def _eps_free_points():
@@ -274,8 +273,11 @@ def _sigma_min_eigen_oracle(quick, seed, workers):
 
 
 def _tail_and_expectation(quick, seed, workers):
-    """Tail runs count flagged thresholds on 12 points from the start of
-    the theorem's range; expectation runs compare mean + 3 stderr."""
+    """Tail runs check 12 thresholds from the start of the theorem's
+    range: lhs is the largest Wilson lower limit over the bound, among
+    the thresholds where the bound applies (0 if none), rhs is 1, and a
+    run passes when no threshold is flagged.  Expectation runs compare
+    mean + 3 stderr."""
     n_mc = 50000 if quick else 200000
     hp = condnum.hyperplane_problem(3)
     mp = condnum.matrix_problem(3)
@@ -302,9 +304,10 @@ def _tail_and_expectation(quick, seed, workers):
         else:
             cfg = dataclasses.replace(
                 cfg, t_grid=montecarlo.threshold_grid(cfg, 12))
-            n_viol = sum(1 for r in montecarlo.estimate_tail(cfg).rows
-                         if r.violation)
-            row = CheckRow(float(n_viol), 0.0, n_viol == 0)
+            rows = montecarlo.estimate_tail(cfg).rows
+            worst = max((r.wilson_lower / r.bound for r in rows
+                         if r.bound_applicable), default=0.0)
+            row = CheckRow(worst, 1.0, not any(r.violation for r in rows))
         yield check, "N=%d" % n_mc, row
 
 

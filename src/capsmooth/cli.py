@@ -171,7 +171,7 @@ def _cmd_sample(args):
     center = _resolve_center(args.center, n, args.seed)
     law = _build_law(center, n, args.sigma, args.beta, args.profile)
     z = law.sample(montecarlo.stream_rng(args.seed, 0), size=samples)
-    radii = np.atleast_1d(proj_distance(z, law.cap.center))
+    radii = proj_distance(z, law.cap.center)
     columns = ["x%d" % i for i in range(n + 1)] + ["radius"]
     _emit(montecarlo.csv_text(columns, ((*row, r) for row, r
                                         in zip(z, radii))), args.out)
@@ -352,7 +352,7 @@ def _build_parser():
     p = command("sample", _cmd_sample, "draw points from a cap law",
                 law, seed, out)
     p.add_argument("--center", default="random",
-                   help="pole, random, or coords:<c0,c1,...>")
+                   help="random or coords:<c0,c1,...>")
     p.add_argument("--samples", type=int, default=100, help="draws")
 
     p = command("tail", _cmd_tail, "tail probabilities against the bound",
@@ -410,7 +410,7 @@ def _config_value(key, action, value):
                                 and value % 1):
             raise ValueError
         value = kind(value)
-    except (ValueError, argparse.ArgumentTypeError):
+    except (ValueError, TypeError, argparse.ArgumentTypeError):
         raise ValueError("config key %r must be %s"
                          % (key, _KINDS[kind])) from None
     if action.choices is not None and value not in action.choices:

@@ -776,15 +776,15 @@ class AdversarialLaw:
         with np.errstate(divide="ignore", invalid="ignore"):
             return self._alpha / top, self._gamma / top
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         """Draw points from the law as unit vectors.
 
         The radius first, from the draws _radii describes: one uniform
         per point by inverse transform for a law of flat profile,
         uniform pairs by rejection from the law's kernel where h has a
         slope.  Then an independent uniform tangent direction; the
-        point is sqrt(1 - r^2) a + r u.  Returns (k,) for size=None,
-        else (size, k): an F-ordered view of the (k, size) array the
+        point is sqrt(1 - r^2) a + r u.  Returns (size, k), one point a
+        batch of one row: an F-ordered view of the (k, size) array the
         geometry builds coordinate-major.  Draw order is fixed: every
         radius draw before the direction's draws, which take each
         point's draws together (see geometry.tangent_direction: k - 1
@@ -794,13 +794,10 @@ class AdversarialLaw:
         module's names tangent_direction and geodesic_point, so
         rebinding them wraps every batch.
         """
-        count = 1 if size is None else integer(size, "size")
+        count = integer(size, "size")
         r = self._radii(rng, count)
         u = tangent_direction(self.cap.center, rng, size=count)
-        z = geodesic_point(self.cap.center, u, r)
-        if size is None:
-            return z[0]
-        return z
+        return geodesic_point(self.cap.center, u, r)
 
 
 def uniform_law(cap):

@@ -10,27 +10,27 @@ which takes values in [0, 1].  The second expression is the norm of the
 component of x orthogonal to y and is the one used here: it stays accurate
 for nearly parallel vectors, where 1 - <x,y>^2 cancels catastrophically.
 
-A batch of N points is an (N, k) array of row vectors at the interface,
-and the arithmetic runs coordinate-major, on its (k, N) transpose: with k
-small (4 for the hyperplane in P^3), a sum over the k coordinates of
-every point is k - 1 operations on whole rows, several times faster than
-the same sum over the short inner axis of an (N, k) array.  The
-functions accept a batch in either memory order; tangent_direction and
-geodesic_point return one as the transpose of a contiguous (k, N) array,
-an F-ordered (N, k) view.  A point's result does not depend on the
-memory order of its batch: proj_distance's inner products go through
-BLAS on row-major rows, because BLAS picks its summation order by
-layout; geodesic_point is elementwise, with no inner product at all;
-and a norm adds the k squares first to last.  That is the order of
-numpy's sum over one row when k < 8, so at k = 4 every point gets the
-bits of the row-major formulas; from k = 8 on numpy sums a row
-pairwise, and a norm can differ from that in the last bit.
-tangent_direction's reflector adds its k - 1 terms per point the same
-way, onto a sphere point that is, at k = 4, Marsaglia's elementwise map
-of a disk point, and otherwise a gaussian row divided by such a norm.
-So up to k = 8 (at k = 4 in particular) its directions match the
-row-major formulas bit for bit, signed zeros aside; from k = 9 on they
-can differ in the last bit.
+A set of N points is an (N, k) array of row vectors at the interface,
+one point a batch of one row, and the arithmetic runs coordinate-major,
+on its (k, N) transpose: with k small (4 for the hyperplane in P^3), a
+sum over the k coordinates of every point is k - 1 operations on whole
+rows, several times faster than the same sum over the short inner axis
+of an (N, k) array.  The functions accept a batch in either memory
+order; tangent_direction and geodesic_point return one as the
+transpose of a contiguous (k, N) array, an F-ordered (N, k) view.  A
+point's result does not depend on the memory order of its batch:
+proj_distance's inner products go through BLAS on row-major rows,
+because BLAS picks its summation order by layout; geodesic_point is
+elementwise, with no inner product at all; and a norm adds the k
+squares first to last.  That is the order of numpy's sum over one row
+when k < 8, so at k = 4 every point gets the bits of the row-major
+formulas; from k = 8 on numpy sums a row pairwise, and a norm can
+differ from that in the last bit.  tangent_direction's reflector adds
+its k - 1 terms per point the same way, onto a sphere point that is,
+at k = 4, Marsaglia's elementwise map of a disk point, and otherwise a
+gaussian row divided by such a norm.  So up to k = 8 (at k = 4 in
+particular) its directions match the row-major formulas bit for bit,
+signed zeros aside; from k = 9 on they can differ in the last bit.
 """
 
 import math
@@ -94,28 +94,26 @@ def _tangent_part(a, x):
 def proj_distance(x, y):
     """Projective distance between unit vectors (sine of the angle).
 
-    x may be a single vector or an (N, k) array of row vectors in either
-    memory order; y is a single vector of matching dimension.  Returns a
-    scalar or an (N,) array with values in [0, 1], invariant under sign
+    x is an (N, k) array of row vectors in either memory order, one
+    point a batch of one row; y is a single vector of dimension k.
+    Returns an (N,) array with values in [0, 1], invariant under sign
     flips of either argument.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be a single vector")
-    if x.shape[-1] != y.shape[0]:
+    if x.ndim != 2:
+        raise ValueError("x must be an (N, k) batch, got ndim=%d" % x.ndim)
+    if x.shape[1] != y.shape[0]:
         raise ValueError("x has dimension %d but y has dimension %d"
-                         % (x.shape[-1], y.shape[0]))
+                         % (x.shape[1], y.shape[0]))
     # BLAS sums <x, y> in an order that depends on the memory order of x,
     # so the rows are made row-major first: a point's distance does not
     # depend on the layout of its batch.
-    rows = np.ascontiguousarray(x.reshape(-1, y.shape[0]))
+    rows = np.ascontiguousarray(x)
     # Norm of the component of x orthogonal to y; exact near <x, y> = +-1.
-    d = _norms(_tangent_part(y, rows))
-    d = np.clip(d, 0.0, 1.0).reshape(x.shape[:-1])
-    if x.ndim == 1:
-        return float(d)
-    return d
+    return np.clip(_norms(_tangent_part(y, rows)), 0.0, 1.0)
 
 
 def _gaussian_sphere(rng, rows):
@@ -174,7 +172,7 @@ def _disk_sphere(rng, rows):
         done += len(s)
 
 
-def tangent_direction(a, rng, size=None):
+def tangent_direction(a, rng, size):
     """Uniformly random unit vectors orthogonal to a.
 
     Draws a point w uniform on the unit sphere of the hyperplane
@@ -193,18 +191,18 @@ def tangent_direction(a, rng, size=None):
     where a_j = 0 would add only a signed zero to d and keeps w_j, so
     it is skipped: at the pole a = e_0 the map is w itself.
 
-    With size=None a single (k,) vector is returned, otherwise
-    (size, k), an F-ordered view.  The draws come in one stream order,
-    (size, 2) uniform pairs at k = 4 and (size, k - 1) gaussians
-    otherwise, so point i takes its draws before point i+1, and a point
-    gets the same bits alone as in a batch.
+    Returns (size, k), an F-ordered view.  The draws come in one
+    stream order, (size, 2) uniform pairs at k = 4 and (size, k - 1)
+    gaussians otherwise, so point i takes its draws before point i+1,
+    and a point gets the same bits in a batch of one as in a larger
+    batch.
     """
     a = np.asarray(a, dtype=float)
     _check_unit(a, "a")
     k = a.shape[0]
     if k < 2:
         raise ValueError("a must have at least two coordinates")
-    n_draw = 1 if size is None else integer(size, "size")
+    n_draw = integer(size, "size")
     i = int(np.argmax(np.abs(a)))
     rest = [j for j in range(k) if j != i]
     # the output first, so the draws it outlives are freed at the top of
@@ -222,8 +220,6 @@ def tangent_direction(a, rng, size=None):
         for j in live:
             xt[j] -= np.multiply(d, a[j] / (1.0 + abs(a[i])), out=tmp)
     np.multiply(d, -1.0 if a[i] >= 0.0 else 1.0, out=xt[i])
-    if size is None:
-        return xt[:, 0]
     return xt.T
 
 
@@ -231,17 +227,19 @@ def geodesic_point(a, u, r):
     """Point at projective distance r from a in tangent direction u.
 
     Computes sqrt(1 - r^2) * a + r * u, a unit vector whenever u is a
-    unit tangent at a.  Accepts a single direction with scalar r, or an
-    (N, k) array of directions in either memory order with an (N,)
-    array of radii; a batch comes back as an F-ordered (N, k) view.  r
-    must lie in [0, 1].  The a term, and the check that u is orthogonal
-    to a, run only over the coordinates where a is nonzero, a row at a
-    time: a zero a_j would add only a signed zero.
+    unit tangent at a.  u is an (N, k) array of directions in either
+    memory order, one direction a batch of one row; r is an (N,) array
+    of radii, or one radius for every row, in [0, 1].  The points come
+    back as an F-ordered (N, k) view.  The a term, and the check that u
+    is orthogonal to a, run only over the coordinates where a is
+    nonzero, a row at a time: a zero a_j would add only a signed zero.
     """
     a = np.asarray(a, dtype=float)
     u = np.asarray(u, dtype=float)
     r = np.asarray(r, dtype=float)
     _check_unit(a, "a")
+    if u.ndim != 2:
+        raise ValueError("u must be an (N, k) batch, got ndim=%d" % u.ndim)
     ut = u.T
     _check_unit(ut, "u")
     live = np.flatnonzero(a)
@@ -252,11 +250,6 @@ def geodesic_point(a, u, r):
         raise ValueError("u is not orthogonal to a")
     if not (np.min(r) >= 0.0 and np.max(r) <= 1.0):
         raise ValueError("r must lie in [0, 1]")
-    if u.ndim == 1:
-        if r.ndim != 0:
-            raise ValueError("scalar direction needs scalar r")
-    elif r.ndim == 0:
-        r = np.full(u.shape[0], float(r))
     zt = np.multiply(ut, r, order="C")
     c = np.sqrt(1.0 - r * r)
     for j in live:

@@ -492,8 +492,7 @@ def estimate_expectation(config):
         while np.any(bad):
             k = int(np.count_nonzero(bad))
             redrawn += k
-            z_new = law.sample(rng, size=k)
-            c[bad] = batch_eval(np.atleast_2d(z_new))
+            c[bad] = batch_eval(law.sample(rng, size=k))
             bad = ~np.isfinite(c)
         vals = np.log(c)
         return (_exact_sum(vals), _exact_sum(np.square(vals)), count,

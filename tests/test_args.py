@@ -225,6 +225,20 @@ def test_integer_returns_int():
         integer(5, "k", least=0, below=5)
 
 
+@pytest.mark.parametrize("value", [None, [3], {"n": 3}],
+                         ids=["none", "list", "dict"])
+def test_integer_rejects_what_is_no_number(value):
+    # int() raises TypeError on these; the rule names the argument all
+    # the same, here and for the size of a draw
+    for call, name in ((lambda v: integer(v, "n"), "n"),
+                       (lambda v: uniform_law(Cap(E0, 0.5)).sample(_rng(), v),
+                        "size"),
+                       (lambda v: tangent_direction(E0, _rng(), v), "size")):
+        with pytest.raises(ValueError, match=re.escape(
+                "%s must be an integer in [1, inf), got %r" % (name, value))):
+            call(value)
+
+
 # (id, call of the varied value, argument name): sigma in (0, 1], beta
 # in [0, n) at n = 3
 SIGMAS = [

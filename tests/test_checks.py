@@ -2,7 +2,8 @@
 the boosting inequality checked at rho_eps alone, and the mpmath
 cross-check of I_m, each with a negative control that must fail it.
 Also a negative control for each row that reads its checker's
-CheckRows: the I_m and delta_eps sandwiches, t_eps > t0 and small_calc."""
+CheckRows: the I_m and delta_eps sandwiches, t_eps > t0 and small_calc;
+and the margin that the Monte Carlo tail rows report."""
 
 import dataclasses
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from capsmooth import bounds, checks, volumes
+from capsmooth import bounds, checks, montecarlo, volumes
 from capsmooth.bounds import CheckRow
 
 
@@ -162,3 +163,49 @@ class TestReWiredRows:
         assert name == "small_calc"
         assert not row.passed
         assert row.lhs == len(checks.small_calc_grid(10 ** 6, 30))
+
+
+class TestTailRows:
+    """A tail row of verify reports the largest Wilson lower limit over
+    the bound among the thresholds the bound covers, against 1, and
+    passes while no threshold is flagged."""
+
+    @staticmethod
+    def faked_rows(monkeypatch, tail_rows):
+        def tail(cfg):
+            return montecarlo.TailReport(config={}, rows=tail_rows)
+
+        def expect(cfg):
+            return montecarlo.ExpectationReport(
+                config={}, mean_ln_c=1.0, stderr=0.0, n_samples=1,
+                n_effective=1, n_redrawn=0, bound=2.0, margin=1.0)
+
+        monkeypatch.setattr(montecarlo, "estimate_tail", tail)
+        monkeypatch.setattr(montecarlo, "estimate_expectation", expect)
+        return {name: row for name, row
+                in rows_of(checks._tail_and_expectation)
+                if name.startswith("tail_")}
+
+    @staticmethod
+    def tail_row(lower, bound, applicable):
+        return montecarlo.TailRow(
+            t=2.0, count=1, survival=0.1, wilson_lower=lower,
+            wilson_upper=1.0, bound=bound, bound_applicable=applicable,
+            violation=applicable and lower > bound)
+
+    def test_largest_ratio_where_the_bound_applies(self, monkeypatch):
+        rows = self.faked_rows(monkeypatch, [
+            self.tail_row(0.01, 0.1, True), self.tail_row(0.03, 0.1, True),
+            self.tail_row(0.5, 0.1, False)])
+        assert len(rows) == 5
+        for row in rows.values():
+            assert row == CheckRow(0.03 / 0.1, 1.0, True)
+
+    def test_no_applicable_threshold_reads_zero(self, monkeypatch):
+        rows = self.faked_rows(monkeypatch, [self.tail_row(0.5, 0.1, False)])
+        assert set(rows.values()) == {CheckRow(0.0, 1.0, True)}
+
+    def test_flagged_threshold_fails(self, monkeypatch):
+        rows = self.faked_rows(monkeypatch, [
+            self.tail_row(0.2, 0.1, True), self.tail_row(0.01, 0.1, True)])
+        assert set(rows.values()) == {CheckRow(0.2 / 0.1, 1.0, False)}

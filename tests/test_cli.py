@@ -5,6 +5,7 @@ subprocess test confirms the installed entry point works end to end.
 """
 
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -561,6 +562,18 @@ class TestParser:
         assert exc.value.code == 0
         assert "(default: " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,offers_pole", [
+        ("sample", False), ("tail", True), ("expect", True)])
+    def test_center_help(self, command, offers_pole, capsys):
+        # sample has no problem, so it refuses --center pole; only the
+        # subcommands that take one offer it
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        entry = re.search(r"^  --center .*?(?=^  -|\Z)",
+                          capsys.readouterr().out, re.M | re.S).group(0)
+        assert "coords:<c0,c1,...>" in entry
+        assert ("pole" in entry) == offers_pole
+
     @pytest.mark.parametrize("argv", [
         ("small-calc", "--points", "0"),
         ("boost-check", "--n", "3", "--rho-steps", "0")],
@@ -651,7 +664,9 @@ class TestConfigKeys:
         ("tail", "format", "xml"), ("verify", "format", "xml"),
         ("tail", "scale", "bogus"), ("verify", "quick", 1),
         ("tail", "sigma", True), ("tail", "t-min", "nine"),
-        ("small-calc", "points", 0), ("boost-check", "rho-steps", 2.5)])
+        ("small-calc", "points", 0), ("boost-check", "rho-steps", 2.5),
+        ("sample", "samples", [1]), ("tail", "sigma", {"a": 1}),
+        ("verify", "workers", [2]), ("expect", "seed", [3])])
     def test_bad_value(self, command, key, value, tmp_path, capsys):
         path = write_config(tmp_path, {key: value})
         code, _, err = run(capsys, command, "--config", path)

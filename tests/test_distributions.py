@@ -915,9 +915,9 @@ class TestCostGuard:
         # the last, and about one point in a thousand redrawn
         law = make()
         k = law.cap.center.shape[0]
-        for size, count in ((None, 1), (1, 1), (BATCH_SIZE, BATCH_SIZE)):
+        for count in (1, BATCH_SIZE):
             g = _Recording(stream_rng(1, 0))
-            law.sample(g, size=size)
+            law.sample(g, size=count)
             calls = g.calls
             if law._sloped:
                 rounds = []
@@ -1195,8 +1195,11 @@ class TestRejectionSampler:
 class TestSampling:
     def test_shapes_and_support(self):
         law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
-        z1 = law.sample(rng(2))
-        assert z1.shape == (4,)
+        z1 = law.sample(rng(2), size=1)
+        assert z1.shape == (1, 4)
+        # the size has no default: a single point is a batch of one
+        with pytest.raises(TypeError, match="size"):
+            law.sample(rng(2))
         z = law.sample(rng(2), size=500)
         assert z.shape == (500, 4)
         np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0,
@@ -1244,6 +1247,12 @@ class TestSampling:
         for name in calls:
             monkeypatch.setattr(distributions, name, counted(name))
         law = AdversarialLaw(Cap(e0(3), 0.5), 1.5)
+        if size is None:
+            # no default size: refused before any geometry runs
+            with pytest.raises(ValueError, match="size must be an integer"):
+                law.sample(rng(6), size=size)
+            assert calls == {"tangent_direction": 0, "geodesic_point": 0}
+            return
         for expected in (1, 2):
             law.sample(rng(6), size=size)
             assert calls == {"tangent_direction": expected,

@@ -41,30 +41,36 @@ class TestNormalize:
             normalize(np.eye(3))
 
 
+def _distance(x, y):
+    """proj_distance of one point x, passed as a batch of one row."""
+    d, = proj_distance(np.asarray(x)[None], y)
+    return d
+
+
 class TestProjDistance:
     def test_identical_points(self):
         x = normalize(np.array([1.0, 2.0, 2.0]))
-        assert proj_distance(x, x) <= 1e-15
+        assert _distance(x, x) <= 1e-15
 
     def test_antipodal_is_same_projective_point(self):
         x = normalize(np.array([1.0, 2.0, 2.0]))
-        assert proj_distance(x, -x) <= 1e-15
+        assert _distance(x, -x) <= 1e-15
 
     def test_orthogonal(self):
         e0, e1 = np.eye(2)
-        assert proj_distance(e0, e1) == 1.0
+        assert _distance(e0, e1) == 1.0
 
     def test_45_degrees(self):
         x = normalize(np.array([1.0, 1.0]))
         e0 = np.array([1.0, 0.0])
-        assert np.isclose(proj_distance(x, e0), np.sqrt(0.5), atol=1e-15)
+        assert np.isclose(_distance(x, e0), np.sqrt(0.5), atol=1e-15)
 
     def test_symmetry(self):
         g = rng(3)
         for _ in range(50):
             x = normalize(g.standard_normal(5))
             y = normalize(g.standard_normal(5))
-            assert np.isclose(proj_distance(x, y), proj_distance(y, x),
+            assert np.isclose(_distance(x, y), _distance(y, x),
                               rtol=0, atol=1e-15)
 
     def test_batch_matches_scalar(self):
@@ -75,7 +81,7 @@ class TestProjDistance:
         batch = proj_distance(xs, y)
         assert batch.shape == (20,)
         for row, d in zip(xs, batch):
-            assert np.isclose(proj_distance(row, y), d, rtol=0, atol=1e-15)
+            assert np.isclose(_distance(row, y), d, rtol=0, atol=1e-15)
 
     def test_range(self):
         g = rng(5)
@@ -90,7 +96,7 @@ class TestProjDistance:
         e0 = np.array([1.0, 0.0, 0.0])
         for t in (1e-7, 1e-9, 1e-12):
             x = normalize(np.array([1.0, t, 0.0]))
-            d = proj_distance(x, e0)
+            d = _distance(x, e0)
             expected = t / np.sqrt(1.0 + t * t)
             assert np.isclose(d, expected, rtol=1e-12, atol=0)
 
@@ -100,7 +106,7 @@ class TestTangentDirection:
         g = rng(7)
         a = normalize(np.array([1.0, -1.0, 2.0, 0.5]))
         for _ in range(25):
-            u = tangent_direction(a, g)
+            u, = tangent_direction(a, g, size=1)
             assert np.isclose(np.linalg.norm(u), 1.0, atol=1e-12)
             assert abs(u @ a) <= 1e-12
 
@@ -147,12 +153,15 @@ class TestTangentDirection:
         a = np.eye(5)[0]
         good = rng(15).standard_normal((1, 4))
         stub = _Scripted(np.zeros((1, 4)), np.full((1, 4), 4e-13), good)
-        u = tangent_direction(a, stub)
+        u = tangent_direction(a, stub, size=1)
         assert stub.shapes == [(1, 4)] * 3
-        assert u.shape == (5,)
-        np.testing.assert_array_equal(u, _ref_unit_tangent(a, good)[0])
+        assert u.shape == (1, 5)
+        np.testing.assert_array_equal(u, _ref_unit_tangent(a, good))
         assert np.isclose(np.linalg.norm(u), 1.0, atol=1e-12)
-        assert abs(u @ a) <= 1e-12
+        assert abs(u[0] @ a) <= 1e-12
+        # the size has no default: a single draw is a batch of one
+        with pytest.raises(TypeError, match="size"):
+            tangent_direction(a, rng(15))
 
     @pytest.mark.parametrize("a", [np.eye(2)[1], normalize([3.0, -4.0])])
     def test_circle(self, a):
@@ -165,7 +174,7 @@ class TestTangentDirection:
 
     def test_rejects_a_single_coordinate(self):
         with pytest.raises(ValueError):
-            tangent_direction(np.ones(1), rng(18))
+            tangent_direction(np.ones(1), rng(18), size=1)
 
 
 class TestDirectionLaw:
@@ -216,11 +225,11 @@ class TestGeodesicPoint:
     def setup_method(self):
         g = rng(10)
         self.a = normalize(g.standard_normal(5))
-        self.u = tangent_direction(self.a, g)
+        self.u = tangent_direction(self.a, g, size=1)
 
     def test_r_zero_gives_anchor(self):
         np.testing.assert_allclose(geodesic_point(self.a, self.u, 0.0),
-                                   self.a, atol=1e-15)
+                                   self.a[None], atol=1e-15)
 
     def test_r_one_gives_direction(self):
         np.testing.assert_allclose(geodesic_point(self.a, self.u, 1.0),
@@ -230,7 +239,7 @@ class TestGeodesicPoint:
         for r in (1e-8, 0.1, 0.5, 0.9, 0.999):
             x = geodesic_point(self.a, self.u, r)
             assert np.isclose(np.linalg.norm(x), 1.0, atol=1e-14)
-            assert np.isclose(proj_distance(x, self.a), r, rtol=0,
+            assert np.isclose(proj_distance(x, self.a)[0], r, rtol=0,
                               atol=1e-12)
 
     def test_batch(self):
@@ -245,7 +254,7 @@ class TestGeodesicPoint:
         with pytest.raises(ValueError):
             geodesic_point(self.a * 2.0, self.u, 0.5)
         with pytest.raises(ValueError):
-            geodesic_point(self.a, self.a, 0.5)  # not orthogonal
+            geodesic_point(self.a, self.a[None], 0.5)  # not orthogonal
         with pytest.raises(ValueError):
             geodesic_point(self.a, self.u, 1.5)
         with pytest.raises(ValueError):
@@ -346,32 +355,26 @@ def _ref_disk_sphere(rng, n):
     return w[:n]
 
 
-def _ref_tangent_direction(a, rng, size=None):
+def _ref_tangent_direction(a, rng, size):
     k = a.shape[0]
-    n = 1 if size is None else size
     if k == 4:
-        u = _ref_reflect(a, _ref_disk_sphere(rng, n))
-        return u[0] if size is None else u
-    y = rng.standard_normal((n, k - 1))
+        return _ref_reflect(a, _ref_disk_sphere(rng, size))
+    y = rng.standard_normal((size, k - 1))
     bad = np.linalg.norm(y, axis=1) < 1e-12
     while np.any(bad):
         y[bad] = rng.standard_normal((int(np.count_nonzero(bad)), k - 1))
         bad = np.linalg.norm(y, axis=1) < 1e-12
-    u = _ref_unit_tangent(a, y)
-    return u[0] if size is None else u
+    return _ref_unit_tangent(a, y)
 
 
 def _ref_geodesic_point(a, u, r):
-    if u.ndim == 1:
-        return float(np.sqrt(1.0 - r * r)) * a + float(r) * u
     return np.sqrt(1.0 - r * r)[:, None] * a + r[:, None] * u
 
 
 def _ref_proj_distance(x, y):
     c = x @ y
-    d = np.clip(np.linalg.norm(x - np.multiply.outer(c, y), axis=-1),
-                0.0, 1.0)
-    return float(d) if x.ndim == 1 else d
+    return np.clip(np.linalg.norm(x - np.multiply.outer(c, y), axis=1),
+                   0.0, 1.0)
 
 
 def _ref_hyperplane_evaluate(z):
@@ -402,14 +405,15 @@ class TestRowMajorReference:
         pairs = {
             "tangent_direction": (tangent_direction(a, rng(seed), self.N),
                                   u_ref),
-            "tangent_direction single": (tangent_direction(a, rng(seed)),
-                                         _ref_tangent_direction(a, rng(seed))),
-            "geodesic_point single": (
-                geodesic_point(a, u_ref[0], radii[0]),
-                _ref_geodesic_point(a, u_ref[0], radii[0])),
-            "proj_distance single": (
-                np.asarray(proj_distance(z_ref[0], a)),
-                np.asarray(_ref_proj_distance(z_ref[0], a))),
+            "tangent_direction one row": (
+                tangent_direction(a, rng(seed), 1),
+                _ref_tangent_direction(a, rng(seed), 1)),
+            "geodesic_point one row": (
+                geodesic_point(a, u_ref[:1], radii[:1]),
+                _ref_geodesic_point(a, u_ref[:1], radii[:1])),
+            "proj_distance one row": (
+                proj_distance(z_ref[:1], a),
+                _ref_proj_distance(z_ref[:1], a)),
         }
         for order in "CF":
             u = np.asarray(u_ref, order=order)
@@ -447,17 +451,24 @@ class TestRowMajorReference:
         assert u.flags.f_contiguous and z.flags.f_contiguous
         z_from_c = geodesic_point(a, np.ascontiguousarray(u), np.full(7, 0.3))
         assert z_from_c.flags.f_contiguous
-        assert tangent_direction(a, rng(1)).shape == (k,)
-        assert geodesic_point(a, u[0], 0.3).shape == (k,)
-        assert geodesic_point(a, u, 0.3).shape == (7, k)
+        assert tangent_direction(a, rng(1), size=1).shape == (1, k)
+        # one radius for every row gives the bits of N equal radii
+        np.testing.assert_array_equal(geodesic_point(a, u, 0.3), z)
         assert proj_distance(z, a).shape == (7,)
-        assert isinstance(proj_distance(z[0], a), float)
+        # a single point is a batch of one row; one vector alone is
+        # refused
+        with pytest.raises(TypeError, match="size"):
+            tangent_direction(a, rng(1))
+        with pytest.raises(ValueError, match="u must be an"):
+            geodesic_point(a, u[0], 0.3)
+        with pytest.raises(ValueError, match="x must be an"):
+            proj_distance(z[0], a)
 
     @pytest.mark.parametrize("k", [4, 9])
     def test_independent_of_memory_order(self, k):
         # BLAS sums a product in an order that depends on the layout, so
         # proj_distance must hand it row-major rows; the geodesic map is
-        # elementwise, so a point alone gets its bits in a batch too
+        # elementwise, so a batch of one gets its point's bits too
         a = _center(k, 2)
         u = tangent_direction(a, rng(2), size=50)
         r = np.sqrt(rng(3).random(50))
@@ -465,10 +476,10 @@ class TestRowMajorReference:
         np.testing.assert_array_equal(
             geodesic_point(a, np.ascontiguousarray(u), r), z)
         for i in (0, 17, 49):
-            np.testing.assert_array_equal(geodesic_point(a, u[i], r[i]),
-                                          z[i])
+            one = slice(i, i + 1)
+            np.testing.assert_array_equal(geodesic_point(a, u[one], r[one]),
+                                          z[one])
         # a direction's bits do not depend on its batch either
-        np.testing.assert_array_equal(tangent_direction(a, rng(2)), u[0])
         np.testing.assert_array_equal(tangent_direction(a, rng(2), size=1),
                                       u[:1])
         np.testing.assert_array_equal(
@@ -493,12 +504,18 @@ class TestRowMajorReference:
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: proj_distance(np.eye(3)[0], np.eye(3)), "y must be a single"),
-    (lambda: proj_distance(np.eye(3)[0], np.eye(4)[0]),
+    (lambda: proj_distance(np.eye(3)[:1], np.eye(3)), "y must be a single"),
+    (lambda: proj_distance(np.eye(3)[:1], np.eye(4)[0]),
      "x has dimension 3 but y has dimension 4"),
     (lambda: geodesic_point(np.eye(3)[0], np.eye(3)[1],
-                            np.array([0.1, 0.2])), "scalar r")],
-    ids=["2-d-y", "mismatched-dimensions", "one-direction-many-r"])
+                            np.array([0.1, 0.2])), "u must be an"),
+    (lambda: geodesic_point(np.eye(3)[0], np.eye(3)[1:2, None], 0.5),
+     "u must be an"),
+    (lambda: proj_distance(np.eye(3)[0], np.eye(3)[0]), "x must be an"),
+    (lambda: proj_distance(np.ones((1, 1, 3)), np.eye(3)[0]),
+     "x must be an")],
+    ids=["2-d-y", "mismatched-dimensions", "one-direction-many-r",
+         "3-d-u", "1-d-x", "3-d-x"])
 def test_input_check_names_its_argument(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -108,12 +108,21 @@ def test_line_coverage_lists_the_untaken_branch(tmp_path):
 
 
 def test_cli_tour_runs_every_subcommand(tmp_path):
-    # the tour names each subcommand the parser registers, and none of
-    # its runs is refused as invalid input (exit 2); verify exits 1 on
-    # the failures it reports
+    # the tour names each subcommand the parser registers, runs each
+    # that takes --format in both formats, and none of its runs is
+    # refused as invalid input (exit 2); verify exits 1 on the failures
+    # it reports
     tour = _load("cli_tour")
     _, commands = cli._build_parser()
-    assert sorted(run[0] for run in tour.RUNS) == sorted(commands)
+    assert {run[0] for run in tour.RUNS} == set(commands)
+    for name, parser in commands.items():
+        action = next((a for a in parser._actions
+                       if "--format" in a.option_strings), None)
+        if action is None:
+            continue
+        formats = {run[run.index("--format") + 1] if "--format" in run
+                   else action.default for run in tour.RUNS if run[0] == name}
+        assert formats == set(action.choices), name
     done = tour.tour(str(tmp_path))
     assert [argv[0] for argv, _ in done] == [run[0] for run in tour.RUNS]
     assert all(status in (0, 1) for _, status in done), done
