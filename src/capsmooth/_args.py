@@ -1,8 +1,9 @@
 """The argument domains that several modules share, each checked here
 once: counts and dimensions, the cap radius sigma and the pole exponent
-beta.  Every rule raises ValueError naming the argument, and returns
-the value in the type the caller computes with.  Imports nothing from
-capsmooth, so any module of it may import this one.
+beta.  Every rule raises ValueError naming the argument, on a value
+that is no number (None, a list, a string that does not parse) too,
+and returns the value in the type the caller computes with.  Imports
+nothing from capsmooth, so any module of it may import this one.
 """
 
 
@@ -27,9 +28,19 @@ def integer(value, name, least=1, below=None):
     return whole
 
 
+def real(value, name):
+    """value as a float; a value that is no number raises ValueError
+    naming the argument.  The range is the caller's to check."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError("%s must be a real number, got %r"
+                         % (name, value)) from None
+
+
 def check_sigma(sigma):
     """The cap radius sigma as a float in (0, 1]."""
-    sigma = float(sigma)
+    sigma = real(sigma, "sigma")
     if not 0.0 < sigma <= 1.0:
         raise ValueError("sigma must lie in (0, 1], got %r" % (sigma,))
     return sigma
@@ -37,7 +48,7 @@ def check_sigma(sigma):
 
 def check_beta(n, beta):
     """The pole exponent beta as a float in [0, n), n already checked."""
-    beta = float(beta)
+    beta = real(beta, "beta")
     if not 0.0 <= beta < n:
         raise ValueError("beta must lie in [0, n) with n = %d, got %r"
                          % (n, beta))

@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from ._args import check_beta, check_sigma, integer
+from ._args import check_beta, check_sigma, integer, real
 from .distributions import uniform_law
 from .volumes import log_cap_integral
 
@@ -84,14 +84,14 @@ SLACK = 1e-12
 
 
 def _check_H(H):
-    H = float(H)
+    H = real(H, "H")
     if not (H >= 1.0):
         raise ValueError("H must be >= 1, got %r" % (H,))
     return H
 
 
 def _check_eps(n, beta, eps):
-    eps = float(eps)
+    eps = real(eps, "eps")
     alpha = 1.0 - beta / n
     if not (0.0 < eps < alpha):
         raise ValueError("eps must lie in (0, 1 - beta/n) = (0, %g), got %r"
@@ -196,7 +196,7 @@ def delta_eps(n, beta, sigma, H, eps):
 def t_eps(n, d, sigma, delta_e):
     """Threshold ln(13 d n / (sigma delta_e)) of the boosted tail bound."""
     n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
-    delta_e = float(delta_e)
+    delta_e = real(delta_e, "delta_e")
     if not (0.0 < delta_e < 1.0):
         raise ValueError("delta_e must lie in (0, 1), got %r" % (delta_e,))
     return math.log(13.0 * d * n / sigma) - math.log(delta_e)
@@ -455,16 +455,17 @@ def default_grid(n=None, beta=None, sigma=None, H=None, eps=None):
     """The boosting parameter grid, as a list of BoostParams in
     (n, beta, H, sigma, eps) order: the 648 points of the DEFAULT_*
     axes, beta running over fractions of n and eps over fractions of
-    alpha = 1 - beta/n.  An axis given a value collapses to it.  n is
-    checked before the fractions divide by it; BoostParams checks every
-    point, so a pin outside its domain raises ValueError."""
+    alpha = 1 - beta/n.  An axis given a value collapses to it.  n and
+    a pinned beta are checked before alpha is taken of them;
+    BoostParams checks every point, so a pin outside its domain raises
+    ValueError."""
     ns = DEFAULT_N if n is None else (integer(n, "n"),)
     hs = DEFAULT_H if H is None else (H,)
     sigmas = DEFAULT_SIGMA if sigma is None else (sigma,)
     grid = []
     for k in ns:
         for b in ([f * k for f in DEFAULT_BETA_FRACTIONS] if beta is None
-                  else (beta,)):
+                  else (check_beta(k, beta),)):
             alpha = 1.0 - b / k
             for h in hs:
                 for s in sigmas:

@@ -17,8 +17,10 @@ keeps a flag's default.  --help prints each default; the seed's is the
 CAPSMOOTH_SEED environment variable when it is set, else 0.
 
 Exit codes: 0 success, 1 a checked bound or inequality was violated,
-2 invalid arguments, or a law that cannot be sampled because its radial
-mass is below the normal double range.  All randomness is drawn from
+2 invalid arguments, a law that cannot be sampled because its radial
+mass is below the normal double range, or a numeric solve that did not
+converge (an incomplete beta inverse at beta within about 1e-7 of n,
+say); each prints one error line.  All randomness is drawn from
 per-batch streams of the seed, so repeated runs with the same arguments
 produce identical output bytes.
 """

@@ -29,10 +29,11 @@ fitted to the inverse volumes._betaincinv_half and certified on the
 first use of any law with its m = n - beta and its mass
 betainc(m/2, 1/2, sigma^2), then shared by all of them.  The
 certificate bounds the error in r^2 and the residual |F(r) - p| it
-leaves; each fit keeps the lowest degree whose coefficient table still
-passes it (degree 1 to 4 at sigma <= 1/2), so a point costs only the
-Clenshaw steps the certificate needs, and a branch whose full table
-misses is inverted by the oracle it was certified against.
+leaves; each fit keeps the lowest degree whose Chebyshev table still
+passes it (degree 1 to 4 at sigma <= 1/2), stored in the power basis,
+so a point costs only the Horner steps the certificate needs, and a
+branch whose full table misses is inverted by the oracle it was
+certified against.
 
 One locator, AdversarialLaw._locate, takes a probability p to the
 segment that holds the mass p times the total and to the mass left in
@@ -83,21 +84,28 @@ _CHEB_DEGREE = 12
 _CHEB_PIECES = 32
 _CHEB_TOL = 64 * _EPS
 _RESIDUAL_TOL = 2.5e-13
+# column j holds the power coefficients of the Chebyshev polynomial T_j,
+# from T_j = 2 t T_{j-1} - T_{j-2}: small integers, so exact
+_CHEB_TO_POWER = np.eye(_CHEB_DEGREE + 1)
+for _j in range(2, _CHEB_DEGREE + 1):
+    _CHEB_TO_POWER[1:, _j] = 2.0 * _CHEB_TO_POWER[:-1, _j - 1]
+    _CHEB_TO_POWER[:, _j] -= _CHEB_TO_POWER[:, _j - 2]
 
 
 class _ChebyshevPieces:
     """Piecewise Chebyshev interpolant on [lo, hi], cut into `pieces`
     equal pieces, of degree _CHEB_DEGREE through the Chebyshev points of
-    the first kind on every piece; coef[j] holds the degree-j
-    coefficient of every piece.  The coefficients come from the discrete
-    cosine sum of the values at the nodes; the table may keep only a
-    prefix of them (a lower degree, see _BetaincInverse._branch)."""
+    the first kind on every piece.  cheb[j] holds the degree-j Chebyshev
+    coefficient of every piece, from the discrete cosine sum of the
+    values at the nodes.  The evaluator keeps a prefix of that table (a
+    lower degree, see _BetaincInverse._branch) as the same polynomial
+    in the power basis of the piece variable t in [-1, 1]: coef[j]
+    holds the coefficient of t^j of every piece."""
 
     def __init__(self, lo, hi, pieces):
         self.lo = lo
         self.scale = pieces / (hi - lo)
         self.pieces = pieces
-        self.coef = None
 
     def points(self, theta):
         """The points at angles theta on every piece, (len(theta),
@@ -109,41 +117,29 @@ class _ChebyshevPieces:
     def interpolate(self, values):
         n = _CHEB_DEGREE + 1
         theta = np.pi * (np.arange(n) + 0.5) / n
-        self.coef = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ values
-        self.coef[0] *= 0.5
+        self.cheb = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ values
+        self.cheb[0] *= 0.5
+
+    def keep(self, size):
+        """Keep the first size Chebyshev coefficients, as the power-basis
+        coefficients of the same polynomial in t."""
+        self.coef = _CHEB_TO_POWER[:size, :size] @ self.cheb[:size]
 
     def __call__(self, v):
-        """Clenshaw's recurrence, one gathered coefficient per step.  The
-        table may have any number of rows, one included."""
+        """Horner's rule in t, one gathered coefficient per step.  Every
+        caller passes v >= lo, so only the last piece bounds the index."""
         t = v - self.lo
         t *= self.scale
-        k = np.clip(t.astype(np.intp), 0, self.pieces - 1)
+        k = np.minimum(t.astype(np.intp), self.pieces - 1)
         # t = 2 (u - k) - 1 on the piece, in place
         t -= k
         t *= 2.0
         t -= 1.0
-        coef = self.coef
-        b1 = coef[-1].take(k)
-        if len(coef) == 1:
-            return b1
-        if len(coef) > 2:
-            # b_j = t2 b_{j+1} - b_{j+2} + c_j in three rotating buffers;
-            # the first step has b_{j+2} = 0, and subtracts nothing
-            t2 = 2.0 * t
-            b2, b1 = b1, t2 * b1
-            b1 += coef[-2].take(k)
-            b0 = np.empty_like(t)
-            for c in coef[-3:0:-1]:
-                np.multiply(t2, b1, out=b0)
-                b0 -= b2
-                b0 += c.take(k)
-                b1, b2, b0 = b0, b1, b2
-            b1 *= t
-            b1 -= b2
-        else:
-            b1 *= t
-        b1 += coef[0].take(k)
-        return b1
+        b = self.coef[-1].take(k)
+        for c in self.coef[-2::-1]:
+            b *= t
+            b += c.take(k)
+        return b
 
 
 class _BetaincInverse:
@@ -173,13 +169,18 @@ class _BetaincInverse:
     shortest prefix of its coefficients that passes the certificate: a
     relative error in x within _CHEB_TOL, and a residual in p = y / top
     within _RESIDUAL_TOL, which keeps the residual |F(r) - p| of a
-    sampled radius within the 1e-12 that sampling asks.  A branch whose full table misses is None, and
+    sampled radius within the 1e-12 that sampling asks.  The
+    certificate runs the fit as the kernel evaluates it, by Horner's
+    rule on the power-basis table, so it covers that rounding too.  A
+    branch whose full table misses is None, and
     volumes._betaincinv_half itself inverts it, in the complement 1 - y
     on the upper branch, as the certificate does: within about one ulp
     of x, at several times the cost of the fit per point.  The lower
-    branch misses for large m = 2a near sigma = 1: from m = 58 on at
-    sigma = 1, from m = 95 on at sigma = 0.99, and at some m above 500
-    from sigma = 0.9 on.
+    branch misses for large m = 2a near sigma = 1 (tools/kernel_table.py
+    prints which): from m = 58 on at sigma = 1, at m = 94 and from
+    m = 96 on at sigma = 0.99, from m of about 180-300 on at
+    sigma = 0.97-0.98, and at scattered m above 580 from sigma = 0.9
+    on and above 700 at sigma = 0.8.
     """
 
     def __init__(self, a, top):
@@ -259,20 +260,21 @@ class _BetaincInverse:
         nodes and a function that maps a fit to both errors at the
         points between; both point arrays have one column per piece.
 
-        So each evaluation runs only as many Clenshaw steps as the
-        certificate needs, and no node is solved again.  The
-        coefficients of a smooth inverse fall off geometrically, so the
-        kernels keep degree 1 to 4 at sigma <= 1/2 (1 at m = 2, where
-        psi(q) = 2 - q); the degree rises as sigma nears 1 and with m."""
+        The search truncates the Chebyshev table, never the power one:
+        each prefix is converted on its own.  So each evaluation runs
+        only as many Horner steps as the certificate needs, and no node
+        is solved again.  The coefficients of a smooth inverse fall off
+        geometrically, so the kernels keep degree 1 to 4 at
+        sigma <= 1/2 (1 at m = 2, where psi(q) = 2 - q); the degree
+        rises as sigma nears 1 and with m."""
         n = _CHEB_DEGREE + 1
         theta = np.pi * (np.arange(n) + 0.5) / n
         between = np.pi * np.arange(n) / n
         fit = _ChebyshevPieces(lo, hi, _CHEB_PIECES)
         values, error = solve(fit.points(theta), fit.points(between))
         fit.interpolate(values)
-        full = fit.coef
         for size in range(1, n + 1):
-            fit.coef = full[:size]
+            fit.keep(size)
             err, res = error(fit)
             # nan (an underflowed node) misses
             if err.max() <= _CHEB_TOL and res.max() <= _RESIDUAL_TOL:

@@ -354,7 +354,8 @@ class ExpectationReport:
 
     @property
     def has_violation(self):
-        return self.margin < 0.0
+        # a NaN margin is no evidence that the bound holds
+        return not self.margin >= 0.0
 
     def to_csv(self):
         return csv_text(self.COLUMNS,

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from ._args import integer
+from ._args import integer, real
 
 __all__ = [
     "sphere_volume",
@@ -202,8 +202,8 @@ def _lentz(a, x):
             delta = d * c
             h = h * delta
         yield h, abs(delta - 1.0) < _EPS
-    raise RuntimeError("incomplete beta continued fraction did not converge "
-                       "(a=%g)" % (a,))
+    raise ArithmeticError("incomplete beta continued fraction did not "
+                          "converge (a=%g)" % (a,))
 
 
 def _finish(a, region, w, power, part, log):
@@ -365,8 +365,8 @@ def _betaincinv_half(a, y, upper=False):
                 keep = ~done
                 idx, x, lo, hi = idx[keep], x[keep], lo[keep], hi[keep]
                 target = target[keep]
-    raise RuntimeError("incomplete beta inverse did not converge (a=%g)"
-                       % (a,))
+    raise ArithmeticError("incomplete beta inverse did not converge (a=%g)"
+                          % (a,))
 
 
 def _betaincinv_ratio(a, q):
@@ -393,15 +393,18 @@ def _betaincinv_ratio(a, q):
         idx, before, x = idx[keep], x[keep], new[keep]
         if not idx.size:
             return out
-    raise RuntimeError("incomplete beta ratio did not converge (a=%g)"
-                       % (a,))
+    raise ArithmeticError("incomplete beta ratio did not converge (a=%g)"
+                          % (a,))
 
 
 def _check_m_sigma(m, sigma):
+    """m and sigma as floats, m > 0 finite and sigma in [0, 1]."""
+    m, sigma = real(m, "m"), real(sigma, "sigma")
     if not (m > 0.0) or not math.isfinite(m):
         raise ValueError("m must be a positive finite real, got %r" % (m,))
     if not (0.0 <= sigma <= 1.0):
         raise ValueError("sigma must lie in [0, 1], got %r" % (sigma,))
+    return m, sigma
 
 
 @functools.lru_cache(maxsize=65536)
@@ -420,9 +423,7 @@ def log_cap_integral(m, sigma):
     Memoized: the grid checkers hit the same (m, sigma) pairs many
     thousands of times.
     """
-    m = float(m)
-    sigma = float(sigma)
-    _check_m_sigma(m, sigma)
+    m, sigma = _check_m_sigma(m, sigma)
     if sigma == 0.0:
         return -math.inf
     return _log_cap_integral_cached(m, sigma)
@@ -448,9 +449,7 @@ def cap_integral_mpmath(m, sigma):
     # imported here: mpmath stays out of every CLI start
     import mpmath
 
-    m = float(m)
-    sigma = float(sigma)
-    _check_m_sigma(m, sigma)
+    m, sigma = _check_m_sigma(m, sigma)
     with mpmath.workdps(30):
         x = mpmath.mpf(sigma) ** 2
         return float(mpmath.betainc(mpmath.mpf(m) / 2, 0.5, 0, x) / 2)
@@ -479,9 +478,7 @@ def cap_integral_series(m, sigma):
     approaches that edge.  This is a cross-check oracle, not the
     production route.
     """
-    m = float(m)
-    sigma = float(sigma)
-    _check_m_sigma(m, sigma)
+    m, sigma = _check_m_sigma(m, sigma)
     if sigma == 1.0:
         k = integer(m, "m (the sigma = 1 ladder)")
         val = 0.5 * math.pi if k % 2 == 1 else 1.0
@@ -534,9 +531,7 @@ def cap_integral_bounds(m, sigma):
     near sigma = 1 (for every m at sigma = 1 exactly);
     checks.sandwich_rows measures rather than assumes validity there.
     """
-    m = float(m)
-    sigma = float(sigma)
-    _check_m_sigma(m, sigma)
+    m, sigma = _check_m_sigma(m, sigma)
     base = sigma ** m / m
     if sigma < 1.0:
         cap = min(1.0 / math.sqrt(1.0 - sigma * sigma),

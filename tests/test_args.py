@@ -5,7 +5,9 @@ Each entry of the tables below names a public call and the argument
 it varies.  NaN, the infinities, a fraction and a value below the
 least raise ValueError naming that argument, never OverflowError and
 never a truncation; an integral float and a numpy integer give the
-result of the plain int.
+result of the plain int.  A value that is no number (None, a list, a
+string that does not parse) raises ValueError naming the argument in
+the real-valued rules too, never TypeError.
 """
 
 import math
@@ -293,3 +295,45 @@ def test_beta_rejects(call, bad):
 def test_beta_accepts(call):
     assert call(np.float64(1.5)) == call(1.5)
     assert call(1) == call(1.0)
+
+
+# (id, call of the varied value, argument name): the other real-valued
+# rules, volumes' m and sigma and the H, eps and delta_e of bounds
+REALS = [
+    ("log_cap_integral-m", lambda v: volumes.log_cap_integral(v, 0.5), "m"),
+    ("log_cap_integral-sigma", lambda v: volumes.log_cap_integral(3, v),
+     "sigma"),
+    ("cap_integral_mpmath-m", lambda v: volumes.cap_integral_mpmath(v, 0.5),
+     "m"),
+    ("cap_integral_series-m", lambda v: volumes.cap_integral_series(v, 0.5),
+     "m"),
+    ("cap_integral_bounds-sigma",
+     lambda v: volumes.cap_integral_bounds(3, v), "sigma"),
+    ("rho_eps-H", lambda v: bounds.rho_eps(3, 0, 0.5, v, 0.5), "H"),
+    ("rho_eps-eps", lambda v: bounds.rho_eps(3, 0, 0.5, 2.0, v), "eps"),
+    ("t_eps-delta_e", lambda v: bounds.t_eps(3, 1, 0.5, v), "delta_e"),
+]
+
+
+NO_NUMBERS = {"none": None, "list": [0.5], "string": "abc"}
+# every rule of the tables above and REALS with each value that is no
+# number; default_grid reads None as its default axis, so takes it
+NO_NUMBER_CASES = [
+    ("%s-%s-%s" % (name, i, kind), call, name, value)
+    for table, name in ((SIGMAS, "sigma"), (BETAS, "beta"))
+    for i, call in table
+    for kind, value in NO_NUMBERS.items()
+    if not (value is None and i == "default_grid")
+] + [("%s-%s" % (i, kind), call, name, value)
+     for i, call, name in REALS for kind, value in NO_NUMBERS.items()]
+
+
+@pytest.mark.parametrize("call, name, value",
+                         [case[1:] for case in NO_NUMBER_CASES],
+                         ids=[case[0] for case in NO_NUMBER_CASES])
+def test_real_rejects_what_is_no_number(call, name, value):
+    # float() raises TypeError on None and a list, and a ValueError that
+    # names no argument on the string; each rule names its argument
+    with pytest.raises(ValueError, match=re.escape(
+            "%s must be a real number, got %r" % (name, value))):
+        call(value)

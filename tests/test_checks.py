@@ -2,8 +2,9 @@
 the boosting inequality checked at rho_eps alone, and the mpmath
 cross-check of I_m, each with a negative control that must fail it.
 Also a negative control for each row that reads its checker's
-CheckRows: the I_m and delta_eps sandwiches, t_eps > t0 and small_calc;
-and the margin that the Monte Carlo tail rows report."""
+CheckRows: the I_m and delta_eps sandwiches, t_eps > t0, small_calc and
+the smoothness ratio, whose rows fail on NaN; and the margin that the
+Monte Carlo tail rows report."""
 
 import dataclasses
 import math
@@ -164,6 +165,26 @@ class TestReWiredRows:
         assert not row.passed
         assert row.lhs == len(checks.small_calc_grid(10 ** 6, 30))
 
+    def test_nan_smoothness_row_fails(self, monkeypatch):
+        # a NaN ratio past the first row: max() over |ratio - alpha|
+        # skips it, the row's own verdict does not
+        check = bounds.smoothness_check
+        calls = []
+
+        def second_nan(law, rho, tol):
+            calls.append(1)
+            row = check(law, rho, tol)
+            if len(calls) == 2:
+                return CheckRow(math.nan, row.rhs, False)
+            return row
+
+        (name, row), = rows_of(checks._smoothness_ratio_limit)
+        assert name == "smoothness_ratio_limit" and row.passed
+        monkeypatch.setattr(bounds, "smoothness_check", second_nan)
+        (_, row), = rows_of(checks._smoothness_ratio_limit)
+        assert len(calls) > 2
+        assert not row.passed and row.lhs <= row.rhs
+
 
 class TestTailRows:
     """A tail row of verify reports the largest Wilson lower limit over
@@ -209,3 +230,20 @@ class TestTailRows:
         rows = self.faked_rows(monkeypatch, [
             self.tail_row(0.2, 0.1, True), self.tail_row(0.01, 0.1, True)])
         assert set(rows.values()) == {CheckRow(0.2 / 0.1, 1.0, False)}
+
+
+def test_nan_margin_is_a_violation(monkeypatch):
+    # an expectation whose margin is NaN shows nothing about the bound:
+    # the report flags it, and verify's expect rows read that flag
+    report = montecarlo.ExpectationReport(
+        config={}, mean_ln_c=math.nan, stderr=math.nan, n_samples=1,
+        n_effective=1, n_redrawn=0, bound=2.0, margin=math.nan)
+    assert report.has_violation
+    monkeypatch.setattr(montecarlo, "estimate_expectation",
+                        lambda cfg: report)
+    monkeypatch.setattr(montecarlo, "estimate_tail",
+                        lambda cfg: montecarlo.TailReport(config={}, rows=[]))
+    rows = {name: row for name, row in rows_of(checks._tail_and_expectation)
+            if name.startswith("expect_")}
+    assert len(rows) == 2
+    assert not any(row.passed for row in rows.values())

@@ -179,6 +179,18 @@ def test_unsampleable_law_exits_2(capsys, argv):
     assert "double range" in err and err.count("\n") == 1
 
 
+def test_unconverged_solve_exits_2(capsys):
+    # at beta = n - 1e-7 the incomplete beta inverse that builds the
+    # kernel cannot converge for a = 5e-8: a solve that fails is an
+    # error line and exit 2, not a traceback and the exit code of a
+    # violated bound
+    code, out, err = run(capsys, "expect", "--problem", "hyperplane", "--n",
+                         "3", "--beta", "2.9999999", "--samples", "1000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: incomplete beta inverse did not converge")
+    assert err.count("\n") == 1
+
+
 class TestTailAndExpect:
     def test_tail_healthy(self, capsys):
         code, out, _ = run(capsys, "tail", "--problem", "hyperplane",

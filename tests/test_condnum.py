@@ -648,7 +648,7 @@ class TestClosedForm:
             assert error_in_eps_c(c[i], want) <= max(float(want), 4.0)
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_jacobi_serves_only_rows_past_the_cut(self, m, monkeypatch):
+    def test_svd_serves_only_rows_past_the_cut(self, m, monkeypatch):
         # the SVD serves only the rows the closed form does not
         calls = []
         svd = condnum._svd_sigma_min

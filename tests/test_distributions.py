@@ -783,7 +783,7 @@ class TestInverseKernel:
         assert np.all(q ** 300.0 < np.finfo(float).tiny)
         volumes._betaincinv_ratio(300.0, q)
         monkeypatch.setattr(volumes, "_MAXIT", 1)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ArithmeticError):
             volumes._betaincinv_ratio(300.0, q)
 
     def test_ratio_stops_per_point(self):
@@ -960,7 +960,7 @@ class TestCostGuard:
                                                             upper))
             if len(fit.coef) > 1:
                 lower = copy.copy(fit)
-                lower.coef = fit.coef[:-1]
+                lower.keep(len(fit.coef) - 1)
                 assert not _certificate_passes(
                     *_certificate_errors(kernel, lower, upper))
 

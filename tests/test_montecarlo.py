@@ -783,10 +783,12 @@ class TestReportDigests:
     """Reports whose bytes a speed-up that keeps the arithmetic must
     keep: sha256 of the CSVs of a tabulated k = 9 law and of a k = 5
     uniform law off the axes, which pass through the segment lookup,
-    the Clenshaw kernels, the sloped profile's rejection step, the
-    gaussian directions, the geodesic map and the threshold counts;
-    and the rows of verify --quick, one digest per check, so that a
-    change to one family of rows re-pins that family alone."""
+    the radius kernel's Horner steps, the sloped profile's rejection
+    step, the gaussian directions, the geodesic map and the threshold
+    counts; and the rows of verify --quick, one digest per check, so
+    that a change to one family of rows re-pins that family alone.  A
+    change to the kernel's rounding moves the last digits of a KS
+    statistic or a standard error, not a count or a verdict."""
 
     SAMPLES = 20000
 
@@ -794,7 +796,7 @@ class TestReportDigests:
         1: ("3f9f67aef1a7df12220f6052bf7790b0f3aaaca9006bd80356f20556d7ed2f9a",
             "6e18e865ca0066dfa7587d5653170b24c7da5a83c37a7a0c9cddfacdef12bcd2"),
         2: ("f99747d4d42f38ed33309b50ea94d8f23310502fb0086a0e82a238f519d112c3",
-            "12cf847f4aa727932c222599f12dfc7cd4095a3e790e4f042fa42a5bd3271b5e"),
+            "7f60a0fbec8691e41877915e638926175dfa0c99fba7f752a49f265d373e2409"),
     }
     UNIFORM_K5 = {
         1: "a15a2733669d00f60b0b5aaf94f0902bc87ca56ee6a149fd9123bb35b67ce2a5",
@@ -859,7 +861,7 @@ class TestReportDigests:
     VERIFY_SEEDED = {
         "ks_radial": (
             "c5cbea8161edb21d2cfed9b3d3579fce9757cd8c8579e912924ab908aa36e14a",
-            "d7f573fe731d1062f3892f21ed0011e0fff2afec966112ebe385799e61829e28"),
+            "45c64c1756754b5428e23fdbc6d33c07aaae0f573afb25109e97711fe14b010f"),
         "ks_negative_control": (
             "2df090f80546565cf619ed64025446c975a11c6ea021eed13d5f637648614c0c",
             "e721d1a641c1385731f5a299ba20bca61c269a791fa370e37d9d52b7741db109"),

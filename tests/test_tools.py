@@ -1,6 +1,7 @@
 """tools/code_lines.py, the code-line count that changes are measured by,
-tools/line_coverage.py, which lists the lines a run never executes, and
-tools/cli_tour.py, the run of every subcommand that it traces.  The
+tools/line_coverage.py, which lists the lines a run never executes,
+tools/cli_tour.py, the run of every subcommand that it traces, and
+tools/kernel_table.py, the branch table of the radius kernels.  The
 scripts are no modules of the package, so they are loaded or run by
 their paths."""
 
@@ -126,3 +127,25 @@ def test_cli_tour_runs_every_subcommand(tmp_path):
     done = tour.tour(str(tmp_path))
     assert [argv[0] for argv, _ in done] == [run[0] for run in tour.RUNS]
     assert all(status in (0, 1) for _, status in done), done
+
+
+def test_kernel_table_rows(capsys):
+    # the tool's rows are the kernels' own tables: on the grid of the
+    # kernels verify --quick builds, their sizes as pinned there; at
+    # m = 64 and 300 with sigma = 1 the lower branch misses; and the
+    # law of m = 300 at sigma = 0.05 has no double mass
+    from test_distributions import TestCostGuard
+
+    table = _load("kernel_table")
+    table.main(["--m", "1.5,2,3,4,5,8,10", "--sigma", "0.5,0.8,1"])
+    table.main(["--m", "64,300", "--sigma", "0.05,1"])
+    rows = {}
+    for line in capsys.readouterr().out.splitlines():
+        m, sigma, *cells = line.split()
+        rows[float(m), float(sigma)] = cells
+    assert len(rows) == 7 * 3 + 2 * 2
+    for m, sigma, sizes in TestCostGuard.VERIFY_KERNELS:
+        assert rows[m, sigma] == ["-" if size is None else str(size)
+                                  for size in sizes]
+    assert rows[64.0, 1.0] == rows[300.0, 1.0] == ["miss", "5"]
+    assert rows[300.0, 0.05] == ["underflow"]
