@@ -21,7 +21,7 @@ from .bounds import (BoostParams, CheckRow, adversarial_expectation_bound,
                      delta_eps_sandwich, expectation_bound_gap,
                      expectation_theorem, rho_eps, small_calc_check,
                      smoothness_alpha, smoothness_check, smoothness_ratio,
-                     t0, t0_log, t_eps, t_eps_exceeds_t0, tail_theorem,
+                     t0, t0_log, t_eps, tail_theorem,
                      uniform_covers, uniform_expectation_bound,
                      uniform_log_tail_bound, uniform_tail_bound)
 from .montecarlo import (ExperimentConfig, ExpectationReport, TailReport,
@@ -45,8 +45,7 @@ __all__ = [
     "adversarial_expectation_bound_proof_chain", "expectation_bound_gap",
     "CheckRow", "boosting_check", "small_calc_check", "smoothness_check",
     "ball_maximizer_check",
-    "BoostParams", "delta_eps_sandwich", "t_eps_exceeds_t0",
-    "default_grid",
+    "BoostParams", "delta_eps_sandwich", "default_grid",
     "ExperimentConfig", "TailRow", "TailReport", "ExpectationReport",
     "estimate_tail", "estimate_expectation", "ks_radial_test",
     "wilson_interval",

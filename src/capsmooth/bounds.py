@@ -68,7 +68,6 @@ __all__ = [
     "ball_maximizer_check",
     "BoostParams",
     "delta_eps_sandwich",
-    "t_eps_exceeds_t0",
     "default_grid",
 ]
 
@@ -114,7 +113,7 @@ def t0_log(n, d, sigma):
 def uniform_tail_bound(n, d, sigma, t):
     """13 d n / (sigma t); valid for t >= t0(n, d, sigma)."""
     n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
-    t = float(t)
+    t = real(t, "t")
     if t < t0(n, d, sigma):
         raise ValueError("tail bound requires t >= t0 = %g, got t = %g"
                          % (t0(n, d, sigma), t))
@@ -124,7 +123,7 @@ def uniform_tail_bound(n, d, sigma, t):
 def uniform_log_tail_bound(n, d, sigma, t):
     """(13 d n / sigma) e^(-t); valid for t >= t0_log(n, d, sigma)."""
     n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
-    t = float(t)
+    t = real(t, "t")
     if t < t0_log(n, d, sigma):
         raise ValueError("log tail bound requires t >= %g, got t = %g"
                          % (t0_log(n, d, sigma), t))
@@ -152,7 +151,7 @@ def smoothness_ratio(law, rho):
     so both logs are negative.
     """
     sigma = law.cap.sigma
-    rho = float(rho)
+    rho = real(rho, "rho")
     if not (0.0 < rho < sigma):
         raise ValueError("rho must lie strictly inside (0, sigma)")
     num = law.log_radial_cdf(rho)
@@ -194,7 +193,19 @@ def delta_eps(n, beta, sigma, H, eps):
 
 
 def t_eps(n, d, sigma, delta_e):
-    """Threshold ln(13 d n / (sigma delta_e)) of the boosted tail bound."""
+    """Threshold ln(13 d n / (sigma delta_e)) of the boosted tail bound.
+
+    It lies above t0_log(n, d, sigma), by more than ln(13/3) = 1.466,
+    for every admissible argument:
+
+        t_eps - t0_log = ln(13 d / (1 + 2d)) - ln delta_e,
+
+    where 13 d / (1 + 2d) rises with d, so is at least 13/3 for d >= 1,
+    and -ln delta_e > 0 for the 0 < delta_e < 1 required here.  So the
+    boosted range starts inside the uniform one wherever delta_eps lies
+    in (0, 1); that premise is what verify's t_eps_exceeds_t0 row
+    checks on its grid.
+    """
     n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
     delta_e = real(delta_e, "delta_e")
     if not (0.0 < delta_e < 1.0):
@@ -212,7 +223,7 @@ def boosted_tail_bound(n, d, sigma, beta, t):
     """
     n, d, sigma = integer(n, "n"), integer(d, "d"), check_sigma(sigma)
     beta = check_beta(n, beta)
-    t = float(t)
+    t = real(t, "t")
     alpha = 1.0 - beta / n
     thr = t_eps(n, d, sigma, delta_eps(n, beta, sigma, 1.0, 0.5 * alpha))
     if t < thr:
@@ -350,7 +361,7 @@ def boosting_check(n, beta, sigma, H, eps, rho):
     beta, sigma = check_beta(n, beta), check_sigma(sigma)
     H = _check_H(H)
     eps = _check_eps(n, beta, eps)
-    rho = float(rho)
+    rho = real(rho, "rho")
     rmax = rho_eps(n, beta, sigma, H, eps)
     if not (0.0 < rho <= rmax * (1.0 + 1e-12)):
         raise ValueError("rho must lie in (0, rho_eps], rho_eps = %g" % rmax)
@@ -368,6 +379,12 @@ def small_calc_check(n):
     Returns a CheckRow of the two sides.  The verdict uses the
     equivalent 1 - q^(1/n) >= ln(pi n / 2) / (2 n), in the stable expm1
     form.
+
+    It holds for every n >= 1.  With x = ln(pi n / 2) / n, so that
+    q^(1/n) = e^(-x), the verdict reads 1 - e^(-x) >= x / 2.  On [0, 1]
+    the concave 1 - e^(-x) lies above its chord (1 - 1/e) x, and
+    1 - 1/e > 1/2.  And 0 < x <= 1: pi n / 2 > 1, while n - ln(pi n / 2)
+    is 0.55 at n = 1 and has derivative 1 - 1/n >= 0.
     """
     n = integer(n, "n")
     q = _q(n)
@@ -383,6 +400,7 @@ def smoothness_check(law, rho, tol):
     Returns a CheckRow(ratio, alpha) that passes when
     |ratio - alpha| <= tol, a finite number >= 0.
     """
+    tol = real(tol, "tol")
     if not 0.0 <= tol < math.inf:
         raise ValueError("tol must be a finite number >= 0, got %r" % (tol,))
     ratio = smoothness_ratio(law, rho)
@@ -420,15 +438,6 @@ def delta_eps_sandwich(n, beta, sigma, H):
     upper = CheckRow(value, math.exp(log_upper),
                      log_value <= log_upper + tol_hi)
     return lower, upper
-
-
-def t_eps_exceeds_t0(n, d, sigma, beta, H):
-    """CheckRow(t_eps, t0_log, t_eps > t0_log): the boosted threshold
-    against the exponential-form t0."""
-    alpha = smoothness_alpha(n, beta)
-    delta = delta_eps(n, beta, sigma, H, 0.5 * alpha)
-    lhs, rhs = t_eps(n, d, sigma, delta), t0_log(n, d, sigma)
-    return CheckRow(lhs, rhs, lhs > rhs)
 
 
 @dataclass(frozen=True)
@@ -493,7 +502,7 @@ def ball_maximizer_check(law, shells, slack=1e-12):
     bench/workloads.py call all() on its results and pass slack=1e-12.
     """
     sigma = law.cap.sigma
-    pairs = [(float(lo), float(hi)) for lo, hi in shells]
+    pairs = [(real(lo, "shells"), real(hi, "shells")) for lo, hi in shells]
     for lo, hi in pairs:
         if not (0.0 <= lo < hi <= sigma):
             raise ValueError("shell (%g, %g) not inside [0, sigma]" % (lo, hi))

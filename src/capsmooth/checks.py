@@ -10,11 +10,15 @@ subcommands and the acceptance tests run the same code on their own
 grids.  Every parameter grid is a bounds.default_grid, pinned or not,
 in its (n, beta, H, sigma, eps) order; grid_points takes its distinct
 values on fewer axes, so the entries that never read eps check each of
-its 216 (n, beta, sigma, H) once.  The boosting entry itself checks
-each grid point at rho_eps alone, which boosting_check's monotonicity
-lemma makes sufficient; the radius sweep of boosting_rows stays as the
-lemma's cross-check.  The tail runs take their thresholds from
-montecarlo.threshold_grid, as the tail subcommand does.
+its 216 (n, beta, sigma, H) once.  The boosting entry calls
+bounds.boosting_check once per grid point, at rho_eps alone, which
+boosting_check's monotonicity lemma makes sufficient; the radius sweep
+of boosting_rows stays as the lemma's cross-check.  t_eps > t0 holds
+whenever 0 < delta_eps < 1 (bounds.t_eps), so its row, which follows
+the delta_eps sandwich rows, counts the points whose delta_eps, the
+lhs of the lower sandwich row, lies outside (0, 1).  The tail runs
+take their thresholds from montecarlo.threshold_grid, as the tail
+subcommand does.
 """
 
 import dataclasses
@@ -165,7 +169,8 @@ def _boosting_inequality(quick, seed, workers):
     # lhs - rhs increases in rho (boosting_check), so the inequality
     # holds on (0, rho_eps] iff it holds at rho_eps
     yield ("boosting_inequality", "grid at rho_eps", _failures(
-        row for *_, row in boosting_rows(bounds.default_grid(), 1)))
+        bounds.boosting_check(p.n, p.beta, p.sigma, p.H, p.eps, p.rho())
+        for p in bounds.default_grid()))
 
 
 def _eps_free_points():
@@ -175,18 +180,17 @@ def _eps_free_points():
 
 
 def _delta_eps_sandwich(quick, seed, workers):
-    # one pair of rows per (n, beta, sigma, H)
+    # one pair of rows per (n, beta, sigma, H), then t_eps > t0 at every
+    # d through its premise 0 < delta_eps < 1 (bounds.t_eps)
+    bad = 0
     for key in _eps_free_points():
         lower, upper = bounds.delta_eps_sandwich(*key)
         params = "n=%d beta=%g sigma=%g H=%g" % key
         yield "delta_eps_sandwich_lower", params, lower
         yield "delta_eps_sandwich_upper", params, upper
-
-
-def _t_eps_exceeds_t0(quick, seed, workers):
-    yield ("t_eps_exceeds_t0", "grid x d in {1,2,5}", _failures(
-        bounds.t_eps_exceeds_t0(n, d, sigma, beta, H)
-        for n, beta, sigma, H in _eps_free_points() for d in (1, 2, 5)))
+        bad += not 0.0 < lower.lhs < 1.0
+    yield ("t_eps_exceeds_t0", "grid, 0 < delta_eps < 1, every d",
+           CheckRow(float(bad), 0.0, bad == 0))
 
 
 def _smoothness_ratio_limit(quick, seed, workers):
@@ -321,7 +325,6 @@ BATTERY = (
     _small_calc,
     _boosting_inequality,
     _delta_eps_sandwich,
-    _t_eps_exceeds_t0,
     _smoothness_ratio_limit,
     _stated_minus_proof_chain,
     _expectation_bound_gap,

@@ -23,6 +23,10 @@ converge (an incomplete beta inverse at beta within about 1e-7 of n,
 say); each prints one error line.  All randomness is drawn from
 per-batch streams of the seed, so repeated runs with the same arguments
 produce identical output bytes.
+
+expect redraws a point whose C is inf; when it redrew any, it writes
+one stderr line with their count, since the mean of the rest is then
+biased low.  The report and the exit code do not change.
 """
 
 import argparse
@@ -208,6 +212,9 @@ def _cmd_expect(args):
     cfg = _experiment_config(args, need_t_grid=False)
     report = montecarlo.estimate_expectation(cfg)
     _emit(_report_text(report, args.format), args.out)
+    if report.n_redrawn:
+        sys.stderr.write("expect: %d draws had C = inf and were redrawn, "
+                         "so mean_ln_c is biased low\n" % report.n_redrawn)
     return 1 if report.has_violation else 0
 
 

@@ -56,7 +56,7 @@ import threading
 
 import numpy as np
 
-from ._args import check_beta, check_sigma, integer
+from ._args import check_beta, check_sigma, integer, real
 from .geometry import geodesic_point, tangent_direction
 from .volumes import (_beta_half, _betainc_half, _betaincinv_half,
                       _betaincinv_ratio, _log_beta_half, _vec_cap_integral,
@@ -396,7 +396,7 @@ class RadialProfile:
 def constant_profile(sigma):
     """The profile h identically equal to one on [0, sigma] (already
     normalized): the single segment from (0, 1) to (sigma, 1)."""
-    sigma = float(sigma)
+    sigma = real(sigma, "sigma")
     return RadialProfile([0.0, sigma], [1.0, 1.0], sigma)
 
 
@@ -613,7 +613,7 @@ class AdversarialLaw:
         unless the cap integrals at the first node underflow, the CDF
         exceeds that segment's mass, and its log is taken directly.
         """
-        rho = float(rho)
+        rho = real(rho, "rho")
         sigma = self.cap.sigma
         if not (0.0 < rho <= sigma * (1.0 + 1e-12)):
             raise ValueError("rho must lie in (0, sigma]")

@@ -57,7 +57,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from . import bounds
-from ._args import integer
+from ._args import integer, real
 from .condnum import ConicProblem
 from .distributions import AdversarialLaw
 from .geometry import proj_distance
@@ -149,7 +149,7 @@ class ExperimentConfig:
         if self.scale not in ("linear", "log"):
             raise ValueError("scale must be 'linear' or 'log'")
         if self.t_grid is not None:
-            grid = [float(t) for t in self.t_grid]
+            grid = [real(t, "t_grid") for t in self.t_grid]
             if len(grid) == 0:
                 raise ValueError("t_grid must not be empty")
             # NaN passes the increasing test below, as every comparison
@@ -399,10 +399,11 @@ def threshold_grid(config, steps, t_min=None, t_max=None):
                          "scale, which needs beta = 0 and a constant "
                          "profile; use --scale log")
     linear = config.scale == "linear"
-    lo = start if t_min is None else t_min
-    hi = t_max
-    if hi is None:
+    lo = start if t_min is None else real(t_min, "t_min")
+    if t_max is None:
         hi = 1e4 * lo if linear else lo + 8.0
+    else:
+        hi = real(t_max, "t_max")
     # first, so that a NaN end reads as not finite, not as out of order
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("t_grid must hold finite thresholds")

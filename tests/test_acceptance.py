@@ -286,9 +286,10 @@ def test_criterion_09():
     checked = []
     for key in combos:
         n, beta, sigma, H = key
+        delta = bounds.delta_eps(n, beta, sigma, H, (1.0 - beta / n) / 2)
         for d in (1, 2, 5):
-            assert bounds.t_eps_exceeds_t0(n, d, sigma, beta, H).passed, \
-                (n, d, sigma, beta, H)
+            assert (bounds.t_eps(n, d, sigma, delta)
+                    > bounds.t0_log(n, d, sigma)), (n, d, sigma, beta, H)
         checked.append((key, bounds.delta_eps_sandwich(*key),
                         _premise_holds(n, sigma), _oracle_verdicts(*key)))
     flagged = [(key, _sandwich_flags(*c)) for key, *c in checked

@@ -18,8 +18,8 @@ import pytest
 
 from capsmooth import bounds, checks, condnum, montecarlo, volumes
 from capsmooth._args import integer
-from capsmooth.distributions import (AdversarialLaw, Cap, normalize_profile,
-                                     uniform_law)
+from capsmooth.distributions import (AdversarialLaw, Cap, constant_profile,
+                                     normalize_profile, uniform_law)
 from capsmooth.geometry import tangent_direction
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -48,10 +48,14 @@ def _config(**kwargs):
     return cfg.echo(), cfg.workers
 
 
-def _grid(steps):
+def _grid(steps, **ends):
     cfg = montecarlo.ExperimentConfig(condnum.hyperplane_problem(3),
                                       uniform_law(Cap(E0, 0.5)), 10, 0)
-    return montecarlo.threshold_grid(cfg, steps).tolist()
+    return montecarlo.threshold_grid(cfg, steps, **ends).tolist()
+
+
+def _law():
+    return AdversarialLaw(Cap(E0, 0.5), 1.5)
 
 
 def _raw(r):
@@ -113,10 +117,6 @@ INTEGERS = [
     ("small_calc_check-n", bounds.small_calc_check, "n", 1, 3),
     ("delta_eps_sandwich-n",
      lambda v: bounds.delta_eps_sandwich(v, 1.5, 0.5, 2.0), "n", 1, 3),
-    ("t_eps_exceeds_t0-n",
-     lambda v: bounds.t_eps_exceeds_t0(v, 1, 0.5, 1.5, 2.0), "n", 1, 3),
-    ("t_eps_exceeds_t0-d",
-     lambda v: bounds.t_eps_exceeds_t0(3, v, 0.5, 1.5, 2.0), "d", 1, 3),
     ("BoostParams-n",
      lambda v: bounds.BoostParams(v, 1.5, 0.5, 2.0, 0.25).rho(), "n", 1, 3),
     ("default_grid-n", lambda v: bounds.default_grid(n=v), "n", 1, 3),
@@ -298,7 +298,8 @@ def test_beta_accepts(call):
 
 
 # (id, call of the varied value, argument name): the other real-valued
-# rules, volumes' m and sigma and the H, eps and delta_e of bounds
+# rules, volumes' m and sigma, the H, eps and delta_e of bounds, and
+# each threshold, radius, tolerance and shell end
 REALS = [
     ("log_cap_integral-m", lambda v: volumes.log_cap_integral(v, 0.5), "m"),
     ("log_cap_integral-sigma", lambda v: volumes.log_cap_integral(3, v),
@@ -312,20 +313,44 @@ REALS = [
     ("rho_eps-H", lambda v: bounds.rho_eps(3, 0, 0.5, v, 0.5), "H"),
     ("rho_eps-eps", lambda v: bounds.rho_eps(3, 0, 0.5, 2.0, v), "eps"),
     ("t_eps-delta_e", lambda v: bounds.t_eps(3, 1, 0.5, v), "delta_e"),
+    ("constant_profile-sigma", lambda v: constant_profile(v).sigma, "sigma"),
+    ("uniform_tail_bound-t",
+     lambda v: bounds.uniform_tail_bound(3, 1, 0.5, v), "t"),
+    ("uniform_log_tail_bound-t",
+     lambda v: bounds.uniform_log_tail_bound(3, 1, 0.5, v), "t"),
+    ("boosted_tail_bound-t",
+     lambda v: bounds.boosted_tail_bound(3, 1, 0.5, 1.5, v), "t"),
+    ("smoothness_ratio-rho", lambda v: bounds.smoothness_ratio(_law(), v),
+     "rho"),
+    ("boosting_check-rho",
+     lambda v: bounds.boosting_check(3, 1.0, 0.5, 1.0, 0.5, v), "rho"),
+    ("log_radial_cdf-rho", lambda v: _law().log_radial_cdf(v), "rho"),
+    ("smoothness_check-tol",
+     lambda v: bounds.smoothness_check(_law(), 0.1, v), "tol"),
+    ("ball_maximizer_check-shells",
+     lambda v: bounds.ball_maximizer_check(_law(), [(v, 0.1)]), "shells"),
+    ("ExperimentConfig-t_grid", lambda v: _config(t_grid=[v]), "t_grid"),
+    ("threshold_grid-t_min", lambda v: _grid(3, t_min=v), "t_min"),
+    ("threshold_grid-t_max", lambda v: _grid(3, t_max=v), "t_max"),
 ]
 
 
 NO_NUMBERS = {"none": None, "list": [0.5], "string": "abc"}
+# the calls that read None as their default (default_grid's axis, an
+# end of threshold_grid), so take it
+NONE_IS_DEFAULT = {"default_grid", "threshold_grid-t_min",
+                   "threshold_grid-t_max"}
 # every rule of the tables above and REALS with each value that is no
-# number; default_grid reads None as its default axis, so takes it
+# number
 NO_NUMBER_CASES = [
     ("%s-%s-%s" % (name, i, kind), call, name, value)
     for table, name in ((SIGMAS, "sigma"), (BETAS, "beta"))
     for i, call in table
     for kind, value in NO_NUMBERS.items()
-    if not (value is None and i == "default_grid")
+    if not (value is None and i in NONE_IS_DEFAULT)
 ] + [("%s-%s" % (i, kind), call, name, value)
-     for i, call, name in REALS for kind, value in NO_NUMBERS.items()]
+     for i, call, name in REALS for kind, value in NO_NUMBERS.items()
+     if not (value is None and i in NONE_IS_DEFAULT)]
 
 
 @pytest.mark.parametrize("call, name, value",

@@ -354,10 +354,17 @@ class TestDeltaSandwich:
         assert upper.passed
 
     def test_t_eps_exceeds_t0(self):
+        # t_eps - t0_log = ln(13 d / (1 + 2d)) - ln delta_eps, at least
+        # ln(13/3) for 0 < delta_eps < 1 (the proof in bounds.t_eps)
         for p in bounds.default_grid()[::23]:
+            alpha = bounds.smoothness_alpha(p.n, p.beta)
+            delta = bounds.delta_eps(p.n, p.beta, p.sigma, p.H, 0.5 * alpha)
             for d in (1, 2, 5):
-                assert bounds.t_eps_exceeds_t0(p.n, d, p.sigma, p.beta,
-                                               p.H).passed
+                gap = (bounds.t_eps(p.n, d, p.sigma, delta)
+                       - bounds.t0_log(p.n, d, p.sigma))
+                assert gap >= math.log(13.0 / 3.0)
+                assert np.isclose(gap, math.log(13.0 * d / (1.0 + 2.0 * d))
+                                  - math.log(delta), rtol=1e-12, atol=0.0)
 
 
 def pin_id(pin):

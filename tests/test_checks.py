@@ -2,18 +2,23 @@
 the boosting inequality checked at rho_eps alone, and the mpmath
 cross-check of I_m, each with a negative control that must fail it.
 Also a negative control for each row that reads its checker's
-CheckRows: the I_m and delta_eps sandwiches, t_eps > t0, small_calc and
-the smoothness ratio, whose rows fail on NaN; and the margin that the
-Monte Carlo tail rows report."""
+CheckRows: the I_m and delta_eps sandwiches, the premise of t_eps > t0,
+small_calc and the smoothness ratio, whose rows fail on NaN; for each
+row that compares a value with an oracle or an identity; and for the
+Monte Carlo rows.  CONTROLS maps every hard row that a quick battery
+run yields to its control, and a test fails when a row has none.
+"""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from capsmooth import bounds, checks, montecarlo, volumes
+from capsmooth import bounds, checks, condnum, montecarlo, volumes
 from capsmooth.bounds import CheckRow
+from capsmooth.distributions import uniform_law
 
 
 def only_row(entry):
@@ -140,15 +145,40 @@ class TestReWiredRows:
             if params.endswith(" H=10"):
                 assert not row.passed, params
 
-    def test_raised_t0_log_fails(self, monkeypatch):
-        # the smallest t_eps - t0_log on the grid is 2.871
-        (name, row), = rows_of(checks._t_eps_exceeds_t0)
-        assert (name, row) == ("t_eps_exceeds_t0", CheckRow(0.0, 0.0, True))
-        t0_log = bounds.t0_log
-        monkeypatch.setattr(bounds, "t0_log",
-                            lambda n, d, sigma: t0_log(n, d, sigma) + 3.0)
-        (_, row), = rows_of(checks._t_eps_exceeds_t0)
-        assert not row.passed and 1.0 <= row.lhs < 3 * 648
+    def test_halved_rho_eps_fails_every_lower_delta_eps_row(
+            self, monkeypatch):
+        # halving the radius divides I_n(rho) by at least 2^n, since the
+        # integrand's 1/sqrt(1 - r^2) grows with r; n ln 2 exceeds
+        # ln(pi n / 2) = -ln q, the width of the sandwich in log
+        rho_eps = bounds.rho_eps
+        monkeypatch.setattr(bounds, "rho_eps",
+                            lambda *args: 0.5 * rho_eps(*args))
+        lower = [row for name, _, row in checks._delta_eps_sandwich(True, 3, 1)
+                 if name == "delta_eps_sandwich_lower"]
+        assert len(lower) == 216
+        assert not any(row.passed for row in lower)
+
+    @pytest.mark.parametrize("delta", [1.0, 0.0], ids=["one", "zero"])
+    def test_delta_eps_outside_unit_interval_fails(self, monkeypatch, delta):
+        # t_eps > t0 rests on 0 < delta_eps < 1 (bounds.t_eps): one point
+        # whose delta_eps, the lower sandwich row's lhs, leaves that
+        # interval fails the row
+        assert rows_of(checks._delta_eps_sandwich)[-1] == (
+            "t_eps_exceeds_t0", CheckRow(0.0, 0.0, True))
+        sandwich = bounds.delta_eps_sandwich
+        calls = []
+
+        def one_off(*key):
+            lower, upper = sandwich(*key)
+            calls.append(key)
+            if len(calls) == 1:
+                lower = dataclasses.replace(lower, lhs=delta)
+            return lower, upper
+
+        monkeypatch.setattr(bounds, "delta_eps_sandwich", one_off)
+        rows = rows_of(checks._delta_eps_sandwich)
+        assert len(calls) == 216 and len(rows) == 433
+        assert rows[-1] == ("t_eps_exceeds_t0", CheckRow(1.0, 0.0, False))
 
     def test_broken_small_calc_check_fails(self, monkeypatch):
         # a checker that compares its sides the wrong way round
@@ -247,3 +277,134 @@ def test_nan_margin_is_a_violation(monkeypatch):
             if name.startswith("expect_")}
     assert len(rows) == 2
     assert not any(row.passed for row in rows.values())
+
+
+class TestOracleControls:
+    """Rows that compare a value with an oracle, an identity or the
+    law itself: pushing one side past the row's tolerance fails it."""
+
+    def test_scaled_series_fails_closed_form(self, monkeypatch):
+        series = volumes.cap_integral_series
+        monkeypatch.setattr(volumes, "cap_integral_series",
+                            lambda m, s: series(m, s) * (1.0 + 1e-9))
+        name, _, row = only_row(checks._cap_integral_closed_form)
+        assert name == "cap_integral_closed_form"
+        assert not row.passed and row.lhs > 9e-10
+
+    def test_scaled_cap_measure_fails_half_sphere(self, monkeypatch):
+        # sphere_volume feeds both sides, so the cap measure is pushed
+        measure = volumes.cap_measure
+        monkeypatch.setattr(volumes, "cap_measure",
+                            lambda n, s: measure(n, s) * (1.0 + 1e-11))
+        name, _, row = only_row(checks._half_sphere_identity)
+        assert name == "half_sphere_identity"
+        assert not row.passed and row.lhs > 9e-12
+
+    def test_rising_cap_integral_fails_monotone(self, monkeypatch):
+        # I_m = m at one sigma rises at each of its 49 steps
+        exact = volumes.cap_integral
+        sigma = checks._SIG_GRID[7]
+        monkeypatch.setattr(volumes, "cap_integral",
+                            lambda m, s: float(m) if s == sigma
+                            else exact(m, s))
+        name, _, row = only_row(checks._cap_integral_monotone_m)
+        assert name == "cap_integral_monotone_m"
+        assert row == CheckRow(49.0, 0.0, False)
+
+    def test_rim_law_fails_ball_maximizer(self, monkeypatch):
+        # a radius law pushed toward the rim, the uniform CDF to the
+        # fourth power: an outer shell outweighs the ball of its
+        # uniform mass
+        def rim_law(cap, beta):
+            uniform = uniform_law(cap)
+            return SimpleNamespace(
+                cap=cap, radial_cdf=lambda r: uniform.radial_cdf(r) ** 4)
+
+        assert all(row.passed for _, _, row
+                   in checks._ball_maximizer(True, 3, 1))
+        monkeypatch.setattr(checks, "AdversarialLaw", rim_law)
+        rows = list(checks._ball_maximizer(True, 3, 1))
+        assert len(rows) == 3
+        assert all(row == CheckRow(1.0, 0.0, False) for _, _, row in rows)
+
+    def test_scaled_matrix_c_fails_eigen_oracle(self, monkeypatch):
+        problem = condnum.matrix_problem
+
+        def scaled(m):
+            p = problem(m)
+            return dataclasses.replace(
+                p, evaluate_batch=lambda z: p.evaluate_batch(z) * (1 + 1e-6))
+
+        assert only_row(checks._sigma_min_eigen_oracle)[2].passed
+        monkeypatch.setattr(condnum, "matrix_problem", scaled)
+        name, _, row = only_row(checks._sigma_min_eigen_oracle)
+        assert name == "sigma_min_eigen_oracle"
+        assert not row.passed and row.lhs > 1e-8
+
+    def test_uniform_reference_fails_ks_radial(self, monkeypatch):
+        # the uniform law as every reference: each pole law is rejected
+        ks = montecarlo.ks_radial_test
+        monkeypatch.setattr(
+            montecarlo, "ks_radial_test",
+            lambda law, n, seed, reference=None:
+            ks(law, n, seed, reference=uniform_law(law.cap)))
+        rows = [(params, row) for name, params, row
+                in checks._ks_radial(True, 3, 1) if name == "ks_radial"]
+        assert len(rows) == 8
+        for params, row in rows:
+            assert row.passed == (" beta=0 " in params), params
+
+    def test_own_reference_fails_ks_negative_control(self, monkeypatch):
+        # the law itself as the reference: the control does not fire
+        ks = montecarlo.ks_radial_test
+        monkeypatch.setattr(
+            montecarlo, "ks_radial_test",
+            lambda law, n, seed, reference=None: ks(law, n, seed))
+        rows = list(checks._ks_radial(True, 3, 1))
+        assert all(row.passed for *_, row in rows[:-1])
+        name, _, row = rows[-1]
+        assert name == "ks_negative_control"
+        assert not row.passed and row.lhs <= row.rhs
+
+
+# each hard row of verify and a test in which it must fail
+CONTROLS = {
+    "cap_integral_closed_form":
+        TestOracleControls.test_scaled_series_fails_closed_form,
+    "cap_integral_mpmath": TestMpmathRow.test_scaled_cap_integral_fails,
+    "half_sphere_identity":
+        TestOracleControls.test_scaled_cap_measure_fails_half_sphere,
+    "cap_integral_sandwich_lower":
+        TestReWiredRows.test_raised_lower_cap_integral_bound_fails,
+    "cap_integral_monotone_m":
+        TestOracleControls.test_rising_cap_integral_fails_monotone,
+    "small_calc": TestReWiredRows.test_broken_small_calc_check_fails,
+    "boosting_inequality": TestBoostingRow.test_shifted_lhs_fails,
+    "delta_eps_sandwich_lower":
+        TestReWiredRows.test_halved_rho_eps_fails_every_lower_delta_eps_row,
+    "delta_eps_sandwich_upper":
+        TestReWiredRows.test_lowered_upper_delta_eps_bound_fails,
+    "t_eps_exceeds_t0":
+        TestReWiredRows.test_delta_eps_outside_unit_interval_fails,
+    "smoothness_ratio_limit": TestReWiredRows.test_nan_smoothness_row_fails,
+    "ball_maximizer": TestOracleControls.test_rim_law_fails_ball_maximizer,
+    "ks_radial": TestOracleControls.test_uniform_reference_fails_ks_radial,
+    "ks_negative_control":
+        TestOracleControls.test_own_reference_fails_ks_negative_control,
+    "sigma_min_eigen_oracle":
+        TestOracleControls.test_scaled_matrix_c_fails_eigen_oracle,
+    **dict.fromkeys(("tail_uniform_center", "tail_uniform_pole",
+                     "tail_boosted_pole", "tail_matrix_uniform",
+                     "tail_matrix_boosted"),
+                    TestTailRows.test_flagged_threshold_fails),
+    **dict.fromkeys(("expect_uniform", "expect_adversarial"),
+                    test_nan_margin_is_a_violation),
+}
+
+
+def test_every_hard_row_has_a_negative_control():
+    names = {name for entry in checks.BATTERY
+             for name, _, _ in entry(True, 3, 1)}
+    assert set(CONTROLS) == names - checks.SOFT
+    assert all(test.__name__.startswith("test_")
+               for test in CONTROLS.values())

@@ -311,6 +311,21 @@ class TestTailAndExpect:
         assert cells[0] == "3000"
         assert float(cells[6]) > 0  # margin
 
+    def test_expect_redraws_are_reported_on_stderr(self, capsys):
+        # near beta = n some draws have C = inf; they are redrawn, which
+        # biases the mean low, and stderr says how many
+        args = ("expect", "--problem", "hyperplane", "--n", "3",
+                "--samples", "20000", "--seed", "1")
+        code, out, err = run(capsys, *args, "--beta", "2.99")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2] == "491"
+        assert err == ("expect: 491 draws had C = inf and were redrawn, so "
+                       "mean_ln_c is biased low\n")
+        code, out, err = run(capsys, *args)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2] == "0"
+        assert err == ""
+
     def test_tabulated_workers_do_not_change_output(self, capsys, tmp_path):
         # a tabulated law builds its segment fits lazily, in whichever
         # worker thread inverts first

@@ -848,7 +848,7 @@ class TestReportDigests:
         "delta_eps_sandwich_upper":
             "58c03fdca75cb62063f90c0a7e14828069af4b9f9000605acf577d6ebac6b98e",
         "t_eps_exceeds_t0":
-            "528355f1200749e096a4fe9b9d2871a42dbbe8064587282a93974902234002e2",
+            "8e556b7a3d26301d7daf58e71bed13900fc118aef9052e7d5fad9be65d152663",
         "smoothness_ratio_limit":
             "7b09b9f28854415bf2131a704b06488dc85a8a825e83d8da69830b44dc654228",
         "stated_minus_proof_chain":

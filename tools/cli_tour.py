@@ -9,7 +9,9 @@ The second form traces the tour and lists the lines of src/capsmooth
 that no subcommand reaches: what only the tests still run.  The runs
 between them cover a sloped --profile (in sample and expect),
 hyperplane, union:k, matrix:4, --scale log, CSV and JSON reports of
-tail, expect and verify, --workers 2 and a --config file.
+tail, expect and verify, --workers 2 and a --config file, and an
+expect run near beta = n whose draws with C = inf are redrawn, with
+its stderr warning.
 Each run writes its report to a temporary directory; the tour prints
 one line per run with its exit status, and exits 2 if any run did
 (invalid arguments), else 0: exit 1, a checked bound that fails, is a
@@ -41,6 +43,8 @@ RUNS = [
      "PROFILE", "--samples", "20000", "--seed", "1"],
     ["expect", "--problem", "hyperplane", "--n", "3", "--samples", "20000",
      "--format", "json", "--seed", "1"],
+    ["expect", "--problem", "hyperplane", "--n", "3", "--beta", "2.99",
+     "--samples", "20000", "--seed", "1"],
     ["boost-check", "--n", "3", "--beta", "1", "--rho-steps", "5"],
     ["smoothness", "--n", "3"],
     ["small-calc", "--config", "CONFIG"],
