@@ -30,10 +30,11 @@ def integer(value, name, least=1, below=None):
 
 def real(value, name):
     """value as a float; a value that is no number raises ValueError
-    naming the argument.  The range is the caller's to check."""
+    naming the argument, and so does an int too large for a float.  The
+    range is the caller's to check."""
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("%s must be a real number, got %r"
                          % (name, value)) from None
 

@@ -2,7 +2,8 @@
 
 Subcommands:
 
-  volumes     cap integrals, sandwich bounds, and cap measures on a grid
+  volumes     cap integrals, sandwich bounds, cap measures, and the cap's
+              share of the half sphere, I_n(sigma) / I_n(1), on a grid
   sample      draw points from a cap law and print them as CSV
   tail        Monte Carlo tail experiment against the theorem bound
   expect      Monte Carlo expectation experiment against the theorem bound
@@ -33,6 +34,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -156,13 +158,16 @@ def _cmd_volumes(args):
     n = integer(args.n, "n")
     sigmas = _floats(args.sigma, "--sigma")
     o_n = volumes.sphere_volume(n)
-    half = 0.5 * o_n
+    # the fraction of the half sphere, O_{n-1} I_n(sigma) / (O_n / 2),
+    # is I_n(sigma) / I_n(1), whose logs neither underflow
+    log_half = volumes.log_cap_integral(n, 1.0)
     rows = []
     for s in sigmas:
         val = volumes.cap_integral(n, s)
         lo, hi = volumes.cap_integral_bounds(n, s)
         meas = volumes.cap_measure(n, s)
-        rows.append((n, s, o_n, val, lo, hi, meas, meas / half))
+        frac = math.exp(volumes.log_cap_integral(n, s) - log_half)
+        rows.append((n, s, o_n, val, lo, hi, meas, frac))
     _emit(montecarlo.csv_text(
         ("n", "sigma", "sphere_volume", "cap_integral", "lower", "upper",
          "cap_measure", "space_fraction"), rows), args.out)

@@ -6,9 +6,12 @@ projective space.  On unit vectors, dist(x, Sigma) agrees with the
 projective distance to the projectivization of Sigma, and C(x) is the
 reciprocal of that distance.  C is +inf exactly on Sigma.
 
-Three instances are provided: a single hyperplane, a finite union of
-hyperplanes, and square matrices with Sigma the singular ones, where
-dist_F(A, Sigma) = sigma_min(A) by the Eckart-Young theorem.  Each
+Two families are provided: finite unions of k hyperplanes, of degree
+k, and square matrices with Sigma the singular ones, where
+dist_F(A, Sigma) = sigma_min(A) by the Eckart-Young theorem.  The
+single hyperplane is the union with the one normal e_0: both
+hyperplane_problem and union_hyperplanes_problem build theirs with one
+private builder (_linear_problem), and neither calls the other.  Each
 instance has one evaluator, evaluate_batch, which takes a batch of
 rows; one vector is a batch of one row.  Every instance scales a row
 whose norm lies outside [2^-200, 2^200] by a power of two first
@@ -303,36 +306,16 @@ def _closed_sigma_min(zt, nrm, det, first):
     return np.abs(det) / scale
 
 
-def hyperplane_problem(n):
-    """Sigma = {x_0 = 0} in R^{n+1}; C(x) = ||x|| / |x_0|, degree 1."""
-    n = integer(n, "n")
+def _linear_problem(name, u):
+    """Sigma = union of the hyperplanes with the unit normals u, a
+    (k, n+1) array with n >= 1, checked and normalized by the caller.
 
-    def evaluate_batch(z):
-        with np.errstate(divide="ignore", over="ignore"):
-            z, nrm = _unit_scaled(np.asarray(z, dtype=float))
-            return nrm / np.abs(z[:, 0])
-
-    ill = np.zeros(n + 1)
-    ill[1] = 1.0
-    return ConicProblem("hyperplane", n, 1, evaluate_batch, ill)
-
-
-def union_hyperplanes_problem(normals):
-    """Sigma = union of hyperplanes with the given unit normals.
-
-    dist(x, Sigma) = min_i |<u_i, x>|; the degree is the number of
-    hyperplanes (Sigma is the zero set of the product of the linear
-    forms).
+    dist(x, Sigma) = min_i |<u_i, x>|; the degree is k (Sigma is the
+    zero set of the product of the k linear forms).  With the one
+    normal e_0, z @ e_0 adds signed zeros to z_0, so C is ||z|| / |z_0|
+    exactly.
     """
-    u = np.asarray(normals, dtype=float)
-    if u.ndim != 2 or u.shape[0] < 1:
-        raise ValueError("expected a (k, n+1) array of normals")
-    nrm = np.linalg.norm(u, axis=1)
-    if not np.max(np.abs(nrm - 1.0)) <= 1e-8:
-        raise ValueError("normals must be unit vectors")
-    u = u / nrm[:, None]
     k, dim = u.shape
-    n = dim - 1
 
     def evaluate_batch(z):
         with np.errstate(divide="ignore", over="ignore"):
@@ -354,7 +337,29 @@ def union_hyperplanes_problem(normals):
         seed[1] = 1.0
     ill = seed - (u[0] @ seed) * u[0]
     ill /= np.linalg.norm(ill)
-    return ConicProblem("union:%d" % k, n, k, evaluate_batch, ill)
+    return ConicProblem(name, dim - 1, k, evaluate_batch, ill)
+
+
+def hyperplane_problem(n):
+    """Sigma = {x_0 = 0} in R^{n+1}; C(x) = ||x|| / |x_0|, degree 1:
+    the union of one hyperplane, with normal e_0 (_linear_problem)."""
+    n = integer(n, "n")
+    return _linear_problem("hyperplane", np.eye(n + 1)[:1])
+
+
+def union_hyperplanes_problem(normals):
+    """Sigma = union of the k hyperplanes with the given unit normals,
+    a (k, n+1) array with n >= 1: dist(x, Sigma) = min_i |<u_i, x>|,
+    degree k.  Built by _linear_problem, as hyperplane_problem's one
+    normal is."""
+    u = np.asarray(normals, dtype=float)
+    if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] < 2:
+        raise ValueError("normals: expected a (k, n+1) array of normals "
+                         "with k >= 1 and n >= 1, got shape %r" % (u.shape,))
+    nrm = np.linalg.norm(u, axis=1)
+    if not np.max(np.abs(nrm - 1.0)) <= 1e-8:
+        raise ValueError("normals must be unit vectors")
+    return _linear_problem("union:%d" % len(u), u / nrm[:, None])
 
 
 def matrix_problem(m):

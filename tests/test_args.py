@@ -7,7 +7,8 @@ least raise ValueError naming that argument, never OverflowError and
 never a truncation; an integral float and a numpy integer give the
 result of the plain int.  A value that is no number (None, a list, a
 string that does not parse) raises ValueError naming the argument in
-the real-valued rules too, never TypeError.
+the real-valued rules too, never TypeError, and so does an int too
+large for a float, never OverflowError.
 """
 
 import math
@@ -335,7 +336,8 @@ REALS = [
 ]
 
 
-NO_NUMBERS = {"none": None, "list": [0.5], "string": "abc"}
+NO_NUMBERS = {"none": None, "list": [0.5], "string": "abc",
+              "huge": 10 ** 400}
 # the calls that read None as their default (default_grid's axis, an
 # end of threshold_grid), so take it
 NONE_IS_DEFAULT = {"default_grid", "threshold_grid-t_min",
@@ -357,8 +359,9 @@ NO_NUMBER_CASES = [
                          [case[1:] for case in NO_NUMBER_CASES],
                          ids=[case[0] for case in NO_NUMBER_CASES])
 def test_real_rejects_what_is_no_number(call, name, value):
-    # float() raises TypeError on None and a list, and a ValueError that
-    # names no argument on the string; each rule names its argument
+    # float() raises TypeError on None and a list, a ValueError that
+    # names no argument on the string and OverflowError on the huge int;
+    # each rule names its argument
     with pytest.raises(ValueError, match=re.escape(
             "%s must be a real number, got %r" % (name, value))):
         call(value)

@@ -5,6 +5,7 @@ subprocess test confirms the installed entry point works end to end.
 """
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from capsmooth import bounds, checks, montecarlo
+from capsmooth import bounds, checks, montecarlo, volumes
 from capsmooth.cli import _build_parser, _parse_args, main
 
 
@@ -34,6 +35,22 @@ class TestVolumes:
         # sigma = 1 row covers the half sphere
         last = lines[-1].split(",")
         assert np.isclose(float(last[7]), 1.0, rtol=1e-12)
+
+    def test_space_fraction_past_the_double_range(self, capsys):
+        # O_n / 2 underflows from n = 454 and I_n(0.5) O_{n-1} from
+        # n = 340; the fraction I_n(sigma) / I_n(1) does neither, and is
+        # exactly 1 at sigma = 1
+        code, out, _ = run(capsys, "volumes", "--n", "500",
+                           "--sigma", "0.5,1")
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[-1] == "1"
+        code, out, _ = run(capsys, "volumes", "--n", "340", "--sigma", "0.5")
+        assert code == 0
+        frac = float(out.splitlines()[1].split(",")[-1])
+        want = math.exp(volumes.log_cap_integral(340, 0.5)
+                        - volumes.log_cap_integral(340, 1.0))
+        assert want > 1e-105
+        assert abs(frac - want) <= 1e-12 * want
 
     def test_needs_n(self, capsys):
         code, _, err = run(capsys, "volumes")
@@ -229,6 +246,14 @@ class TestTailAndExpect:
             assert code == 2
             assert out == ""
             assert "union:k needs" in err
+
+    def test_union_needs_n_at_least_one(self, capsys):
+        # union:1 at n = 0 has k <= n + 1, but one coordinate is no
+        # projective space: an error line and exit 2, as for hyperplane
+        code, out, err = run(capsys, "tail", "--problem", "union:1", "--n",
+                             "0", "--samples", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: normals") and err.count("\n") == 1
 
     def test_empty_t_grid(self, capsys):
         code, out, err = run(capsys, "tail", "--problem", "hyperplane",

@@ -204,6 +204,49 @@ class TestUnionHyperplanes:
         assert ref[0] == math.inf
 
 
+class TestOneNormalUnion:
+    """hyperplane_problem is the union of the one hyperplane with normal
+    e_0: both factories build it with condnum._linear_problem."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_bits_match_union(self, n):
+        # sampled rows, far rows, the zero row and non-finite rows
+        p = hyperplane_problem(n)
+        q = union_hyperplanes_problem(np.eye(n + 1)[:1])
+        assert (p.n, p.degree) == (q.n, q.degree) == (n, 1)
+        assert np.array_equal(p.ill_posed.view(np.int64),
+                              q.ill_posed.view(np.int64))
+        z = AdversarialLaw(Cap(normalize(np.ones(n + 1)), 0.5), 0.5).sample(
+            rng(21), size=1024)
+        odd = rng(22).standard_normal((8, n + 1))
+        odd[0] *= 2.0 ** -300
+        odd[1] *= 2.0 ** 300
+        odd[2] = 0.0
+        odd[3, 0] = math.nan
+        odd[4, -1] = math.nan
+        odd[5, 0] = math.inf
+        odd[6, -1] = -math.inf
+        odd[7, 0] = 0.0
+        for batch in (z, np.ascontiguousarray(z), odd):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, want = p.evaluate_batch(batch), q.evaluate_batch(batch)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got[2] == got[7] == math.inf
+        assert np.isnan(got[3:7]).all()
+
+    def test_builds_without_the_public_union(self, monkeypatch):
+        # the builder is private: the benchmark's tracer rebinds both
+        # public names, and a nested call would wrap evaluate_batch twice
+        def refuse(normals):
+            raise AssertionError("hyperplane_problem called the union")
+
+        monkeypatch.setattr(condnum, "union_hyperplanes_problem", refuse)
+        p = condnum.hyperplane_problem(3)
+        assert p.name == "hyperplane"
+        assert evaluate_one(p, [3.0, 4.0, 0.0, 0.0]) == 5.0 / 3.0
+
+
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("make", [
     hyperplane_problem,
@@ -690,3 +733,11 @@ class TestClosedForm:
 def test_union_needs_a_2d_array_of_normals():
     with pytest.raises(ValueError, match="array of normals"):
         union_hyperplanes_problem(np.ones(4))
+
+
+@pytest.mark.parametrize("normals", [[[1.0]], np.ones((2, 1))])
+def test_union_needs_two_coordinates(normals):
+    # n >= 1, as for hyperplane_problem: one coordinate leaves no unit
+    # vector off the normal for ill_posed
+    with pytest.raises(ValueError, match="^normals"):
+        union_hyperplanes_problem(normals)
